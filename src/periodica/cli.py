@@ -69,6 +69,12 @@ def _emit(doc, fmt: str, text_renderer=None) -> None:
         print(text_renderer(doc))
 
 
+def _at_least(args, name: str, low: int) -> None:
+    value = getattr(args, name)
+    if value < low:
+        raise ParseError(f"--{name} must be >= {low}, got {value}")
+
+
 def _field(args) -> FieldSpec:
     return FieldSpec.from_label(args.field)
 
@@ -199,6 +205,7 @@ def cmd_homotopic(args) -> int:
 
 
 def cmd_strictify(args) -> int:
+    _at_least(args, "window", 0)
     q = serialize.parse_quasi_doc(_load_json(args.data), _field(args))
     x = strictify(q)
     doc = {"complex": serialize.complex_to_doc(x)}
@@ -211,6 +218,7 @@ def cmd_strictify(args) -> int:
 
 
 def cmd_ar_triangle(args) -> int:
+    _at_least(args, "i", 1)
     t = ar_triangle(args.i, _field(args))
     dec = decompose(t.e)
     doc = serialize.triangle_to_doc(t)
@@ -220,6 +228,8 @@ def cmd_ar_triangle(args) -> int:
 
 
 def cmd_ar_verify(args) -> int:
+    _at_least(args, "i", 1)
+    _at_least(args, "bound", 1)
     t = ar_triangle(args.i, _field(args))
     right = verify_right_ar(t, args.bound)
     left = verify_left_ar(t, args.bound)
@@ -235,6 +245,7 @@ def cmd_ar_verify(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    _at_least(args, "max", 2)
     result = build_quiver(args.max, _field(args))
     if args.format == "dot":
         print(quiver_dot(result.graph), end="")
@@ -265,6 +276,7 @@ def cmd_serre_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _at_least(args, "rounds", 1)
     results = run_selftest(seed=args.seed, rounds=args.rounds)
     failed = [r for r in results if not r.ok]
     if args.format == "json":

@@ -19,16 +19,36 @@ _QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Miller-Rabin with the twelve prime bases up to 37 is exact below this
+# bound (about 3.2e23), the least strong pseudoprime to all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017).  Larger characteristics are rejected.
+MAX_CHARACTERISTIC = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -39,6 +59,9 @@ class FieldSpec:
     p: int = 0
 
     def __post_init__(self) -> None:
+        if self.p >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"field characteristic must be below {MAX_CHARACTERISTIC}")
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 

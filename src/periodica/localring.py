@@ -6,10 +6,20 @@ Canonical form: gcd(num, den) = 1 and den has constant term 1; zero is
 numerator at x = 0; every nonzero element factors as unit * x^valuation,
 and the units are exactly the elements of valuation 0.
 
+Arithmetic relies on its operands being canonical and returns canonical
+results without the full gcd of the result's numerator and denominator
+(Henrici, "A subroutine for computations with rational numbers", J. ACM 3,
+1956; Knuth, TAOCP vol. 2, 4.5.1).  For a/b * c/d only a/d and c/b can
+cancel; a monomial numerator cannot cancel at all, since den(0) != 0.  For
+a/b + c/d with g = gcd(b, d), the sum t = a*(d/g) + c*(b/g) is coprime to
+b/g and d/g, so only gcd(t, g) is taken, and none when g = 1.  :func:`elem`
+is the full canonicalisation, used for parsing and as the reference.
+
 Text grammar (shared by every file format): polynomials are written
-"c0 + c1*x + c2*x^2" with coefficients "p/q" over Q or integers over F_p;
-an element is a polynomial, optionally followed by a parenthesized
-denominator "/(den)" with den(0) != 0.  Whitespace is ignored.
+"c0 + c1*x + c2*x^2" with coefficients "p/q" over Q or integers over F_p
+and exponents at most MAX_EXPONENT; an element is a polynomial, optionally
+followed by a parenthesized denominator "/(den)" with den(0) != 0.
+Whitespace is ignored.
 """
 
 from __future__ import annotations
@@ -33,6 +43,10 @@ Valuation = Union[int, float]  # nonnegative int, or math.inf for zero
 
 INFINITE = math.inf
 
+# Largest exponent of x the text grammar accepts; checked before the
+# coefficient tuple is allocated.
+MAX_EXPONENT = 10_000
+
 
 @dataclass(frozen=True)
 class LocalElem:
@@ -41,8 +55,6 @@ class LocalElem:
     field: FieldSpec
     num: Poly
     den: Poly
-
-    # Arithmetic assumes both operands canonical; results are canonical.
 
     def _check(self, other: "LocalElem") -> None:
         if self.field != other.field:
@@ -56,17 +68,26 @@ class LocalElem:
     def __add__(self, other: "LocalElem") -> "LocalElem":
         self._check(other)
         K = self.field
-        if self.den == other.den:
-            num = poly.add(K, self.num, other.num)
-            if len(self.den) == 1:
-                return LocalElem(K, num, self.den)
-            return elem(K, num, self.den)
-        num = poly.add(
-            K,
-            poly.mul(K, self.num, other.den),
-            poly.mul(K, other.num, self.den),
-        )
-        return elem(K, num, poly.mul(K, self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            if len(b) == 1:
+                return LocalElem(K, poly.add(K, a, c), b)
+            return elem(K, poly.add(K, a, c), b)
+        if len(b) == 1:
+            return LocalElem(K, poly.add(K, poly.mul(K, a, d), c), d)
+        if len(d) == 1:
+            return LocalElem(K, poly.add(K, a, poly.mul(K, c, b)), b)
+        g = poly.gcd(K, b, d)
+        if len(g) == 1:
+            num = poly.add(K, poly.mul(K, a, d), poly.mul(K, c, b))
+            return LocalElem(K, num, poly.mul(K, b, d))
+        # g(0) = 1 makes b/g and d/g keep constant term 1.  t is coprime
+        # to b/g and d/g, so only t/g can still cancel.
+        g = poly.scale(K, g, K.inv(g[0]))
+        b, _ = poly.divmod_poly(K, b, g)
+        d, _ = poly.divmod_poly(K, d, g)
+        t = elem(K, poly.add(K, poly.mul(K, a, d), poly.mul(K, c, b)), g)
+        return LocalElem(K, t.num, poly.mul(K, t.den, poly.mul(K, b, d)))
 
     def __sub__(self, other: "LocalElem") -> "LocalElem":
         return self + (-other)
@@ -77,16 +98,18 @@ class LocalElem:
     def __mul__(self, other: "LocalElem") -> "LocalElem":
         self._check(other)
         K = self.field
-        if not self.num or not other.num:
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
             return zero(K)
-        if len(self.den) == 1 and len(other.den) == 1:
-            # denominators are both 1: no reduction needed
-            return LocalElem(K, poly.mul(K, self.num, other.num), self.den)
-        return elem(
-            K,
-            poly.mul(K, self.num, other.num),
-            poly.mul(K, self.den, other.den),
-        )
+        # cross-cancel a/d and c/b; a/b and c/d are already reduced
+        if len(d) > 1 and not _is_monomial(a):
+            r = elem(K, a, d)
+            a, d = r.num, r.den
+        if len(b) > 1 and not _is_monomial(c):
+            r = elem(K, c, b)
+            c, b = r.num, r.den
+        den = d if len(b) == 1 else b if len(d) == 1 else poly.mul(K, b, d)
+        return LocalElem(K, poly.mul(K, a, c), den)
 
     def __truediv__(self, other: "LocalElem") -> "LocalElem":
         """Exact division inside R; raises NotDivisibleError otherwise."""
@@ -137,6 +160,11 @@ def elem(field: FieldSpec, num: Poly, den: Poly = None) -> LocalElem:
         num = poly.scale(K, num, cinv)
         den = poly.scale(K, den, cinv)
     return LocalElem(K, num, den)
+
+
+def _is_monomial(f: Poly) -> bool:
+    """c * x^k: coprime to every denominator, since den(0) != 0."""
+    return not any(f[:-1])
 
 
 def zero(field: FieldSpec) -> LocalElem:
@@ -237,6 +265,13 @@ def _split_fraction(s: str) -> tuple[str, str | None]:
     return s, None
 
 
+def _exponent(token: str) -> int:
+    # digit count first: int() refuses tokens over 4300 digits
+    if len(token.lstrip("0")) > len(str(MAX_EXPONENT)) or int(token) > MAX_EXPONENT:
+        raise ParseError(f"exponent {token[:20]} exceeds the limit {MAX_EXPONENT}")
+    return int(token)
+
+
 def parse_poly(field: FieldSpec, text: str) -> Poly:
     """Parse "c0 + c1*x + c2*x^2" (whitespace already removed)."""
     s = _strip_outer_parens(text)
@@ -259,7 +294,7 @@ def parse_poly(field: FieldSpec, text: str) -> Poly:
             c = field.parse_scalar(coeff_tok)
         if sign == "-":
             c = field.neg(c)
-        d = 0 if xpart is None else (1 if exp_tok is None else int(exp_tok))
+        d = 0 if xpart is None else (1 if exp_tok is None else _exponent(exp_tok))
         coeffs[d] = field.add(coeffs.get(d, field.zero), c)
     if not coeffs:
         raise ParseError(f"empty polynomial {text!r}")

@@ -33,14 +33,14 @@ Q = FieldSpec.rationals()
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, timeout=None):
     # An absolute src entry keeps the package importable when cwd moves.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "periodica.cli", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env)
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout)
 
 
 def test_complex_doc_roundtrip(rng):
@@ -146,6 +146,49 @@ def test_cli_emitted_complex_reparses(k2_file, tmp_path):
     out.write_text(r.stdout)
     r2 = run_cli("validate", str(out))
     assert r2.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("ar-triangle", "--i", "0"),
+    ("ar-verify", "--i", "0"),
+    ("ar-verify", "--i", "2", "--bound", "0"),
+    ("selftest", "--rounds", "-1"),
+    ("quiver", "--max", "1"),
+    ("strictify", "QUASI", "--window", "-2"),
+])
+def test_cli_argument_out_of_range(tmp_path, argv):
+    quasi = tmp_path / "quasi.json"
+    quasi.write_text(json.dumps(
+        {"field": "Q", "r0": 1, "r1": 1, "alpha0": [["0"]],
+         "alpha1": [["x^3"]], "phi0": [["1"]], "phi1": [["1"]]}))
+    r = run_cli(*(str(quasi) if a == "QUASI" else a for a in argv))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_cli_large_prime_field(tmp_path):
+    label = "Fp:1000000000000000003"
+    p = tmp_path / "k2.json"
+    p.write_text(json.dumps(
+        {"field": label, "r0": 1, "r1": 1, "d0": [["0"]], "d1": [["x^2"]]}))
+    r = run_cli("validate", str(p), "--field", label, timeout=30)
+    assert r.returncode == 0, r.stderr
+    from periodica.fields import MAX_CHARACTERISTIC
+    r = run_cli("validate", str(p), "--field", f"Fp:{MAX_CHARACTERISTIC}")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_exponent_budget(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(
+        {"field": "Q", "r0": 1, "r1": 1, "d0": [["0"]],
+         "d1": [["x^300000000"]]}))
+    r = run_cli("validate", str(p))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "$.d1[0][0]" in r.stderr
 
 
 def test_cli_quiver_dot_and_exit():

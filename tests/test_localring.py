@@ -23,6 +23,8 @@ from periodica import (
     x_shift,
     zero,
 )
+from periodica import poly
+from periodica.fields import MAX_CHARACTERISTIC, _is_prime
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -95,9 +97,14 @@ def test_parse_rejects_vanishing_denominator():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x^", "y", "1 + + x", "x**2"):
+    for bad in ("", "x^", "y", "1 + + x", "x**2", "x^10001", "x^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_element(Q, bad)
+
+
+def test_parse_exponent_limit():
+    assert valuation(parse_element(Q, "x^10000")) == 10000
+    assert parse_element(Q, "x^0002") == parse_element(Q, "x^2")
 
 
 def test_prime_field_coefficients():
@@ -168,3 +175,118 @@ def test_unit_times_inverse(n):
 def test_canonical_denominator_constant_term():
     e = elem(Q, (Q.of_int(2),), (Q.of_int(2), Q.of_int(4)))
     assert e.den[0] == Q.one
+
+
+# -- arithmetic against the reference canonicalisation ----------------------------
+
+# Small primes make shared factors, and so nontrivial gcds, common.
+FIELDS = (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3),
+          FieldSpec.prime_field(101))
+
+
+@st.composite
+def elem_pairs(draw):
+    """(a, b) canonical over one field, drawn so that equal denominators,
+    denominator 1, monomial numerators, b = -a, denominators sharing a
+    factor and sums that cancel part of a denominator all occur."""
+    K = draw(st.sampled_from(FIELDS))
+
+    def poly_(min_len, max_len, unit=False):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=min_len,
+                           max_size=max_len))
+        f = [K.of_int(c) for c in cs]
+        if unit and f[0] == K.zero:
+            f[0] = K.one
+        if f and f[-1] == K.zero:
+            f[-1] = K.one
+        return tuple(f)
+
+    # nonconstant units, shared by both elements
+    pool = [poly_(2, 3, unit=True) for _ in range(3)]
+
+    def product(unit):
+        f = poly_(1, 2, unit=unit)
+        for i in draw(st.lists(st.integers(0, 2), max_size=3)):
+            f = poly.mul(K, f, pool[i])
+        return f
+
+    def element():
+        kind = draw(st.sampled_from(("general", "monomial", "polynomial")))
+        den = poly.one(K) if kind == "polynomial" else product(unit=True)
+        if kind == "monomial":
+            c = K.of_int(draw(st.integers(1, 3)))
+            num = poly.shift_up(K, poly.const(K, c), draw(st.integers(0, 3)))
+        else:
+            num = poly.shift_up(K, product(unit=False), draw(st.integers(0, 2)))
+        return elem(K, num, den)
+
+    a = element()
+    relation = draw(st.sampled_from(
+        ("free", "same_den", "negated", "cancelling")))
+    if relation == "negated":
+        b = -a
+    elif relation == "same_den":
+        # (n + p*d)/d is reduced whenever n/d is
+        b = elem(K, poly.add(K, a.num, poly.mul(K, poly_(1, 3), a.den)), a.den)
+    elif relation == "cancelling":
+        # b = s - a, so a + b = s loses a's denominator
+        s = element()
+        b = elem(K, poly.sub(K, poly.mul(K, s.num, a.den),
+                             poly.mul(K, a.num, s.den)),
+                 poly.mul(K, s.den, a.den))
+    else:
+        b = element()
+    return a, b
+
+
+def _reference(K, num, den):
+    r = elem(K, num, den)
+    return r.num, r.den
+
+
+@settings(max_examples=400, deadline=None)
+@given(elem_pairs())
+def test_arithmetic_matches_reference_canonicalisation(pair):
+    a, b = pair
+    K = a.field
+    for e in (a, b):
+        assert (e.num, e.den) == _reference(K, e.num, e.den)
+    cross_ab = poly.mul(K, a.num, b.den)
+    cross_ba = poly.mul(K, b.num, a.den)
+    den = poly.mul(K, a.den, b.den)
+
+    def same(got, num, den):
+        assert (got.num, got.den) == _reference(K, num, den)
+
+    same(a + b, poly.add(K, cross_ab, cross_ba), den)
+    same(a - b, poly.sub(K, cross_ab, cross_ba), den)
+    same(a * b, poly.mul(K, a.num, b.num), den)
+    if b and valuation(b) <= valuation(a):
+        v = valuation(b)
+        same(a / b, poly.shift_down(cross_ab, v), poly.shift_down(cross_ba, v))
+
+
+# -- prime check -------------------------------------------------------------------
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == \
+        [n for n in range(-3, 5000) if trial(n)]
+
+
+def test_is_prime_large():
+    assert _is_prime(10**18 + 3)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(10**18 + 1)
+    # strong pseudoprime to every prime base up to 23
+    assert not _is_prime(3825123056546413051)
+
+
+def test_characteristic_cap():
+    # the least strong pseudoprime to the bases up to 37: the cap itself
+    with pytest.raises(ValueError):
+        FieldSpec.prime_field(MAX_CHARACTERISTIC)
+    with pytest.raises(ParseError):
+        FieldSpec.from_label(f"Fp:{MAX_CHARACTERISTIC}")
+    assert FieldSpec.from_label("Fp:1000000000000000003").p == 10**18 + 3
