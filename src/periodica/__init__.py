@@ -6,7 +6,6 @@ indecomposables, and Auslander-Reiten triangles and quivers.
 
 from .artheory import (
     ARReport,
-    LARReport,
     QuiverGraph,
     QuiverResult,
     ar_triangle,

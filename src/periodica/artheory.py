@@ -13,10 +13,9 @@ exactly h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .classify import (
-    DecomposeResult,
     IndecompLabel,
     IndecompMultiset,
     assemble,
@@ -39,8 +38,6 @@ from .complexes import (
     scale_map,
     shift,
     shift_map,
-    sub_maps,
-    zero_map,
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
@@ -126,7 +123,6 @@ def _solve_comparison(c: TwoPeriodicComplex, u: ChainMap2, v: ChainMap2,
     One stacked linear system over R: unknowns are phi's two components
     and the two homotopy witnesses.
     """
-    from .complexes import _homc_blocks  # block builders shared with homc
     from .matrix import block, kron
 
     field = c.field
@@ -210,36 +206,20 @@ def _solve_comparison(c: TwoPeriodicComplex, u: ChainMap2, v: ChainMap2,
 
 @dataclass(frozen=True)
 class ARReport:
-    """Outcome of the right-AR axioms on a triangle N -> E -> M -> N[1]."""
+    """Outcome of the AR axioms 1-3 on a triangle N -> E -> M -> N[1],
+    read from the right (side "right", connecting map h) or from the left
+    (side "left", connecting map w = -h[-1])."""
 
     triangle: Triangle
-    rar1_ok: bool
-    rar2_ok: bool
-    rar3_ok: bool
+    side: str
+    axioms: tuple  # (axiom 1 ok, axiom 2 ok, axiom 3 ok)
     middle: IndecompMultiset
     tested_family: tuple  # IndecompLabel lineup used for axiom 3
     counterexample: Optional[tuple]  # (IndecompLabel, generator index)
 
     @property
     def passed(self) -> bool:
-        return self.rar1_ok and self.rar2_ok and self.rar3_ok
-
-
-@dataclass(frozen=True)
-class LARReport:
-    """Outcome of the mirror (left) axioms, connecting map w = -h[-1]."""
-
-    triangle: Triangle
-    lar1_ok: bool
-    lar2_ok: bool
-    lar3_ok: bool
-    middle: IndecompMultiset
-    tested_family: tuple
-    counterexample: Optional[tuple]
-
-    @property
-    def passed(self) -> bool:
-        return self.lar1_ok and self.lar2_ok and self.lar3_ok
+        return all(self.axioms)
 
 
 def _family(bound: int) -> List[IndecompLabel]:
@@ -266,58 +246,45 @@ def _radical_tests(d_ms: IndecompMultiset, target_ms: IndecompMultiset,
     return out
 
 
+def _verify_ar(t: Triangle, bound: int, side: str) -> ARReport:
+    """(AR1) endpoints indecomposable, (AR2) the connecting map c is not
+    null-homotopic, (AR3) c kills every non-isomorphism between an
+    endpoint and D, D running over K(j), K(j)[1] for j <= bound."""
+    field = t.n.field
+    n_ms = decompose(t.n).multiset
+    m_ms = decompose(t.m).multiset
+    ax1 = n_ms.is_singleton() and m_ms.is_singleton()
+    right = side == "right"
+    # [1] is an involution, so -h[-1] = -h[1]: M[-1] -> N
+    conn = t.h if right else negate_map(shift_map(t.h))
+    ax2 = is_null_homotopic(conn) is None
+    middle = decompose(t.e).multiset
+    family = _family(bound)
+    counterexample = None
+    for lab in family:
+        d = model_complex(lab, field)
+        gens = (hom_module(d, t.m) if right else hom_module(t.n, d)).generators
+        d_ms = IndecompMultiset.from_labels([lab])
+        for idx, cand in _radical_tests(d_ms, m_ms if right else n_ms,
+                                        gens, field):
+            comp = compose(conn, cand) if right else compose(cand, conn)
+            if is_null_homotopic(comp) is None:
+                counterexample = (lab, idx)
+                break
+        if counterexample is not None:
+            break
+    return ARReport(t, side, (ax1, ax2, counterexample is None), middle,
+                    tuple(family), counterexample)
+
+
 def verify_right_ar(t: Triangle, bound: int) -> ARReport:
-    """Check (RAR1) endpoints indecomposable, (RAR2) h not null-homotopic,
-    (RAR3) h t null-homotopic for every non-isomorphism t: D -> M with D
-    running over K(j), K(j)[1] for j <= bound."""
-    field = t.n.field
-    n_ms = decompose(t.n).multiset
-    m_ms = decompose(t.m).multiset
-    rar1 = n_ms.is_singleton() and m_ms.is_singleton()
-    rar2 = is_null_homotopic(t.h) is None
-    middle = decompose(t.e).multiset
-    family = _family(bound)
-    rar3 = True
-    counterexample = None
-    for lab in family:
-        d = model_complex(lab, field)
-        gens = hom_module(d, t.m).generators
-        d_ms = IndecompMultiset.from_labels([lab])
-        for idx, cand in _radical_tests(d_ms, m_ms, gens, field):
-            if is_null_homotopic(compose(t.h, cand)) is None:
-                rar3 = False
-                counterexample = (lab, idx)
-                break
-        if not rar3:
-            break
-    return ARReport(t, rar1, rar2, rar3, middle, tuple(family), counterexample)
+    """Right axioms: h t null-homotopic for every non-isomorphism t: D -> M."""
+    return _verify_ar(t, bound, "right")
 
 
-def verify_left_ar(t: Triangle, bound: int) -> LARReport:
-    """Mirror axioms for the same triangle read as starting at N, with
-    connecting map w = -h[-1]: M[-1] -> N."""
-    field = t.n.field
-    n_ms = decompose(t.n).multiset
-    m_ms = decompose(t.m).multiset
-    lar1 = n_ms.is_singleton() and m_ms.is_singleton()
-    w = negate_map(shift_map(t.h))  # M[-1] -> N ([1] is an involution)
-    lar2 = is_null_homotopic(w) is None
-    middle = decompose(t.e).multiset
-    family = _family(bound)
-    lar3 = True
-    counterexample = None
-    for lab in family:
-        d = model_complex(lab, field)
-        gens = hom_module(t.n, d).generators
-        d_ms = IndecompMultiset.from_labels([lab])
-        for idx, cand in _radical_tests(d_ms, n_ms, gens, field):
-            if is_null_homotopic(compose(cand, w)) is None:
-                lar3 = False
-                counterexample = (lab, idx)
-                break
-        if not lar3:
-            break
-    return LARReport(t, lar1, lar2, lar3, middle, tuple(family), counterexample)
+def verify_left_ar(t: Triangle, bound: int) -> ARReport:
+    """Left axioms: s w null-homotopic for every non-isomorphism s: N -> D."""
+    return _verify_ar(t, bound, "left")
 
 
 def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:

@@ -13,12 +13,17 @@ strict category between the minimal model and the labelled block sum.
 Peeling order: odd differential first, invariants ascending — the
 certificate is deterministic.  Inputs whose cohomology is not of finite
 length are rejected rather than assigned free labels.
+
+Both stages are ``smith.smith_sweep`` runs over one
+``smith.TrackedBasis`` per degree of the minimal model (the second
+sweep starts at the rank of the first), and the closing sign flip is a
+scaling of the same basis, so the certificates are the bases' p and q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complexes import (
     ChainMap2,
@@ -31,10 +36,10 @@ from .complexes import (
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
-from .localring import from_int, one, x_power
-from .matrix import RMatrix, block_diag
+from .localring import one, x_power
+from .matrix import RMatrix
 from .minimal import SplitResult, reduce
-from .smith import is_invertible, matrix_rank, smith_normal_form
+from .smith import TrackedBasis, is_invertible, matrix_rank, smith_sweep
 
 
 @dataclass(frozen=True, order=True)
@@ -156,62 +161,39 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     if m.r0 != m.r1:
         raise PeriodicaError("finite-length minimal model with unequal ranks")
     n = m.r0
-    d0, d1 = m.d0, m.d1
-    p0 = RMatrix.identity(field, n)
-    p1 = RMatrix.identity(field, n)
-    q0 = RMatrix.identity(field, n)
-    q1 = RMatrix.identity(field, n)
+    d0, d1 = m.d0.to_grid(), m.d1.to_grid()
+    b0 = TrackedBasis(field, n, rows=[d1], cols=[d0])
+    b1 = TrackedBasis(field, n, rows=[d0], cols=[d1])
 
     # stage 1: Smith form of the odd differential peels unshifted summands
-    s = smith_normal_form(d1)
-    d1 = s.d
-    d0 = s.v_inv @ d0 @ s.u_inv
-    p0 = s.u @ p0
-    q0 = q0 @ s.u_inv
-    p1 = s.v_inv @ p1
-    q1 = q1 @ s.v
-    r = s.rank
-    unshifted = list(s.exponents)
+    unshifted = smith_sweep(d1, b0, b1)
+    r = len(unshifted)
     if any(e < 1 for e in unshifted):
         raise PeriodicaError("minimal model produced a unit invariant factor")
     # both composites vanish, so rows and columns < r of d0 must be zero
     for i in range(n):
         for j in range(n):
-            if (i < r or j < r) and d0.at(i, j):
+            if (i < r or j < r) and d0[i][j]:
                 raise PeriodicaError("even differential does not respect the split")
 
     # stage 2: Smith form of the remaining even differential (shifted part)
-    sub = d0.submatrix(r, n, r, n)
-    s2 = smith_normal_form(sub)
-    if s2.rank != n - r or any(e < 1 for e in s2.exponents):
+    shifted = smith_sweep(d0, b1, b0, start=r)
+    if len(shifted) != n - r or any(e < 1 for e in shifted):
         raise NotFiniteLengthError("even complement is singular or non-minimal")
-    shifted = list(s2.exponents)
-    eye_r = RMatrix.identity(field, r)
-    g1 = block_diag(field, [eye_r, s2.u])
-    g1_inv = block_diag(field, [eye_r, s2.u_inv])
-    g0 = block_diag(field, [eye_r, s2.v_inv])
-    g0_inv = block_diag(field, [eye_r, s2.v])
-    d0 = g1 @ d0 @ g0_inv
-    d1 = g0 @ d1 @ g1_inv
-    p0 = g0 @ p0
-    q0 = q0 @ g0_inv
-    p1 = g1 @ p1
-    q1 = q1 @ g1_inv
 
     # stage 3: flip signs so shifted blocks match shift(K(b)) exactly
-    diag = [one(field)] * r + [-one(field)] * (n - r)
-    sflip = RMatrix.diagonal(field, n, n, diag)
-    d0 = d0 @ sflip  # sflip is its own inverse
-    d1 = sflip @ d1
-    p0 = sflip @ p0
-    q0 = q0 @ sflip
+    for i in range(r, n):
+        b0.scale(i, -one(field))
 
     labels_ = [IndecompLabel(False, e) for e in unshifted] + \
         [IndecompLabel(True, e) for e in shifted]
     ms = IndecompMultiset.from_labels(labels_)
     blocksum = assemble(ms, field)
-    if blocksum.d0 != d0 or blocksum.d1 != d1:
+    if (blocksum.d0 != RMatrix.from_grid(field, n, n, d0)
+            or blocksum.d1 != RMatrix.from_grid(field, n, n, d1)):
         raise PeriodicaError("peeled complex is not the canonical block sum")
+    p0, q0 = b0.matrices()
+    p1, q1 = b1.matrices()
     to_blocks = ChainMap2(m, blocksum, p0, p1)
     from_blocks = ChainMap2(blocksum, m, q0, q1)
     comp = compose(to_blocks, from_blocks)

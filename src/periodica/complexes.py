@@ -37,7 +37,7 @@ from .errors import (
 from .fields import FieldSpec
 from .localring import LocalElem
 from .matrix import RMatrix, block, block_diag, commutation_matrix, kron, vstack
-from .smith import SubquotientModule, homology_invariants, solve_over_ring
+from .smith import homology_invariants, solve_over_ring
 
 
 @dataclass(frozen=True)

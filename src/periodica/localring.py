@@ -179,10 +179,6 @@ def from_int(field: FieldSpec, n: int) -> LocalElem:
     return LocalElem(field, poly.const(field, field.of_int(n)), poly.one(field))
 
 
-def from_scalar(field: FieldSpec, c: Scalar) -> LocalElem:
-    return LocalElem(field, poly.const(field, c), poly.one(field))
-
-
 def x_power(field: FieldSpec, k: int) -> LocalElem:
     """The monomial x^k, k >= 0."""
     if k < 0:

@@ -81,9 +81,6 @@ class RMatrix:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def row_list(self, i: int) -> list:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
     def column(self, j: int) -> "RMatrix":
         ents = tuple(self.entries[i * self.cols + j] for i in range(self.rows))
         return RMatrix(self.field, self.rows, 1, ents)
@@ -120,9 +117,6 @@ class RMatrix:
                 if self.entries[i * self.cols + j]:
                     return (i, j)
         return None
-
-    def min_entry_valuation(self):
-        return min((e.valuation for e in self.entries), default=None)
 
     def all_entries_in_maximal_ideal(self) -> bool:
         return all(e.valuation >= 1 for e in self.entries)
@@ -266,10 +260,6 @@ def block_diag(field: FieldSpec, blocks: Iterable[RMatrix]) -> RMatrix:
         for i in range(n)
     ]
     return block(field, grid)
-
-
-def hstack(field: FieldSpec, mats: Sequence[RMatrix]) -> RMatrix:
-    return block(field, [list(mats)])
 
 
 def vstack(field: FieldSpec, mats: Sequence[RMatrix]) -> RMatrix:

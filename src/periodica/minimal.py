@@ -6,8 +6,10 @@ The splitting peels one unit pivot at a time: basis changes turn the
 pivot into a 1x1 identity block whose complementary row and column of
 the *other* differential vanish automatically (both composites are
 zero), so a trivial summand splits off exactly.  All basis changes are
-elementary operations whose inverses are accumulated alongside, so the
-result carries mutually inverse isomorphisms, not just an assertion.
+elementary steps of one ``smith.TrackedBasis`` per degree (F0 carries
+d1 as codomain and d0 as domain, F1 the reverse), whose p and q are
+the certificates: the result carries mutually inverse isomorphisms, not
+just an assertion.
 
 Pivot policy: the unit entry of smallest (row, col) in d1 first, then in
 d0 — reductions are deterministic.
@@ -25,14 +27,13 @@ from .complexes import (
     compose,
     direct_sum,
     identity_map,
-    is_null_homotopic,
     validate_complex,
-    zero_complex,
 )
 from .errors import NotAComplexError, NotTrivialError, PeriodicaError
 from .fields import FieldSpec
-from .localring import inverse, one, zero
+from .localring import inverse, one
 from .matrix import RMatrix
+from .smith import TrackedBasis
 
 
 class TrivialType(enum.Enum):
@@ -99,6 +100,37 @@ def _find_unit(grid, nrows, ncols):
     return None
 
 
+def _peel(d, other, rows: TrackedBasis, cols: TrackedBasis,
+          nrows: int, ncols: int) -> bool:
+    """Turn the first unit of d in its active nrows x ncols block into a
+    1x1 identity block at the last active position; False when none."""
+    hit = _find_unit(d, nrows, ncols)
+    if hit is None:
+        return False
+    i, j = hit
+    if d[i][j] != one(rows.field):
+        rows.scale(i, inverse(d[i][j]))
+    for l in range(rows.n):
+        if l != i and d[l][j]:
+            rows.add(l, i, -d[l][j])
+    for m in range(cols.n):
+        if m != j and d[i][m]:
+            cols.add(j, m, d[i][m])
+    _assert_cleared(other, col=i, row=j)
+    rows.swap(i, nrows - 1)
+    cols.swap(j, ncols - 1)
+    return True
+
+
+def _reorder(basis: TrackedBasis, perm) -> None:
+    """Swap basis vectors until position k holds the one now at perm[k]."""
+    at = list(range(basis.n))  # at[k]: index before the reorder now at k
+    for k, want in enumerate(perm):
+        cur = at.index(want)
+        basis.swap(k, cur)
+        at[k], at[cur] = at[cur], at[k]
+
+
 def reduce(x: TwoPeriodicComplex) -> SplitResult:
     """Split X as minimal + Type1^a + Type2^b with exact certificates."""
     if validate_complex(x) is not None:
@@ -107,146 +139,34 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
     r0, r1 = x.r0, x.r1
     d0 = x.d0.to_grid()
     d1 = x.d1.to_grid()
-    p0 = RMatrix.identity(field, r0).to_grid()   # X -> current, degree 0
-    p1 = RMatrix.identity(field, r1).to_grid()
-    q0 = RMatrix.identity(field, r0).to_grid()   # current -> X
-    q1 = RMatrix.identity(field, r1).to_grid()
-
-    def swap_rows(m, i, j):
-        m[i], m[j] = m[j], m[i]
-
-    def swap_cols(m, i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def scale_row(m, i, c):
-        row = m[i]
-        for t, e in enumerate(row):
-            if e:
-                row[t] = c * e
-
-    def scale_col(m, j, c):
-        for row in m:
-            if row[j]:
-                row[j] = c * row[j]
-
-    def row_add(m, i, t, lam):
-        ri, rt = m[i], m[t]
-        for c, e in enumerate(rt):
-            if e:
-                ri[c] = ri[c] + lam * e
-
-    def col_add(m, j, t, lam):
-        for row in m:
-            if row[t]:
-                row[j] = row[j] + lam * row[t]
-
-    # basis change on F0 by G0: d1 <- G0 d1, d0 <- d0 G0^-1,
-    # p0 <- G0 p0, q0 <- q0 G0^-1 (and symmetrically for F1)
-    def g0_swap(i, j):
-        if i == j:
-            return
-        swap_rows(d1, i, j)
-        swap_cols(d0, i, j)
-        swap_rows(p0, i, j)
-        swap_cols(q0, i, j)
-
-    def g1_swap(i, j):
-        if i == j:
-            return
-        swap_rows(d0, i, j)
-        swap_cols(d1, i, j)
-        swap_rows(p1, i, j)
-        swap_cols(q1, i, j)
-
-    def g0_scale(i, c):
-        cinv = inverse(c)
-        scale_row(d1, i, c)
-        scale_col(d0, i, cinv)
-        scale_row(p0, i, c)
-        scale_col(q0, i, cinv)
-
-    def g1_scale(i, c):
-        cinv = inverse(c)
-        scale_row(d0, i, c)
-        scale_col(d1, i, cinv)
-        scale_row(p1, i, c)
-        scale_col(q1, i, cinv)
-
-    def g0_add(a, b, lam):
-        # G0 = I + lam e_{a,b}: row_a += lam row_b; inverse: col_b -= lam col_a
-        nlam = -lam
-        row_add(d1, a, b, lam)
-        col_add(d0, b, a, nlam)
-        row_add(p0, a, b, lam)
-        col_add(q0, b, a, nlam)
-
-    def g1_add(a, b, lam):
-        nlam = -lam
-        row_add(d0, a, b, lam)
-        col_add(d1, b, a, nlam)
-        row_add(p1, a, b, lam)
-        col_add(q1, b, a, nlam)
+    # F0 is the codomain of d1 and the domain of d0; F1 the other way round
+    b0 = TrackedBasis(field, r0, rows=[d1], cols=[d0])
+    b1 = TrackedBasis(field, r1, rows=[d0], cols=[d1])
 
     act0, act1 = r0, r1
     peels = []  # (TrivialType, f0_index, f1_index) in peel order
     while act0 > 0 and act1 > 0:
-        hit = _find_unit(d1, act0, act1)
-        if hit is not None:
-            i, j = hit  # d1[i][j]: F0 row i, F1 col j
-            if d1[i][j] != one(field):
-                g0_scale(i, inverse(d1[i][j]))
-            for l in range(r0):
-                if l != i and d1[l][j]:
-                    g0_add(l, i, -d1[l][j])
-            for m_ in range(r1):
-                if m_ != j and d1[i][m_]:
-                    g1_add(j, m_, d1[i][m_])
-            _assert_cleared(d0, col=i, row=j)
-            g0_swap(i, act0 - 1)
-            g1_swap(j, act1 - 1)
-            act0 -= 1
-            act1 -= 1
-            peels.append((TrivialType.TYPE1, act0, act1))
-            continue
-        hit = _find_unit(d0, act1, act0)
-        if hit is not None:
-            i, j = hit  # d0[i][j]: F1 row i, F0 col j
-            if d0[i][j] != one(field):
-                g1_scale(i, inverse(d0[i][j]))
-            for l in range(r1):
-                if l != i and d0[l][j]:
-                    g1_add(l, i, -d0[l][j])
-            for m_ in range(r0):
-                if m_ != j and d0[i][m_]:
-                    g0_add(j, m_, d0[i][m_])
-            _assert_cleared(d1, col=i, row=j)
-            g0_swap(j, act0 - 1)
-            g1_swap(i, act1 - 1)
-            act0 -= 1
-            act1 -= 1
-            peels.append((TrivialType.TYPE2, act0, act1))
-            continue
-        break
+        if _peel(d1, d0, b0, b1, act0, act1):
+            kind = TrivialType.TYPE1
+        elif _peel(d0, d1, b1, b0, act1, act0):
+            kind = TrivialType.TYPE2
+        else:
+            break
+        act0 -= 1
+        act1 -= 1
+        peels.append((kind, act0, act1))
 
     # reorder trailing peeled pairs: Type1 blocks first, then Type2
     t1 = [(a, b) for kind, a, b in peels if kind is TrivialType.TYPE1]
     t2 = [(a, b) for kind, a, b in peels if kind is TrivialType.TYPE2]
     perm0 = list(range(act0)) + [a for a, _ in t1] + [a for a, _ in t2]
     perm1 = list(range(act1)) + [b for _, b in t1] + [b for _, b in t2]
-
-    def freeze_perm(grid, rows, cols, rperm, cperm):
-        return RMatrix(field, rows, cols, tuple(
-            grid[ri][cj] for ri in rperm for cj in cperm))
-
-    idr0 = list(range(r0))
-    idr1 = list(range(r1))
-    d0_m = freeze_perm(d0, r1, r0, perm1, perm0)
-    d1_m = freeze_perm(d1, r0, r1, perm0, perm1)
-    p0_m = freeze_perm(p0, r0, r0, perm0, idr0)
-    p1_m = freeze_perm(p1, r1, r1, perm1, idr1)
-    q0_m = freeze_perm(q0, r0, r0, idr0, perm0)
-    q1_m = freeze_perm(q1, r1, r1, idr1, perm1)
+    _reorder(b0, perm0)
+    _reorder(b1, perm1)
+    d0_m = RMatrix.from_grid(field, r1, r0, d0)
+    d1_m = RMatrix.from_grid(field, r0, r1, d1)
+    p0_m, q0_m = b0.matrices()
+    p1_m, q1_m = b1.matrices()
 
     minimal = TwoPeriodicComplex(
         field, act0, act1,

@@ -6,14 +6,15 @@ valid quasi-periodic data."""
 from __future__ import annotations
 
 from random import Random
-from typing import List, Tuple
+from typing import Tuple
 
-from .classify import IndecompLabel, IndecompMultiset, assemble, label
+from .classify import IndecompMultiset, assemble, label
 from .complexes import ChainMap2, TwoPeriodicComplex, direct_sum
 from .fields import FieldSpec
-from .localring import LocalElem, elem, from_int, one, x_power, zero
+from .localring import LocalElem, elem, x_power, zero
 from .matrix import RMatrix
 from .minimal import TrivialType, trivial_complex
+from .smith import TrackedBasis
 from .strictify import QuasiPeriodicData
 
 
@@ -50,20 +51,7 @@ def random_invertible(rng: Random, field: FieldSpec, n: int,
     as a product of elementary row operations."""
     if ops is None:
         ops = 2 * n + 2
-    m = RMatrix.identity(field, n).to_grid()
-    minv = RMatrix.identity(field, n).to_grid()
-
-    def row_add(g, i, j, lam):
-        gi, gj = g[i], g[j]
-        for c, e in enumerate(gj):
-            if e:
-                gi[c] = gi[c] + lam * e
-
-    def col_add(g, j, i, lam):
-        for row in g:
-            if row[i]:
-                row[j] = row[j] + lam * row[i]
-
+    basis = TrackedBasis(field, n)
     for _ in range(ops if n > 0 else 0):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
@@ -71,27 +59,17 @@ def random_invertible(rng: Random, field: FieldSpec, n: int,
             lam = random_element(rng, field, max_val)
             if not lam:
                 continue
-            # M <- E M with E = I + lam e_{ij};  M^-1 <- M^-1 E^-1
-            row_add(m, i, j, lam)
-            col_add(minv, j, i, -lam)
+            basis.add(i, j, lam)
         elif kind == 1 and n >= 2:
             i, j = rng.sample(range(n), 2)
-            m[i], m[j] = m[j], m[i]
-            for row in minv:
-                row[i], row[j] = row[j], row[i]
+            basis.swap(i, j)
         else:
             i = rng.randrange(n)
             c = field.zero
             while c == field.zero:
                 c = random_scalar(rng, field)
-            u = elem(field, (c,))
-            uinv = elem(field, (field.inv(c),))
-            m[i] = [u * e if e else e for e in m[i]]
-            for row in minv:
-                if row[i]:
-                    row[i] = uinv * row[i]
-    freeze = lambda g: RMatrix(field, n, n, tuple(e for row in g for e in row))
-    return freeze(m), freeze(minv)
+            basis.scale(i, elem(field, (c,)))
+    return basis.matrices()
 
 
 def conjugate_complex(rng: Random, x: TwoPeriodicComplex,

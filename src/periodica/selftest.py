@@ -15,8 +15,6 @@ from typing import Callable, List
 from .artheory import ar_triangle, serre_length_check, verify_right_ar
 from .classify import assemble, decompose, finite_length_cohomology, k_complex
 from .complexes import (
-    cohomology,
-    compose,
     delta_iso,
     dual,
     identity_map,
@@ -27,7 +25,6 @@ from .fields import FieldSpec
 from .matrix import RMatrix
 from .minimal import is_minimal, reduce
 from .rand import (
-    conjugate_complex,
     random_column,
     random_finite_length_instance,
     random_matrix,

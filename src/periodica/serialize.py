@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from .classify import IndecompLabel, IndecompMultiset, label
 from .complexes import (
     ChainMap2,
-    ComplexViolation,
     HomModule,
     Homotopy2,
     Triangle,
@@ -242,31 +241,14 @@ def label_to_doc(lab: IndecompLabel) -> dict:
 
 
 def ar_report_to_doc(rep) -> dict:
-    doc = {
-        "rar1": rep.rar1_ok,
-        "rar2": rep.rar2_ok,
-        "rar3": rep.rar3_ok,
+    """Keys rar1..rar3 for the right axioms, lar1..lar3 for the left."""
+    doc = {f"{rep.side[0]}ar{k}": ok for k, ok in enumerate(rep.axioms, 1)}
+    doc.update({
         "passed": rep.passed,
         "middle": multiset_to_list(rep.middle),
         "tested_family": [label_to_doc(l) for l in rep.tested_family],
         "counterexample": None,
-    }
-    if rep.counterexample is not None:
-        lab, idx = rep.counterexample
-        doc["counterexample"] = {"label": label_to_doc(lab), "generator": idx}
-    return doc
-
-
-def lar_report_to_doc(rep) -> dict:
-    doc = {
-        "lar1": rep.lar1_ok,
-        "lar2": rep.lar2_ok,
-        "lar3": rep.lar3_ok,
-        "passed": rep.passed,
-        "middle": multiset_to_list(rep.middle),
-        "tested_family": [label_to_doc(l) for l in rep.tested_family],
-        "counterexample": None,
-    }
+    })
     if rep.counterexample is not None:
         lab, idx = rep.counterexample
         doc["counterexample"] = {"label": label_to_doc(lab), "generator": idx}

@@ -1,15 +1,28 @@
-"""Smith normal form and linear algebra over the local ring.
+"""Smith normal form and linear algebra over the local ring, and the
+elimination engine that Smith forms, minimal models and decompositions
+share.
 
-Over k[x]_(x) every nonzero element is unit * x^v, so a single
-elimination sweep with a minimal-valuation pivot produces the Smith form
-U A V = D with D diagonal of the shape diag(x^a1, ..., x^ar, 0, ...) and
-a1 <= ... <= ar.  Pivots are chosen as the entry of minimal valuation in
-the remaining submatrix, ties broken by smallest row then column index,
-so the output is deterministic.
+The engine is :class:`TrackedBasis`: a basis change G of a free module
+R^n, applied one elementary step at a time (swap two basis vectors,
+scale one by a unit, add a multiple of one to another) with p = G and
+q = G^-1 kept exact alongside.  Grids attached as ``rows`` have the
+module as codomain and become G m; grids attached as ``cols`` have it
+as domain and become m G^-1.  Smith forms, minimal models
+(``minimal.reduce``), the K(j)/K(j)[1] split (``classify.decompose``)
+and random conjugations (``rand.random_invertible``) are pivot policies
+over it, so each certificate is the p and q of its bases.
 
-Transforms and their exact inverses are accumulated, which makes solving
-linear systems, inverting matrices and presenting subquotients (kernel
-mod image) certificate-grade: every identity can be re-verified by exact
+Smith pivot policy (:func:`smith_sweep`): over k[x]_(x) every nonzero
+element is unit * x^v, so one sweep with a minimal-valuation pivot
+produces U A V = D, D = diag(x^a1, ..., x^ar, 0, ...) with
+a1 <= ... <= ar.  The pivot is the entry of minimal valuation in the
+remaining submatrix, ties broken by smallest row then column index, so
+the output is deterministic.  The pivot is scaled to x^v, then its
+column and its row are cleared.
+
+With the transforms and their exact inverses at hand, solving linear
+systems, inverting matrices and presenting subquotients (kernel mod
+image) is certificate-grade: every identity can be re-verified by exact
 matrix arithmetic.
 """
 
@@ -24,8 +37,66 @@ from .errors import (
     DimensionMismatchError,
     NotInvertibleError,
 )
-from .localring import LocalElem, inverse, unit_part, x_power, x_shift, zero
+from .fields import FieldSpec
+from .localring import inverse, one, unit_part, x_shift, zero
 from .matrix import RMatrix
+
+
+class TrackedBasis:
+    """Basis change G of R^n with p = G (old -> current coordinates) and
+    q = G^-1, acting on the attached ``rows`` grids (m -> G m) and
+    ``cols`` grids (m -> m G^-1) in place."""
+
+    def __init__(self, field: FieldSpec, n: int, rows=(), cols=()) -> None:
+        self.field = field
+        self.n = n
+        self.p = RMatrix.identity(field, n).to_grid()
+        self.q = RMatrix.identity(field, n).to_grid()
+        self._rows = [self.p, *rows]
+        self._cols = [self.q, *cols]
+
+    def swap(self, i: int, j: int) -> None:
+        if i == j:
+            return
+        for g in self._rows:
+            g[i], g[j] = g[j], g[i]
+        for g in self._cols:
+            for row in g:
+                row[i], row[j] = row[j], row[i]
+
+    def scale(self, i: int, unit) -> None:
+        """G <- diag(1, .., unit, .., 1) G: row i times unit; column i
+        times unit**-1."""
+        inv = inverse(unit)
+        for g in self._rows:
+            row = g[i]
+            for t, e in enumerate(row):
+                if e:
+                    row[t] = unit * e
+        for g in self._cols:
+            for row in g:
+                if row[i]:
+                    row[i] = inv * row[i]
+
+    def add(self, a: int, b: int, lam) -> None:
+        """G <- (I + lam e_ab) G: row a += lam row b; column b -= lam column a."""
+        for g in self._rows:
+            ra = g[a]
+            for c, e in enumerate(g[b]):
+                if e:
+                    ra[c] = ra[c] + lam * e
+        nlam = -lam
+        for g in self._cols:
+            for row in g:
+                e = row[a]
+                if e:
+                    row[b] = row[b] + nlam * e
+
+    def matrices(self) -> tuple:
+        """(G, G^-1) as matrices."""
+        n = self.n
+        return (RMatrix.from_grid(self.field, n, n, self.p),
+                RMatrix.from_grid(self.field, n, n, self.q))
 
 
 @dataclass(frozen=True)
@@ -44,76 +115,21 @@ class SmithForm:
         return len(self.exponents)
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _scale_row(m, i, c):
-    row = m[i]
-    for t, e in enumerate(row):
-        if e:
-            row[t] = c * e
-
-
-def _scale_col(m, j, c):
-    for row in m:
-        e = row[j]
-        if e:
-            row[j] = c * e
-
-
-def _row_sub(m, i, t, lam):
-    """row_i -= lam * row_t"""
-    ri, rt = m[i], m[t]
-    for c, e in enumerate(rt):
-        if e:
-            ri[c] = ri[c] - lam * e
-
-
-def _row_add(m, i, t, lam):
-    ri, rt = m[i], m[t]
-    for c, e in enumerate(rt):
-        if e:
-            ri[c] = ri[c] + lam * e
-
-
-def _col_sub(m, j, t, lam):
-    """col_j -= lam * col_t"""
-    for row in m:
-        e = row[t]
-        if e:
-            row[j] = row[j] - lam * e
-
-
-def _col_add(m, j, t, lam):
-    for row in m:
-        e = row[t]
-        if e:
-            row[j] = row[j] + lam * e
-
-
-def smith_normal_form(a: RMatrix) -> SmithForm:
-    field = a.field
-    rows, cols = a.rows, a.cols
-    work = a.to_grid()
-    u = RMatrix.identity(field, rows).to_grid()
-    uinv = RMatrix.identity(field, rows).to_grid()
-    v = RMatrix.identity(field, cols).to_grid()
-    vinv = RMatrix.identity(field, cols).to_grid()
-
+def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
+                start: int = 0) -> list:
+    """Diagonalise the grid ``work`` from position (start, start) on,
+    with ``work`` attached to ``rows`` (its codomain) and ``cols`` (its
+    domain); returns the valuations of the diagonal pivots in order."""
+    nrows, ncols = rows.n, cols.n
+    unit_one = one(rows.field)
     exps = []
-    for t in range(min(rows, cols)):
+    for t in range(start, min(nrows, ncols)):
         # minimal-valuation pivot in the remaining submatrix
         best = None
         best_val = math.inf
-        for i in range(t, rows):
+        for i in range(t, nrows):
             wrow = work[i]
-            for j in range(t, cols):
+            for j in range(t, ncols):
                 e = wrow[j]
                 if e and e.valuation < best_val:
                     best_val = e.valuation
@@ -124,51 +140,35 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
                 break
         if best is None:
             break
-        bi, bj = best
-        if bi != t:
-            _swap_rows(work, bi, t)
-            _swap_rows(u, bi, t)
-            _swap_cols(uinv, bi, t)
-        if bj != t:
-            _swap_cols(work, bj, t)
-            _swap_cols(v, bj, t)
-            _swap_rows(vinv, bj, t)
+        rows.swap(best[0], t)
+        cols.swap(best[1], t)
         pivot = work[t][t]
         pv = pivot.valuation
         unit = unit_part(pivot)
-        if unit != x_power(field, 0):
-            c = inverse(unit)
-            _scale_row(work, t, c)
-            _scale_row(u, t, c)
-            _scale_col(uinv, t, unit)
+        if unit != unit_one:
+            rows.scale(t, inverse(unit))
         # pivot is now exactly x^pv; eliminate its column, then its row
-        for i in range(t + 1, rows):
+        for i in range(t + 1, nrows):
             e = work[i][t]
             if e:
-                lam = x_shift(e, -pv)
-                _row_sub(work, i, t, lam)
-                _row_sub(u, i, t, lam)
-                _col_add(uinv, t, i, lam)
-        for j in range(t + 1, cols):
+                rows.add(i, t, -x_shift(e, -pv))
+        for j in range(t + 1, ncols):
             e = work[t][j]
             if e:
-                lam = x_shift(e, -pv)
-                _col_sub(work, j, t, lam)
-                _col_sub(v, j, t, lam)
-                _row_add(vinv, t, j, lam)
+                cols.add(t, j, x_shift(e, -pv))
         exps.append(pv)
+    return exps
 
-    def freeze(grid, r, c):
-        return RMatrix(field, r, c, tuple(e for row in grid for e in row))
 
-    return SmithForm(
-        u=freeze(u, rows, rows),
-        d=freeze(work, rows, cols),
-        v=freeze(v, cols, cols),
-        u_inv=freeze(uinv, rows, rows),
-        v_inv=freeze(vinv, cols, cols),
-        exponents=tuple(exps),
-    )
+def smith_normal_form(a: RMatrix) -> SmithForm:
+    work = a.to_grid()
+    left = TrackedBasis(a.field, a.rows, rows=[work])
+    right = TrackedBasis(a.field, a.cols, cols=[work])
+    exps = smith_sweep(work, left, right)
+    u, u_inv = left.matrices()
+    v_inv, v = right.matrices()
+    return SmithForm(u=u, d=RMatrix.from_grid(a.field, a.rows, a.cols, work),
+                     v=v, u_inv=u_inv, v_inv=v_inv, exponents=tuple(exps))
 
 
 def matrix_rank(a: RMatrix) -> int:

@@ -58,10 +58,12 @@ class QuasiPeriodicData:
 
 
 def _validated_inverses(q: QuasiPeriodicData):
-    if not is_invertible(q.phi0) or not is_invertible(q.phi1):
-        raise NotInvertibleError("phi components must be invertible over R")
-    inv0 = invert(q.phi0)
-    inv1 = invert(q.phi1)
+    try:
+        inv0 = invert(q.phi0)
+        inv1 = invert(q.phi1)
+    except NotInvertibleError:
+        raise NotInvertibleError(
+            "phi components must be invertible over R") from None
     if not (q.alpha1 @ q.alpha0).is_zero():
         raise NotAComplexError("alpha1 alpha0 != 0")
     if not (q.alpha0 @ inv0 @ q.alpha1).is_zero():
@@ -75,6 +77,10 @@ def _validated_inverses(q: QuasiPeriodicData):
 def strictify(q: QuasiPeriodicData) -> TwoPeriodicComplex:
     """The 2-periodic complex with d1 = alpha1 and d0 = alpha0 phi0^-1."""
     inv0, _ = _validated_inverses(q)
+    return _strictified(q, inv0)
+
+
+def _strictified(q: QuasiPeriodicData, inv0: RMatrix) -> TwoPeriodicComplex:
     d0 = q.alpha0 @ inv0
     x = TwoPeriodicComplex(q.field, q.r0, q.r1, d0, q.alpha1)
     if validate_complex(x) is not None:
@@ -117,7 +123,7 @@ def window_chain_map(q: QuasiPeriodicData, radius: int = 10) -> Dict[int, RMatri
     if radius < 1:
         raise ValueError("window radius must be >= 1")
     inv0, inv1 = _validated_inverses(q)
-    x = strictify(q)
+    x = _strictified(q, inv0)
     field = q.field
 
     def phi(i: int) -> RMatrix:

@@ -85,6 +85,27 @@ def test_ar_triangle_is_exact():
         assert verify_triangle(ar_triangle(i, Q))
 
 
+@pytest.mark.parametrize("label_", ["Q", "Fp:101"])
+def test_verify_triangle_accepts_conjugated_middle(label_):
+    # E replaced by a random conjugate, f and g transported: the strict
+    # fast path no longer applies, so the comparison solve must certify it
+    from periodica import compose
+    from periodica.rand import conjugate_complex
+
+    field = FieldSpec.from_label(label_)
+    rng = random.Random(7)
+    for i in (1, 2, 3):
+        t = ar_triangle(i, field)
+        e2, fwd, bwd = conjugate_complex(rng, t.e)
+        assert e2 != t.e
+        moved = Triangle(n=t.n, e=e2, m=t.m, f=compose(fwd, t.f),
+                         g=compose(t.g, bwd), h=t.h)
+        assert verify_triangle(moved)
+        broken = Triangle(n=t.n, e=e2, m=t.m, f=moved.f, g=moved.g,
+                          h=zero_map(t.m, shift(t.n)))
+        assert not verify_triangle(broken)
+
+
 def test_verify_right_ar_passes():
     for i in (1, 2, 3):
         rep = verify_right_ar(ar_triangle(i, Q), bound=i + 3)
@@ -103,7 +124,7 @@ def test_rar3_fails_for_non_socle_connecting_map():
     g = hom_module(t.m, shift(t.n)).generators[0]
     mutated = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=g)
     rep = verify_right_ar(mutated, bound=3)
-    assert not rep.rar3_ok
+    assert not rep.axioms[2]  # axiom 3
     assert rep.counterexample is not None
     lab, idx = rep.counterexample
     assert lab in (label(1, False), label(2, False))
@@ -119,7 +140,7 @@ def test_rar2_fails_for_zero_connecting_map():
     mutated = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g,
                        h=zero_map(t.m, shift(t.n)))
     rep = verify_right_ar(mutated, bound=3)
-    assert not rep.rar2_ok
+    assert not rep.axioms[1]  # axiom 2
 
 
 def test_shifted_triangle_verifies():
