@@ -16,6 +16,7 @@ from .artheory import (
     shift_triangle,
     socle_map,
     translate,
+    verify_ar,
     verify_left_ar,
     verify_right_ar,
     verify_triangle,

@@ -246,19 +246,26 @@ def _radical_tests(d_ms: IndecompMultiset, target_ms: IndecompMultiset,
     return out
 
 
-def _verify_ar(t: Triangle, bound: int, side: str) -> ARReport:
+def _multisets(t: Triangle) -> tuple:
+    """Decompositions (N, M, E) of a triangle's terms; N and M are the
+    same K(i) in an AR-triangle, and then N's is reused."""
+    n_ms = decompose(t.n).multiset
+    m_ms = n_ms if t.m == t.n else decompose(t.m).multiset
+    return n_ms, m_ms, decompose(t.e).multiset
+
+
+def _verify_ar(t: Triangle, bound: int, side: str, multisets: tuple) -> ARReport:
     """(AR1) endpoints indecomposable, (AR2) the connecting map c is not
     null-homotopic, (AR3) c kills every non-isomorphism between an
-    endpoint and D, D running over K(j), K(j)[1] for j <= bound."""
+    endpoint and D, D running over K(j), K(j)[1] for j <= bound.
+    ``multisets`` are the decompositions of N, M and E."""
     field = t.n.field
-    n_ms = decompose(t.n).multiset
-    m_ms = decompose(t.m).multiset
+    n_ms, m_ms, middle = multisets
     ax1 = n_ms.is_singleton() and m_ms.is_singleton()
     right = side == "right"
     # [1] is an involution, so -h[-1] = -h[1]: M[-1] -> N
     conn = t.h if right else negate_map(shift_map(t.h))
     ax2 = is_null_homotopic(conn) is None
-    middle = decompose(t.e).multiset
     family = _family(bound)
     counterexample = None
     for lab in family:
@@ -279,12 +286,18 @@ def _verify_ar(t: Triangle, bound: int, side: str) -> ARReport:
 
 def verify_right_ar(t: Triangle, bound: int) -> ARReport:
     """Right axioms: h t null-homotopic for every non-isomorphism t: D -> M."""
-    return _verify_ar(t, bound, "right")
+    return _verify_ar(t, bound, "right", _multisets(t))
 
 
 def verify_left_ar(t: Triangle, bound: int) -> ARReport:
     """Left axioms: s w null-homotopic for every non-isomorphism s: N -> D."""
-    return _verify_ar(t, bound, "left")
+    return _verify_ar(t, bound, "left", _multisets(t))
+
+
+def verify_ar(t: Triangle, bound: int) -> tuple:
+    """(right report, left report), decomposing N, M and E once for both."""
+    ms = _multisets(t)
+    return _verify_ar(t, bound, "right", ms), _verify_ar(t, bound, "left", ms)
 
 
 def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:
@@ -313,12 +326,6 @@ class QuiverEdge:
 class QuiverGraph:
     vertices: tuple  # IndecompLabel, canonical order
     edges: tuple     # QuiverEdge, sorted
-
-    def edge_mult(self, src: IndecompLabel, dst: IndecompLabel) -> int:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e.mult
-        return 0
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import Iterable
 from .complexes import (
     ChainMap2,
     TwoPeriodicComplex,
-    cohomology,
     compose,
     direct_sum,
     shift,
@@ -39,7 +38,14 @@ from .fields import FieldSpec
 from .localring import one, x_power
 from .matrix import RMatrix
 from .minimal import SplitResult, reduce
-from .smith import TrackedBasis, is_invertible, matrix_rank, smith_sweep
+from .smith import (
+    TrackedBasis,
+    _homology_invariants,
+    is_invertible,
+    matrix_rank,
+    smith_normal_form,
+    smith_sweep,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -153,7 +159,12 @@ class DecomposeResult:
 
 
 def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
-    if not finite_length_cohomology(x):
+    # the Smith forms of d0 and d1 give both the finite-length test of
+    # finite_length_cohomology and the closing cohomology cross-check
+    if x.r0 != x.r1:
+        raise NotFiniteLengthError("complex does not have finite-length cohomology")
+    s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
+    if s0.rank + s1.rank != x.r0:
         raise NotFiniteLengthError("complex does not have finite-length cohomology")
     field = x.field
     split = reduce(x)
@@ -202,7 +213,8 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
         raise PeriodicaError("decompose certificates do not compose to identity")
 
     # cohomology cross-check against the label multiset
-    h0, h1 = cohomology(x)
+    h0 = _homology_invariants(x.d0, x.d1, s0)
+    h1 = _homology_invariants(x.d1, x.d0, s1)
     if h0.length() != ms.h0_length() or h1.length() != ms.h1_length():
         raise PeriodicaError("cohomology lengths disagree with the multiset")
     return DecomposeResult(ms, split, m, blocksum, to_blocks, from_blocks)

@@ -22,8 +22,7 @@ from .artheory import (
     build_quiver,
     quiver_dot,
     serre_length_check,
-    verify_left_ar,
-    verify_right_ar,
+    verify_ar,
 )
 from .classify import decompose
 from .complexes import (
@@ -221,8 +220,7 @@ def cmd_ar_verify(args) -> int:
     _at_least(args, "i", 1)
     _at_least(args, "bound", 1)
     t = ar_triangle(args.i, _field(args))
-    right = verify_right_ar(t, args.bound)
-    left = verify_left_ar(t, args.bound)
+    right, left = verify_ar(t, args.bound)
     doc = {"i": args.i, "bound": args.bound,
            "right": serialize.ar_report_to_doc(right),
            "left": serialize.ar_report_to_doc(left),

@@ -19,7 +19,10 @@ Sign conventions (normative for everything downstream):
 * cone(f)^n = X^(n+1) + Y^n with d(x, y) = (-dx, dy - f(x)).
 
 Hom and tensor blocks are flattened column-major (domain index outer),
-matching :func:`periodica.matrix.RMatrix.vec` and ``kron``.
+matching :func:`periodica.matrix.RMatrix.vec` and ``kron``.  The Hom-complex
+differentials are assembled entry by entry, each signed entry of d_Y and
+d_X^T placed at its index; the Kronecker/block formula they equal is kept
+as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     NotAComplexError,
 )
 from .fields import FieldSpec
-from .localring import LocalElem
+from .localring import LocalElem, format_element, zero
 from .matrix import RMatrix, block, block_diag, commutation_matrix, kron, vstack
 from .smith import homology_invariants, solve_over_ring
 
@@ -122,13 +125,25 @@ class ChainMap2:
             raise DimensionMismatchError("f0 must be dst.r0 x src.r0")
         if (self.f1.rows, self.f1.cols) != (self.dst.r1, self.src.r1):
             raise DimensionMismatchError("f1 must be dst.r1 x src.r1")
-        if not (self.f1 @ self.src.d0 - self.dst.d0 @ self.f0).is_zero():
-            raise InvalidChainMapError("f1 d0 != d0 f0")
-        if not (self.f0 @ self.src.d1 - self.dst.d1 @ self.f1).is_zero():
-            raise InvalidChainMapError("f0 d1 != d1 f1")
+        _require_equal(self.f1 @ self.src.d0, self.dst.d0 @ self.f0, "f1 d0 != d0 f0")
+        _require_equal(self.f0 @ self.src.d1, self.dst.d1 @ self.f1, "f0 d1 != d1 f1")
 
     def is_zero(self) -> bool:
         return self.f0.is_zero() and self.f1.is_zero()
+
+
+def _require_equal(lhs: RMatrix, rhs: RMatrix, square: str) -> None:
+    """Raise InvalidChainMapError at the first entry where the two
+    products of a commuting square differ.  Entries are canonical, so
+    equal values are equal entries."""
+    if lhs.entries == rhs.entries:
+        return
+    k = next(k for k, (a, b) in enumerate(zip(lhs.entries, rhs.entries))
+             if a != b)
+    i, j = divmod(k, lhs.cols)
+    raise InvalidChainMapError(
+        f"{square} at ({i}, {j}): {format_element(lhs.entries[k])} != "
+        f"{format_element(rhs.entries[k])}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +169,7 @@ class Homotopy2:
 
     def witnesses(self, f: ChainMap2) -> bool:
         b0, b1 = self.boundary()
-        return (b0 - f.f0).is_zero() and (b1 - f.f1).is_zero()
+        return b0.entries == f.f0.entries and b1.entries == f.f1.entries
 
 
 @dataclass(frozen=True)
@@ -301,24 +316,49 @@ def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
         x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1))
 
 
+def _hom_differential(x: TwoPeriodicComplex, a: RMatrix, d: RMatrix,
+                      negate: bool) -> RMatrix:
+    """The block matrix [[I_X0 (x) a, +-d0_X^T (x) I], [+-d1_X^T (x) I,
+    I_X1 (x) d]] of a Hom-complex differential, a being m x k and d
+    k x m, written entry by entry."""
+    xr0, xr1 = x.r0, x.r1
+    m, k = a.rows, d.rows
+    rows, cols = xr0 * m + xr1 * k, xr0 * k + xr1 * m
+    out = [zero(x.field)] * (rows * cols)
+    top, left = xr0 * m, xr0 * k  # first row / column of the X1 blocks
+    ae, de = a.entries, d.entries
+    for s in range(xr0):
+        for i in range(m):
+            at = (s * m + i) * cols + s * k
+            out[at:at + k] = ae[i * k:(i + 1) * k]
+    for s in range(xr1):
+        for i in range(k):
+            at = (top + s * k + i) * cols + left + s * m
+            out[at:at + m] = de[i * m:(i + 1) * m]
+    # entry (c, s) of d0_X (xr1 x xr0) repeats along the diagonal of the
+    # m x m block (s, c); entry (c, s) of d1_X (xr0 x xr1) along that of
+    # the k x k block (s, c)
+    for t, e in enumerate(x.d0.entries):
+        if e:
+            c, s = divmod(t, xr0)
+            e = -e if negate else e
+            for i in range(m):
+                out[(s * m + i) * cols + left + c * m + i] = e
+    for t, e in enumerate(x.d1.entries):
+        if e:
+            c, s = divmod(t, xr1)
+            e = -e if negate else e
+            for i in range(k):
+                out[(top + s * k + i) * cols + c * k + i] = e
+    return RMatrix(x.field, rows, cols, tuple(out))
+
+
 def _homc_blocks(x: TwoPeriodicComplex, y: TwoPeriodicComplex):
-    field = x.field
-    i_x0 = RMatrix.identity(field, x.r0)
-    i_x1 = RMatrix.identity(field, x.r1)
-    i_y0 = RMatrix.identity(field, y.r0)
-    i_y1 = RMatrix.identity(field, y.r1)
     # degree 0 basis: Hom(X0,Y0) + Hom(X1,Y1); degree 1: Hom(X0,Y1) + Hom(X1,Y0)
     # d0 (f0, f1) = (d0_Y f0 - f1 d0_X,  d1_Y f1 - f0 d1_X)
-    d0 = block(field, [
-        [kron(i_x0, y.d0), -kron(x.d0.transpose(), i_y1)],
-        [-kron(x.d1.transpose(), i_y0), kron(i_x1, y.d1)],
-    ])
     # d1 (g0, g1) = (d1_Y g0 + g1 d0_X,  d0_Y g1 + g0 d1_X)
-    d1 = block(field, [
-        [kron(i_x0, y.d1), kron(x.d0.transpose(), i_y0)],
-        [kron(x.d1.transpose(), i_y1), kron(i_x1, y.d0)],
-    ])
-    return d0, d1
+    return (_hom_differential(x, y.d0, y.d1, negate=True),
+            _hom_differential(x, y.d1, y.d0, negate=False))
 
 
 def homc(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
@@ -397,7 +437,7 @@ def cohomology(x: TwoPeriodicComplex):
 def is_null_homotopic(f: ChainMap2) -> Optional[Homotopy2]:
     """Solve f = d s + s d over R; returns a re-verified witness or None."""
     x, y = f.src, f.dst
-    _, d1h = _homc_blocks(x, y)
+    d1h = _hom_differential(x, y.d1, y.d0, negate=False)
     b = vstack(x.field, [f.f0.vec(), f.f1.vec()])
     sol = solve_over_ring(d1h, b)
     if sol is None:

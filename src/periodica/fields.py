@@ -131,9 +131,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # -- text form ----------------------------------------------------------
 
     def parse_scalar(self, token: str) -> Scalar:

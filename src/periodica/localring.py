@@ -130,10 +130,6 @@ class LocalElem:
         o = poly.order(self.num)
         return INFINITE if o is None else o
 
-    @property
-    def is_unit(self) -> bool:
-        return bool(self.num) and self.num[0] != 0
-
     def __repr__(self) -> str:
         return f"LocalElem({self.field.label}, {format_element(self)!r})"
 

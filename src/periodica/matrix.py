@@ -53,8 +53,9 @@ class RMatrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "RMatrix":
-        z, o = zero(field), one(field)
-        return RMatrix.build(field, n, n, lambda i, j: o if i == j else z)
+        ents = [zero(field)] * (n * n)
+        ents[::n + 1] = [one(field)] * n
+        return RMatrix(field, n, n, tuple(ents))
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "RMatrix":

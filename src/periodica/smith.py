@@ -249,14 +249,18 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     by the trailing columns of v (from u a v = d); the image of ``b`` is
     rewritten in those coordinates and reduced by a second Smith form.
     """
+    return _homology_invariants(a, b, smith_normal_form(a))
+
+
+def _homology_invariants(a: RMatrix, b: RMatrix,
+                         s: SmithForm) -> SubquotientModule:
+    """:func:`homology_invariants` with the Smith form s of ``a`` given."""
     if a.cols != b.rows:
         raise DimensionMismatchError("ker/im dimensions incompatible")
     prod = a @ b
     if not prod.is_zero():
         i, j = prod.first_nonzero()
         raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
-    field = a.field
-    s = smith_normal_form(a)
     r = s.rank
     n = a.cols
     kdim = n - r

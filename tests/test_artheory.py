@@ -106,6 +106,27 @@ def test_verify_triangle_accepts_conjugated_middle(label_):
         assert not verify_triangle(broken)
 
 
+@pytest.mark.parametrize("label_", ["Q", "Fp:101"])
+def test_verify_triangle_rejects_non_iso_comparison(label_):
+    # E' = E + K(1) with f' = (f, 0) and g' = (g, 0): the inclusion of the
+    # strict cone E into E' is a comparison map, but K(1) is not
+    # contractible, so no comparison map is a homotopy isomorphism
+    from periodica import sum_map, zero_complex
+    from periodica.artheory import _solve_comparison
+
+    field = FieldSpec.from_label(label_)
+    k1, nothing = k_complex(1, field), zero_complex(field)
+    for i in (1, 2, 3):
+        t = ar_triangle(i, field)
+        padded = Triangle(n=t.n, e=direct_sum(t.e, k1), m=t.m,
+                          f=sum_map(t.f, zero_map(nothing, k1)),
+                          g=sum_map(t.g, zero_map(k1, nothing)), h=t.h)
+        # the fallback finds a comparison map; only the guard rejects it
+        phi = _solve_comparison(t.e, t.f, t.g, padded)
+        assert phi is not None and not is_homotopy_iso(phi)
+        assert not verify_triangle(padded)
+
+
 def test_verify_right_ar_passes():
     for i in (1, 2, 3):
         rep = verify_right_ar(ar_triangle(i, Q), bound=i + 3)
@@ -141,6 +162,27 @@ def test_rar2_fails_for_zero_connecting_map():
                        h=zero_map(t.m, shift(t.n)))
     rep = verify_right_ar(mutated, bound=3)
     assert not rep.axioms[1]  # axiom 2
+
+
+def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
+    # N = M = K(2) and E = K(1) + K(3): two decompositions serve both sides
+    import periodica.artheory as artheory
+    from periodica.cli import main
+
+    calls = []
+    real = artheory.decompose
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(artheory, "decompose", counting)
+    assert main(["ar-verify", "--i", "2", "--format", "json"]) == 0
+    assert len(calls) == 2
+    assert '"passed": true' in capsys.readouterr().out
+    calls.clear()
+    verify_right_ar(ar_triangle(2, Q), bound=5)
+    assert len(calls) == 2
 
 
 def test_shifted_triangle_verifies():

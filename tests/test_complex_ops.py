@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,11 +27,13 @@ from periodica import (
     hom_module,
     homc,
     identity_map,
+    inverse,
     is_invertible,
     is_null_homotopic,
     k_complex,
     make_complex,
     negate_map,
+    one,
     scale_map,
     shift,
     shift_map,
@@ -42,8 +44,15 @@ from periodica import (
     zero_map,
 )
 from periodica.classify import decompose, label, IndecompMultiset
+from periodica.complexes import _homc_blocks
+from periodica.matrix import block, kron
 from periodica.minimal import TrivialType, reduce, trivial_complex
-from periodica.rand import conjugate_complex, random_finite_length_instance
+from periodica.rand import (
+    conjugate_complex,
+    random_finite_length_instance,
+    random_matrix,
+    random_unit,
+)
 
 Q = FieldSpec.rationals()
 
@@ -177,6 +186,85 @@ def test_homc_h0_spec_value():
     assert cohomology(h)[0].factors == (2,)
 
 
+def _homc_blocks_by_kron(x, y):
+    """Reference: the Hom-complex differentials as Kronecker products of
+    identities with d_Y and d_X^T, assembled blockwise."""
+    field = x.field
+    i_x0 = RMatrix.identity(field, x.r0)
+    i_x1 = RMatrix.identity(field, x.r1)
+    i_y0 = RMatrix.identity(field, y.r0)
+    i_y1 = RMatrix.identity(field, y.r1)
+    d0 = block(field, [
+        [kron(i_x0, y.d0), -kron(x.d0.transpose(), i_y1)],
+        [-kron(x.d1.transpose(), i_y0), kron(i_x1, y.d1)],
+    ])
+    d1 = block(field, [
+        [kron(i_x0, y.d1), kron(x.d0.transpose(), i_y0)],
+        [kron(x.d1.transpose(), i_y1), kron(i_x1, y.d0)],
+    ])
+    return d0, d1
+
+
+def _random_pair(rng, field, r0, r1):
+    """Differentials of the given ranks, entries with denominators mixed
+    in; the assembly formula is linear, so they need not compose to 0."""
+    def grid(rows, cols):
+        m = random_matrix(rng, field, rows, cols, max_val=2)
+        return RMatrix(field, rows, cols, tuple(
+            e * inverse(random_unit(rng, field)) if rng.random() < 0.3 else e
+            for e in m.entries))
+    return TwoPeriodicComplex(field, r0, r1, grid(r1, r0), grid(r0, r1))
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=40, deadline=None)
+@given(ranks=st.tuples(*[st.integers(0, 3)] * 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(ranks=(0, 2, 3, 0), seed=1)
+@example(ranks=(2, 1, 1, 3), seed=2)
+@example(ranks=(0, 0, 2, 2), seed=3)
+def test_homc_blocks_match_kron_formula(label_, ranks, seed):
+    field = FieldSpec.from_label(label_)
+    rng = random.Random(seed)
+    x = _random_pair(rng, field, *ranks[:2])
+    y = _random_pair(rng, field, *ranks[2:])
+    assert _homc_blocks(x, y) == _homc_blocks_by_kron(x, y)
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3"])
+def test_chain_map_rejects_single_entry_change(label_):
+    # identity on K(1) + K(2)[1]: d0 = diag(0, -x^2), d1 = diag(x, 0), so
+    # an entry change is caught by d0 f0 or f1 d0 (first square) or by
+    # f0 d1 or d1 f1 (second square), depending on where it sits
+    field = FieldSpec.from_label(label_)
+    x = direct_sum(K(1, field), shift(K(2, field)))
+    f = identity_map(x)
+    o = one(field)
+    caught = set()
+    for comp in ("f0", "f1"):
+        m = getattr(f, comp)
+        for k in range(len(m.entries)):
+            ents = list(m.entries)
+            ents[k] = ents[k] + o
+            g = dict(f0=f.f0, f1=f.f1)
+            g[comp] = RMatrix(field, m.rows, m.cols, tuple(ents))
+            squares = [("f1 d0 != d0 f0",
+                        g["f1"] @ x.d0 - x.d0 @ g["f0"]),
+                       ("f0 d1 != d1 f1",
+                        g["f0"] @ x.d1 - x.d1 @ g["f1"])]
+            bad = [(name, diff) for name, diff in squares if not diff.is_zero()]
+            if not bad:
+                ChainMap2(x, x, g["f0"], g["f1"])  # still a chain map
+                continue
+            with pytest.raises(InvalidChainMapError) as info:
+                ChainMap2(x, x, g["f0"], g["f1"])
+            name, diff = bad[0]
+            i, j = diff.first_nonzero()
+            assert str(info.value).startswith(f"{name} at ({i}, {j}): ")
+            caught.add((comp, name))
+    assert len(caught) == 4
+
+
 # -- comparison isomorphism -------------------------------------------------------------
 
 def test_delta_on_k1_k1():
@@ -296,6 +384,19 @@ def test_homotopy_witness_reverifies_random(rng):
         f = ChainMap2(x, y, b0, b1)
         h = is_null_homotopic(f)
         assert h is not None and h.witnesses(f)
+
+
+def test_homotopy_witness_checks_both_degrees():
+    # on K(1) + K(1)[1] the maps (E01, 0) and (0, E10) are chain maps that
+    # differ from the boundary (0, 0) of s = 0 in one degree only
+    from periodica import Homotopy2
+    x = direct_sum(K(1), shift(K(1)))
+    z = RMatrix.zeros(Q, 2, 2)
+    s = Homotopy2(x, x, z, z)
+    assert s.witnesses(zero_map(x, x))
+    e01 = mat(Q, 2, 2, [["0", "1"], ["0", "0"]])
+    assert not s.witnesses(ChainMap2(x, x, e01, z))
+    assert not s.witnesses(ChainMap2(x, x, z, e01.transpose()))
 
 
 # -- hom modules ---------------------------------------------------------------------------

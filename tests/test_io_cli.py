@@ -256,7 +256,7 @@ def test_cli_chain_map_with_path_refs(tmp_path, k2_file):
     bad.write_text(json.dumps(dict(doc, f0=[["0"]])))
     r = run_cli("homotopic", str(bad), cwd=elsewhere)
     assert r.returncode == 2
-    assert "not a chain map" in r.stderr
+    assert "not a chain map: f0 d1 != d1 f1 at (0, 0): 0 != x^4" in r.stderr
     assert "Traceback" not in r.stderr
 
 
