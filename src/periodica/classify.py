@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
-from .localring import one, x_power
+from .localring import format_element, one, x_power
 from .matrix import RMatrix
 from .minimal import SplitResult, reduce
 from .smith import (
@@ -181,11 +181,7 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     r = len(unshifted)
     if any(e < 1 for e in unshifted):
         raise PeriodicaError("minimal model produced a unit invariant factor")
-    # both composites vanish, so rows and columns < r of d0 must be zero
-    for i in range(n):
-        for j in range(n):
-            if (i < r or j < r) and d0[i][j]:
-                raise PeriodicaError("even differential does not respect the split")
+    _assert_split(d0, r)
 
     # stage 2: Smith form of the remaining even differential (shifted part)
     shifted = smith_sweep(d0, b1, b0, start=r)
@@ -218,6 +214,16 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     if h0.length() != ms.h0_length() or h1.length() != ms.h1_length():
         raise PeriodicaError("cohomology lengths disagree with the multiset")
     return DecomposeResult(ms, split, m, blocksum, to_blocks, from_blocks)
+
+
+def _assert_split(d0, r: int) -> None:
+    """Both composites vanish, so rows and columns < r of d0 must be zero."""
+    for i, row in enumerate(d0):
+        for j, e in enumerate(row):
+            if (i < r or j < r) and e:
+                raise PeriodicaError(
+                    "even differential does not respect the split at "
+                    f"({i}, {j}): {format_element(e)}")
 
 
 def is_homotopy_iso(f: ChainMap2) -> bool:

@@ -3,6 +3,11 @@
 Field elements are plain Python values (``Fraction`` over Q, ints reduced
 into ``[0, p)`` over F_p); a :class:`FieldSpec` carries the arithmetic so
 polynomials and matrices stay lightweight and hashable.
+
+``FieldSpec`` is the scalar API: each method branches on ``p`` and acts on
+one or two elements.  Loops over polynomial coefficients live in
+:mod:`periodica.poly`, which checks the field once per call and runs a
+kernel for that field on the plain values.
 """
 
 from __future__ import annotations

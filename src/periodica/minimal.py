@@ -31,7 +31,7 @@ from .complexes import (
 )
 from .errors import NotAComplexError, NotTrivialError, PeriodicaError
 from .fields import FieldSpec
-from .localring import inverse, one
+from .localring import format_element, inverse, one
 from .matrix import RMatrix
 from .smith import TrackedBasis
 
@@ -194,10 +194,12 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
 def _assert_cleared(other, col, row):
     for l, r in enumerate(other):
         if r[col]:
-            raise PeriodicaError("complementary column failed to vanish")
-    for e in other[row]:
+            raise PeriodicaError("complementary column failed to vanish at "
+                                 f"({l}, {col}): {format_element(r[col])}")
+    for m, e in enumerate(other[row]):
         if e:
-            raise PeriodicaError("complementary row failed to vanish")
+            raise PeriodicaError("complementary row failed to vanish at "
+                                 f"({row}, {m}): {format_element(e)}")
 
 
 def _assert_identity(f: ChainMap2, r0: int, r1: int) -> None:

@@ -3,10 +3,34 @@
 A polynomial is a tuple of coefficients in ascending degree with no
 trailing zeros; the zero polynomial is the empty tuple.  All functions
 are pure and take the field explicitly.
+
+Every arithmetic function checks ``field.p`` once and then runs a kernel
+for that field on plain values, so the inner loops make no per-coefficient
+``FieldSpec`` calls:
+
+- over Q, coefficients are ``Fraction``.  A product with a constant or a
+  monomial only scales or shifts; a general product convolves the integer
+  numerators over the product of the two lcm denominators and builds one
+  ``Fraction`` per output coefficient.  The gcd is the primitive
+  pseudo-remainder sequence in Z[x] (Knuth, TAOCP vol. 2, 4.6.1; Brown,
+  J. ACM 18, 1971): clear denominators, take primitive parts, remove the
+  content after each pseudo-remainder, and make the last nonzero one monic.
+  The monic gcd is unique, so it equals the Euclidean gcd over Q.
+- over F_p, coefficients are ints in [0, p).  Products are accumulated as
+  Python ints and reduced once per output coefficient; a division inverts
+  the divisor's lead once and reduces a remainder coefficient only when it
+  is read as a leading coefficient.  The gcd is Euclid on that division.
+
+``scale`` multiplies by one field element through ``FieldSpec.mul``, the
+scalar API.  Result tuples are built from lists, not generator
+expressions: ``tuple(genexpr)`` keeps a generator frame per call and
+raised the peak memory of the batch workloads measurably.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd as igcd, lcm
 from typing import Optional, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
@@ -15,6 +39,9 @@ Poly = Tuple[Scalar, ...]
 
 ZERO: Poly = ()
 
+_QZERO = Fraction(0)
+_QONE = Fraction(1)
+
 
 def trim(field: FieldSpec, coeffs: Sequence[Scalar]) -> Poly:
     z = field.zero
@@ -22,6 +49,12 @@ def trim(field: FieldSpec, coeffs: Sequence[Scalar]) -> Poly:
     while n and coeffs[n - 1] == z:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _trimmed(out: list) -> Poly:
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def const(field: FieldSpec, c: Scalar) -> Poly:
@@ -56,39 +89,80 @@ def add(field: FieldSpec, f: Poly, g: Poly) -> Poly:
         return f
     if len(f) < len(g):
         f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = field.add(out[i], c)
-    return trim(field, out)
+    p = field.p
+    if p:
+        out = [(a + b) % p for a, b in zip(f, g)]
+    else:
+        out = [a + b for a, b in zip(f, g)]
+    if len(f) > len(g):
+        out += f[len(g):]
+        return tuple(out)
+    return _trimmed(out)
 
 
 def neg(field: FieldSpec, f: Poly) -> Poly:
-    return tuple(field.neg(c) for c in f)
+    p = field.p
+    if p:
+        return tuple([-c % p for c in f])
+    return tuple([-c for c in f])
 
 
 def sub(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     return add(field, f, neg(field, g))
 
 
+def _convolve(f: Sequence[int], g: Sequence[int]) -> list:
+    """Integer coefficients of f * g, unreduced."""
+    out = [0] * (len(f) + len(g) - 1)
+    terms = [(j, b) for j, b in enumerate(g) if b]
+    for i, a in enumerate(f):
+        if a:
+            for j, b in terms:
+                out[i + j] += a * b
+    return out
+
+
+def _over_common_den(f: Poly) -> tuple[list, int]:
+    """Integer numerators of f over the lcm of its denominators."""
+    d = lcm(*[c.denominator for c in f])
+    if d == 1:
+        return [c.numerator for c in f], 1
+    return [c.numerator * (d // c.denominator) for c in f], d
+
+
 def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
-    z = field.zero
-    out = [z] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b == 0:
-                continue
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return trim(field, out)
+    if len(f) > len(g):
+        f, g = g, f
+    p = field.p
+    if not any(f[:-1]):
+        # c * x^k: shift and scale
+        c = f[-1]
+        if c == 1:
+            return f[:-1] + g
+        if p:
+            return f[:-1] + tuple([c * b % p for b in g])
+        return f[:-1] + tuple([c * b for b in g])
+    if p:
+        return tuple([c % p for c in _convolve(f, g)])
+    if not any(g[:-1]):
+        c = g[-1]
+        return g[:-1] + tuple([a * c for a in f])
+    fn, fd = _over_common_den(f)
+    gn, gd = _over_common_den(g)
+    out = _convolve(fn, gn)
+    d = fd * gd
+    if d == 1:
+        return tuple([Fraction(c) for c in out])
+    return tuple([Fraction(c, d) for c in out])
 
 
 def scale(field: FieldSpec, f: Poly, c: Scalar) -> Poly:
     if c == field.zero:
         return ()
-    return trim(field, [field.mul(a, c) for a in f])
+    mul = field.mul
+    return trim(field, [mul(a, c) for a in f])
 
 
 def shift_up(field: FieldSpec, f: Poly, n: int) -> Poly:
@@ -108,25 +182,90 @@ def shift_down(f: Poly, n: int) -> Poly:
     return f[n:]
 
 
+def _fp_divmod(f: Poly, g: Poly, p: int, want_q: bool):
+    """Quotient (or None) and trimmed reduced remainder list over F_p."""
+    n = len(g) - 1
+    ginv = pow(g[-1], -1, p)
+    low = g[:-1]
+    rem = list(f)
+    q = [0] * (len(f) - n) if want_q else None
+    while len(rem) > n:
+        c = rem.pop() % p
+        if c:
+            c = c * ginv % p
+            k = len(rem) - n
+            if want_q:
+                q[k] = c
+            for i, b in enumerate(low, k):
+                rem[i] -= c * b
+    rem = [c % p for c in rem]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def _q_divmod_fractions(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Long division over the ``Fraction`` coefficients."""
+    n = len(g) - 1
+    lead = g[-1]
+    ginv = None if lead == 1 else 1 / lead
+    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
+    rem = list(f)
+    q = [_QZERO] * max(len(f) - n, 0)
+    while len(rem) > n:
+        c = rem.pop()
+        if c:
+            k = len(rem) - n
+            if ginv is not None:
+                c = c * ginv
+            q[k] = c
+            for i, b in low:
+                rem[k + i] -= c * b
+    return _trimmed(q), _trimmed(rem)
+
+
+def _q_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Division in Z[x] by the primitive part G of g when the lead of G
+    divides every leading coefficient met (always, when g divides f:
+    Gauss's lemma); otherwise over the Fractions."""
+    if len(f) < len(g):
+        return (), f
+    fn, fd = _over_common_den(f)
+    gn, gd = _over_common_den(g)
+    c = igcd(*gn)
+    if c != 1:
+        gn = [a // c for a in gn]
+    n = len(gn) - 1
+    lead = gn[-1]
+    low = [(i, b) for i, b in enumerate(gn[:-1]) if b]
+    q = [0] * (len(fn) - n)
+    rem = fn
+    while len(rem) > n:
+        t = rem.pop()
+        if t:
+            t, r = divmod(t, lead)
+            if r:
+                return _q_divmod_fractions(f, g)
+            k = len(rem) - n
+            q[k] = t
+            for i, b in low:
+                rem[k + i] -= t * b
+    # f = fn / fd and g = c gn / gd, so f = q gd / (c fd) * g + rem / fd
+    while rem and not rem[-1]:
+        rem.pop()
+    qd = c * fd
+    return (tuple([Fraction(a * gd, qd) for a in q]),
+            tuple([Fraction(a, fd) for a in rem]))
+
+
 def divmod_poly(field: FieldSpec, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q: list[Scalar] = [field.zero] * max(len(f) - len(g) + 1, 0)
-    rem = list(f)
-    glead = g[-1]
-    ginv = field.inv(glead)
-    while len(rem) >= len(g):
-        c = rem[-1]
-        if c == 0:
-            rem.pop()
-            continue
-        k = len(rem) - len(g)
-        factor = field.mul(c, ginv)
-        q[k] = factor
-        for i, b in enumerate(g):
-            rem[k + i] = field.sub(rem[k + i], field.mul(factor, b))
-        rem.pop()
-    return trim(field, q), trim(field, rem)
+    p = field.p
+    if not p:
+        return _q_divmod(f, g)
+    q, rem = _fp_divmod(f, g, p, True)
+    return _trimmed(q), tuple(rem)
 
 
 def monic(field: FieldSpec, f: Poly) -> Poly:
@@ -138,13 +277,61 @@ def monic(field: FieldSpec, f: Poly) -> Poly:
     return scale(field, f, field.inv(lead))
 
 
+def _primitive(f: Sequence[int]) -> list:
+    c = igcd(*f)
+    return list(f) if c == 1 else [a // c for a in f]
+
+
+def _prem(f: list, g: list) -> list:
+    """A nonzero multiple of the remainder of f by g, both in Z[x]."""
+    n = len(g) - 1
+    lead = g[-1]
+    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
+    rem = list(f)
+    while len(rem) > n:
+        c = rem.pop()
+        if c:
+            h = igcd(c, lead)
+            a, c = lead // h, c // h
+            if a != 1:
+                rem = [a * t for t in rem]
+            k = len(rem) - n
+            for i, b in low:
+                rem[k + i] -= c * b
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _q_gcd(f: Poly, g: Poly) -> Poly:
+    if len(f) == 1 or len(g) == 1:
+        return (_QONE,)
+    a = _primitive(_over_common_den(f)[0])
+    b = _primitive(_over_common_den(g)[0])
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:
+            return (_QONE,)
+        a, b = b, _primitive(r)
+    lead = b[-1]
+    return tuple([Fraction(c, lead) for c in b])
+
+
 def gcd(field: FieldSpec, f: Poly, g: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd: primitive PRS in Z[x] over Q, Euclid over F_p."""
+    if not f or not g:
+        return monic(field, f or g)
+    p = field.p
+    if not p:
+        return _q_gcd(f, g)
     a, b = f, g
-    while b:
-        _, r = divmod_poly(field, a, b)
-        a, b = b, r
-    return monic(field, a)
+    while len(b) > 1:
+        a, b = b, _fp_divmod(a, b, p, False)[1]
+    return (1,) if b else monic(field, tuple(a))
 
 
 def eval0(field: FieldSpec, f: Poly) -> Scalar:

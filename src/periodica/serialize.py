@@ -83,17 +83,22 @@ def _field_of(doc: dict, expect: Optional[FieldSpec]) -> FieldSpec:
     return field
 
 
-def parse_complex_doc(doc, expect_field: Optional[FieldSpec] = None
-                      ) -> TwoPeriodicComplex:
-    if not isinstance(doc, dict):
-        raise ParseError("complex document must be a JSON object")
-    field = _field_of(doc, expect_field)
+def _ranks(doc: dict) -> tuple[int, int]:
     try:
         r0, r1 = int(doc["r0"]), int(doc["r1"])
     except (KeyError, TypeError, ValueError):
         raise ParseError("$.r0/$.r1: nonnegative integers required") from None
     if r0 < 0 or r1 < 0:
         raise ParseError("$.r0/$.r1: nonnegative integers required")
+    return r0, r1
+
+
+def parse_complex_doc(doc, expect_field: Optional[FieldSpec] = None
+                      ) -> TwoPeriodicComplex:
+    if not isinstance(doc, dict):
+        raise ParseError("complex document must be a JSON object")
+    field = _field_of(doc, expect_field)
+    r0, r1 = _ranks(doc)
     d0 = parse_matrix(field, doc.get("d0"), r1, r0, "$.d0")
     d1 = parse_matrix(field, doc.get("d1"), r0, r1, "$.d1")
     x = TwoPeriodicComplex(field, r0, r1, d0, d1)
@@ -165,10 +170,7 @@ def parse_quasi_doc(doc, expect_field: Optional[FieldSpec] = None):
     if not isinstance(doc, dict):
         raise ParseError("quasi-periodic document must be a JSON object")
     field = _field_of(doc, expect_field)
-    try:
-        r0, r1 = int(doc["r0"]), int(doc["r1"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("$.r0/$.r1: nonnegative integers required") from None
+    r0, r1 = _ranks(doc)
     return QuasiPeriodicData(
         field, r0, r1,
         alpha0=parse_matrix(field, doc.get("alpha0"), r1, r0, "$.alpha0"),

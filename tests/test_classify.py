@@ -24,6 +24,7 @@ from periodica import (
     zero_complex,
 )
 from periodica.classify import (
+    _assert_split,
     IndecompMultiset,
     assemble,
     decompose,
@@ -31,6 +32,8 @@ from periodica.classify import (
     is_homotopy_iso,
     label,
 )
+from periodica.errors import PeriodicaError
+from periodica.localring import parse_element, zero
 from periodica.minimal import reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
 
@@ -148,3 +151,17 @@ def test_is_homotopy_iso_between_different_objects():
     from periodica import hom_module
     gens = hom_module(k_complex(1, Q), k_complex(2, Q)).generators
     assert all(not is_homotopy_iso(g) for g in gens)
+
+
+@pytest.mark.parametrize("planted", [(0, 2), (2, 1), (1, 1)])
+def test_assert_split_names_the_entry(planted):
+    grid = [[zero(Q)] * 3 for _ in range(3)]
+    grid[2][2] = parse_element(Q, "x")
+    _assert_split(grid, 2)
+    i, j = planted
+    grid[i][j] = parse_element(Q, "x^2/(1 + x)")
+    with pytest.raises(PeriodicaError) as exc:
+        _assert_split(grid, 2)
+    assert str(exc.value) == (
+        f"even differential does not respect the split at ({i}, {j}): "
+        "x^2/(1 + x)")

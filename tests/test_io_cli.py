@@ -288,6 +288,17 @@ def test_cli_strictify(tmp_path):
     assert len(out["window"]) == 7
 
 
+@pytest.mark.parametrize("r0, r1", [(-1, 0), (0, -1)])
+def test_cli_strictify_rejects_negative_rank(tmp_path, r0, r1):
+    doc = {"field": "Q", "r0": r0, "r1": r1,
+           "alpha0": [], "alpha1": [[]], "phi0": [[]], "phi1": []}
+    p = tmp_path / "quasi.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli("strictify", str(p), "--window", "1")
+    assert r.returncode == 2
+    assert r.stderr == "error: $.r0/$.r1: nonnegative integers required\n"
+
+
 def test_cli_field_mismatch(tmp_path, k2_file):
     r = run_cli("cohomology", str(k2_file), "--field", "Fp:5")
     assert r.returncode == 2

@@ -23,6 +23,9 @@ from periodica import (
     zero_complex,
 )
 from periodica.classify import decompose, label, IndecompMultiset
+from periodica.errors import PeriodicaError
+from periodica.localring import parse_element, zero
+from periodica.minimal import _assert_cleared
 from periodica.rand import conjugate_complex, random_finite_length_instance
 
 Q = FieldSpec.rationals()
@@ -158,3 +161,17 @@ def test_contraction_conjugated(rng):
 def test_contraction_rejects_nontrivial():
     with pytest.raises(NotTrivialError):
         trivial_contraction(k_complex(1, Q))
+
+
+@pytest.mark.parametrize("planted, message", [
+    ((2, 1), "complementary column failed to vanish at (2, 1): 3*x^2"),
+    ((1, 2), "complementary row failed to vanish at (1, 2): 3*x^2"),
+])
+def test_assert_cleared_names_the_entry(planted, message):
+    grid = [[zero(Q)] * 3 for _ in range(3)]
+    _assert_cleared(grid, col=1, row=1)
+    i, j = planted
+    grid[i][j] = parse_element(Q, "3*x^2")
+    with pytest.raises(PeriodicaError) as exc:
+        _assert_cleared(grid, col=1, row=1)
+    assert str(exc.value) == message

@@ -1,0 +1,188 @@
+"""The per-field polynomial kernels against the generic FieldSpec loops.
+
+The reference functions below are the field-generic loops the kernels
+replaced: every coefficient goes through a FieldSpec method, and the gcd is
+Euclid over the field.  Results must be equal tuples with canonical
+coefficients (``Fraction`` over Q, ``int`` in [0, p) over F_p) and no
+trailing zero; plain equality would accept ``1 == Fraction(1)``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from periodica import FieldSpec
+from periodica import poly
+
+FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(101))
+
+
+# -- reference: the generic loops ---------------------------------------------
+
+def ref_trim(field, coeffs):
+    n = len(coeffs)
+    while n and coeffs[n - 1] == field.zero:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def ref_add(field, f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] = field.add(out[i], c)
+    return ref_trim(field, out)
+
+
+def ref_neg(field, f):
+    return tuple(field.neg(c) for c in f)
+
+
+def ref_mul(field, f, g):
+    if not f or not g:
+        return ()
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            if b == 0:
+                continue
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return ref_trim(field, out)
+
+
+def ref_scale(field, f, c):
+    if c == field.zero:
+        return ()
+    return ref_trim(field, [field.mul(a, c) for a in f])
+
+
+def ref_divmod(field, f, g):
+    q = [field.zero] * max(len(f) - len(g) + 1, 0)
+    rem = list(f)
+    ginv = field.inv(g[-1])
+    while len(rem) >= len(g):
+        c = rem[-1]
+        if c == 0:
+            rem.pop()
+            continue
+        k = len(rem) - len(g)
+        factor = field.mul(c, ginv)
+        q[k] = factor
+        for i, b in enumerate(g):
+            rem[k + i] = field.sub(rem[k + i], field.mul(factor, b))
+        rem.pop()
+    return ref_trim(field, q), ref_trim(field, rem)
+
+
+def ref_monic(field, f):
+    if not f:
+        return ()
+    return ref_scale(field, f, field.inv(f[-1]))
+
+
+def ref_gcd(field, f, g):
+    a, b = f, g
+    while b:
+        a, b = b, ref_divmod(field, a, b)[1]
+    return ref_monic(field, a)
+
+
+# -- inputs --------------------------------------------------------------------
+
+def scalars(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))),
+        st.builds(Fraction, st.integers(-9, 9)),
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-10**12, 10**12),
+                  st.integers(1, 10**15)),
+    )
+
+
+def nonzero(field):
+    return scalars(field).filter(lambda c: c != 0)
+
+
+def polys(field, max_len=6):
+    zero = field.zero
+    return st.one_of(
+        st.just(()),
+        nonzero(field).map(lambda c: (c,)),
+        st.tuples(st.integers(0, 4), nonzero(field)).map(
+            lambda kc: (zero,) * kc[0] + (kc[1],)),
+        st.lists(scalars(field), min_size=1, max_size=max_len).map(
+            lambda cs: ref_trim(field, cs)),
+    )
+
+
+@st.composite
+def field_and_pair(draw):
+    """A field and two polynomials; half the time with a common factor."""
+    field = draw(st.sampled_from(FIELDS))
+    f = draw(polys(field))
+    g = draw(polys(field))
+    if draw(st.booleans()):
+        h = draw(polys(field, max_len=4))
+        f, g = ref_mul(field, f, h), ref_mul(field, g, h)
+    return field, f, g, draw(scalars(field))
+
+
+def assert_same(field, got, want):
+    assert got == want
+    assert not got or got[-1] != 0
+    for c in got:
+        if field.p:
+            assert type(c) is int and 0 <= c < field.p
+        else:
+            assert type(c) is Fraction
+
+
+Q = FIELDS[0]
+F3 = FIELDS[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_pair())
+@example((Q, (), (), Fraction(0)))
+@example((Q, (Fraction(0), Fraction(1, 3)), (Fraction(7, 10**15),), Fraction(1)))
+@example((Q, (Fraction(-2), Fraction(0), Fraction(4)),
+          (Fraction(1), Fraction(0), Fraction(-2)), Fraction(5, 3)))
+@example((Q, (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(1, 2)),
+          Fraction(-1)))
+@example((F3, (0, 0, 2), (1, 2, 1), 2))
+def test_kernels_match_generic_loops(case):
+    field, f, g, c = case
+    assert_same(field, poly.add(field, f, g), ref_add(field, f, g))
+    assert_same(field, poly.sub(field, f, g),
+                ref_add(field, f, ref_neg(field, g)))
+    assert_same(field, poly.neg(field, f), ref_neg(field, f))
+    assert_same(field, poly.mul(field, f, g), ref_mul(field, f, g))
+    assert_same(field, poly.mul(field, g, f), ref_mul(field, f, g))
+    assert_same(field, poly.scale(field, f, c), ref_scale(field, f, c))
+    assert_same(field, poly.monic(field, f), ref_monic(field, f))
+    if g:
+        q, r = poly.divmod_poly(field, f, g)
+        q_ref, r_ref = ref_divmod(field, f, g)
+        assert_same(field, q, q_ref)
+        assert_same(field, r, r_ref)
+    assert_same(field, poly.gcd(field, f, g), ref_gcd(field, f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gcd_recovers_common_factor(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    h = data.draw(polys(field, max_len=4).filter(lambda h: len(h) > 1))
+    u = data.draw(polys(field).filter(bool))
+    v = data.draw(polys(field).filter(bool))
+    f, g = ref_mul(field, h, u), ref_mul(field, h, v)
+    got = poly.gcd(field, f, g)
+    assert_same(field, got, ref_gcd(field, f, g))
+    assert len(got) >= len(h)
+    assert ref_divmod(field, got, h)[1] == ()
