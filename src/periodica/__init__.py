@@ -57,7 +57,6 @@ from .complexes import (
     scale_map,
     shift,
     shift_map,
-    strict_triangle,
     sub_maps,
     sum_map,
     tensor2,

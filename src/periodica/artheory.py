@@ -8,6 +8,12 @@ AR-triangle ending at K(i) is built as the rotation of the strict cone
 triangle on (-h)[-1] where h is the socle map K(i) -> K(i)[1]; with the
 period-2 shift being a strict involution the rotated connecting map is
 exactly h.
+
+Axiom 3 asks that the connecting map kill every non-isomorphism between
+a test object D and the endpoint.  When D is not the endpoint every map
+is a non-isomorphism and each Hom generator is tested.  When D is the
+endpoint K(j) (or K(j)[1]), End(D) = R/x^j is local with radical x End(D),
+so the non-isomorphisms form x Hom and x g is tested for each generator g.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .complexes import (
     ChainMap2,
     Triangle,
     TwoPeriodicComplex,
+    _homc_blocks,
     compose,
     cone,
     hom_module,
@@ -42,7 +49,7 @@ from .complexes import (
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
 from .localring import x_power
-from .matrix import RMatrix, vstack
+from .matrix import RMatrix, block, block_diag, kron, vstack
 from .smith import solve_over_ring
 
 
@@ -120,84 +127,36 @@ def _solve_comparison(c: TwoPeriodicComplex, u: ChainMap2, v: ChainMap2,
                       t: Triangle) -> Optional[ChainMap2]:
     """Solve (chain map phi: c -> e) with phi u ~ t.f and t.g phi ~ v.
 
-    One stacked linear system over R: unknowns are phi's two components
-    and the two homotopy witnesses.
+    One linear system over R in the unknowns phi (degree 0 of Hom(c, e))
+    and the homotopies s (degree 1 of Hom(n, e)) and t (degree 1 of
+    Hom(c, m)): d phi = 0, phi u - d s = t.f and t.g phi - d t = v, the
+    compositions with u and t.g written as Kronecker blocks.
     """
-    from .matrix import block, kron
-
     field = c.field
-    e = t.e
-    n_cols = {
-        "phi0": e.r0 * c.r0, "phi1": e.r1 * c.r1,
-        "s0": e.r1 * t.n.r0, "s1": e.r0 * t.n.r1,
-        "t0": t.m.r1 * c.r0, "t1": t.m.r0 * c.r1,
-    }
-    order = ["phi0", "phi1", "s0", "s1", "t0", "t1"]
-    offs = {}
-    pos = 0
-    for k in order:
-        offs[k] = pos
-        pos += n_cols[k]
-    total = pos
-
-    rows_list = []
-    rhs_list = []
-
-    def add_equation(coeffs: dict, rhs: RMatrix):
-        nrows = rhs.rows * rhs.cols
-        grid = []
-        for k in order:
-            if k in coeffs:
-                grid.append(coeffs[k])
-            else:
-                grid.append(RMatrix.zeros(field, nrows, n_cols[k]))
-        rows_list.append(block(field, [grid]))
-        rhs_list.append(rhs.vec())
-
-    def lmul(a: RMatrix, cols: int) -> RMatrix:
-        # vec(a F) = (I_cols (x) a) vec F, F with `cols` columns
-        return kron(RMatrix.identity(field, cols), a)
-
-    def rmul(b: RMatrix, rows: int) -> RMatrix:
-        # vec(F b) = (b^T (x) I_rows) vec F
-        return kron(b.transpose(), RMatrix.identity(field, rows))
-
+    e, n, m = t.e, t.n, t.m
+    d_phi = _homc_blocks(c, e)[0]
+    d_s = _homc_blocks(n, e)[1]
+    d_t = _homc_blocks(c, m)[1]
+    ident = RMatrix.identity
+    pre = block_diag(field, [kron(u.f0.transpose(), ident(field, e.r0)),
+                             kron(u.f1.transpose(), ident(field, e.r1))])
+    post = block_diag(field, [kron(ident(field, c.r0), t.g.f0),
+                              kron(ident(field, c.r1), t.g.f1)])
     z = RMatrix.zeros
-    # chain map: e.d0 phi0 - phi1 c.d0 = 0 ; e.d1 phi1 - phi0 c.d1 = 0
-    add_equation({"phi0": lmul(e.d0, c.r0), "phi1": -rmul(c.d0, e.r1)},
-                 z(field, e.r1, c.r0))
-    add_equation({"phi1": lmul(e.d1, c.r1), "phi0": -rmul(c.d1, e.r0)},
-                 z(field, e.r0, c.r1))
-    # phi u - t.f = d s + s d  (maps n -> e)
-    add_equation({"phi0": rmul(u.f0, e.r0),
-                  "s0": -lmul(e.d1, t.n.r0), "s1": -rmul(t.n.d0, e.r0)},
-                 t.f.f0)
-    add_equation({"phi1": rmul(u.f1, e.r1),
-                  "s1": -lmul(e.d0, t.n.r1), "s0": -rmul(t.n.d1, e.r1)},
-                 t.f.f1)
-    # t.g phi - v = d t + t d  (maps c -> m)
-    add_equation({"phi0": lmul(t.g.f0, c.r0),
-                  "t0": -lmul(t.m.d1, c.r0), "t1": -rmul(c.d0, t.m.r0)},
-                 v.f0)
-    add_equation({"phi1": lmul(t.g.f1, c.r1),
-                  "t1": -lmul(t.m.d0, c.r1), "t0": -rmul(c.d1, t.m.r1)},
-                 v.f1)
-
-    big = vstack(field, rows_list)
-    rhs = vstack(field, rhs_list)
+    big = block(field, [
+        [d_phi, z(field, d_phi.rows, d_s.cols), z(field, d_phi.rows, d_t.cols)],
+        [pre, -d_s, z(field, d_s.rows, d_t.cols)],
+        [post, z(field, d_t.rows, d_s.cols), -d_t],
+    ])
+    rhs = vstack(field, [z(field, d_phi.rows, 1), t.f.f0.vec(), t.f.f1.vec(),
+                         v.f0.vec(), v.f1.vec()])
     sol = solve_over_ring(big, rhs)
     if sol is None:
         return None
-    f0 = RMatrix.unvec(field, sol.submatrix(offs["phi0"],
-                                            offs["phi0"] + n_cols["phi0"], 0, 1),
-                       e.r0, c.r0)
-    f1 = RMatrix.unvec(field, sol.submatrix(offs["phi1"],
-                                            offs["phi1"] + n_cols["phi1"], 0, 1),
-                       e.r1, c.r1)
-    try:
-        return ChainMap2(c, e, f0, f1)
-    except Exception:
-        return None
+    n0 = e.r0 * c.r0
+    f0 = RMatrix.unvec(field, sol.submatrix(0, n0, 0, 1), e.r0, c.r0)
+    f1 = RMatrix.unvec(field, sol.submatrix(n0, d_phi.cols, 0, 1), e.r1, c.r1)
+    return ChainMap2(c, e, f0, f1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +187,6 @@ def _family(bound: int) -> List[IndecompLabel]:
     return labs
 
 
-def _radical_tests(d_ms: IndecompMultiset, target_ms: IndecompMultiset,
-                   gens, field: FieldSpec):
-    """Generators to test in axiom 3: all of them unless D = target in the
-    homotopy category, in which case iso generators are multiplied by x
-    (the radical of the local endomorphism ring) and non-iso generators
-    kept."""
-    x = x_power(field, 1)
-    if d_ms != target_ms:
-        return list(enumerate(gens))
-    out = []
-    for idx, g in enumerate(gens):
-        if is_homotopy_iso(g):
-            out.append((idx, scale_map(g, x)))
-        else:
-            out.append((idx, g))
-    return out
-
-
 def _multisets(t: Triangle) -> tuple:
     """Decompositions (N, M, E) of a triangle's terms; N and M are the
     same K(i) in an AR-triangle, and then N's is reused."""
@@ -266,14 +207,18 @@ def _verify_ar(t: Triangle, bound: int, side: str, multisets: tuple) -> ARReport
     # [1] is an involution, so -h[-1] = -h[1]: M[-1] -> N
     conn = t.h if right else negate_map(shift_map(t.h))
     ax2 = is_null_homotopic(conn) is None
+    endpoint_ms = m_ms if right else n_ms
+    x = x_power(field, 1)
     family = _family(bound)
     counterexample = None
     for lab in family:
         d = model_complex(lab, field)
         gens = (hom_module(d, t.m) if right else hom_module(t.n, d)).generators
-        d_ms = IndecompMultiset.from_labels([lab])
-        for idx, cand in _radical_tests(d_ms, m_ms if right else n_ms,
-                                        gens, field):
+        # D = endpoint: End(K(j)) = R/x^j is local with radical x End, so
+        # the non-isomorphisms between D and the endpoint are x Hom
+        at_endpoint = endpoint_ms == IndecompMultiset.from_labels([lab])
+        for idx, g in enumerate(gens):
+            cand = scale_map(g, x) if at_endpoint else g
             comp = compose(conn, cand) if right else compose(cand, conn)
             if is_null_homotopic(comp) is None:
                 counterexample = (lab, idx)

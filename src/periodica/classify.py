@@ -87,12 +87,6 @@ class IndecompMultiset:
             out.extend([lab] * mult)
         return out
 
-    def count(self, lab: IndecompLabel) -> int:
-        for l, m in self.items:
-            if l == lab:
-                return m
-        return 0
-
     def size(self) -> int:
         return sum(m for _, m in self.items)
 
@@ -110,9 +104,6 @@ class IndecompMultiset:
             return "0"
         return " + ".join(
             lab.name if m == 1 else f"{m}*{lab.name}" for lab, m in self.items)
-
-
-EMPTY_MULTISET = IndecompMultiset(())
 
 
 def k_complex(j: int, field: FieldSpec) -> TwoPeriodicComplex:

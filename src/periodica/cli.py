@@ -132,10 +132,8 @@ def cmd_decompose(args) -> int:
     doc = {
         "multiset": serialize.multiset_to_list(dec.multiset),
         "minimal": serialize.complex_to_doc(dec.minimal),
-        "to_blocks": {"f0": serialize.matrix_to_grid(dec.to_blocks.f0),
-                      "f1": serialize.matrix_to_grid(dec.to_blocks.f1)},
-        "from_blocks": {"f0": serialize.matrix_to_grid(dec.from_blocks.f0),
-                        "f1": serialize.matrix_to_grid(dec.from_blocks.f1)},
+        "to_blocks": serialize.map_to_doc(dec.to_blocks),
+        "from_blocks": serialize.map_to_doc(dec.from_blocks),
     }
     _emit(doc, args.format, lambda d: str(dec.multiset))
     return OK
@@ -172,10 +170,8 @@ def cmd_cone(args) -> int:
     c, u, v = cone(f)
     doc = {
         "cone": serialize.complex_to_doc(c),
-        "u": {"f0": serialize.matrix_to_grid(u.f0),
-              "f1": serialize.matrix_to_grid(u.f1)},
-        "v": {"f0": serialize.matrix_to_grid(v.f0),
-              "f1": serialize.matrix_to_grid(v.f1)},
+        "u": serialize.map_to_doc(u),
+        "v": serialize.map_to_doc(v),
     }
     _emit(doc, args.format)
     return OK

@@ -22,7 +22,8 @@ Hom and tensor blocks are flattened column-major (domain index outer),
 matching :func:`periodica.matrix.RMatrix.vec` and ``kron``.  The Hom-complex
 differentials are assembled entry by entry, each signed entry of d_Y and
 d_X^T placed at its index; the Kronecker/block formula they equal is kept
-as the reference in the tests.
+as the reference in the tests.  The same writer also assembles the
+triangle-comparison system of :func:`periodica.artheory.verify_triangle`.
 """
 
 from __future__ import annotations
@@ -419,12 +420,6 @@ def cone(f: ChainMap2):
                         RMatrix.zeros(field, x.r0, y.r1)]])
     v = ChainMap2(c, sx, v0, v1)
     return c, u, v
-
-
-def strict_triangle(f: ChainMap2) -> Triangle:
-    """The strict triangle X -> Y -> cone(f) -> X[1] on a chain map."""
-    c, u, v = cone(f)
-    return Triangle(n=f.src, e=f.dst, m=c, f=f, g=u, h=v)
 
 
 def cohomology(x: TwoPeriodicComplex):

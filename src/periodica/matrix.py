@@ -62,21 +62,10 @@ class RMatrix:
         z = zero(field)
         return RMatrix(field, rows, cols, (z,) * (rows * cols))
 
-    @staticmethod
-    def diagonal(field: FieldSpec, rows: int, cols: int,
-                 diag: Sequence[LocalElem]) -> "RMatrix":
-        z = zero(field)
-        return RMatrix.build(
-            field, rows, cols,
-            lambda i, j: diag[i] if i == j and i < len(diag) else z)
-
     # -- access -------------------------------------------------------------
 
     def at(self, i: int, j: int) -> LocalElem:
         return self.entries[i * self.cols + j]
-
-    def __getitem__(self, ij: tuple) -> LocalElem:
-        return self.at(*ij)
 
     def to_grid(self) -> Grid:
         c = self.cols

@@ -224,9 +224,7 @@ def trivial_contraction(w: TwoPeriodicComplex) -> Homotopy2:
     # standard contraction: s = identity in both degrees works for either type
     s_t = Homotopy2(t, t, RMatrix.identity(field, t.r0),
                     RMatrix.identity(field, t.r1))
-    b0, b1 = s_t.boundary()
-    ident = identity_map(t)
-    if (b0 - ident.f0).first_nonzero() or (b1 - ident.f1).first_nonzero():
+    if not s_t.witnesses(identity_map(t)):
         raise PeriodicaError("standard contraction failed (internal error)")
     s0 = split.into.f1 @ s_t.s0 @ split.back.f0
     s1 = split.into.f0 @ s_t.s1 @ split.back.f1

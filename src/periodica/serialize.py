@@ -83,12 +83,14 @@ def _field_of(doc: dict, expect: Optional[FieldSpec]) -> FieldSpec:
     return field
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: not a float, string or bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _ranks(doc: dict) -> tuple[int, int]:
-    try:
-        r0, r1 = int(doc["r0"]), int(doc["r1"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("$.r0/$.r1: nonnegative integers required") from None
-    if r0 < 0 or r1 < 0:
+    r0, r1 = doc.get("r0"), doc.get("r1")
+    if not (_is_int(r0) and _is_int(r1)) or r0 < 0 or r1 < 0:
         raise ParseError("$.r0/$.r1: nonnegative integers required")
     return r0, r1
 
@@ -111,12 +113,16 @@ def parse_complex_doc(doc, expect_field: Optional[FieldSpec] = None
 # -- chain maps ---------------------------------------------------------------
 
 
+def map_to_doc(f: ChainMap2) -> dict:
+    """The components of a chain map, without its endpoints."""
+    return {"f0": matrix_to_grid(f.f0), "f1": matrix_to_grid(f.f1)}
+
+
 def chain_map_to_doc(f: ChainMap2) -> dict:
     return {
         "src": complex_to_doc(f.src),
         "dst": complex_to_doc(f.dst),
-        "f0": matrix_to_grid(f.f0),
-        "f1": matrix_to_grid(f.f1),
+        **map_to_doc(f),
     }
 
 
@@ -194,8 +200,11 @@ def parse_multiset(doc) -> IndecompMultiset:
     labs = []
     for i, item in enumerate(doc):
         try:
-            labs.extend([label(int(item["j"]), bool(item["shifted"]))]
-                        * int(item.get("mult", 1)))
+            j, shifted, mult = item["j"], item["shifted"], item.get("mult", 1)
+            if not (_is_int(j) and isinstance(shifted, bool) and _is_int(mult)
+                    and mult >= 1):
+                raise ValueError
+            labs.extend([label(j, shifted)] * mult)
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"$[{i}]: bad multiset entry") from None
     return IndecompMultiset.from_labels(labs)
@@ -209,10 +218,7 @@ def hom_module_to_doc(hm: HomModule) -> dict:
     return {
         "factors": list(hm.factors),
         "free_rank": hm.free_rank,
-        "generators": [
-            {"f0": matrix_to_grid(g.f0), "f1": matrix_to_grid(g.f1)}
-            for g in hm.generators
-        ],
+        "generators": [map_to_doc(g) for g in hm.generators],
     }
 
 
@@ -220,10 +226,8 @@ def split_to_doc(s: SplitResult) -> dict:
     return {
         "minimal": complex_to_doc(s.minimal),
         "trivials": {"type1": s.type1, "type2": s.type2},
-        "into": {"f0": matrix_to_grid(s.into.f0),
-                 "f1": matrix_to_grid(s.into.f1)},
-        "back": {"f0": matrix_to_grid(s.back.f0),
-                 "f1": matrix_to_grid(s.back.f1)},
+        "into": map_to_doc(s.into),
+        "back": map_to_doc(s.back),
     }
 
 
@@ -232,9 +236,9 @@ def triangle_to_doc(t: Triangle) -> dict:
         "N": complex_to_doc(t.n),
         "E": complex_to_doc(t.e),
         "M": complex_to_doc(t.m),
-        "f": {"f0": matrix_to_grid(t.f.f0), "f1": matrix_to_grid(t.f.f1)},
-        "g": {"f0": matrix_to_grid(t.g.f0), "f1": matrix_to_grid(t.g.f1)},
-        "h": {"f0": matrix_to_grid(t.h.f0), "f1": matrix_to_grid(t.h.f1)},
+        "f": map_to_doc(t.f),
+        "g": map_to_doc(t.g),
+        "h": map_to_doc(t.h),
     }
 
 

@@ -89,6 +89,24 @@ def test_multiset_doc_roundtrip():
     assert parse_multiset(multiset_to_list(m)) == m
 
 
+@pytest.mark.parametrize("item", [
+    {"j": 2, "shifted": "false"},
+    {"j": 2, "shifted": 0},
+    {"j": 2.9, "shifted": False},
+    {"j": "2", "shifted": False},
+    {"j": True, "shifted": False},
+    {"j": 0, "shifted": False},
+    {"j": 2, "shifted": False, "mult": 0},
+    {"j": 2, "shifted": False, "mult": -1},
+    {"j": 2, "shifted": False, "mult": 1.0},
+    {"shifted": False},
+    [2, False],
+])
+def test_parse_multiset_rejects_malformed_entry(item):
+    with pytest.raises(ParseError, match=r"^\$\[1\]: bad multiset entry$"):
+        parse_multiset([{"j": 1, "shifted": True}, item])
+
+
 def test_quasi_doc_roundtrip(rng):
     from periodica.rand import random_quasi_periodic
     q, _ = random_quasi_periodic(rng, Q)
@@ -288,7 +306,8 @@ def test_cli_strictify(tmp_path):
     assert len(out["window"]) == 7
 
 
-@pytest.mark.parametrize("r0, r1", [(-1, 0), (0, -1)])
+@pytest.mark.parametrize("r0, r1", [(-1, 0), (0, -1), (2.7, 0), (0, 1.0),
+                                    ("0", 0), (False, 0), (0, None)])
 def test_cli_strictify_rejects_negative_rank(tmp_path, r0, r1):
     doc = {"field": "Q", "r0": r0, "r1": r1,
            "alpha0": [], "alpha1": [[]], "phi0": [[]], "phi1": []}
