@@ -18,6 +18,7 @@ Both stages are ``smith.smith_sweep`` runs over one
 ``smith.TrackedBasis`` per degree of the minimal model (the second
 sweep starts at the rank of the first), and the closing sign flip is a
 scaling of the same basis, so the certificates are the bases' p and q.
+As in ``minimal``, one product per degree (p q = I) proves the pair.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Iterable
 from .complexes import (
     ChainMap2,
     TwoPeriodicComplex,
-    compose,
     direct_sum,
     shift,
     zero_complex,
@@ -194,12 +194,11 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     p1, q1 = b1.matrices()
     to_blocks = ChainMap2(m, blocksum, p0, p1)
     from_blocks = ChainMap2(blocksum, m, q0, q1)
-    comp = compose(to_blocks, from_blocks)
-    if not (comp.f0 == RMatrix.identity(field, n)
-            and comp.f1 == RMatrix.identity(field, n)):
+    ident = RMatrix.identity(field, n)
+    if p0 @ q0 != ident or p1 @ q1 != ident:
         raise PeriodicaError("decompose certificates do not compose to identity")
 
-    # cohomology cross-check against the label multiset
+    # cohomology cross-check; reduce(x) has checked that x is a complex
     h0 = _homology_invariants(x.d0, x.d1, s0)
     h1 = _homology_invariants(x.d1, x.d0, s1)
     if h0.length() != ms.h0_length() or h1.length() != ms.h1_length():

@@ -53,6 +53,8 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(doc, fmt: str, text_renderer=None) -> None:

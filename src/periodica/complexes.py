@@ -23,7 +23,7 @@ matching :func:`periodica.matrix.RMatrix.vec` and ``kron``.  The Hom-complex
 differentials are assembled entry by entry, each signed entry of d_Y and
 d_X^T placed at its index; the Kronecker/block formula they equal is kept
 as the reference in the tests.  The same writer also assembles the
-triangle-comparison system of :func:`periodica.artheory.verify_triangle`.
+tensor product and the triangle-comparison system of ``verify_triangle``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import smith
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .localring import LocalElem, format_element, zero
-from .matrix import RMatrix, block, block_diag, commutation_matrix, kron, vstack
+from .matrix import RMatrix, block, block_diag, commutation_matrix, vstack
 from .smith import homology_invariants, solve_over_ring
 
 
@@ -290,33 +291,6 @@ def direct_sum(*xs: TwoPeriodicComplex) -> TwoPeriodicComplex:
                               sum(x.r1 for x in xs), d0, d1)
 
 
-def _tensor_blocks(x: TwoPeriodicComplex, y: TwoPeriodicComplex):
-    field = x.field
-    i_x0 = RMatrix.identity(field, x.r0)
-    i_x1 = RMatrix.identity(field, x.r1)
-    i_y0 = RMatrix.identity(field, y.r0)
-    i_y1 = RMatrix.identity(field, y.r1)
-    # degree 0 basis: (X0 (x) Y0) + (X1 (x) Y1); degree 1: (X0 (x) Y1) + (X1 (x) Y0)
-    d0 = block(field, [
-        [kron(i_x0, y.d0), kron(x.d1, i_y1)],
-        [kron(x.d0, i_y0), -kron(i_x1, y.d1)],
-    ])
-    d1 = block(field, [
-        [kron(i_x0, y.d1), kron(x.d1, i_y0)],
-        [kron(x.d0, i_y1), -kron(i_x1, y.d0)],
-    ])
-    return d0, d1
-
-
-def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
-    """2-periodic tensor product with Koszul signs, X-index outer."""
-    if x.field != y.field:
-        raise FieldMismatchError("tensor over different fields")
-    d0, d1 = _tensor_blocks(x, y)
-    return _checked(TwoPeriodicComplex(
-        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1))
-
-
 def _hom_differential(x: TwoPeriodicComplex, a: RMatrix, d: RMatrix,
                       negate: bool) -> RMatrix:
     """The block matrix [[I_X0 (x) a, +-d0_X^T (x) I], [+-d1_X^T (x) I,
@@ -367,6 +341,23 @@ def homc(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
     if x.field != y.field:
         raise FieldMismatchError("Hom over different fields")
     d0, d1 = _homc_blocks(x, y)
+    return _checked(TwoPeriodicComplex(
+        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1))
+
+
+def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
+    """2-periodic tensor product with Koszul signs, X-index outer: the
+    differentials of Hom(X*, Y) with the degree-1 summand X1 (x) Y0
+    negated (rows of d0, columns of d1 from x.r0 * y.r1 on)."""
+    if x.field != y.field:
+        raise FieldMismatchError("tensor over different fields")
+    h0, h1 = _homc_blocks(dual(x), y)
+    cut = x.r0 * y.r1
+    e0 = h0.entries
+    d0 = RMatrix(x.field, h0.rows, h0.cols, e0[:cut * h0.cols]
+                 + tuple(-e for e in e0[cut * h0.cols:]))
+    d1 = RMatrix(x.field, h1.rows, h1.cols, tuple(
+        -e if k % h1.cols >= cut else e for k, e in enumerate(h1.entries)))
     return _checked(TwoPeriodicComplex(
         x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1))
 
@@ -453,8 +444,8 @@ def homotopic(f: ChainMap2, g: ChainMap2) -> Optional[Homotopy2]:
 def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> HomModule:
     """H0 of the Hom complex: Hom in the homotopy category, with each
     generator unflattened into an honest (re-validated) chain map."""
-    h = homc(x, y)
-    pres = homology_invariants(h.d0, h.d1)
+    h = homc(x, y)  # validates d0 d1 = 0, the precondition below
+    pres = smith._homology_invariants(h.d0, h.d1, smith.smith_normal_form(h.d0))
     n0 = x.r0 * y.r0
     gens = []
     for col in pres.generators:

@@ -232,17 +232,21 @@ _TERM_RE = re.compile(
 
 
 def _strip_outer_parens(s: str) -> str:
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    return s
-        s = s[1:-1]
-    return s
+    """Drop the k outer pairs whose "(" closes at the matching ")" or not
+    at all; the matches come from one pass, so the cost is linear."""
+    if not (s.startswith("(") and s.endswith(")")):
+        return s
+    match, opened = {}, []
+    for i, ch in enumerate(s):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")" and opened:
+            match[opened.pop()] = i
+    n, k = len(s), 0
+    while (k < n - 1 - k and s[k] == "(" and s[n - 1 - k] == ")"
+           and match.get(k, n) >= n - 1 - k):
+        k += 1
+    return s[k:n - k]
 
 
 def _split_fraction(s: str) -> tuple[str, str | None]:

@@ -11,6 +11,10 @@ d1 as codomain and d0 as domain, F1 the reverse), whose p and q are
 the certificates: the result carries mutually inverse isomorphisms, not
 just an assertion.
 
+One product per degree proves a certificate pair: both chain maps are
+verified on construction, and q p = I in each degree makes them mutually
+inverse (p, q square over a commutative ring, so p q = I follows).
+
 Pivot policy: the unit entry of smallest (row, col) in d1 first, then in
 d0 — reductions are deterministic.
 """
@@ -24,7 +28,6 @@ from .complexes import (
     ChainMap2,
     Homotopy2,
     TwoPeriodicComplex,
-    compose,
     direct_sum,
     identity_map,
     validate_complex,
@@ -184,8 +187,9 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
 
     into = ChainMap2(blocksum, x, q0_m, q1_m)
     back = ChainMap2(x, blocksum, p0_m, p1_m)
-    _assert_identity(compose(into, back), x.r0, x.r1)
-    _assert_identity(compose(back, into), x.r0, x.r1)
+    if (q0_m @ p0_m != RMatrix.identity(field, r0)
+            or q1_m @ p1_m != RMatrix.identity(field, r1)):
+        raise PeriodicaError("split certificates do not compose to identity")
     trivials = (TrivialSummand(TrivialType.TYPE1, len(t1)),
                 TrivialSummand(TrivialType.TYPE2, len(t2)))
     return SplitResult(minimal, trivials, into, back)
@@ -202,32 +206,20 @@ def _assert_cleared(other, col, row):
                                  f"({row}, {m}): {format_element(e)}")
 
 
-def _assert_identity(f: ChainMap2, r0: int, r1: int) -> None:
-    field = f.src.field
-    if (f.f0 != RMatrix.identity(field, r0)
-            or f.f1 != RMatrix.identity(field, r1)):
-        raise PeriodicaError("split certificates do not compose to identity")
-
-
 def trivial_contraction(w: TwoPeriodicComplex) -> Homotopy2:
     """Homotopy witnessing id_W ~ 0 for a sum of trivial complexes.
 
     The witness for a standard block is transported through the exact
     splitting isomorphisms, so any complex whose reduction has no minimal
-    part is accepted; everything else raises NotTrivialError.
+    part is accepted; everything else raises NotTrivialError.  The standard
+    contraction s = 1 gets no check of its own: d h + h d = into (d s + s d)
+    back, which the final re-verification tests.
     """
     split = reduce(w)
     if split.minimal.total_rank != 0:
         raise NotTrivialError("complex has a nonzero minimal part")
-    t = split.block_sum
-    field = w.field
-    # standard contraction: s = identity in both degrees works for either type
-    s_t = Homotopy2(t, t, RMatrix.identity(field, t.r0),
-                    RMatrix.identity(field, t.r1))
-    if not s_t.witnesses(identity_map(t)):
-        raise PeriodicaError("standard contraction failed (internal error)")
-    s0 = split.into.f1 @ s_t.s0 @ split.back.f0
-    s1 = split.into.f0 @ s_t.s1 @ split.back.f1
+    s0 = split.into.f1 @ split.back.f0
+    s1 = split.into.f0 @ split.back.f1
     h = Homotopy2(w, w, s0, s1)
     if not h.witnesses(identity_map(w)):
         raise PeriodicaError("transported contraction failed re-verification")

@@ -245,22 +245,25 @@ class SubquotientModule:
 def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     """Invariant factors of ker(a)/im(b) with lifted generators.
 
-    Requires a @ b = 0.  The kernel of ``a`` is the free summand spanned
-    by the trailing columns of v (from u a v = d); the image of ``b`` is
-    rewritten in those coordinates and reduced by a second Smith form.
+    Requires a @ b = 0 (checked).  The kernel of ``a`` is the free summand
+    spanned by the trailing columns of v (from u a v = d); the image of
+    ``b`` is rewritten in those coordinates and reduced by a second Smith
+    form.
     """
-    return _homology_invariants(a, b, smith_normal_form(a))
-
-
-def _homology_invariants(a: RMatrix, b: RMatrix,
-                         s: SmithForm) -> SubquotientModule:
-    """:func:`homology_invariants` with the Smith form s of ``a`` given."""
     if a.cols != b.rows:
         raise DimensionMismatchError("ker/im dimensions incompatible")
     prod = a @ b
     if not prod.is_zero():
         i, j = prod.first_nonzero()
         raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
+    return _homology_invariants(a, b, smith_normal_form(a))
+
+
+def _homology_invariants(a: RMatrix, b: RMatrix,
+                         s: SmithForm) -> SubquotientModule:
+    """:func:`homology_invariants` with the Smith form s of ``a`` given,
+    for callers that have just verified a @ b = 0 (``hom_module`` in
+    ``homc``, ``decompose`` in ``reduce``); it is not checked again."""
     r = s.rank
     n = a.cols
     kdim = n - r

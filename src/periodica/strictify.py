@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .complexes import TwoPeriodicComplex, validate_complex
+from .complexes import TwoPeriodicComplex
 from .errors import (
     DimensionMismatchError,
     NotAComplexError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .matrix import RMatrix
-from .minimal import is_minimal
 from .smith import invert, is_invertible
 
 
@@ -57,98 +56,74 @@ class QuasiPeriodicData:
             raise DimensionMismatchError("phi1 must be r1 x r1")
 
 
-def _validated_inverses(q: QuasiPeriodicData):
+def _validated_periods(q: QuasiPeriodicData):
+    """phi = (phi0, phi1) and phi^-1, indexed by parity, after checking
+    all the strictified complex needs: d0 d1 = alpha0 phi0^-1 alpha1,
+    d1 d0 = (alpha1 alpha0) phi0^-1, and d0 = alpha0 phi0^-1 lies in the
+    maximal ideal when alpha0 does."""
     try:
-        inv0 = invert(q.phi0)
-        inv1 = invert(q.phi1)
+        inv = (invert(q.phi0), invert(q.phi1))
     except NotInvertibleError:
         raise NotInvertibleError(
             "phi components must be invertible over R") from None
     if not (q.alpha1 @ q.alpha0).is_zero():
         raise NotAComplexError("alpha1 alpha0 != 0")
-    if not (q.alpha0 @ inv0 @ q.alpha1).is_zero():
+    if not (q.alpha0 @ inv[0] @ q.alpha1).is_zero():
         raise NotAComplexError("alpha0 phi0^-1 alpha1 != 0")
     if not (q.alpha0.all_entries_in_maximal_ideal()
             and q.alpha1.all_entries_in_maximal_ideal()):
         raise NotMinimalError("alpha entries must lie in the maximal ideal")
-    return inv0, inv1
+    return (q.phi0, q.phi1), inv
 
 
 def strictify(q: QuasiPeriodicData) -> TwoPeriodicComplex:
     """The 2-periodic complex with d1 = alpha1 and d0 = alpha0 phi0^-1."""
-    inv0, _ = _validated_inverses(q)
-    return _strictified(q, inv0)
-
-
-def _strictified(q: QuasiPeriodicData, inv0: RMatrix) -> TwoPeriodicComplex:
-    d0 = q.alpha0 @ inv0
-    x = TwoPeriodicComplex(q.field, q.r0, q.r1, d0, q.alpha1)
-    if validate_complex(x) is not None:
-        raise NotAComplexError("strictified differentials do not square to zero")
-    if not is_minimal(x):
-        raise NotMinimalError("strictified complex is not minimal")
-    return x
-
-
-def _ambient(q: QuasiPeriodicData, n: int, inv0: RMatrix,
-             inv1: RMatrix) -> RMatrix:
-    def phi(i: int) -> RMatrix:
-        return q.phi0 if i % 2 == 0 else q.phi1
-
-    def phi_inv(i: int) -> RMatrix:
-        return inv0 if i % 2 == 0 else inv1
-
-    a = q.alpha0 if n % 2 == 0 else q.alpha1
-    i = n % 2
-    while i < n:
-        a = phi(i + 1) @ a @ phi_inv(i)
-        i += 2
-    while i > n:
-        a = phi_inv(i - 1) @ a @ phi(i - 2)
-        i -= 2
-    return a
+    _, inv = _validated_periods(q)
+    return TwoPeriodicComplex(q.field, q.r0, q.r1, q.alpha0 @ inv[0], q.alpha1)
 
 
 def ambient_differential(q: QuasiPeriodicData, n: int) -> RMatrix:
-    """alpha^n of the ambient complex generated by period-2 conjugation."""
-    inv0, inv1 = _validated_inverses(q)
-    return _ambient(q, n, inv0, inv1)
+    """alpha^n of the ambient complex generated by period-2 conjugation,
+    computed from alpha0 or alpha1 on its own."""
+    phi, inv = _validated_periods(q)
+    a = q.alpha0 if n % 2 == 0 else q.alpha1
+    i = n % 2
+    while i < n:
+        a = phi[(i + 1) % 2] @ a @ inv[i % 2]
+        i += 2
+    while i > n:
+        a = inv[(i - 1) % 2] @ a @ phi[i % 2]
+        i -= 2
+    return a
 
 
 def window_chain_map(q: QuasiPeriodicData, radius: int = 10) -> Dict[int, RMatrix]:
     """Comparison maps f_n, |n| <= radius, with the chain-map identity
     alpha^(n-1) f_(n-1) = f_n d^(n-1) verified exactly at every window
     position (one extra f below the window supports the boundary check).
-    Every f_n is invertible over R."""
+    Every f_n is invertible over R.
+
+    One recursion each way builds f and the ambient differentials:
+    upward f_n = phi(n-2) f_(n-2) and alpha^m = phi(m-1) alpha^(m-2)
+    phi(m-2)^-1, downward f_n = phi(n)^-1 f_(n+2) and
+    alpha^m = phi(m+1)^-1 alpha^(m+2) phi(m)."""
     if radius < 1:
         raise ValueError("window radius must be >= 1")
-    inv0, inv1 = _validated_inverses(q)
-    x = _strictified(q, inv0)
-    field = q.field
-
-    def phi(i: int) -> RMatrix:
-        return q.phi0 if i % 2 == 0 else q.phi1
-
-    def phi_inv(i: int) -> RMatrix:
-        return inv0 if i % 2 == 0 else inv1
-
-    f: Dict[int, RMatrix] = {
-        0: inv0,
-        1: RMatrix.identity(field, q.r1),
-        2: RMatrix.identity(field, q.r0),
-    }
+    phi, inv = _validated_periods(q)
+    strict = (q.alpha0 @ inv[0], q.alpha1)
+    f = {0: inv[0], 1: RMatrix.identity(q.field, q.r1),
+         2: RMatrix.identity(q.field, q.r0)}
+    alpha = {0: q.alpha0, 1: q.alpha1}
     for n in range(3, radius + 1):
-        f[n] = phi(n - 2) @ f[n - 2]
+        f[n] = phi[n % 2] @ f[n - 2]
+    for m in range(2, radius):
+        alpha[m] = phi[(m - 1) % 2] @ alpha[m - 2] @ inv[m % 2]
     for n in range(-1, -radius - 2, -1):
-        f[n] = phi_inv(n) @ f[n + 2]
-
-    def strict_diff(n: int) -> RMatrix:
-        return x.d0 if n % 2 == 0 else x.d1
+        f[n] = inv[n % 2] @ f[n + 2]
+        alpha[n] = inv[(n + 1) % 2] @ alpha[n + 2] @ phi[n % 2]
 
     for n in range(-radius, radius + 1):
-        lhs = _ambient(q, n - 1, inv0, inv1) @ f[n - 1]
-        rhs = f[n] @ strict_diff(n - 1)
-        if not (lhs - rhs).is_zero():
+        if alpha[n - 1] @ f[n - 1] != f[n] @ strict[(n - 1) % 2]:
             raise PeriodicaError(f"window chain-map identity fails at n = {n}")
     for n in range(-radius, radius + 1):
         if not is_invertible(f[n]):

@@ -1,15 +1,19 @@
 """Classification: K(j) construction, finite-length detection, decompose
 round trips with certificates, and homotopy-isomorphism decisions."""
 
+from random import Random
+
 import pytest
 
-from thelpers import mat
+from thelpers import mat, scale_inverse_certificates
 
 from periodica import (
     FieldSpec,
+    NotAComplexError,
     NotFiniteLengthError,
     RMatrix,
     TrivialType,
+    TwoPeriodicComplex,
     cohomology,
     compose,
     direct_sum,
@@ -23,6 +27,7 @@ from periodica import (
     x_power,
     zero_complex,
 )
+from periodica import classify
 from periodica.classify import (
     _assert_split,
     IndecompMultiset,
@@ -165,3 +170,30 @@ def test_assert_split_names_the_entry(planted):
     assert str(exc.value) == (
         f"even differential does not respect the split at ({i}, {j}): "
         "x^2/(1 + x)")
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
+    field = FieldSpec.from_label(label_)
+    x, _, _ = random_finite_length_instance(Random(7), field, max_labels=2,
+                                            max_j=2, max_trivials=2)
+    real_reduce = classify.reduce
+
+    def reduce_then_scale(y):
+        split = real_reduce(y)  # reduce's own certificates stay unscaled
+        scale_inverse_certificates(monkeypatch)
+        return split
+
+    monkeypatch.setattr(classify, "reduce", reduce_then_scale)
+    with pytest.raises(PeriodicaError) as exc:
+        decompose(x)
+    assert str(exc.value) == "decompose certificates do not compose to identity"
+
+
+def test_decompose_rejects_non_complex():
+    # rank d0 + rank d1 = 2 = r0 passes the finite-length test, but
+    # d1 d0 = d0 d1 = diag(1, 0)
+    d = mat(Q, 2, 2, [["1", "0"], ["0", "0"]])
+    with pytest.raises(NotAComplexError) as exc:
+        decompose(TwoPeriodicComplex(Q, 2, 2, d, d))
+    assert str(exc.value) == "input differentials do not square to zero"

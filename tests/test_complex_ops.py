@@ -16,6 +16,7 @@ from periodica import (
     FieldMismatchError,
     FieldSpec,
     InvalidChainMapError,
+    NotAComplexError,
     RMatrix,
     TwoPeriodicComplex,
     cohomology,
@@ -43,7 +44,7 @@ from periodica import (
     zero_complex,
     zero_map,
 )
-from periodica.classify import decompose, label, IndecompMultiset
+from periodica.classify import decompose, label, IndecompMultiset, model_complex
 from periodica.complexes import _homc_blocks
 from periodica.matrix import block, kron
 from periodica.minimal import TrivialType, reduce, trivial_complex
@@ -229,6 +230,68 @@ def test_homc_blocks_match_kron_formula(label_, ranks, seed):
     x = _random_pair(rng, field, *ranks[:2])
     y = _random_pair(rng, field, *ranks[2:])
     assert _homc_blocks(x, y) == _homc_blocks_by_kron(x, y)
+
+
+def _tensor_by_kron(x, y):
+    """Reference: the tensor differentials as Kronecker products of
+    identities with the differentials, assembled blockwise."""
+    field = x.field
+    i_x0 = RMatrix.identity(field, x.r0)
+    i_x1 = RMatrix.identity(field, x.r1)
+    i_y0 = RMatrix.identity(field, y.r0)
+    i_y1 = RMatrix.identity(field, y.r1)
+    # degree 0: (X0 (x) Y0) + (X1 (x) Y1); degree 1: (X0 (x) Y1) + (X1 (x) Y0)
+    d0 = block(field, [
+        [kron(i_x0, y.d0), kron(x.d1, i_y1)],
+        [kron(x.d0, i_y0), -kron(i_x1, y.d1)],
+    ])
+    d1 = block(field, [
+        [kron(i_x0, y.d1), kron(x.d1, i_y0)],
+        [kron(x.d0, i_y1), -kron(i_x1, y.d0)],
+    ])
+    return d0, d1
+
+
+def _random_complex(rng, field, r0, r1):
+    """A conjugated complex of ranks (r0, r1): rank-(1, 1) summands K(j),
+    K(j)[1] or trivial, and zero differentials on the rest."""
+    c = rng.randint(0, min(r0, r1))
+    parts = []
+    for _ in range(c):
+        kind = rng.randrange(3)
+        if kind:
+            parts.append(trivial_complex(TrivialType(kind), 1, field))
+        else:
+            lab = label(rng.randint(1, 3), shifted=rng.random() < 0.5)
+            parts.append(model_complex(lab, field))
+    parts.append(TwoPeriodicComplex(
+        field, r0 - c, r1 - c, RMatrix.zeros(field, r1 - c, r0 - c),
+        RMatrix.zeros(field, r0 - c, r1 - c)))
+    return conjugate_complex(rng, direct_sum(*parts), max_val=2)[0]
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=30, deadline=None)
+@given(ranks=st.tuples(*[st.integers(0, 3)] * 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(ranks=(0, 2, 3, 0), seed=1)
+@example(ranks=(2, 1, 1, 3), seed=2)
+@example(ranks=(0, 0, 2, 2), seed=3)
+def test_tensor_matches_kron_formula(label_, ranks, seed):
+    field = FieldSpec.from_label(label_)
+    rng = random.Random(seed)
+    x = _random_complex(rng, field, *ranks[:2])
+    y = _random_complex(rng, field, *ranks[2:])
+    t = tensor2(x, y)
+    assert (t.d0, t.d1) == _tensor_by_kron(x, y)
+
+
+def test_hom_module_rejects_non_complex():
+    # d1 d0 = d0 d1 = diag(1, 0) != 0, so Hom(X, X) is no complex either
+    d = mat(Q, 2, 2, [["1", "0"], ["0", "0"]])
+    x = TwoPeriodicComplex(Q, 2, 2, d, d)
+    with pytest.raises(NotAComplexError):
+        hom_module(x, x)
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3"])

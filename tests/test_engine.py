@@ -4,7 +4,9 @@ Random swap/scale/add sequences must keep p and q mutually inverse and
 act on attached grids exactly as the product of the explicit elementary
 matrices does.  The golden files under ``golden/`` hold the CLI JSON of
 ``reduce``, ``decompose`` and ``hom`` from before the elimination code
-was unified; the output must stay byte for byte the same.
+was unified, and of ``tensor`` and ``strictify --window 6`` from before
+the tensor product was written through the Hom-complex writer; the
+output must stay byte for byte the same.
 """
 
 import json
@@ -91,3 +93,15 @@ def test_golden_certificates(name, command, capsys):
     assert main([command, *operands, "--field", field, "--format", "json"]) == 0
     expected = (GOLDEN / f"{name}.{command}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["tensor", "q_tensor_lhs.json", "q_tensor_rhs.json"],
+     "q_tensor_lhs.tensor.json"),
+    (["strictify", "q_quasi.json", "--window", "6"],
+     "q_quasi.strictify-window6.json"),
+])
+def test_golden_tensor_and_strictify(argv, expected, capsys):
+    args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    assert main([*args, "--field", "Q", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()

@@ -209,6 +209,27 @@ def test_cli_exponent_budget(tmp_path):
     assert "$.d1[0][0]" in r.stderr
 
 
+def test_cli_deeply_nested_json(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    (tmp_path / "map.json").write_text(json.dumps(
+        {"src": "deep.json", "dst": "deep.json", "f0": [], "f1": []}))
+    for argv in (["validate", str(deep)], ["hom", str(deep), str(deep)],
+                 ["homotopic", str(tmp_path / "map.json")]):
+        r = run_cli(*argv, timeout=20)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == f"error: {deep}: JSON nested too deeply\n"
+
+
+def test_cli_deeply_parenthesised_entry(tmp_path):
+    n = 30000
+    p = tmp_path / "parens.json"
+    p.write_text(json.dumps({"field": "Q", "r0": 1, "r1": 1, "d0": [["0"]],
+                             "d1": [["(" * n + "x" + ")" * n]]}))
+    r = run_cli("validate", str(p), timeout=20)
+    assert r.returncode == 0, r.stderr
+
+
 def test_cli_quiver_dot_and_exit():
     r = run_cli("quiver", "--max", "3", "--format", "dot")
     assert r.returncode == 0

@@ -23,7 +23,7 @@ from periodica import (
     x_shift,
     zero,
 )
-from periodica import poly
+from periodica import localring, poly
 from periodica.fields import MAX_CHARACTERISTIC, _is_prime
 
 Q = FieldSpec.rationals()
@@ -100,6 +100,47 @@ def test_parse_rejects_garbage():
     for bad in ("", "x^", "y", "1 + + x", "x**2", "x^10001", "x^" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_element(Q, bad)
+
+
+def _strip_outer_parens_reference(s):
+    """The former stripping loop: rescans the string once per pair."""
+    while s.startswith("(") and s.endswith(")"):
+        depth = 0
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and i != len(s) - 1:
+                    return s
+        s = s[1:-1]
+    return s
+
+
+def _parse_outcome(text):
+    try:
+        return parse_element(Q, text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="()x+1/^2", max_size=14))
+def test_strip_outer_parens_matches_reference(text):
+    assert (localring._strip_outer_parens(text)
+            == _strip_outer_parens_reference(text))
+    new = _parse_outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localring, "_strip_outer_parens",
+                   _strip_outer_parens_reference)
+        assert _parse_outcome(text) == new
+
+
+def test_parse_deep_parentheses_linear():
+    n = 30000
+    assert parse_element(Q, "(" * n + "x" + ")" * n) == q("x")
+    with pytest.raises(ParseError, match="unexpected parentheses"):
+        parse_element(Q, "(" * n + "x" + ")" * (n - 1))
 
 
 def test_parse_exponent_limit():

@@ -1,15 +1,18 @@
 """Minimality, the splitting into minimal + trivial summands, and the
 contraction witnesses."""
 
+from random import Random
+
 import pytest
 
-from thelpers import mat
+from thelpers import mat, scale_inverse_certificates
 
 from periodica import (
     FieldSpec,
     NotTrivialError,
     RMatrix,
     TrivialType,
+    TwoPeriodicComplex,
     direct_sum,
     dual,
     identity_map,
@@ -175,3 +178,27 @@ def test_assert_cleared_names_the_entry(planted, message):
     with pytest.raises(PeriodicaError) as exc:
         _assert_cleared(grid, col=1, row=1)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_reduce_rejects_scaled_inverse_certificate(label_, monkeypatch):
+    field = FieldSpec.from_label(label_)
+    x, _, _ = random_finite_length_instance(Random(7), field, max_labels=2,
+                                            max_j=2, max_trivials=2)
+    reduce(x)
+    scale_inverse_certificates(monkeypatch)
+    with pytest.raises(PeriodicaError) as exc:
+        reduce(x)
+    assert str(exc.value) == "split certificates do not compose to identity"
+
+
+@pytest.mark.parametrize("call", [0, 1])
+def test_reduce_checks_the_identity_in_each_degree(call, monkeypatch):
+    # with zero differentials any (q0, q1) is a chain map, so scaling the
+    # inverse in one degree (b0 is read first, then b1) is left to q p = I
+    x = TwoPeriodicComplex(Q, 2, 3, RMatrix.zeros(Q, 3, 2),
+                           RMatrix.zeros(Q, 2, 3))
+    scale_inverse_certificates(monkeypatch, calls=(call,))
+    with pytest.raises(PeriodicaError) as exc:
+        reduce(x)
+    assert str(exc.value) == "split certificates do not compose to identity"

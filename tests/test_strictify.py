@@ -1,5 +1,7 @@
 """Strictification of quasi-periodic data and the window comparison maps."""
 
+from random import Random
+
 import pytest
 
 from thelpers import mat
@@ -7,6 +9,7 @@ from thelpers import mat
 from periodica import (
     FieldSpec,
     NotAComplexError,
+    NotMinimalError,
     QuasiPeriodicData,
     RMatrix,
     ambient_differential,
@@ -109,3 +112,46 @@ def test_random_quasi_periodic_prime_field(rng):
         q, expected = random_quasi_periodic(rng, f101)
         assert strictify(q) == expected
         window_chain_map(q, radius=3)
+
+
+def test_strictify_rejects_unit_alpha0():
+    # alpha1 alpha0 = 0 and alpha0 phi0^-1 alpha1 = 0, but alpha0 is a unit
+    q = QuasiPeriodicData(Q, 1, 1,
+                          alpha0=mat(Q, 1, 1, [["1"]]),
+                          alpha1=mat(Q, 1, 1, [["0"]]),
+                          phi0=mat(Q, 1, 1, [["1"]]),
+                          phi1=mat(Q, 1, 1, [["1"]]))
+    for fn in (strictify, window_chain_map):
+        with pytest.raises(NotMinimalError) as exc:
+            fn(q)
+        assert str(exc.value) == "alpha entries must lie in the maximal ideal"
+
+
+def test_window_matches_ambient_reference(rng):
+    f101 = FieldSpec.prime_field(101)
+    for field in (Q, f101):
+        q, _ = random_quasi_periodic(rng, field)
+        x = strictify(q)
+        fs = window_chain_map(q, radius=4)
+        for n in range(-3, 5):
+            strict = x.d0 if (n - 1) % 2 == 0 else x.d1
+            assert ambient_differential(q, n - 1) @ fs[n - 1] == fs[n] @ strict
+
+
+def test_window_products_grow_linearly(monkeypatch):
+    # one recursion each way: the product count is affine in the radius
+    q, _ = random_quasi_periodic(Random(5), Q)
+    real = RMatrix.__matmul__
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(RMatrix, "__matmul__", counting)
+    counts = []
+    for radius in (4, 8, 12):
+        calls[0] = 0
+        window_chain_map(q, radius=radius)
+        counts.append(calls[0])
+    assert counts[2] - counts[1] == counts[1] - counts[0]

@@ -19,3 +19,23 @@ def cx(field, r0, r1, d0_strings, d1_strings) -> TwoPeriodicComplex:
 def col(field, entries):
     ents = tuple(parse_element(field, s) for s in entries)
     return RMatrix(field, len(ents), 1, ents)
+
+
+def scale_inverse_certificates(monkeypatch, calls=(0, 1)):
+    """Make the given calls (numbered from 0) of ``TrackedBasis.matrices``
+    return (p, 2 q).  Where (q0, q1) is a chain map so is (2 q0, 2 q1),
+    so only an identity check such as q p = I can reject the pair."""
+    from periodica.localring import one
+    from periodica.smith import TrackedBasis
+
+    real = TrackedBasis.matrices
+    seen = []
+
+    def scaled(self):
+        p, q = real(self)
+        seen.append(None)
+        if len(seen) - 1 not in calls:
+            return p, q
+        return p, q.scale(one(self.field) + one(self.field))
+
+    monkeypatch.setattr(TrackedBasis, "matrices", scaled)
