@@ -27,13 +27,16 @@ from .classify import (
     IndecompMultiset,
     assemble,
     decompose,
+    decomposition_certificate,
     finite_length_cohomology,
     is_homotopy_iso,
     k_complex,
     label,
+    model_certificate,
     model_complex,
 )
 from .complexes import (
+    BlockSumCertificate,
     ChainMap2,
     ComplexViolation,
     HomModule,

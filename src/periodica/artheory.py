@@ -14,6 +14,14 @@ a test object D and the endpoint.  When D is not the endpoint every map
 is a non-isomorphism and each Hom generator is tested.  When D is the
 endpoint K(j) (or K(j)[1]), End(D) = R/x^j is local with radical x End(D),
 so the non-isomorphisms form x Hom and x g is tested for each generator g.
+
+Every Hom and null-homotopy test of the axiom checks, of ``socle_map``
+and of ``serre_length_check`` passes block-sum certificates to
+``complexes.hom_module`` / ``complexes.is_null_homotopic``, so they are
+read off labels and valuations instead of Smith forms.  N and M are
+decomposed once per triangle, and their certificates (shifted for N[1]
+and M[1]) come from those decompositions.  Each test object D, and the
+Serre image F(X), is a model block sum with the identity certificate.
 """
 
 from __future__ import annotations
@@ -24,13 +32,12 @@ from typing import List, Optional
 from .classify import (
     IndecompLabel,
     IndecompMultiset,
-    assemble,
     decompose,
-    finite_length_cohomology,
+    decomposition_certificate,
     is_homotopy_iso,
     k_complex,
     label,
-    model_complex,
+    model_certificate,
 )
 from .complexes import (
     ChainMap2,
@@ -71,9 +78,9 @@ def socle_map(i: int, field: FieldSpec) -> ChainMap2:
     module generator.  Not null-homotopic; x times it is."""
     if i < 1:
         raise ValueError("socle_map needs i >= 1")
-    src = k_complex(i, field)
-    dst = shift(k_complex(i, field))
-    hm = hom_module(src, dst)
+    src = model_certificate([label(i)], field)
+    dst = src.shifted()
+    hm = hom_module(src.complex, dst.complex, (src, dst))
     if hm.free_rank != 0 or hm.factors != (i,):
         raise PeriodicaError("Hom(K(i), K(i)[1]) is not cyclic of length i")
     return scale_map(hm.generators[0], x_power(field, i - 1))
@@ -188,39 +195,54 @@ def _family(bound: int) -> List[IndecompLabel]:
 
 
 def _multisets(t: Triangle) -> tuple:
-    """Decompositions (N, M, E) of a triangle's terms; N and M are the
-    same K(i) in an AR-triangle, and then N's is reused."""
-    n_ms = decompose(t.n).multiset
-    m_ms = n_ms if t.m == t.n else decompose(t.m).multiset
-    return n_ms, m_ms, decompose(t.e).multiset
+    """Decompositions of a triangle's terms: the multisets of N, M and E,
+    and the block-sum certificates of N, M, N[1] and M[1].  N and M are
+    the same K(i) in an AR-triangle, and then N's are reused."""
+    dn = decompose(t.n)
+    dm = dn if t.m == t.n else decompose(t.m)
+    cn = decomposition_certificate(dn)
+    cm = cn if dm is dn else decomposition_certificate(dm)
+    cn1 = cn.shifted()
+    cm1 = cn1 if cm is cn else cm.shifted()
+    return ((dn.multiset, dm.multiset, decompose(t.e).multiset),
+            (cn, cm, cn1, cm1))
 
 
-def _verify_ar(t: Triangle, bound: int, side: str, multisets: tuple) -> ARReport:
+def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
     """(AR1) endpoints indecomposable, (AR2) the connecting map c is not
     null-homotopic, (AR3) c kills every non-isomorphism between an
     endpoint and D, D running over K(j), K(j)[1] for j <= bound.
-    ``multisets`` are the decompositions of N, M and E."""
+    ``terms`` are the multisets and certificates of ``_multisets``; each
+    D carries its identity certificate, so every Hom and null-homotopy
+    here is read off labels and valuations."""
     field = t.n.field
-    n_ms, m_ms, middle = multisets
+    (n_ms, m_ms, middle), (cn, cm, cn1, cm1) = terms
     ax1 = n_ms.is_singleton() and m_ms.is_singleton()
     right = side == "right"
     # [1] is an involution, so -h[-1] = -h[1]: M[-1] -> N
     conn = t.h if right else negate_map(shift_map(t.h))
-    ax2 = is_null_homotopic(conn) is None
+    ax2 = is_null_homotopic(conn, (cm, cn1) if right else (cm1, cn)) is None
     endpoint_ms = m_ms if right else n_ms
     x = x_power(field, 1)
     family = _family(bound)
     counterexample = None
     for lab in family:
-        d = model_complex(lab, field)
-        gens = (hom_module(d, t.m) if right else hom_module(t.n, d)).generators
+        cd = model_certificate([lab], field)
+        d = cd.complex
+        if right:
+            gens = hom_module(d, t.m, (cd, cm)).generators
+        else:
+            gens = hom_module(t.n, d, (cn, cd)).generators
         # D = endpoint: End(K(j)) = R/x^j is local with radical x End, so
         # the non-isomorphisms between D and the endpoint are x Hom
         at_endpoint = endpoint_ms == IndecompMultiset.from_labels([lab])
         for idx, g in enumerate(gens):
             cand = scale_map(g, x) if at_endpoint else g
-            comp = compose(conn, cand) if right else compose(cand, conn)
-            if is_null_homotopic(comp) is None:
+            if right:
+                null = is_null_homotopic(compose(conn, cand), (cd, cn1))
+            else:
+                null = is_null_homotopic(compose(cand, conn), (cm1, cd))
+            if null is None:
                 counterexample = (lab, idx)
                 break
         if counterexample is not None:
@@ -247,12 +269,18 @@ def verify_ar(t: Triangle, bound: int) -> tuple:
 
 def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:
     """Length of Hom(X, Y) equals length of Hom(Y, F(X)) with the Serre
-    functor realized through the classification."""
-    if not (finite_length_cohomology(x) and finite_length_cohomology(y)):
-        raise NotFiniteLengthError("Serre duality check needs finite length")
-    lhs = hom_module(x, y).length()
-    fx = assemble(serre_functor(decompose(x).multiset), x.field)
-    rhs = hom_module(y, fx).length()
+    functor realized through the classification: X and Y are decomposed
+    once each, F(X) is the block sum of the flipped labels, and both
+    lengths come from the certified closed form."""
+    try:
+        dx, dy = decompose(x), decompose(y)
+    except NotFiniteLengthError:
+        raise NotFiniteLengthError(
+            "Serre duality check needs finite length") from None
+    cx, cy = decomposition_certificate(dx), decomposition_certificate(dy)
+    lhs = hom_module(x, y, (cx, cy)).length()
+    cf = model_certificate(serre_functor(dx.multiset).labels(), x.field)
+    rhs = hom_module(y, cf.complex, (cy, cf)).length()
     return lhs == rhs
 
 

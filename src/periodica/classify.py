@@ -19,6 +19,15 @@ Both stages are ``smith.smith_sweep`` runs over one
 sweep starts at the rank of the first), and the closing sign flip is a
 scaling of the same basis, so the certificates are the bases' p and q.
 As in ``minimal``, one product per degree (p q = I) proves the pair.
+``reduce`` checks that the input is a complex before any Smith form.
+The two sweeps give the ranks of the minimal differentials, so they also
+decide finite length.
+
+``decomposition_certificate`` turns a decomposition into the block-sum
+certificate that ``complexes.hom_module`` and
+``complexes.is_null_homotopic`` read, and ``model_certificate`` is the
+identity certificate of a model block sum.  Neither runs ``reduce``
+again.
 """
 
 from __future__ import annotations
@@ -27,23 +36,22 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import (
+    BlockSumCertificate,
     ChainMap2,
+    Homotopy2,
     TwoPeriodicComplex,
-    direct_sum,
-    shift,
-    zero_complex,
+    _model_sum,
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
-from .localring import format_element, one, x_power
+from .localring import format_element, one
 from .matrix import RMatrix
 from .minimal import SplitResult, reduce
 from .smith import (
     TrackedBasis,
-    _homology_invariants,
+    homology_invariants,
     is_invertible,
     matrix_rank,
-    smith_normal_form,
     smith_sweep,
 )
 
@@ -110,22 +118,25 @@ def k_complex(j: int, field: FieldSpec) -> TwoPeriodicComplex:
     """K(j): ranks (1, 1), even differential 0, odd differential x^j."""
     if j < 1:
         raise ValueError("k_complex needs j >= 1")
-    z = RMatrix.zeros(field, 1, 1)
-    d1 = RMatrix(field, 1, 1, (x_power(field, j),))
-    return TwoPeriodicComplex(field, 1, 1, z, d1)
+    return _model_sum(field, [(j, False)])
 
 
 def model_complex(lab: IndecompLabel, field: FieldSpec) -> TwoPeriodicComplex:
-    x = k_complex(lab.j, field)
-    return shift(x) if lab.shifted else x
+    return _model_sum(field, [(lab.j, lab.shifted)])
 
 
 def assemble(ms: IndecompMultiset, field: FieldSpec) -> TwoPeriodicComplex:
     """Block sum of the model complexes in canonical label order."""
-    labs = ms.labels()
-    if not labs:
-        return zero_complex(field)
-    return direct_sum(*[model_complex(l, field) for l in labs])
+    return _model_sum(field, [(l.j, l.shifted) for l in ms.labels()])
+
+
+def model_certificate(labels: Iterable[IndecompLabel],
+                      field: FieldSpec) -> BlockSumCertificate:
+    """The identity certificate of the block sum of ``labels`` in the
+    given order (``model_complex`` for one label, ``assemble`` for a
+    multiset's labels); its ``complex`` is that block sum."""
+    pairs = [(l.j, l.shifted) for l in labels]
+    return BlockSumCertificate.identity(_model_sum(field, pairs), pairs)
 
 
 def finite_length_cohomology(x: TwoPeriodicComplex) -> bool:
@@ -150,15 +161,10 @@ class DecomposeResult:
 
 
 def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
-    # the Smith forms of d0 and d1 give both the finite-length test of
-    # finite_length_cohomology and the closing cohomology cross-check
     if x.r0 != x.r1:
         raise NotFiniteLengthError("complex does not have finite-length cohomology")
-    s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
-    if s0.rank + s1.rank != x.r0:
-        raise NotFiniteLengthError("complex does not have finite-length cohomology")
     field = x.field
-    split = reduce(x)
+    split = reduce(x)  # checks that x is a complex, before any Smith form
     m = split.minimal
     if m.r0 != m.r1:
         raise PeriodicaError("finite-length minimal model with unequal ranks")
@@ -170,14 +176,16 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     # stage 1: Smith form of the odd differential peels unshifted summands
     unshifted = smith_sweep(d1, b0, b1)
     r = len(unshifted)
-    if any(e < 1 for e in unshifted):
-        raise PeriodicaError("minimal model produced a unit invariant factor")
     _assert_split(d0, r)
 
-    # stage 2: Smith form of the remaining even differential (shifted part)
+    # stage 2: Smith form of the remaining even differential (shifted
+    # part).  The two sweeps give the ranks of the minimal differentials,
+    # which sum to n exactly when the cohomology has finite length.
     shifted = smith_sweep(d0, b1, b0, start=r)
-    if len(shifted) != n - r or any(e < 1 for e in shifted):
-        raise NotFiniteLengthError("even complement is singular or non-minimal")
+    if len(shifted) != n - r:
+        raise NotFiniteLengthError("complex does not have finite-length cohomology")
+    if any(e < 1 for e in unshifted + shifted):
+        raise PeriodicaError("minimal model produced a unit invariant factor")
 
     # stage 3: flip signs so shifted blocks match shift(K(b)) exactly
     for i in range(r, n):
@@ -198,12 +206,37 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     if p0 @ q0 != ident or p1 @ q1 != ident:
         raise PeriodicaError("decompose certificates do not compose to identity")
 
-    # cohomology cross-check; reduce(x) has checked that x is a complex
-    h0 = _homology_invariants(x.d0, x.d1, s0)
-    h1 = _homology_invariants(x.d1, x.d0, s1)
+    # cohomology cross-check
+    h0 = homology_invariants(x.d0, x.d1)
+    h1 = homology_invariants(x.d1, x.d0)
     if h0.length() != ms.h0_length() or h1.length() != ms.h1_length():
         raise PeriodicaError("cohomology lengths disagree with the multiset")
     return DecomposeResult(ms, split, m, blocksum, to_blocks, from_blocks)
+
+
+def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
+    """The block-sum certificate of a decomposed complex X: P = to_blocks
+    after the minimal rows of split.back, Q = the minimal columns of
+    split.into before from_blocks, and h = into (0 + 1_T) back, the
+    standard contraction s = 1 of the trivial part T moved to X."""
+    split, n = dec.split, dec.minimal.r0
+    into, back = split.into, split.back
+    x = into.dst
+    p = ChainMap2(x, dec.blocksum,
+                  dec.to_blocks.f0 @ back.f0.submatrix(0, n, 0, x.r0),
+                  dec.to_blocks.f1 @ back.f1.submatrix(0, n, 0, x.r1))
+    q = ChainMap2(dec.blocksum, x,
+                  into.f0.submatrix(0, x.r0, 0, n) @ dec.from_blocks.f0,
+                  into.f1.submatrix(0, x.r1, 0, n) @ dec.from_blocks.f1)
+    h = None
+    if x.r0 > n:
+        h = Homotopy2(x, x,
+                      into.f1.submatrix(0, x.r1, n, x.r1)
+                      @ back.f0.submatrix(n, x.r0, 0, x.r0),
+                      into.f0.submatrix(0, x.r0, n, x.r0)
+                      @ back.f1.submatrix(n, x.r1, 0, x.r1))
+    labels = [(l.j, l.shifted) for l in dec.multiset.labels()]
+    return BlockSumCertificate(tuple(labels), p, q, h)
 
 
 def _assert_split(d0, r: int) -> None:

@@ -24,23 +24,38 @@ differentials are assembled entry by entry, each signed entry of d_Y and
 d_X^T placed at its index; the Kronecker/block formula they equal is kept
 as the reference in the tests.  The same writer also assembles the
 tensor product and the triangle-comparison system of ``verify_triangle``.
+
+Hom and null-homotopy have two paths.  Called with no certificates,
+``hom_module`` takes the Smith form of the Hom complex and
+``is_null_homotopic`` solves d s + s d = f by a Smith form.  Called with
+a pair of :class:`BlockSumCertificate` (one for the source, one for the
+target), both read their answer off the labels and valuations.  A
+certificate names X as a block sum B of the models K(j) and K(j)[1] and
+carries checked maps P: X -> B and Q: B -> X, plus a contraction of
+id - Q P.  ``classify`` builds certificates from a decomposition or as
+the identity of a model block sum, and ``shifted`` carries one to X[1].
+Then Hom(X, Y) has one summand R/x^min(i, j) per pair of labels, and f is
+null-homotopic when every block of P_Y f Q_X has large enough valuation.
+Every generator is still a verified ``ChainMap2`` and every witness is
+still re-checked by ``Homotopy2.witnesses``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import smith
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     InvalidChainMapError,
     NotAComplexError,
+    ValidationError,
 )
 from .fields import FieldSpec
-from .localring import LocalElem, format_element, zero
+from .localring import LocalElem, format_element, one, x_power, x_shift, zero
 from .matrix import RMatrix, block, block_diag, commutation_matrix, vstack
 from .smith import homology_invariants, solve_over_ring
 
@@ -210,6 +225,71 @@ class HomModule:
         return sum(self.factors)
 
 
+@dataclass(frozen=True)
+class BlockSumCertificate:
+    """A homotopy equivalence between X and the block sum B of the model
+    complexes named by ``labels``, (j, shifted) pairs in block order.
+
+    ``to_blocks`` P: X -> B and ``from_blocks`` Q: B -> X satisfy P Q = I
+    in each degree, and ``contraction`` h witnesses id_X - Q P = d h + h d.
+    h is None when X and B have equal ranks: then P and Q are square and
+    P Q = I gives Q P = I.  Construction checks all of it, so answers read
+    off the labels rest on verified identities.
+    """
+
+    labels: tuple
+    to_blocks: ChainMap2
+    from_blocks: ChainMap2
+    contraction: Optional[Homotopy2] = None
+    # X is B and P = Q = id: the closed forms skip the transport
+    is_identity: bool = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p, q, h = self.to_blocks, self.from_blocks, self.contraction
+        x, b = p.src, p.dst
+        if q.src != b or q.dst != x:
+            raise DimensionMismatchError("certificate maps must run X -> B -> X")
+        if b != _model_sum(x.field, self.labels):
+            raise ValidationError("certificate labels do not name its block sum")
+        i0, i1 = RMatrix.identity(x.field, b.r0), RMatrix.identity(x.field, b.r1)
+        ident = x == b and p.f0 == q.f0 == i0 and p.f1 == q.f1 == i1
+        object.__setattr__(self, "is_identity", ident)
+        if not ident and (p.f0 @ q.f0 != i0 or p.f1 @ q.f1 != i1):
+            raise ValidationError("certificate maps do not compose to the "
+                                  "identity on the block sum")
+        if h is None:
+            if (x.r0, x.r1) != (b.r0, b.r1):
+                raise ValidationError("certificate without a contraction "
+                                      "needs X and B of equal ranks")
+            return
+        if h.src != x or h.dst != x:
+            raise DimensionMismatchError("contraction must be a homotopy on X")
+        b0, b1 = h.boundary()
+        if (b0 != RMatrix.identity(x.field, x.r0) - q.f0 @ p.f0
+                or b1 != RMatrix.identity(x.field, x.r1) - q.f1 @ p.f1):
+            raise ValidationError("contraction does not witness id - Q P")
+
+    @property
+    def complex(self) -> "TwoPeriodicComplex":
+        return self.to_blocks.src
+
+    @staticmethod
+    def identity(x: "TwoPeriodicComplex", labels) -> "BlockSumCertificate":
+        """The certificate of a complex that is its own block sum."""
+        ident = identity_map(x)
+        return BlockSumCertificate(tuple(labels), ident, ident)
+
+    def shifted(self) -> "BlockSumCertificate":
+        """The certificate of X[1]: labels flipped, P[1], Q[1] and the
+        contraction (-h1, -h0)."""
+        h = self.contraction
+        sx = shift(self.complex)
+        return BlockSumCertificate(
+            tuple((j, not s) for j, s in self.labels),
+            shift_map(self.to_blocks), shift_map(self.from_blocks),
+            None if h is None else Homotopy2(sx, sx, -h.s1, -h.s0))
+
+
 # ---------------------------------------------------------------------------
 # chain map helpers
 
@@ -276,6 +356,24 @@ def dual(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """X* = Hom(X, R) with d0* = -d1^T, d1* = +d0^T."""
     return TwoPeriodicComplex(x.field, x.r0, x.r1,
                               -x.d1.transpose(), x.d0.transpose())
+
+
+def _model_sum(field: FieldSpec, labels) -> TwoPeriodicComplex:
+    """Block sum of the model complexes in the order of ``labels``,
+    (j, shifted) pairs: K(j) has d0 = 0 and d1 = x^j, K(j)[1] = shift(K(j))
+    has d0 = -x^j and d1 = 0."""
+    n = len(labels)
+    d0 = [zero(field)] * (n * n)
+    d1 = list(d0)
+    for a, (j, shifted) in enumerate(labels):
+        if j < 1:
+            raise ValueError("model complexes need j >= 1")
+        if shifted:
+            d0[a * (n + 1)] = -x_power(field, j)
+        else:
+            d1[a * (n + 1)] = x_power(field, j)
+    return TwoPeriodicComplex(field, n, n, RMatrix(field, n, n, tuple(d0)),
+                              RMatrix(field, n, n, tuple(d1)))
 
 
 def direct_sum(*xs: TwoPeriodicComplex) -> TwoPeriodicComplex:
@@ -420,8 +518,28 @@ def cohomology(x: TwoPeriodicComplex):
     return h0, h1
 
 
-def is_null_homotopic(f: ChainMap2) -> Optional[Homotopy2]:
-    """Solve f = d s + s d over R; returns a re-verified witness or None."""
+def is_null_homotopic(f: ChainMap2,
+                      certificates: Optional[tuple] = None) -> Optional[Homotopy2]:
+    """Solve f = d s + s d over R; returns a re-verified witness or None.
+
+    Without certificates the system is solved by a Smith form.  With
+    block-sum certificates (of f.src, of f.dst) the decision is read off
+    the valuations of c = P_Y f Q_X block by block, and the witness is
+    s = Q_Y s' P_X + h_Y f + Q_Y P_Y f h_X for the blockwise witness s'.
+    """
+    if certificates is None:
+        s = _solved_homotopy(f)
+    else:
+        s = _certified_homotopy(f, *certificates)
+    if s is None:
+        return None
+    h = Homotopy2(f.src, f.dst, *s)
+    if not h.witnesses(f):
+        raise AssertionError("homotopy witness failed re-verification")
+    return h
+
+
+def _solved_homotopy(f: ChainMap2):
     x, y = f.src, f.dst
     d1h = _hom_differential(x, y.d1, y.d0, negate=False)
     b = vstack(x.field, [f.f0.vec(), f.f1.vec()])
@@ -429,23 +547,137 @@ def is_null_homotopic(f: ChainMap2) -> Optional[Homotopy2]:
     if sol is None:
         return None
     n0 = x.r0 * y.r1
-    s0 = RMatrix.unvec(x.field, sol.submatrix(0, n0, 0, 1), y.r1, x.r0)
-    s1 = RMatrix.unvec(x.field, sol.submatrix(n0, sol.rows, 0, 1), y.r0, x.r1)
-    h = Homotopy2(x, y, s0, s1)
-    if not h.witnesses(f):
-        raise AssertionError("homotopy witness failed re-verification")
-    return h
+    return (RMatrix.unvec(x.field, sol.submatrix(0, n0, 0, 1), y.r1, x.r0),
+            RMatrix.unvec(x.field, sol.submatrix(n0, sol.rows, 0, 1), y.r0, x.r1))
+
+
+def _check_certificate(c: BlockSumCertificate, x: TwoPeriodicComplex,
+                       end: str) -> None:
+    if c.complex != x:
+        raise DimensionMismatchError(f"the certificate of the {end} is for "
+                                     "another complex")
+
+
+def _block_homotopy(i: int, shifted_a: bool, j: int, shifted_b: bool,
+                    c0: LocalElem, c1: LocalElem):
+    """(s0, s1) with d s + s d = (c0, c1) for a chain map
+    K(i)[shifted_a] -> K(j)[shifted_b], or None when there is none.  On
+    these blocks s0 meets the differentials x^i (source unshifted) and
+    x^j (target unshifted), s1 meets -x^i (source shifted) and -x^j
+    (target shifted)."""
+    z = zero(c0.field)
+    if shifted_a == shifted_b:
+        c = c1 if shifted_a else c0
+        if c.valuation < j:
+            return None
+        q = x_shift(c, -j)
+        return (z, -q) if shifted_a else (q, z)
+    c = c0 if shifted_a else c1
+    v = min(i, j)
+    if c.valuation < v:
+        return None
+    q = x_shift(c, -v)
+    # s0 when the unshifted end carries the smaller power, else s1
+    return (q, z) if (j if shifted_a else i) == v else (z, -q)
+
+
+def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
+                        cy: BlockSumCertificate):
+    x, y = f.src, f.dst
+    _check_certificate(cx, x, "source")
+    _check_certificate(cy, y, "target")
+    px, qx = cx.to_blocks, cx.from_blocks
+    py, qy = cy.to_blocks, cy.from_blocks
+    pf0, pf1 = (f.f0, f.f1) if cy.is_identity else (py.f0 @ f.f0, py.f1 @ f.f1)
+    c0, c1 = (pf0, pf1) if cx.is_identity else (pf0 @ qx.f0, pf1 @ qx.f1)
+    c0, c1 = c0.entries, c1.entries
+    nx, ny = len(cx.labels), len(cy.labels)
+    t0 = [zero(x.field)] * (ny * nx)
+    t1 = list(t0)
+    for b, (j, shifted_b) in enumerate(cy.labels):
+        for a, (i, shifted_a) in enumerate(cx.labels):
+            k = b * nx + a
+            st = _block_homotopy(i, shifted_a, j, shifted_b, c0[k], c1[k])
+            if st is None:
+                return None
+            t0[k], t1[k] = st
+    s0 = RMatrix(x.field, ny, nx, tuple(t0))
+    s1 = RMatrix(x.field, ny, nx, tuple(t1))
+    if not cx.is_identity:
+        s0, s1 = s0 @ px.f0, s1 @ px.f1
+    if not cy.is_identity:
+        s0, s1 = qy.f1 @ s0, qy.f0 @ s1
+    if cy.contraction is not None:
+        s0 = s0 + cy.contraction.s0 @ f.f0
+        s1 = s1 + cy.contraction.s1 @ f.f1
+    if cx.contraction is not None:
+        s0 = s0 + qy.f1 @ pf1 @ cx.contraction.s0
+        s1 = s1 + qy.f0 @ pf0 @ cx.contraction.s1
+    return s0, s1
 
 
 def homotopic(f: ChainMap2, g: ChainMap2) -> Optional[Homotopy2]:
     return is_null_homotopic(sub_maps(f, g))
 
 
-def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> HomModule:
+def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
+               certificates: Optional[tuple] = None) -> HomModule:
     """H0 of the Hom complex: Hom in the homotopy category, with each
-    generator unflattened into an honest (re-validated) chain map."""
-    h = homc(x, y)  # validates d0 d1 = 0, the precondition below
-    pres = smith._homology_invariants(h.d0, h.d1, smith.smith_normal_form(h.d0))
+    generator an honest (re-validated) chain map.
+
+    Without certificates this is the Smith form of the Hom complex.
+    With block-sum certificates (of x, of y) each pair of labels
+    K(i)[e], K(j)[f] gives one summand R/x^min(i, j), generated by
+    Q_Y g P_X for the generator g of Hom(K(i)[e], K(j)[f]); the summands
+    are sorted stably by factor, as the Smith path sorts them.
+    """
+    if certificates is None:
+        return _smith_hom(x, y)
+    cx, cy = certificates
+    _check_certificate(cx, x, "source")
+    _check_certificate(cy, y, "target")
+    field = x.field
+    px, qy = cx.to_blocks, cy.from_blocks
+    pairs = []
+    for a, (i, shifted_a) in enumerate(cx.labels):
+        for b, (j, shifted_b) in enumerate(cy.labels):
+            g0, g1 = _block_generator(field, i, shifted_a, j, shifted_b)
+            pairs.append((min(i, j), ChainMap2(
+                x, y, _outer(qy.f0, b, g0, px.f0, a),
+                _outer(qy.f1, b, g1, px.f1, a))))
+    pairs.sort(key=lambda p: p[0])
+    return HomModule(x, y, tuple(v for v, _ in pairs), 0,
+                     tuple(g for _, g in pairs))
+
+
+def _block_generator(field: FieldSpec, i: int, shifted_a: bool, j: int,
+                     shifted_b: bool) -> tuple:
+    """Generator (g0, g1) of Hom(K(i)[shifted_a], K(j)[shifted_b]) =
+    R/x^min(i, j), None for a zero component: (x^(j-v), x^(i-v)) between
+    unshifted models, its shift between shifted ones, and the identity in
+    the one degree where a chain map between a model and a shifted model
+    can be nonzero."""
+    v = min(i, j)
+    if shifted_a == shifted_b:
+        a, b = x_power(field, j - v), x_power(field, i - v)
+        return (b, a) if shifted_a else (a, b)
+    return (one(field), None) if shifted_a else (None, one(field))
+
+
+def _outer(q: RMatrix, b: int, c: Optional[LocalElem], p: RMatrix,
+           a: int) -> RMatrix:
+    """c times column b of q times row a of p; zero when c is None."""
+    if c is None:
+        return RMatrix.zeros(q.field, q.rows, p.cols)
+    col = [c * q.entries[r * q.cols + b] for r in range(q.rows)]
+    row = p.entries[a * p.cols:(a + 1) * p.cols]
+    return RMatrix(q.field, q.rows, p.cols,
+                   tuple(u * w for u in col for w in row))
+
+
+def _smith_hom(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> HomModule:
+    h = homc(x, y)
+    pres = homology_invariants(h.d0, h.d1)
     n0 = x.r0 * y.r0
     gens = []
     for col in pres.generators:

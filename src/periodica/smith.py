@@ -245,36 +245,25 @@ class SubquotientModule:
 def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     """Invariant factors of ker(a)/im(b) with lifted generators.
 
-    Requires a @ b = 0 (checked).  The kernel of ``a`` is the free summand
-    spanned by the trailing columns of v (from u a v = d); the image of
-    ``b`` is rewritten in those coordinates and reduced by a second Smith
-    form.
+    Requires a @ b = 0, checked without forming a @ b: with u a v = d,
+    u a b = d (v^-1 b), and the first rank(a) entries of d's diagonal are
+    nonzero, so a @ b = 0 exactly when the first rank(a) rows of v^-1 b
+    vanish.  a @ b is formed only to name its first nonzero entry when
+    that test fails.  The kernel of ``a`` is the free summand spanned by
+    the trailing columns of v; the image of ``b`` is rewritten in those
+    coordinates and reduced by a second Smith form.
     """
     if a.cols != b.rows:
         raise DimensionMismatchError("ker/im dimensions incompatible")
-    prod = a @ b
-    if not prod.is_zero():
-        i, j = prod.first_nonzero()
-        raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
-    return _homology_invariants(a, b, smith_normal_form(a))
-
-
-def _homology_invariants(a: RMatrix, b: RMatrix,
-                         s: SmithForm) -> SubquotientModule:
-    """:func:`homology_invariants` with the Smith form s of ``a`` given,
-    for callers that have just verified a @ b = 0 (``hom_module`` in
-    ``homc``, ``decompose`` in ``reduce``); it is not checked again."""
+    s = smith_normal_form(a)
     r = s.rank
     n = a.cols
     kdim = n - r
     kernel_basis = s.v.take_cols(range(r, n))  # n x kdim
     bk = s.v_inv @ b
-    # rows < r of v_inv @ b vanish exactly since d (v_inv b) = u a b = 0
-    for i in range(r):
-        for j in range(b.cols):
-            if bk.at(i, j):
-                raise CompositeNotZeroError(
-                    "image does not lie in the kernel (internal inconsistency)")
+    if any(bk.entries[:r * b.cols]):
+        i, j = (a @ b).first_nonzero()
+        raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
     m = bk.submatrix(r, n, 0, b.cols)
     s2 = smith_normal_form(m)
     torsion = [e for e in s2.exponents if e > 0]

@@ -174,6 +174,27 @@ def test_homology_requires_zero_composite():
         homology_invariants(a, a)
 
 
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime_field(101)])
+def test_homology_composite_check_matches_the_product(field, rng):
+    # the check reads rows of v^-1 b; it must reject exactly the pairs
+    # with a b != 0 and name the first nonzero entry of a b
+    for _ in range(60):
+        m, n, k = (rng.randint(1, 3) for _ in range(3))
+        a = random_matrix(rng, field, m, n, max_val=2, zero_bias=0.5)
+        b = random_matrix(rng, field, n, k, max_val=2, zero_bias=0.5)
+        if rng.random() < 0.5:  # columns in the kernel of a
+            s = smith_normal_form(a)
+            b = s.v.take_cols(range(s.rank, n)) @ random_matrix(
+                rng, field, n - s.rank, k, max_val=2)
+        pos = (a @ b).first_nonzero()
+        if pos is None:
+            homology_invariants(a, b)
+            continue
+        with pytest.raises(CompositeNotZeroError) as exc:
+            homology_invariants(a, b)
+        assert str(exc.value) == "composite is nonzero at (%d, %d)" % pos
+
+
 def test_homology_generators_are_kernel_lifts(rng):
     for _ in range(20):
         n = rng.randint(1, 3)
