@@ -271,16 +271,18 @@ def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:
     """Length of Hom(X, Y) equals length of Hom(Y, F(X)) with the Serre
     functor realized through the classification: X and Y are decomposed
     once each, F(X) is the block sum of the flipped labels, and both
-    lengths come from the certified closed form."""
+    lengths come from the certified closed form.  A homotopy equivalence
+    keeps the length of Hom, so X and Y are replaced by their minimal
+    models, which carry the certificates of ``decompose``."""
     try:
         dx, dy = decompose(x), decompose(y)
     except NotFiniteLengthError:
         raise NotFiniteLengthError(
             "Serre duality check needs finite length") from None
-    cx, cy = decomposition_certificate(dx), decomposition_certificate(dy)
-    lhs = hom_module(x, y, (cx, cy)).length()
+    cx, cy = dx.certificate, dy.certificate
+    lhs = hom_module(cx.complex, cy.complex, (cx, cy)).length()
     cf = model_certificate(serre_functor(dx.multiset).labels(), x.field)
-    rhs = hom_module(y, cf.complex, (cy, cf)).length()
+    rhs = hom_module(cy.complex, cf.complex, (cy, cf)).length()
     return lhs == rhs
 
 

@@ -17,17 +17,22 @@ length are rejected rather than assigned free labels.
 Both stages are ``smith.smith_sweep`` runs over one
 ``smith.TrackedBasis`` per degree of the minimal model (the second
 sweep starts at the rank of the first), and the closing sign flip is a
-scaling of the same basis, so the certificates are the bases' p and q.
-As in ``minimal``, one product per degree (p q = I) proves the pair.
+scaling of the same basis, so the bases' p and q carry the minimal model
+to the block sum and back.  They make up ``DecomposeResult.certificate``
+(a ``complexes.BlockSumCertificate`` of the minimal model), and building
+it is the one check of the decomposition: p and q are checked chain
+maps, the labels name the block sum, and one product per degree
+(p q = I) proves the pair, as in ``minimal``.
+
+``decomposition_certificate`` gives the certificate of the input X that
+``complexes.hom_module`` and ``complexes.is_null_homotopic`` read: the
+minimal model's when ``reduce`` split off nothing, else that one moved
+along the splitting.  ``model_certificate`` is the identity certificate
+of a model block sum, with no ``reduce``.
+
 ``reduce`` checks that the input is a complex before any Smith form.
 The two sweeps give the ranks of the minimal differentials, so they also
 decide finite length.
-
-``decomposition_certificate`` turns a decomposition into the block-sum
-certificate that ``complexes.hom_module`` and
-``complexes.is_null_homotopic`` read, and ``model_certificate`` is the
-identity certificate of a model block sum.  Neither runs ``reduce``
-again.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ from .complexes import (
     Homotopy2,
     TwoPeriodicComplex,
     _model_sum,
+    identity_map,
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
 from .localring import format_element, one
-from .matrix import RMatrix
 from .minimal import SplitResult, reduce
 from .smith import (
     TrackedBasis,
@@ -135,8 +140,9 @@ def model_certificate(labels: Iterable[IndecompLabel],
     """The identity certificate of the block sum of ``labels`` in the
     given order (``model_complex`` for one label, ``assemble`` for a
     multiset's labels); its ``complex`` is that block sum."""
-    pairs = [(l.j, l.shifted) for l in labels]
-    return BlockSumCertificate.identity(_model_sum(field, pairs), pairs)
+    pairs = tuple((l.j, l.shifted) for l in labels)
+    ident = identity_map(_model_sum(field, pairs))
+    return BlockSumCertificate(pairs, ident, ident)
 
 
 def finite_length_cohomology(x: TwoPeriodicComplex) -> bool:
@@ -149,15 +155,18 @@ def finite_length_cohomology(x: TwoPeriodicComplex) -> bool:
 
 @dataclass(frozen=True)
 class DecomposeResult:
-    """Multiset of indecomposables plus exact isomorphism certificates
-    between the minimal model and the canonical labelled block sum."""
+    """Multiset of indecomposables, the splitting X = minimal + trivials
+    of ``reduce``, and the block-sum certificate of the minimal model:
+    mutually inverse isomorphisms in the strict category between the
+    minimal model and the canonical labelled block sum."""
 
     multiset: IndecompMultiset
     split: SplitResult
-    minimal: TwoPeriodicComplex
-    blocksum: TwoPeriodicComplex
-    to_blocks: ChainMap2    # minimal -> blocksum
-    from_blocks: ChainMap2  # blocksum -> minimal
+    certificate: BlockSumCertificate
+
+    @property
+    def minimal(self) -> TwoPeriodicComplex:
+        return self.split.minimal
 
 
 def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
@@ -194,49 +203,50 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     labels_ = [IndecompLabel(False, e) for e in unshifted] + \
         [IndecompLabel(True, e) for e in shifted]
     ms = IndecompMultiset.from_labels(labels_)
-    blocksum = assemble(ms, field)
-    if (blocksum.d0 != RMatrix.from_grid(field, n, n, d0)
-            or blocksum.d1 != RMatrix.from_grid(field, n, n, d1)):
-        raise PeriodicaError("peeled complex is not the canonical block sum")
-    p0, q0 = b0.matrices()
-    p1, q1 = b1.matrices()
-    to_blocks = ChainMap2(m, blocksum, p0, p1)
-    from_blocks = ChainMap2(blocksum, m, q0, q1)
-    ident = RMatrix.identity(field, n)
-    if p0 @ q0 != ident or p1 @ q1 != ident:
-        raise PeriodicaError("decompose certificates do not compose to identity")
+    # the one check of the decomposition: p and q are chain maps between
+    # M and the block sum of the labels, and p q = I
+    labels = tuple((l.j, l.shifted) for l in ms.labels())
+    blocksum = _model_sum(field, labels)
+    (p0, q0), (p1, q1) = b0.matrices(), b1.matrices()
+    certificate = BlockSumCertificate(labels, ChainMap2(m, blocksum, p0, p1),
+                                      ChainMap2(blocksum, m, q0, q1))
 
     # cohomology cross-check
     h0 = homology_invariants(x.d0, x.d1)
     h1 = homology_invariants(x.d1, x.d0)
     if h0.length() != ms.h0_length() or h1.length() != ms.h1_length():
         raise PeriodicaError("cohomology lengths disagree with the multiset")
-    return DecomposeResult(ms, split, m, blocksum, to_blocks, from_blocks)
+    return DecomposeResult(ms, split, certificate)
 
 
 def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
-    """The block-sum certificate of a decomposed complex X: P = to_blocks
-    after the minimal rows of split.back, Q = the minimal columns of
-    split.into before from_blocks, and h = into (0 + 1_T) back, the
-    standard contraction s = 1 of the trivial part T moved to X."""
-    split, n = dec.split, dec.minimal.r0
+    """The block-sum certificate of the decomposed complex X itself.
+
+    When ``reduce`` split off no trivial summand, X is its own minimal
+    model and this is ``dec.certificate``, with no further check.
+    Otherwise the minimal model's (p, q) move to X along the splitting
+    X = M + T: P = p after the rows of split.back onto M, Q = the columns
+    of split.into from M after q, and h = into (0 + 1_T) back, the
+    standard contraction s = 1 of T moved to X.  That certificate is
+    checked when built, like any other.
+    """
+    split = dec.split
+    if split.type1 == split.type2 == 0:
+        return dec.certificate
+    p, q = dec.certificate.to_blocks, dec.certificate.from_blocks
     into, back = split.into, split.back
-    x = into.dst
-    p = ChainMap2(x, dec.blocksum,
-                  dec.to_blocks.f0 @ back.f0.submatrix(0, n, 0, x.r0),
-                  dec.to_blocks.f1 @ back.f1.submatrix(0, n, 0, x.r1))
-    q = ChainMap2(dec.blocksum, x,
-                  into.f0.submatrix(0, x.r0, 0, n) @ dec.from_blocks.f0,
-                  into.f1.submatrix(0, x.r1, 0, n) @ dec.from_blocks.f1)
-    h = None
-    if x.r0 > n:
-        h = Homotopy2(x, x,
-                      into.f1.submatrix(0, x.r1, n, x.r1)
-                      @ back.f0.submatrix(n, x.r0, 0, x.r0),
-                      into.f0.submatrix(0, x.r0, n, x.r0)
-                      @ back.f1.submatrix(n, x.r1, 0, x.r1))
-    labels = [(l.j, l.shifted) for l in dec.multiset.labels()]
-    return BlockSumCertificate(tuple(labels), p, q, h)
+    x, n = into.dst, dec.minimal.r0
+    return BlockSumCertificate(
+        dec.certificate.labels,
+        ChainMap2(x, p.dst, p.f0 @ back.f0.submatrix(0, n, 0, x.r0),
+                  p.f1 @ back.f1.submatrix(0, n, 0, x.r1)),
+        ChainMap2(q.src, x, into.f0.submatrix(0, x.r0, 0, n) @ q.f0,
+                  into.f1.submatrix(0, x.r1, 0, n) @ q.f1),
+        Homotopy2(x, x,
+                  into.f1.submatrix(0, x.r1, n, x.r1)
+                  @ back.f0.submatrix(n, x.r0, 0, x.r0),
+                  into.f0.submatrix(0, x.r0, n, x.r0)
+                  @ back.f1.submatrix(n, x.r1, 0, x.r1)))
 
 
 def _assert_split(d0, r: int) -> None:

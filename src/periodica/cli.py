@@ -131,11 +131,12 @@ def cmd_cohomology(args) -> int:
 def cmd_decompose(args) -> int:
     x = _load_complex(args, args.complex)
     dec = decompose(x)
+    cert = dec.certificate
     doc = {
         "multiset": serialize.multiset_to_list(dec.multiset),
         "minimal": serialize.complex_to_doc(dec.minimal),
-        "to_blocks": serialize.map_to_doc(dec.to_blocks),
-        "from_blocks": serialize.map_to_doc(dec.from_blocks),
+        "to_blocks": serialize.map_to_doc(cert.to_blocks),
+        "from_blocks": serialize.map_to_doc(cert.from_blocks),
     }
     _emit(doc, args.format, lambda d: str(dec.multiset))
     return OK

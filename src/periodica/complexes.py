@@ -32,17 +32,21 @@ a pair of :class:`BlockSumCertificate` (one for the source, one for the
 target), both read their answer off the labels and valuations.  A
 certificate names X as a block sum B of the models K(j) and K(j)[1] and
 carries checked maps P: X -> B and Q: B -> X, plus a contraction of
-id - Q P.  ``classify`` builds certificates from a decomposition or as
-the identity of a model block sum, and ``shifted`` carries one to X[1].
+id - Q P.  ``classify.decompose`` builds the certificate of the minimal
+model, ``classify.decomposition_certificate`` moves it to the input,
+``classify.model_certificate`` is the identity certificate of a model
+block sum, and ``shifted`` carries a certificate to X[1].
 Then Hom(X, Y) has one summand R/x^min(i, j) per pair of labels, and f is
 null-homotopic when every block of P_Y f Q_X has large enough valuation.
 Every generator is still a verified ``ChainMap2`` and every witness is
-still re-checked by ``Homotopy2.witnesses``.
+still re-checked by ``Homotopy2.witnesses``.  The AR layer passes only
+certificates without a contraction (decompositions of K(i) and K(i)[1],
+and model block sums), so the contraction terms of the null-homotopy
+witness run only in the tests so far.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -241,8 +245,6 @@ class BlockSumCertificate:
     to_blocks: ChainMap2
     from_blocks: ChainMap2
     contraction: Optional[Homotopy2] = None
-    # X is B and P = Q = id: the closed forms skip the transport
-    is_identity: bool = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, q, h = self.to_blocks, self.from_blocks, self.contraction
@@ -251,10 +253,8 @@ class BlockSumCertificate:
             raise DimensionMismatchError("certificate maps must run X -> B -> X")
         if b != _model_sum(x.field, self.labels):
             raise ValidationError("certificate labels do not name its block sum")
-        i0, i1 = RMatrix.identity(x.field, b.r0), RMatrix.identity(x.field, b.r1)
-        ident = x == b and p.f0 == q.f0 == i0 and p.f1 == q.f1 == i1
-        object.__setattr__(self, "is_identity", ident)
-        if not ident and (p.f0 @ q.f0 != i0 or p.f1 @ q.f1 != i1):
+        if (p.f0 @ q.f0 != RMatrix.identity(x.field, b.r0)
+                or p.f1 @ q.f1 != RMatrix.identity(x.field, b.r1)):
             raise ValidationError("certificate maps do not compose to the "
                                   "identity on the block sum")
         if h is None:
@@ -272,12 +272,6 @@ class BlockSumCertificate:
     @property
     def complex(self) -> "TwoPeriodicComplex":
         return self.to_blocks.src
-
-    @staticmethod
-    def identity(x: "TwoPeriodicComplex", labels) -> "BlockSumCertificate":
-        """The certificate of a complex that is its own block sum."""
-        ident = identity_map(x)
-        return BlockSumCertificate(tuple(labels), ident, ident)
 
     def shifted(self) -> "BlockSumCertificate":
         """The certificate of X[1]: labels flipped, P[1], Q[1] and the
@@ -588,9 +582,8 @@ def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
     _check_certificate(cy, y, "target")
     px, qx = cx.to_blocks, cx.from_blocks
     py, qy = cy.to_blocks, cy.from_blocks
-    pf0, pf1 = (f.f0, f.f1) if cy.is_identity else (py.f0 @ f.f0, py.f1 @ f.f1)
-    c0, c1 = (pf0, pf1) if cx.is_identity else (pf0 @ qx.f0, pf1 @ qx.f1)
-    c0, c1 = c0.entries, c1.entries
+    pf0, pf1 = py.f0 @ f.f0, py.f1 @ f.f1
+    c0, c1 = (pf0 @ qx.f0).entries, (pf1 @ qx.f1).entries
     nx, ny = len(cx.labels), len(cy.labels)
     t0 = [zero(x.field)] * (ny * nx)
     t1 = list(t0)
@@ -601,12 +594,8 @@ def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
             if st is None:
                 return None
             t0[k], t1[k] = st
-    s0 = RMatrix(x.field, ny, nx, tuple(t0))
-    s1 = RMatrix(x.field, ny, nx, tuple(t1))
-    if not cx.is_identity:
-        s0, s1 = s0 @ px.f0, s1 @ px.f1
-    if not cy.is_identity:
-        s0, s1 = qy.f1 @ s0, qy.f0 @ s1
+    s0 = qy.f1 @ RMatrix(x.field, ny, nx, tuple(t0)) @ px.f0
+    s1 = qy.f0 @ RMatrix(x.field, ny, nx, tuple(t1)) @ px.f1
     if cy.contraction is not None:
         s0 = s0 + cy.contraction.s0 @ f.f0
         s1 = s1 + cy.contraction.s1 @ f.f1

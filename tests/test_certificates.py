@@ -169,16 +169,15 @@ def test_corrupted_certificates_are_rejected_when_built(label_, seed):
 
 def test_model_certificate_rejects_wrong_parts():
     field = FieldSpec.rationals()
-    x = k_complex(2, field)
-    good = BlockSumCertificate.identity(x, [(2, False)])
+    good = model_certificate([label(2)], field)
+    p, q = good.to_blocks, good.from_blocks
     for labels in ([(3, False)], [(2, True)], [], [(2, False), (1, False)]):
         with pytest.raises(ValidationError):
-            BlockSumCertificate.identity(x, labels)
+            BlockSumCertificate(tuple(labels), p, q)
     # no contraction, so only P Q = I can reject P = 2 id
     two = x_power(field, 0) + x_power(field, 0)
     with pytest.raises(ValidationError):
-        BlockSumCertificate(good.labels, scale_map(good.to_blocks, two),
-                            good.from_blocks)
+        BlockSumCertificate(good.labels, scale_map(p, two), q)
 
 
 def test_certified_factors_are_sorted_as_on_the_smith_path():

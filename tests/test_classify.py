@@ -37,7 +37,7 @@ from periodica.classify import (
     is_homotopy_iso,
     label,
 )
-from periodica.errors import PeriodicaError
+from periodica.errors import PeriodicaError, ValidationError
 from periodica.localring import parse_element, zero
 from periodica.minimal import reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
@@ -91,13 +91,15 @@ def test_decompose_certificates(rng):
         x, ms, _ = random_finite_length_instance(rng, Q, max_labels=3, max_j=4)
         dec = decompose(x)
         assert dec.multiset == ms
-        assert dec.blocksum == assemble(dec.multiset, Q)
-        rt = compose(dec.to_blocks, dec.from_blocks)
+        to_blocks = dec.certificate.to_blocks
+        from_blocks = dec.certificate.from_blocks
+        assert to_blocks.src == dec.minimal
+        assert to_blocks.dst == assemble(dec.multiset, Q)
         n = dec.minimal.r0
-        assert rt.f0 == RMatrix.identity(Q, n)
-        assert rt.f1 == RMatrix.identity(Q, n)
-        rt2 = compose(dec.from_blocks, dec.to_blocks)
-        assert rt2.f0 == RMatrix.identity(Q, n)
+        for rt in (compose(to_blocks, from_blocks),
+                   compose(from_blocks, to_blocks)):
+            assert rt.f0 == RMatrix.identity(Q, n)
+            assert rt.f1 == RMatrix.identity(Q, n)
 
 
 def test_decompose_cohomology_consistency(rng):
@@ -185,9 +187,11 @@ def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
         return split
 
     monkeypatch.setattr(classify, "reduce", reduce_then_scale)
-    with pytest.raises(PeriodicaError) as exc:
+    # building the block-sum certificate is decompose's identity check
+    with pytest.raises(ValidationError) as exc:
         decompose(x)
-    assert str(exc.value) == "decompose certificates do not compose to identity"
+    assert str(exc.value) == ("certificate maps do not compose to the "
+                              "identity on the block sum")
 
 
 def test_decompose_rejects_non_complex():
