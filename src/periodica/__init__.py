@@ -15,11 +15,9 @@ from .artheory import (
     serre_length_check,
     shift_triangle,
     socle_map,
-    translate,
     verify_ar,
     verify_left_ar,
     verify_right_ar,
-    verify_triangle,
 )
 from .classify import (
     DecomposeResult,
@@ -29,7 +27,6 @@ from .classify import (
     decompose,
     decomposition_certificate,
     finite_length_cohomology,
-    is_homotopy_iso,
     k_complex,
     label,
     model_certificate,
@@ -52,7 +49,6 @@ from .complexes import (
     dual,
     hom_module,
     homc,
-    homotopic,
     identity_map,
     is_null_homotopic,
     make_complex,
@@ -60,8 +56,6 @@ from .complexes import (
     scale_map,
     shift,
     shift_map,
-    sub_maps,
-    sum_map,
     tensor2,
     validate_complex,
     zero_complex,
@@ -88,7 +82,6 @@ from .localring import (
     LocalElem,
     elem,
     format_element,
-    from_int,
     inverse,
     one,
     parse_element,
@@ -101,7 +94,6 @@ from .localring import (
 from .matrix import RMatrix, block, block_diag, commutation_matrix, kron
 from .minimal import (
     SplitResult,
-    TrivialSummand,
     TrivialType,
     is_minimal,
     reduce,

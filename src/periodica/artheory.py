@@ -34,7 +34,6 @@ from .classify import (
     IndecompMultiset,
     decompose,
     decomposition_certificate,
-    is_homotopy_iso,
     k_complex,
     label,
     model_certificate,
@@ -43,7 +42,6 @@ from .complexes import (
     ChainMap2,
     Triangle,
     TwoPeriodicComplex,
-    _homc_blocks,
     compose,
     cone,
     hom_module,
@@ -56,21 +54,12 @@ from .complexes import (
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
 from .localring import x_power
-from .matrix import RMatrix, block, block_diag, kron, vstack
-from .smith import solve_over_ring
 
 
 def serre_functor(ms: IndecompMultiset) -> IndecompMultiset:
     """On labels the Serre functor flips the shift class; it is additive."""
     return IndecompMultiset.from_labels(
         IndecompLabel(not l.shifted, l.j) for l in ms.labels())
-
-
-def translate(ms: IndecompMultiset) -> IndecompMultiset:
-    """AR-translate = Serre functor composed with [-1]: fixes every label."""
-    flipped = serre_functor(ms)
-    return IndecompMultiset.from_labels(
-        IndecompLabel(not l.shifted, l.j) for l in flipped.labels())
 
 
 def socle_map(i: int, field: FieldSpec) -> ChainMap2:
@@ -107,63 +96,6 @@ def shift_triangle(t: Triangle) -> Triangle:
         g=negate_map(shift_map(t.g)),
         h=negate_map(shift_map(t.h)),
     )
-
-
-def verify_triangle(t: Triangle) -> bool:
-    """Certify exactness of a candidate triangle.
-
-    Fast path: the triangle literally is the rotation of the strict cone
-    triangle on (-h)[-1] (this package's constructions are).  Otherwise a
-    comparison map from that strict rotation to the candidate is solved
-    for; if one exists and is a homotopy isomorphism the candidate is
-    exact.  The check is sound; a False may also mean the solver found no
-    certificate.
-    """
-    c, u, v = cone(shift_map(negate_map(t.h)))
-    if t.e == c and t.f == u and t.g == v:
-        return True
-    # look for phi: c -> e with phi u ~ f and g phi ~ v, then demand
-    # phi be a homotopy isomorphism
-    phi = _solve_comparison(c, u, v, t)
-    if phi is None:
-        return False
-    return is_homotopy_iso(phi)
-
-
-def _solve_comparison(c: TwoPeriodicComplex, u: ChainMap2, v: ChainMap2,
-                      t: Triangle) -> Optional[ChainMap2]:
-    """Solve (chain map phi: c -> e) with phi u ~ t.f and t.g phi ~ v.
-
-    One linear system over R in the unknowns phi (degree 0 of Hom(c, e))
-    and the homotopies s (degree 1 of Hom(n, e)) and t (degree 1 of
-    Hom(c, m)): d phi = 0, phi u - d s = t.f and t.g phi - d t = v, the
-    compositions with u and t.g written as Kronecker blocks.
-    """
-    field = c.field
-    e, n, m = t.e, t.n, t.m
-    d_phi = _homc_blocks(c, e)[0]
-    d_s = _homc_blocks(n, e)[1]
-    d_t = _homc_blocks(c, m)[1]
-    ident = RMatrix.identity
-    pre = block_diag(field, [kron(u.f0.transpose(), ident(field, e.r0)),
-                             kron(u.f1.transpose(), ident(field, e.r1))])
-    post = block_diag(field, [kron(ident(field, c.r0), t.g.f0),
-                              kron(ident(field, c.r1), t.g.f1)])
-    z = RMatrix.zeros
-    big = block(field, [
-        [d_phi, z(field, d_phi.rows, d_s.cols), z(field, d_phi.rows, d_t.cols)],
-        [pre, -d_s, z(field, d_s.rows, d_t.cols)],
-        [post, z(field, d_t.rows, d_s.cols), -d_t],
-    ])
-    rhs = vstack(field, [z(field, d_phi.rows, 1), t.f.f0.vec(), t.f.f1.vec(),
-                         v.f0.vec(), v.f1.vec()])
-    sol = solve_over_ring(big, rhs)
-    if sol is None:
-        return None
-    n0 = e.r0 * c.r0
-    f0 = RMatrix.unvec(field, sol.submatrix(0, n0, 0, 1), e.r0, c.r0)
-    f1 = RMatrix.unvec(field, sol.submatrix(n0, d_phi.cols, 0, 1), e.r1, c.r1)
-    return ChainMap2(c, e, f0, f1)
 
 
 # ---------------------------------------------------------------------------

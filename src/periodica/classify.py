@@ -55,7 +55,6 @@ from .minimal import SplitResult, reduce
 from .smith import (
     TrackedBasis,
     homology_invariants,
-    is_invertible,
     matrix_rank,
     smith_sweep,
 )
@@ -258,18 +257,3 @@ def _assert_split(d0, r: int) -> None:
                     "even differential does not respect the split at "
                     f"({i}, {j}): {format_element(e)}")
 
-
-def is_homotopy_iso(f: ChainMap2) -> bool:
-    """Transport f to the minimal models; there an isomorphism in the
-    homotopy category has invertible components in both degrees."""
-    sx = reduce(f.src)
-    sy = reduce(f.dst)
-    g0 = sy.back.f0 @ f.f0 @ sx.into.f0
-    g1 = sy.back.f1 @ f.f1 @ sx.into.f1
-    mx, my = sx.minimal, sy.minimal
-    # minimal summand sits first in the block sum coordinates
-    g0_min = g0.submatrix(0, my.r0, 0, mx.r0)
-    g1_min = g1.submatrix(0, my.r1, 0, mx.r1)
-    if (mx.r0, mx.r1) != (my.r0, my.r1):
-        return False
-    return is_invertible(g0_min) and is_invertible(g1_min)

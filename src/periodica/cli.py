@@ -162,9 +162,9 @@ def cmd_hom(args) -> int:
     y = _load_complex(args, args.rhs)
     hm = hom_module(x, y)
     doc = serialize.hom_module_to_doc(hm)
-    _emit(doc, args.format, lambda d: (
-        f"Hom = {' + '.join(f'R/x^{a}' for a in hm.factors) or '0'}"
-        + (f" + R^{hm.free_rank}" if hm.free_rank else "")))
+    parts = [f"R/x^{a}" for a in hm.factors]
+    parts += [f"R^{hm.free_rank}"] if hm.free_rank else []
+    _emit(doc, args.format, lambda d: f"Hom = {' + '.join(parts) or '0'}")
     return OK
 
 

@@ -23,7 +23,7 @@ matching :func:`periodica.matrix.RMatrix.vec` and ``kron``.  The Hom-complex
 differentials are assembled entry by entry, each signed entry of d_Y and
 d_X^T placed at its index; the Kronecker/block formula they equal is kept
 as the reference in the tests.  The same writer also assembles the
-tensor product and the triangle-comparison system of ``verify_triangle``.
+tensor product.
 
 Hom and null-homotopy have two paths.  Called with no certificates,
 ``hom_module`` takes the Smith form of the Hom complex and
@@ -312,10 +312,6 @@ def add_maps(f: ChainMap2, g: ChainMap2) -> ChainMap2:
     return ChainMap2(f.src, f.dst, f.f0 + g.f0, f.f1 + g.f1)
 
 
-def sub_maps(f: ChainMap2, g: ChainMap2) -> ChainMap2:
-    return add_maps(f, negate_map(g))
-
-
 def negate_map(f: ChainMap2) -> ChainMap2:
     return ChainMap2(f.src, f.dst, -f.f0, -f.f1)
 
@@ -327,14 +323,6 @@ def scale_map(f: ChainMap2, c: LocalElem) -> ChainMap2:
 def shift_map(f: ChainMap2) -> ChainMap2:
     """f[1]: X[1] -> Y[1]; components swap because degrees do."""
     return ChainMap2(shift(f.src), shift(f.dst), f.f1, f.f0)
-
-
-def sum_map(f: ChainMap2, g: ChainMap2) -> ChainMap2:
-    """Block-diagonal direct sum of two chain maps."""
-    field = f.src.field
-    return ChainMap2(
-        direct_sum(f.src, g.src), direct_sum(f.dst, g.dst),
-        block_diag(field, [f.f0, g.f0]), block_diag(field, [f.f1, g.f1]))
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +591,6 @@ def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
         s0 = s0 + qy.f1 @ pf1 @ cx.contraction.s0
         s1 = s1 + qy.f0 @ pf0 @ cx.contraction.s1
     return s0, s1
-
-
-def homotopic(f: ChainMap2, g: ChainMap2) -> Optional[Homotopy2]:
-    return is_null_homotopic(sub_maps(f, g))
 
 
 def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,

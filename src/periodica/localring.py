@@ -171,10 +171,6 @@ def one(field: FieldSpec) -> LocalElem:
     return LocalElem(field, poly.one(field), poly.one(field))
 
 
-def from_int(field: FieldSpec, n: int) -> LocalElem:
-    return LocalElem(field, poly.const(field, field.of_int(n)), poly.one(field))
-
-
 def x_power(field: FieldSpec, k: int) -> LocalElem:
     """The monomial x^k, k >= 0."""
     if k < 0:

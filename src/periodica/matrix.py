@@ -81,12 +81,6 @@ class RMatrix:
             for i in range(i0, i1) for j in range(j0, j1))
         return RMatrix(self.field, i1 - i0, j1 - j0, ents)
 
-    def take_rows(self, perm: Sequence[int]) -> "RMatrix":
-        ents = tuple(
-            self.entries[pi * self.cols + j]
-            for pi in perm for j in range(self.cols))
-        return RMatrix(self.field, len(perm), self.cols, ents)
-
     def take_cols(self, perm: Sequence[int]) -> "RMatrix":
         ents = tuple(
             self.entries[i * self.cols + pj]
@@ -161,26 +155,6 @@ class RMatrix:
     def transpose(self) -> "RMatrix":
         return RMatrix.build(self.field, self.cols, self.rows,
                              lambda i, j: self.at(j, i))
-
-    def det(self) -> LocalElem:
-        """Determinant by cofactor expansion (exact, ring operations only)."""
-        if not self.is_square():
-            raise DimensionMismatchError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return one(self.field)
-        if n == 1:
-            return self.at(0, 0)
-        total = zero(self.field)
-        cols = list(range(n))
-        for j in range(n):
-            c = self.at(0, j)
-            if not c:
-                continue
-            rest = self.submatrix(1, n, 0, n).take_cols(cols[:j] + cols[j + 1:])
-            term = c * rest.det()
-            total = total - term if j % 2 else total + term
-        return total
 
     # -- flattening ---------------------------------------------------------
 

@@ -47,32 +47,16 @@ class TrivialType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TrivialSummand:
-    kind: TrivialType
-    count: int
-
-
-@dataclass(frozen=True)
 class SplitResult:
     """minimal + trivials together with exact mutually inverse isomorphisms
-    into: (minimal + trivials) -> X and back: X -> (minimal + trivials)."""
+    into: (minimal + trivials) -> X and back: X -> (minimal + trivials);
+    type1 and type2 count the trivial summands of each type."""
 
     minimal: TwoPeriodicComplex
-    trivials: tuple  # (TrivialSummand TYPE1, TrivialSummand TYPE2)
+    type1: int
+    type2: int
     into: ChainMap2
     back: ChainMap2
-
-    @property
-    def block_sum(self) -> TwoPeriodicComplex:
-        return self.into.src
-
-    @property
-    def type1(self) -> int:
-        return self.trivials[0].count
-
-    @property
-    def type2(self) -> int:
-        return self.trivials[1].count
 
 
 def is_minimal(x: TwoPeriodicComplex) -> bool:
@@ -190,9 +174,7 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
     if (q0_m @ p0_m != RMatrix.identity(field, r0)
             or q1_m @ p1_m != RMatrix.identity(field, r1)):
         raise PeriodicaError("split certificates do not compose to identity")
-    trivials = (TrivialSummand(TrivialType.TYPE1, len(t1)),
-                TrivialSummand(TrivialType.TYPE2, len(t2)))
-    return SplitResult(minimal, trivials, into, back)
+    return SplitResult(minimal, len(t1), len(t2), into, back)
 
 
 def _assert_cleared(other, col, row):

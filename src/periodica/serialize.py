@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .classify import IndecompLabel, IndecompMultiset, label
+from .classify import IndecompLabel, IndecompMultiset
 from .complexes import (
     ChainMap2,
     HomModule,
@@ -192,22 +192,6 @@ def parse_quasi_doc(doc, expect_field: Optional[FieldSpec] = None):
 def multiset_to_list(ms: IndecompMultiset) -> list:
     return [{"j": lab.j, "shifted": lab.shifted, "mult": mult}
             for lab, mult in ms.items]
-
-
-def parse_multiset(doc) -> IndecompMultiset:
-    if not isinstance(doc, list):
-        raise ParseError("multiset must be a JSON list")
-    labs = []
-    for i, item in enumerate(doc):
-        try:
-            j, shifted, mult = item["j"], item["shifted"], item.get("mult", 1)
-            if not (_is_int(j) and isinstance(shifted, bool) and _is_int(mult)
-                    and mult >= 1):
-                raise ValueError
-            labs.extend([label(j, shifted)] * mult)
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"$[{i}]: bad multiset entry") from None
-    return IndecompMultiset.from_labels(labs)
 
 
 def subquotient_to_doc(m: SubquotientModule) -> dict:

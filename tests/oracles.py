@@ -1,26 +1,52 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the code paths they check: invariant factors
-come from determinantal divisors (cofactor determinants, no elimination),
-and Hom-lengths between the rank-(1,1) indecomposables come from solving
-the two-unknown commutation system by exponent arithmetic alone.
+come from determinantal divisors (cofactor determinants on the entries,
+no elimination and no matrix code of the package), and Hom-lengths
+between the rank-(1,1) indecomposables come from solving the two-unknown
+commutation system by exponent arithmetic alone.
 """
 
 from itertools import combinations
 
 from periodica import RMatrix
+from periodica.localring import one, zero
+
+
+def _rows(a: RMatrix) -> list:
+    return [a.entries[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)]
+
+
+def _det(field, grid):
+    """Cofactor expansion along the first row (ring operations only,
+    exponential in the size)."""
+    if not grid:
+        return one(field)
+    total = zero(field)
+    for j, c in enumerate(grid[0]):
+        if c:
+            term = c * _det(field, [r[:j] + r[j + 1:] for r in grid[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def det(a: RMatrix):
+    """Determinant of a square matrix by cofactor expansion."""
+    assert a.rows == a.cols, "determinant of a non-square matrix"
+    return _det(a.field, _rows(a))
 
 
 def determinantal_divisor_valuations(a: RMatrix):
     """Minimum valuation over all k x k minors, for k = 1, 2, ...; the list
     stops at the rank.  Uses cofactor determinants only."""
+    grid = _rows(a)
     out = []
     for k in range(1, min(a.rows, a.cols) + 1):
         best = None
         for rows in combinations(range(a.rows), k):
-            sub_rows = a.take_rows(rows)
+            sub_rows = [grid[i] for i in rows]
             for cols in combinations(range(a.cols), k):
-                d = sub_rows.take_cols(cols).det()
+                d = _det(a.field, [[r[j] for j in cols] for r in sub_rows])
                 if d:
                     v = d.valuation
                     if best is None or v < best:

@@ -1,11 +1,13 @@
 """Classification: K(j) construction, finite-length detection, decompose
-round trips with certificates, and homotopy-isomorphism decisions."""
+round trips with certificates, and homotopy-isomorphism decisions by the
+test helper ``thelpers.is_homotopy_iso`` (transport to the minimal
+models, then invertibility in both degrees)."""
 
 from random import Random
 
 import pytest
 
-from thelpers import mat, scale_inverse_certificates
+from thelpers import is_homotopy_iso, mat, scale_inverse_certificates
 
 from periodica import (
     FieldSpec,
@@ -17,7 +19,6 @@ from periodica import (
     cohomology,
     compose,
     direct_sum,
-    dual,
     identity_map,
     k_complex,
     make_complex,
@@ -34,7 +35,6 @@ from periodica.classify import (
     assemble,
     decompose,
     finite_length_cohomology,
-    is_homotopy_iso,
     label,
 )
 from periodica.errors import PeriodicaError, ValidationError

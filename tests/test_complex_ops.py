@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thelpers import cx, mat
+from thelpers import mat
 
 from periodica import (
     ChainMap2,
@@ -33,7 +33,6 @@ from periodica import (
     is_null_homotopic,
     k_complex,
     make_complex,
-    negate_map,
     one,
     scale_map,
     shift,

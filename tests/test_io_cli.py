@@ -21,10 +21,8 @@ from periodica.rand import random_finite_length_instance
 from periodica.serialize import (
     chain_map_to_doc,
     complex_to_doc,
-    multiset_to_list,
     parse_chain_map_doc,
     parse_complex_doc,
-    parse_multiset,
     parse_quasi_doc,
     quasi_to_doc,
 )
@@ -80,31 +78,6 @@ def test_chain_map_doc_roundtrip():
     f = identity_map(direct_sum(k_complex(1, Q), shift(k_complex(2, Q))))
     doc = chain_map_to_doc(f)
     assert parse_chain_map_doc(json.loads(json.dumps(doc))) == f
-
-
-def test_multiset_doc_roundtrip():
-    from periodica.classify import IndecompMultiset, label
-    m = IndecompMultiset.from_labels([label(2, False), label(2, False),
-                                      label(1, True)])
-    assert parse_multiset(multiset_to_list(m)) == m
-
-
-@pytest.mark.parametrize("item", [
-    {"j": 2, "shifted": "false"},
-    {"j": 2, "shifted": 0},
-    {"j": 2.9, "shifted": False},
-    {"j": "2", "shifted": False},
-    {"j": True, "shifted": False},
-    {"j": 0, "shifted": False},
-    {"j": 2, "shifted": False, "mult": 0},
-    {"j": 2, "shifted": False, "mult": -1},
-    {"j": 2, "shifted": False, "mult": 1.0},
-    {"shifted": False},
-    [2, False],
-])
-def test_parse_multiset_rejects_malformed_entry(item):
-    with pytest.raises(ParseError, match=r"^\$\[1\]: bad multiset entry$"):
-        parse_multiset([{"j": 1, "shifted": True}, item])
 
 
 def test_quasi_doc_roundtrip(rng):
@@ -352,3 +325,25 @@ def test_cli_sum_tensor_homc(tmp_path, k2_file):
     assert json.loads(r.stdout)["r0"] == 2
     r = run_cli("hom", str(k2_file), str(k2_file), "--format", "json")
     assert json.loads(r.stdout)["factors"] == [2]
+
+
+def test_cli_hom_text(tmp_path, capsys):
+    # torsion summands R/x^a, then the free part as R^n; "0" when empty
+    from periodica.cli import main
+
+    docs = {
+        "zero": {"r0": 0, "r1": 0, "d0": [], "d1": []},
+        "free": {"r0": 1, "r1": 0, "d0": [], "d1": [[]]},
+        "k2": {"r0": 1, "r1": 1, "d0": [["0"]], "d1": [["x^2"]]},
+        "mixed": {"r0": 2, "r1": 1, "d0": [["0", "0"]],
+                  "d1": [["0"], ["x^2"]]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"field": "Q", **doc}))
+    for lhs, rhs, text in [("k2", "zero", "Hom = 0"),
+                           ("k2", "k2", "Hom = R/x^2"),
+                           ("free", "free", "Hom = R^1"),
+                           ("free", "mixed", "Hom = R/x^2 + R^1")]:
+        assert main(["hom", str(tmp_path / f"{lhs}.json"),
+                     str(tmp_path / f"{rhs}.json")]) == 0
+        assert capsys.readouterr().out == text + "\n"

@@ -13,13 +13,11 @@ from periodica import (
     ParseError,
     elem,
     format_element,
-    from_int,
     inverse,
     one,
     parse_element,
     unit_part,
     valuation,
-    x_power,
     x_shift,
     zero,
 )

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from thelpers import mat, scale_inverse_certificates
+from thelpers import scale_inverse_certificates
 
 from periodica import (
     FieldSpec,

@@ -1,17 +1,29 @@
-"""Every name a module of the package imports is used in that module.
+"""Source lints in the AST.
 
-``__init__.py`` re-exports names, and ``from __future__`` imports act on
-the compiler, so both are exempt.  Names inside quoted annotations count
-as used.
+Every name a module of the package or of the tests imports is used in
+that module.  ``__init__.py`` re-exports names, and ``from __future__``
+imports act on the compiler, so both are exempt.  Names inside quoted
+annotations count as used.
+
+Every top-level function and class of the package, and every method
+that is not a dunder, is referenced by name somewhere in the package,
+the benchmark or the tests.  Import statements (and so the re-exports of
+``__init__.py``) are not references; a ``periodica.<module>:<name>``
+target of the benchmark's tracer is.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "periodica"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "periodica"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+TRACE_TARGET = re.compile(r"periodica\.\w+:([\w.]+)")
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -47,7 +59,9 @@ def _used(tree: ast.Module) -> set:
             if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
@@ -61,3 +75,60 @@ def test_checker_sees_an_unused_import():
     tree = ast.parse("from .matrix import RMatrix, kron\n"
                      "def f(a: 'RMatrix'):\n    return a\n")
     assert set(_imported(tree)) - _used(tree) == {"kron"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level function and class and of
+    each method that is not a dunder."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if (isinstance(m, defs[:2])
+                        and not (m.name.startswith("__")
+                                 and m.name.endswith("__"))):
+                    yield f"{node.name}.{m.name}", m.name
+
+
+def _references(text: str) -> set:
+    """Names read as a variable or an attribute, and the parts of every
+    tracer target string."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for target in TRACE_TARGET.findall(node.value):
+                out.update(target.split("."))
+    return out
+
+
+def test_every_definition_is_referenced():
+    refs = set()
+    for path in MODULES + TESTS + BENCH:
+        refs |= _references(path.read_text(encoding="utf-8"))
+    unreferenced = [f"{path.name}:{qual}" for path in MODULES
+                    for qual, name in _definitions(
+                        ast.parse(path.read_text(encoding="utf-8")))
+                    if name not in refs]
+    assert not unreferenced, ", ".join(unreferenced)
+
+
+def test_checker_sees_an_unreferenced_definition():
+    text = ("from .x import gone\n"
+            "def used():\n    pass\n"
+            "def gone():\n    pass\n"
+            "class C:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def m(self):\n        pass\n"
+            "    def traced(self):\n        pass\n"
+            "    def idle(self):\n        pass\n"
+            "used(C().m)\n"
+            "TARGET = 'periodica.x:C.traced'\n")
+    refs = _references(text)
+    assert [q for q, name in _definitions(ast.parse(text))
+            if name not in refs] == ["gone", "C.idle"]

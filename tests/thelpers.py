@@ -1,6 +1,14 @@
-"""Small builders shared by the test modules."""
+"""Small builders and checks shared by the test modules."""
 
-from periodica import RMatrix, TwoPeriodicComplex, make_complex, parse_element
+from periodica import (
+    ChainMap2,
+    RMatrix,
+    TwoPeriodicComplex,
+    is_invertible,
+    make_complex,
+    parse_element,
+    reduce,
+)
 
 
 def mat(field, rows, cols, entries):
@@ -19,6 +27,22 @@ def cx(field, r0, r1, d0_strings, d1_strings) -> TwoPeriodicComplex:
 def col(field, entries):
     ents = tuple(parse_element(field, s) for s in entries)
     return RMatrix(field, len(ents), 1, ents)
+
+
+def is_homotopy_iso(f: ChainMap2) -> bool:
+    """Transport f to the minimal models; there an isomorphism in the
+    homotopy category has invertible components in both degrees."""
+    sx = reduce(f.src)
+    sy = reduce(f.dst)
+    g0 = sy.back.f0 @ f.f0 @ sx.into.f0
+    g1 = sy.back.f1 @ f.f1 @ sx.into.f1
+    mx, my = sx.minimal, sy.minimal
+    # minimal summand sits first in the block sum coordinates
+    g0_min = g0.submatrix(0, my.r0, 0, mx.r0)
+    g1_min = g1.submatrix(0, my.r1, 0, mx.r1)
+    if (mx.r0, mx.r1) != (my.r0, my.r1):
+        return False
+    return is_invertible(g0_min) and is_invertible(g1_min)
 
 
 def scale_inverse_certificates(monkeypatch, calls=(0, 1)):
