@@ -21,7 +21,9 @@ and of ``serre_length_check`` passes block-sum certificates to
 read off labels and valuations instead of Smith forms.  N and M are
 decomposed once per triangle, and their certificates (shifted for N[1]
 and M[1]) come from those decompositions.  Each test object D, and the
-Serre image F(X), is a model block sum with the identity certificate.
+Serre image F(X), is a model block sum with the identity certificate;
+each verifying call builds the test objects' certificates once, and
+``build_quiver`` builds them once for all its triangles.
 """
 
 from __future__ import annotations
@@ -140,13 +142,20 @@ def _multisets(t: Triangle) -> tuple:
             (cn, cm, cn1, cm1))
 
 
-def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
+def _family_certificates(bound: int, field: FieldSpec) -> dict:
+    """The identity certificate of each test object K(j), K(j)[1], j <= bound."""
+    return {lab: model_certificate([lab], field) for lab in _family(bound)}
+
+
+def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple,
+               certificates: dict) -> ARReport:
     """(AR1) endpoints indecomposable, (AR2) the connecting map c is not
     null-homotopic, (AR3) c kills every non-isomorphism between an
     endpoint and D, D running over K(j), K(j)[1] for j <= bound.
     ``terms`` are the multisets and certificates of ``_multisets``; each
-    D carries its identity certificate, so every Hom and null-homotopy
-    here is read off labels and valuations."""
+    D carries its identity certificate from ``certificates`` (those of
+    ``_family_certificates`` for this bound or a larger one), so every
+    Hom and null-homotopy here is read off labels and valuations."""
     field = t.n.field
     (n_ms, m_ms, middle), (cn, cm, cn1, cm1) = terms
     ax1 = n_ms.is_singleton() and m_ms.is_singleton()
@@ -159,7 +168,7 @@ def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
     family = _family(bound)
     counterexample = None
     for lab in family:
-        cd = model_certificate([lab], field)
+        cd = certificates[lab]
         d = cd.complex
         if right:
             gens = hom_module(d, t.m, (cd, cm)).generators
@@ -185,18 +194,23 @@ def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
 
 def verify_right_ar(t: Triangle, bound: int) -> ARReport:
     """Right axioms: h t null-homotopic for every non-isomorphism t: D -> M."""
-    return _verify_ar(t, bound, "right", _multisets(t))
+    return _verify_ar(t, bound, "right", _multisets(t),
+                      _family_certificates(bound, t.n.field))
 
 
 def verify_left_ar(t: Triangle, bound: int) -> ARReport:
     """Left axioms: s w null-homotopic for every non-isomorphism s: N -> D."""
-    return _verify_ar(t, bound, "left", _multisets(t))
+    return _verify_ar(t, bound, "left", _multisets(t),
+                      _family_certificates(bound, t.n.field))
 
 
 def verify_ar(t: Triangle, bound: int) -> tuple:
-    """(right report, left report), decomposing N, M and E once for both."""
+    """(right report, left report), decomposing N, M and E and building
+    the test objects' certificates once for both."""
     ms = _multisets(t)
-    return _verify_ar(t, bound, "right", ms), _verify_ar(t, bound, "left", ms)
+    certs = _family_certificates(bound, t.n.field)
+    return (_verify_ar(t, bound, "right", ms, certs),
+            _verify_ar(t, bound, "left", ms, certs))
 
 
 def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:
@@ -246,16 +260,20 @@ def build_quiver(bound: int, field: FieldSpec) -> QuiverResult:
     """AR-triangles for K(i), i <= bound, and their shift images; every
     triangle is verified (axioms 1-3, bound i + 3) and edges are read off
     the middle terms: an arrow Z -> M with multiplicity the number of
-    copies of Z in the middle of the verified triangle ending at M."""
+    copies of Z in the middle of the verified triangle ending at M.  The
+    test objects' identity certificates are built once for all triangles
+    (the right check of ``verify_right_ar``)."""
     if bound < 2:
         raise ValueError("quiver bound must be >= 2")
     reports = []
     edges = []
+    certificates = _family_certificates(bound + 3, field)
     for i in range(1, bound + 1):
         t = ar_triangle(i, field)
         for tri, target in ((t, label(i, False)),
                             (shift_triangle(t), label(i, True))):
-            rep = verify_right_ar(tri, bound=i + 3)
+            rep = _verify_ar(tri, i + 3, "right", _multisets(tri),
+                             certificates)
             reports.append(rep)
             for lab, mult in rep.middle.items:
                 if lab.j <= bound:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from . import poly
@@ -163,10 +164,14 @@ def _is_monomial(f: Poly) -> bool:
     return not any(f[:-1])
 
 
+# One shared zero and one per field: LocalElem is frozen, and the
+# caches hold one entry per field in use.
+@lru_cache(maxsize=None)
 def zero(field: FieldSpec) -> LocalElem:
     return LocalElem(field, (), poly.one(field))
 
 
+@lru_cache(maxsize=None)
 def one(field: FieldSpec) -> LocalElem:
     return LocalElem(field, poly.one(field), poly.one(field))
 

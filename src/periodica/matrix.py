@@ -71,10 +71,6 @@ class RMatrix:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def column(self, j: int) -> "RMatrix":
-        ents = tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-        return RMatrix(self.field, self.rows, 1, ents)
-
     def submatrix(self, i0: int, i1: int, j0: int, j1: int) -> "RMatrix":
         ents = tuple(
             self.entries[i * self.cols + j]

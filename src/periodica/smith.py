@@ -4,13 +4,21 @@ share.
 
 The engine is :class:`TrackedBasis`: a basis change G of a free module
 R^n, applied one elementary step at a time (swap two basis vectors,
-scale one by a unit, add a multiple of one to another) with p = G and
-q = G^-1 kept exact alongside.  Grids attached as ``rows`` have the
-module as codomain and become G m; grids attached as ``cols`` have it
-as domain and become m G^-1.  Smith forms, minimal models
-(``minimal.reduce``), the K(j)/K(j)[1] split (``classify.decompose``)
-and random conjugations (``rand.random_invertible``) are pivot policies
-over it, so each certificate is the p and q of its bases.
+scale one by a unit, add a multiple of one to another).  Grids attached
+as ``rows`` have the module as codomain and become G m; grids attached
+as ``cols`` have it as domain and become m G^-1.  Smith forms, minimal
+models (``minimal.reduce``), the K(j)/K(j)[1] split
+(``classify.decompose``) and random conjugations
+(``rand.random_invertible``) are pivot policies over it, so each
+certificate is the p = G and q = G^-1 of its bases.
+
+The basis logs its steps and applies them only to the attached grids.
+p and q are built when read, by replaying the log on an identity grid
+as a ``rows`` or a ``cols`` grid; a grid's updates depend only on the
+step, so the replay gives the entries that tracking p and q alongside
+would.  A :class:`SmithForm` keeps the logs of its two bases, not their
+grids, and builds each of u, u^-1, v and v^-1 on first read: a caller
+that reads only ranks or exponents pays for no transform.
 
 Smith pivot policy (:func:`smith_sweep`): over k[x]_(x) every nonzero
 element is unit * x^v, so one sweep with a minimal-valuation pivot
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -42,77 +51,121 @@ from .localring import inverse, one, unit_part, x_shift, zero
 from .matrix import RMatrix
 
 
-class TrackedBasis:
-    """Basis change G of R^n with p = G (old -> current coordinates) and
-    q = G^-1, acting on the attached ``rows`` grids (m -> G m) and
-    ``cols`` grids (m -> m G^-1) in place."""
+def _swap(rows, cols, i: int, j: int) -> None:
+    for g in rows:
+        g[i], g[j] = g[j], g[i]
+    for g in cols:
+        for row in g:
+            row[i], row[j] = row[j], row[i]
 
-    def __init__(self, field: FieldSpec, n: int, rows=(), cols=()) -> None:
-        self.field = field
-        self.n = n
-        self.p = RMatrix.identity(field, n).to_grid()
-        self.q = RMatrix.identity(field, n).to_grid()
-        self._rows = [self.p, *rows]
-        self._cols = [self.q, *cols]
 
-    def swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for g in self._rows:
-            g[i], g[j] = g[j], g[i]
-        for g in self._cols:
-            for row in g:
-                row[i], row[j] = row[j], row[i]
+def _scale(rows, cols, i: int, unit, inv) -> None:
+    for g in rows:
+        row = g[i]
+        for t, e in enumerate(row):
+            if e:
+                row[t] = unit * e
+    for g in cols:
+        for row in g:
+            if row[i]:
+                row[i] = inv * row[i]
 
-    def scale(self, i: int, unit) -> None:
-        """G <- diag(1, .., unit, .., 1) G: row i times unit; column i
-        times unit**-1."""
-        inv = inverse(unit)
-        for g in self._rows:
-            row = g[i]
-            for t, e in enumerate(row):
-                if e:
-                    row[t] = unit * e
-        for g in self._cols:
-            for row in g:
-                if row[i]:
-                    row[i] = inv * row[i]
 
-    def add(self, a: int, b: int, lam) -> None:
-        """G <- (I + lam e_ab) G: row a += lam row b; column b -= lam column a."""
-        for g in self._rows:
-            ra = g[a]
-            for c, e in enumerate(g[b]):
-                if e:
-                    ra[c] = ra[c] + lam * e
+def _add(rows, cols, a: int, b: int, lam) -> None:
+    for g in rows:
+        ra = g[a]
+        for c, e in enumerate(g[b]):
+            if e:
+                ra[c] = ra[c] + lam * e
+    if cols:
         nlam = -lam
-        for g in self._cols:
+        for g in cols:
             for row in g:
                 e = row[a]
                 if e:
                     row[b] = row[b] + nlam * e
 
+
+def _replay(field: FieldSpec, n: int, steps, inverse_side: bool) -> RMatrix:
+    """G (``inverse_side`` false) or G^-1 of a step log, replayed on an
+    identity grid as a ``rows`` or a ``cols`` grid."""
+    grid = RMatrix.identity(field, n).to_grid()
+    rows, cols = ((), [grid]) if inverse_side else ([grid], ())
+    for step, *args in steps:
+        step(rows, cols, *args)
+    return RMatrix.from_grid(field, n, n, grid)
+
+
+class TrackedBasis:
+    """Basis change G of R^n, kept as the log of its elementary steps.
+    Each step acts at once on the attached ``rows`` grids (m -> G m) and
+    ``cols`` grids (m -> m G^-1), in place; p = G and q = G^-1 are
+    replayed from the log by :meth:`matrices`."""
+
+    def __init__(self, field: FieldSpec, n: int, rows=(), cols=()) -> None:
+        self.field = field
+        self.n = n
+        self.steps = []
+        self._rows = list(rows)
+        self._cols = list(cols)
+
+    def swap(self, i: int, j: int) -> None:
+        if i != j:
+            self.steps.append((_swap, i, j))
+            _swap(self._rows, self._cols, i, j)
+
+    def scale(self, i: int, unit) -> None:
+        """G <- diag(1, .., unit, .., 1) G: row i times unit; column i
+        times unit**-1."""
+        inv = inverse(unit)
+        self.steps.append((_scale, i, unit, inv))
+        _scale(self._rows, self._cols, i, unit, inv)
+
+    def add(self, a: int, b: int, lam) -> None:
+        """G <- (I + lam e_ab) G: row a += lam row b; column b -= lam column a."""
+        self.steps.append((_add, a, b, lam))
+        _add(self._rows, self._cols, a, b, lam)
+
     def matrices(self) -> tuple:
         """(G, G^-1) as matrices."""
-        n = self.n
-        return (RMatrix.from_grid(self.field, n, n, self.p),
-                RMatrix.from_grid(self.field, n, n, self.q))
+        return (_replay(self.field, self.n, self.steps, False),
+                _replay(self.field, self.n, self.steps, True))
 
 
-@dataclass(frozen=True)
 class SmithForm:
-    """u @ a @ v == d exactly; u, v invertible with the stored inverses."""
+    """u @ a @ v == d exactly; u, v invertible with the stored inverses.
 
-    u: RMatrix
-    d: RMatrix
-    v: RMatrix
-    u_inv: RMatrix
-    v_inv: RMatrix
-    exponents: tuple  # valuations a1 <= ... <= ar of the nonzero diagonal
+    ``d`` and ``exponents`` (the valuations a1 <= ... <= ar of the
+    nonzero diagonal) come with the form.  Each of ``u``, ``u_inv``,
+    ``v`` and ``v_inv`` is replayed from the sweep's step log when first
+    read, then kept."""
+
+    def __init__(self, d: RMatrix, exponents: tuple, left: list,
+                 right: list) -> None:
+        self.d = d
+        self.exponents = exponents
+        self._left = left    # steps of the row basis: u = G, u_inv = G^-1
+        self._right = right  # steps of the column basis: v_inv = G, v = G^-1
 
     @property
     def rank(self) -> int:
         return len(self.exponents)
+
+    @cached_property
+    def u(self) -> RMatrix:
+        return _replay(self.d.field, self.d.rows, self._left, False)
+
+    @cached_property
+    def u_inv(self) -> RMatrix:
+        return _replay(self.d.field, self.d.rows, self._left, True)
+
+    @cached_property
+    def v(self) -> RMatrix:
+        return _replay(self.d.field, self.d.cols, self._right, True)
+
+    @cached_property
+    def v_inv(self) -> RMatrix:
+        return _replay(self.d.field, self.d.cols, self._right, False)
 
 
 def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
@@ -165,10 +218,8 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
     left = TrackedBasis(a.field, a.rows, rows=[work])
     right = TrackedBasis(a.field, a.cols, cols=[work])
     exps = smith_sweep(work, left, right)
-    u, u_inv = left.matrices()
-    v_inv, v = right.matrices()
-    return SmithForm(u=u, d=RMatrix.from_grid(a.field, a.rows, a.cols, work),
-                     v=v, u_inv=u_inv, v_inv=v_inv, exponents=tuple(exps))
+    return SmithForm(RMatrix.from_grid(a.field, a.rows, a.cols, work),
+                     tuple(exps), left.steps, right.steps)
 
 
 def matrix_rank(a: RMatrix) -> int:
@@ -271,5 +322,7 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     free_rank = kdim - s2.rank
     gen_indices = list(range(nunits, len(s2.exponents))) + \
         list(range(s2.rank, kdim))
-    gens = tuple(kernel_basis @ s2.u_inv.column(i) for i in gen_indices)
+    lifts = kernel_basis @ s2.u_inv.take_cols(gen_indices)
+    k = len(gen_indices)
+    gens = tuple(RMatrix(a.field, n, 1, lifts.entries[i::k]) for i in range(k))
     return SubquotientModule(tuple(torsion), free_rank, gens)

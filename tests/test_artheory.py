@@ -163,6 +163,25 @@ def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("bound", [2, 4])
+def test_build_quiver_builds_test_certificates_once(bound, monkeypatch):
+    # one identity certificate per test object K(j), K(j)[1], j <= bound
+    # + 3, shared by all 2 * bound triangles, plus one per socle map
+    import periodica.artheory as artheory
+
+    calls = []
+    real = artheory.model_certificate
+
+    def counting(labels, field):
+        calls.append(tuple(labels))
+        return real(labels, field)
+
+    monkeypatch.setattr(artheory, "model_certificate", counting)
+    assert build_quiver(bound, Q).verified
+    assert len(calls) == 2 * (bound + 3) + bound
+    assert len(set(calls)) == 2 * (bound + 3)
+
+
 def test_shifted_triangle_verifies():
     t = shift_triangle(ar_triangle(2, Q))
     rep = verify_right_ar(t, bound=5)

@@ -4,8 +4,11 @@ test helper ``thelpers.is_homotopy_iso`` (transport to the minimal
 models, then invertibility in both degrees)."""
 
 from random import Random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thelpers import is_homotopy_iso, mat, scale_inverse_certificates
 
@@ -41,6 +44,7 @@ from periodica.errors import PeriodicaError, ValidationError
 from periodica.localring import parse_element, zero
 from periodica.minimal import reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
+from periodica.smith import smith_normal_form
 
 Q = FieldSpec.rationals()
 
@@ -108,6 +112,53 @@ def test_decompose_cohomology_consistency(rng):
         h0, h1 = cohomology(x)
         assert h0.length() == ms.h0_length()
         assert h1.length() == ms.h1_length()
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cohomology_lengths_are_smith_exponent_sums(label_, seed):
+    # the reading of decompose's cross-check: for finite-length X,
+    # length H0 = sum of the exponents of d1, length H1 = that of d0,
+    # and the ranks of d0 and d1 add up to r0
+    field = FieldSpec.from_label(label_)
+    x, _, _ = random_finite_length_instance(Random(seed), field, max_labels=3,
+                                            max_j=4, max_trivials=2)
+    s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
+    h0, h1 = cohomology(x)
+    assert sum(s1.exponents) == h0.length()
+    assert sum(s0.exponents) == h1.length()
+    assert s0.rank + s1.rank == x.r0
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:101"])
+@pytest.mark.parametrize("target, corrupt", [
+    ("d1", lambda e: (e[0] + 1,) + e[1:]),  # H0 length off by one
+    ("d0", lambda e: (e[0] + 1,) + e[1:]),  # H1 length off by one
+    ("d0", lambda e: e + (0,)),             # ranks add up to r0 + 1
+    ("d1", lambda e: e[1:]),                # drops a 0: ranks add to r0 - 1
+])
+def test_decompose_rejects_corrupted_exponents(label_, target, corrupt,
+                                               monkeypatch):
+    field = FieldSpec.from_label(label_)
+    # K(3) + K(2)[1] + K(3)[1] and two trivial summands, conjugated:
+    # exponents (2, 3) for d0 and (0, 0, 3) for d1
+    x, ms, _ = random_finite_length_instance(Random(11), field, max_labels=3,
+                                             max_j=3, max_trivials=2)
+    assert (ms.h0_length(), ms.h1_length()) == (3, 5)
+    real = classify.smith_normal_form
+
+    def corrupted(a):
+        s = real(a)
+        if a is not getattr(x, target):
+            return s
+        exps = corrupt(s.exponents)
+        return SimpleNamespace(exponents=exps, rank=len(exps))
+
+    monkeypatch.setattr(classify, "smith_normal_form", corrupted)
+    with pytest.raises(PeriodicaError) as exc:
+        decompose(x)
+    assert str(exc.value) == "cohomology lengths disagree with the multiset"
 
 
 def test_lemma_stable_equal_minimal_ranks(rng):

@@ -2,7 +2,10 @@
 
 Random swap/scale/add sequences must keep p and q mutually inverse and
 act on attached grids exactly as the product of the explicit elementary
-matrices does.  The golden files under ``golden/`` hold the CLI JSON of
+matrices does.  The Smith transforms, replayed from the step log only
+when read, must equal the same elementary products taken along the
+sweep, and callers that read only ranks or exponents must replay
+nothing.  The golden files under ``golden/`` hold the CLI JSON of
 ``reduce``, ``decompose`` and ``hom`` from before the elimination code
 was unified, and of ``tensor`` and ``strictify --window 6`` from before
 the tensor product was written through the Hom-complex writer; the
@@ -18,9 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodica import FieldSpec, RMatrix, inverse, one, zero
+from periodica import smith
+from periodica.classify import decompose
 from periodica.cli import main
-from periodica.rand import random_element, random_matrix, random_unit
-from periodica.smith import TrackedBasis
+from periodica.rand import (
+    random_element,
+    random_finite_length_instance,
+    random_matrix,
+    random_unit,
+)
+from periodica.smith import (
+    TrackedBasis,
+    homology_invariants,
+    is_invertible,
+    matrix_rank,
+    smith_normal_form,
+    smith_sweep,
+    solve_over_ring,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +100,113 @@ def test_tracked_basis_matches_elementary_products(label, seed):
         assert RMatrix.from_grid(field, n, m0.cols, grid) == g @ m0
     for grid, m0 in zip(col_grids, col_grids0):
         assert RMatrix.from_grid(field, m0.rows, n, grid) == m0 @ g_inv
+
+
+class _EagerBasis(TrackedBasis):
+    """A tracked basis that also multiplies out G and G^-1 from the
+    explicit elementary matrices at every step: the eager reference."""
+
+    def __init__(self, field, n, rows=(), cols=()):
+        super().__init__(field, n, rows=rows, cols=cols)
+        self.g = self.g_inv = RMatrix.identity(field, n)
+
+    def _push(self, kind, i, j, c):
+        e, e_inv = _elementary(self.field, self.n, kind, i, j, c)
+        self.g, self.g_inv = e @ self.g, self.g_inv @ e_inv
+
+    def swap(self, i, j):
+        super().swap(i, j)
+        self._push("swap", i, j, None)
+
+    def scale(self, i, unit):
+        super().scale(i, unit)
+        self._push("scale", i, i, unit)
+
+    def add(self, a, b, lam):
+        super().add(a, b, lam)
+        self._push("add", a, b, lam)
+
+
+def _smith_input(rng, field, kind, rows, cols):
+    if kind == "zero":
+        return RMatrix.zeros(field, rows, cols)
+    if kind == "deficient":  # rank at most min(rows, cols) - 1
+        k = max(min(rows, cols) - 1, 0)
+        return (random_matrix(rng, field, rows, k, max_val=2)
+                @ random_matrix(rng, field, k, cols, max_val=2))
+    return random_matrix(rng, field, rows, cols, max_val=3)
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "deficient", "full"]),
+       rows=st.integers(0, 5), cols=st.integers(0, 5),
+       order=st.permutations(["u", "u_inv", "v", "v_inv"]))
+def test_lazy_smith_transforms_match_eager_reference(label, seed, kind,
+                                                     rows, cols, order):
+    field = FieldSpec.from_label(label)
+    a = _smith_input(Random(seed), field, kind, rows, cols)
+    s = smith_normal_form(a)
+    work = a.to_grid()
+    left = _EagerBasis(field, rows, rows=[work])
+    right = _EagerBasis(field, cols, cols=[work])
+    exps = smith_sweep(work, left, right)
+    assert s.exponents == tuple(exps)
+    assert s.d == RMatrix.from_grid(field, rows, cols, work)
+    eager = {"u": left.g, "u_inv": left.g_inv,
+             "v": right.g_inv, "v_inv": right.g}
+    for name in order:  # each read order builds the same transforms
+        assert getattr(s, name) == eager[name]
+        assert getattr(s, name) is getattr(s, name)  # built once, kept
+    assert s.u @ a @ s.v == s.d
+
+
+class _ReplayCount:
+    """Counts replays of step logs, and those made by
+    ``TrackedBasis.matrices`` (two per call)."""
+
+    def __init__(self, monkeypatch):
+        self.replays = self.matrices_calls = 0
+        real_replay, real_matrices = smith._replay, TrackedBasis.matrices
+
+        def replay(*args):
+            self.replays += 1
+            return real_replay(*args)
+
+        def matrices(basis):
+            self.matrices_calls += 1
+            return real_matrices(basis)
+
+        monkeypatch.setattr(smith, "_replay", replay)
+        monkeypatch.setattr(TrackedBasis, "matrices", matrices)
+
+    @property
+    def smith_transforms(self) -> int:
+        return self.replays - 2 * self.matrices_calls
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:101"])
+def test_transforms_are_built_only_when_read(label, monkeypatch):
+    field = FieldSpec.from_label(label)
+    rng = Random(3)
+    x, _, _ = random_finite_length_instance(rng, field, max_labels=3,
+                                            max_j=3, max_trivials=2)
+    a = random_matrix(rng, field, 4, 4, max_val=2)
+    count = _ReplayCount(monkeypatch)
+    matrix_rank(a)
+    is_invertible(a)
+    decompose(x)
+    assert count.smith_transforms == 0
+    assert count.matrices_calls == 4  # reduce's two bases, decompose's two
+    s = smith_normal_form(a)
+    for _ in range(2):
+        s.u, s.u_inv, s.v, s.v_inv
+    assert count.smith_transforms == 4
+    homology_invariants(x.d0, x.d1)  # v, v_inv of the first form, u_inv
+    assert count.smith_transforms == 7
+    solve_over_ring(a, a.submatrix(0, 4, 0, 1))  # u and v
+    assert count.smith_transforms == 9
 
 
 @pytest.mark.parametrize("name", ["q_rank5", "q_denominators", "f3_rank5"])

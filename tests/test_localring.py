@@ -34,6 +34,15 @@ def q(s):
 
 # -- valuation ---------------------------------------------------------------
 
+def test_zero_and_one_are_shared_per_field():
+    rat, f3 = FieldSpec.from_label("Q"), FieldSpec.from_label("Fp:3")
+    assert zero(rat) is zero(FieldSpec.rationals())
+    assert one(f3) is one(FieldSpec.prime_field(3))
+    assert zero(rat) != zero(f3) and one(rat) != one(f3)
+    assert zero(f3).field == f3 and not zero(f3)
+    assert one(rat) == elem(rat, (1,)) and zero(rat) == elem(rat, ())
+
+
 def test_valuation_examples():
     assert valuation(q("x^2 + x^3")) == 2
     assert valuation(q("x/(1+x)")) == 1
