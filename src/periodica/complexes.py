@@ -25,6 +25,16 @@ d_X^T placed at its index; the Kronecker/block formula they equal is kept
 as the reference in the tests.  The same writer also assembles the
 tensor product.
 
+Where complex-ness is checked: ``make_complex`` and ``cone`` check the
+complex they build.  ``homc``, ``tensor2`` and the Smith path of
+``is_null_homotopic`` check their operands and not the Hom or tensor
+complex.  Its composites are d_Y^2 f - f d_X^2 (for the tensor,
+d_X^2 (x) 1 + 1 (x) d_Y^2): zero when both operands are complexes, but
+an operand that is no complex can cancel in them.  ``hom_module`` checks
+d0 d1 = 0 of the Hom complex once more in ``homology_invariants``.  The
+certified paths take their certificates from ``reduce``/``decompose``,
+which check their input, or from model block sums.
+
 Hom and null-homotopy have two paths.  Called with no certificates,
 ``hom_module`` takes the Smith form of the Hom complex and
 ``is_null_homotopic`` solves d s + s d = f by a Smith form.  Called with
@@ -113,10 +123,13 @@ def validate_complex(x: TwoPeriodicComplex) -> Optional[ComplexViolation]:
     return None
 
 
-def _checked(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
+def _checked(x: TwoPeriodicComplex, name: str = "") -> TwoPeriodicComplex:
+    """x itself, or NotAComplexError naming the operand ``name`` (if
+    any) and the first nonzero entry of a composite."""
     v = validate_complex(x)
     if v is not None:
-        raise NotAComplexError(str(v))
+        raise NotAComplexError(f"{name} is not a complex: {v}" if name
+                               else str(v))
     return x
 
 
@@ -417,20 +430,26 @@ def _homc_blocks(x: TwoPeriodicComplex, y: TwoPeriodicComplex):
 
 
 def homc(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
-    """2-periodic Hom complex; degree-0 cycles are the chain maps X -> Y."""
+    """2-periodic Hom complex; degree-0 cycles are the chain maps X -> Y.
+    Checks that x and y are complexes, which makes the result one."""
     if x.field != y.field:
         raise FieldMismatchError("Hom over different fields")
+    _checked(x, "source")
+    _checked(y, "target")
     d0, d1 = _homc_blocks(x, y)
-    return _checked(TwoPeriodicComplex(
-        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1))
+    return TwoPeriodicComplex(
+        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
 
 
 def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """2-periodic tensor product with Koszul signs, X-index outer: the
     differentials of Hom(X*, Y) with the degree-1 summand X1 (x) Y0
-    negated (rows of d0, columns of d1 from x.r0 * y.r1 on)."""
+    negated (rows of d0, columns of d1 from x.r0 * y.r1 on).  Checks
+    that x and y are complexes, which makes the result one."""
     if x.field != y.field:
         raise FieldMismatchError("tensor over different fields")
+    _checked(x, "left factor")
+    _checked(y, "right factor")
     h0, h1 = _homc_blocks(dual(x), y)
     cut = x.r0 * y.r1
     e0 = h0.entries
@@ -438,8 +457,8 @@ def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
                  + tuple(-e for e in e0[cut * h0.cols:]))
     d1 = RMatrix(x.field, h1.rows, h1.cols, tuple(
         -e if k % h1.cols >= cut else e for k, e in enumerate(h1.entries)))
-    return _checked(TwoPeriodicComplex(
-        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1))
+    return TwoPeriodicComplex(
+        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
 
 
 def delta_iso(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> ChainMap2:
@@ -504,7 +523,8 @@ def is_null_homotopic(f: ChainMap2,
                       certificates: Optional[tuple] = None) -> Optional[Homotopy2]:
     """Solve f = d s + s d over R; returns a re-verified witness or None.
 
-    Without certificates the system is solved by a Smith form.  With
+    Without certificates the system is solved by a Smith form, after
+    checking that f.src and f.dst are complexes.  With
     block-sum certificates (of f.src, of f.dst) the decision is read off
     the valuations of c = P_Y f Q_X block by block, and the witness is
     s = Q_Y s' P_X + h_Y f + Q_Y P_Y f h_X for the blockwise witness s'.
@@ -523,6 +543,8 @@ def is_null_homotopic(f: ChainMap2,
 
 def _solved_homotopy(f: ChainMap2):
     x, y = f.src, f.dst
+    _checked(x, "source")
+    _checked(y, "target")
     d1h = _hom_differential(x, y.d1, y.d0, negate=False)
     b = vstack(x.field, [f.f0.vec(), f.f1.vec()])
     sol = solve_over_ring(d1h, b)

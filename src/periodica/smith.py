@@ -13,12 +13,14 @@ models (``minimal.reduce``), the K(j)/K(j)[1] split
 certificate is the p = G and q = G^-1 of its bases.
 
 The basis logs its steps and applies them only to the attached grids.
-p and q are built when read, by replaying the log on an identity grid
-as a ``rows`` or a ``cols`` grid; a grid's updates depend only on the
-step, so the replay gives the entries that tracking p and q alongside
-would.  A :class:`SmithForm` keeps the logs of its two bases, not their
-grids, and builds each of u, u^-1, v and v^-1 on first read: a caller
-that reads only ranks or exponents pays for no transform.
+There is one replay of a log, :func:`_apply`, and it runs on the operand
+a transform multiplies: G m runs the steps forward on the rows of m,
+G^-1 m runs their inverses backward.  p and q
+(:meth:`TrackedBasis.matrices`) and a Smith form's u, u^-1, v and v^-1
+are that replay on an identity; the Smith transforms are built only
+when read, then kept.  Solving a system or presenting a subquotient
+applies the logs to its 1-column or k-column operand and builds no
+n x n transform.
 
 Smith pivot policy (:func:`smith_sweep`): over k[x]_(x) every nonzero
 element is unit * x^v, so one sweep with a minimal-valuation pivot
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .localring import inverse, one, unit_part, x_shift, zero
-from .matrix import RMatrix
+from .matrix import RMatrix, vstack
 
 
 def _swap(rows, cols, i: int, j: int) -> None:
@@ -86,21 +88,34 @@ def _add(rows, cols, a: int, b: int, lam) -> None:
                     row[b] = row[b] + nlam * e
 
 
-def _replay(field: FieldSpec, n: int, steps, inverse_side: bool) -> RMatrix:
-    """G (``inverse_side`` false) or G^-1 of a step log, replayed on an
-    identity grid as a ``rows`` or a ``cols`` grid."""
-    grid = RMatrix.identity(field, n).to_grid()
-    rows, cols = ((), [grid]) if inverse_side else ([grid], ())
-    for step, *args in steps:
-        step(rows, cols, *args)
-    return RMatrix.from_grid(field, n, n, grid)
+def _apply(field: FieldSpec, steps, m: RMatrix, inverse: bool) -> RMatrix:
+    """G m (``inverse`` false) or G^-1 m for the basis change G of a step
+    log.  G m runs the steps forward on the rows of m.  G^-1 m runs the
+    inverted steps (a swap; a scale by ``inv`` instead of ``unit``; an
+    add of -lam) in reverse order."""
+    grid = m.to_grid()
+    rows = [grid]
+    if not inverse:
+        for step, *args in steps:
+            step(rows, (), *args)
+    else:
+        for step, *args in reversed(steps):
+            if step is _scale:
+                i, unit, inv = args
+                _scale(rows, (), i, inv, unit)
+            elif step is _add:
+                a, b, lam = args
+                _add(rows, (), a, b, -lam)
+            else:
+                _swap(rows, (), *args)
+    return RMatrix.from_grid(field, m.rows, m.cols, grid)
 
 
 class TrackedBasis:
     """Basis change G of R^n, kept as the log of its elementary steps.
     Each step acts at once on the attached ``rows`` grids (m -> G m) and
     ``cols`` grids (m -> m G^-1), in place; p = G and q = G^-1 are
-    replayed from the log by :meth:`matrices`."""
+    built from the log by :meth:`matrices`."""
 
     def __init__(self, field: FieldSpec, n: int, rows=(), cols=()) -> None:
         self.field = field
@@ -128,17 +143,19 @@ class TrackedBasis:
 
     def matrices(self) -> tuple:
         """(G, G^-1) as matrices."""
-        return (_replay(self.field, self.n, self.steps, False),
-                _replay(self.field, self.n, self.steps, True))
+        eye = RMatrix.identity(self.field, self.n)
+        return (_apply(self.field, self.steps, eye, False),
+                _apply(self.field, self.steps, eye, True))
 
 
 class SmithForm:
     """u @ a @ v == d exactly; u, v invertible with the stored inverses.
 
     ``d`` and ``exponents`` (the valuations a1 <= ... <= ar of the
-    nonzero diagonal) come with the form.  Each of ``u``, ``u_inv``,
-    ``v`` and ``v_inv`` is replayed from the sweep's step log when first
-    read, then kept."""
+    nonzero diagonal) come with the form.  ``u_times(m)`` and its three
+    siblings give u m, u^-1 m, v m and v^-1 m by applying the sweep's
+    step logs to m.  Each of ``u``, ``u_inv``, ``v`` and ``v_inv`` is
+    that product with an identity, built when first read, then kept."""
 
     def __init__(self, d: RMatrix, exponents: tuple, left: list,
                  right: list) -> None:
@@ -151,21 +168,39 @@ class SmithForm:
     def rank(self) -> int:
         return len(self.exponents)
 
+    def _times(self, steps, n: int, m: RMatrix, inverse: bool) -> RMatrix:
+        if m.rows != n:
+            raise DimensionMismatchError(
+                f"cannot apply a {n}x{n} transform to {m.rows} rows")
+        return _apply(self.d.field, steps, m, inverse)
+
+    def u_times(self, m: RMatrix) -> RMatrix:
+        return self._times(self._left, self.d.rows, m, False)
+
+    def u_inv_times(self, m: RMatrix) -> RMatrix:
+        return self._times(self._left, self.d.rows, m, True)
+
+    def v_times(self, m: RMatrix) -> RMatrix:
+        return self._times(self._right, self.d.cols, m, True)
+
+    def v_inv_times(self, m: RMatrix) -> RMatrix:
+        return self._times(self._right, self.d.cols, m, False)
+
     @cached_property
     def u(self) -> RMatrix:
-        return _replay(self.d.field, self.d.rows, self._left, False)
+        return self.u_times(RMatrix.identity(self.d.field, self.d.rows))
 
     @cached_property
     def u_inv(self) -> RMatrix:
-        return _replay(self.d.field, self.d.rows, self._left, True)
+        return self.u_inv_times(RMatrix.identity(self.d.field, self.d.rows))
 
     @cached_property
     def v(self) -> RMatrix:
-        return _replay(self.d.field, self.d.cols, self._right, True)
+        return self.v_times(RMatrix.identity(self.d.field, self.d.cols))
 
     @cached_property
     def v_inv(self) -> RMatrix:
-        return _replay(self.d.field, self.d.cols, self._right, False)
+        return self.v_inv_times(RMatrix.identity(self.d.field, self.d.cols))
 
 
 def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
@@ -241,7 +276,7 @@ def invert(a: RMatrix) -> RMatrix:
     s = smith_normal_form(a)
     if s.rank != a.rows or any(e != 0 for e in s.exponents):
         raise NotInvertibleError("matrix is not invertible over the local ring")
-    return s.v @ s.u
+    return s.v_times(s.u)
 
 
 def solve_over_ring(a: RMatrix, b: RMatrix) -> Optional[RMatrix]:
@@ -253,7 +288,7 @@ def solve_over_ring(a: RMatrix, b: RMatrix) -> Optional[RMatrix]:
     if b.cols != 1 or b.rows != a.rows:
         raise DimensionMismatchError("right-hand side must be a column of matching height")
     s = smith_normal_form(a)
-    c = s.u @ b
+    c = s.u_times(b)
     field = a.field
     y = [zero(field)] * a.cols
     for t in range(a.rows):
@@ -267,7 +302,7 @@ def solve_over_ring(a: RMatrix, b: RMatrix) -> Optional[RMatrix]:
         elif ct:
             return None
     ycol = RMatrix(field, a.cols, 1, tuple(y))
-    return s.v @ ycol
+    return s.v_times(ycol)
 
 
 @dataclass(frozen=True)
@@ -302,7 +337,9 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     vanish.  a @ b is formed only to name its first nonzero entry when
     that test fails.  The kernel of ``a`` is the free summand spanned by
     the trailing columns of v; the image of ``b`` is rewritten in those
-    coordinates and reduced by a second Smith form.
+    coordinates and reduced by a second Smith form.  Each generator is
+    lifted as v [0 ; u2^-1 e] for its unit column e, both transforms
+    applied to the k generator columns at once.
     """
     if a.cols != b.rows:
         raise DimensionMismatchError("ker/im dimensions incompatible")
@@ -310,8 +347,7 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     r = s.rank
     n = a.cols
     kdim = n - r
-    kernel_basis = s.v.take_cols(range(r, n))  # n x kdim
-    bk = s.v_inv @ b
+    bk = s.v_inv_times(b)
     if any(bk.entries[:r * b.cols]):
         i, j = (a @ b).first_nonzero()
         raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
@@ -322,7 +358,9 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     free_rank = kdim - s2.rank
     gen_indices = list(range(nunits, len(s2.exponents))) + \
         list(range(s2.rank, kdim))
-    lifts = kernel_basis @ s2.u_inv.take_cols(gen_indices)
     k = len(gen_indices)
+    e_gen = RMatrix.identity(a.field, kdim).take_cols(gen_indices)
+    lifts = s.v_times(vstack(a.field, [RMatrix.zeros(a.field, r, k),
+                                       s2.u_inv_times(e_gen)]))
     gens = tuple(RMatrix(a.field, n, 1, lifts.entries[i::k]) for i in range(k))
     return SubquotientModule(tuple(torsion), free_rank, gens)

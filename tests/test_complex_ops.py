@@ -293,6 +293,51 @@ def test_hom_module_rejects_non_complex():
         hom_module(x, x)
 
 
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=30, deadline=None)
+@given(ranks=st.tuples(*[st.integers(0, 3)] * 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(ranks=(3, 3, 3, 3), seed=4)
+def test_homc_and_tensor_of_complexes_square_to_zero(label_, ranks, seed):
+    # homc and tensor2 check their operands, not their result
+    field = FieldSpec.from_label(label_)
+    rng = random.Random(seed)
+    x = _random_complex(rng, field, *ranks[:2])
+    y = _random_complex(rng, field, *ranks[2:])
+    assert validate_complex(homc(x, y)) is None
+    assert validate_complex(tensor2(x, y)) is None
+
+
+def _cancelling_non_complexes():
+    """X: d0 = d1 = 1 and Y: d0 = 1, d1 = -1, rank (1, 1).  Neither is a
+    complex (d1 d0 = 1 and -1), but d^2 of Hom(X, X) is d_X^2 f - f d_X^2
+    = 0 and d^2 of X (x) Y is d_X^2 (x) 1 + 1 (x) d_Y^2 = 0."""
+    o = one(Q)
+    m = RMatrix(Q, 1, 1, (o,))
+    return (TwoPeriodicComplex(Q, 1, 1, m, m),
+            TwoPeriodicComplex(Q, 1, 1, m, -m))
+
+
+def test_operands_that_are_no_complex_are_rejected():
+    x, y = _cancelling_non_complexes()
+    calls = [
+        (lambda: homc(x, x), "source is not a complex: d1*d0 has nonzero "
+                             "entry at (0, 0)"),
+        (lambda: homc(K(1), y), "target is not a complex: d1*d0 has "
+                                "nonzero entry at (0, 0)"),
+        (lambda: hom_module(x, x), "source is not a complex"),
+        (lambda: tensor2(x, y), "left factor is not a complex: d1*d0 has "
+                                "nonzero entry at (0, 0)"),
+        (lambda: tensor2(K(1), y), "right factor is not a complex"),
+        (lambda: is_null_homotopic(identity_map(x)),
+         "source is not a complex: d1*d0 has nonzero entry at (0, 0)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(NotAComplexError) as exc:
+            call()
+        assert str(exc.value).startswith(message)
+
+
 @pytest.mark.parametrize("label_", ["Q", "Fp:3"])
 def test_chain_map_rejects_single_entry_change(label_):
     # identity on K(1) + K(2)[1]: d0 = diag(0, -x^2), d1 = diag(x, 0), so

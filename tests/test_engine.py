@@ -4,12 +4,14 @@ Random swap/scale/add sequences must keep p and q mutually inverse and
 act on attached grids exactly as the product of the explicit elementary
 matrices does.  The Smith transforms, replayed from the step log only
 when read, must equal the same elementary products taken along the
-sweep, and callers that read only ranks or exponents must replay
-nothing.  The golden files under ``golden/`` hold the CLI JSON of
-``reduce``, ``decompose`` and ``hom`` from before the elimination code
-was unified, and of ``tensor`` and ``strictify --window 6`` from before
-the tensor product was written through the Hom-complex writer; the
-output must stay byte for byte the same.
+sweep; their products with an operand, applied from the log, must equal
+the products with the built transforms; and ``solve_over_ring`` and
+``homology_invariants`` must build no n x n transform.  The golden
+files under ``golden/`` hold the CLI JSON of ``reduce``, ``decompose``
+and ``hom`` from before the elimination code was unified, and of
+``tensor`` and ``strictify --window 6`` from before the tensor product
+was written through the Hom-complex writer; the output must stay byte
+for byte the same.
 """
 
 import json
@@ -20,19 +22,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodica import FieldSpec, RMatrix, inverse, one, zero
+from periodica import (
+    DimensionMismatchError,
+    FieldSpec,
+    RMatrix,
+    inverse,
+    one,
+    zero,
+)
 from periodica import smith
 from periodica.classify import decompose
 from periodica.cli import main
 from periodica.rand import (
     random_element,
     random_finite_length_instance,
+    random_invertible,
     random_matrix,
     random_unit,
 )
 from periodica.smith import (
     TrackedBasis,
     homology_invariants,
+    invert,
     is_invertible,
     matrix_rank,
     smith_normal_form,
@@ -162,28 +173,55 @@ def test_lazy_smith_transforms_match_eager_reference(label, seed, kind,
     assert s.u @ a @ s.v == s.d
 
 
-class _ReplayCount:
-    """Counts replays of step logs, and those made by
-    ``TrackedBasis.matrices`` (two per call)."""
+@pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "deficient", "full"]),
+       rows=st.integers(0, 5), cols=st.integers(0, 5),
+       width=st.sampled_from([0, 1, 3]))
+def test_transform_products_match_transforms(label, seed, kind, rows, cols,
+                                             width):
+    # u m, u^-1 m, v m and v^-1 m applied from the step logs, entry for
+    # entry against the product with the built transform
+    field = FieldSpec.from_label(label)
+    rng = Random(seed)
+    a = _smith_input(rng, field, kind, rows, cols)
+    s = smith_normal_form(a)
+    for name, n in (("u", rows), ("u_inv", rows), ("v", cols),
+                    ("v_inv", cols)):
+        m = random_matrix(rng, field, n, width, max_val=2)
+        assert getattr(s, f"{name}_times")(m) == getattr(s, name) @ m
+    with pytest.raises(DimensionMismatchError):
+        s.u_times(RMatrix.zeros(field, rows + 1, 1))
+
+
+class _ApplyLog:
+    """Records the operand shape of every ``smith._apply`` call and counts
+    ``TrackedBasis.matrices`` calls.  An n x n transform is built exactly
+    when ``_apply`` runs on an identity; ``matrices`` builds two."""
 
     def __init__(self, monkeypatch):
-        self.replays = self.matrices_calls = 0
-        real_replay, real_matrices = smith._replay, TrackedBasis.matrices
+        self.calls, self.matrices_calls = [], 0
+        real_apply, real_matrices = smith._apply, TrackedBasis.matrices
 
-        def replay(*args):
-            self.replays += 1
-            return real_replay(*args)
+        def apply(field, steps, m, inverse):
+            eye = m.rows == m.cols and m == RMatrix.identity(field, m.rows)
+            self.calls.append((m.rows, m.cols, eye))
+            return real_apply(field, steps, m, inverse)
 
         def matrices(basis):
             self.matrices_calls += 1
             return real_matrices(basis)
 
-        monkeypatch.setattr(smith, "_replay", replay)
+        monkeypatch.setattr(smith, "_apply", apply)
         monkeypatch.setattr(TrackedBasis, "matrices", matrices)
 
     @property
     def smith_transforms(self) -> int:
-        return self.replays - 2 * self.matrices_calls
+        return sum(eye for *_, eye in self.calls) - 2 * self.matrices_calls
+
+    def shapes_since(self, k: int) -> list:
+        return [(rows, cols) for rows, cols, _ in self.calls[k:]]
 
 
 @pytest.mark.parametrize("label", ["Q", "Fp:101"])
@@ -193,20 +231,33 @@ def test_transforms_are_built_only_when_read(label, monkeypatch):
     x, _, _ = random_finite_length_instance(rng, field, max_labels=3,
                                             max_j=3, max_trivials=2)
     a = random_matrix(rng, field, 4, 4, max_val=2)
-    count = _ReplayCount(monkeypatch)
+    g, _ = random_invertible(rng, field, 4)
+    log = _ApplyLog(monkeypatch)
     matrix_rank(a)
     is_invertible(a)
     decompose(x)
-    assert count.smith_transforms == 0
-    assert count.matrices_calls == 4  # reduce's two bases, decompose's two
+    assert log.smith_transforms == 0
+    assert log.matrices_calls == 4  # reduce's two bases, decompose's two
     s = smith_normal_form(a)
     for _ in range(2):
         s.u, s.u_inv, s.v, s.v_inv
-    assert count.smith_transforms == 4
-    homology_invariants(x.d0, x.d1)  # v, v_inv of the first form, u_inv
-    assert count.smith_transforms == 7
-    solve_over_ring(a, a.submatrix(0, 4, 0, 1))  # u and v
-    assert count.smith_transforms == 9
+    assert log.smith_transforms == 4
+    # v^-1 b, u2^-1 on the generator columns and v on their lifts: no
+    # identity operand, so no transform built
+    k = len(log.calls)
+    h0 = homology_invariants(x.d0, x.d1)
+    ngen = len(h0.generators)
+    assert log.shapes_since(k) == [
+        (x.r0, x.r1), (x.r0 - matrix_rank(x.d0), ngen), (x.r0, ngen)]
+    assert 0 < ngen < x.r0 and log.smith_transforms == 4
+    k = len(log.calls)
+    solve_over_ring(a, a.submatrix(0, 4, 0, 1))  # u b and v y, 1 column
+    assert log.shapes_since(k) == [(4, 1), (4, 1)]
+    assert log.smith_transforms == 4
+    k = len(log.calls)
+    assert invert(g) @ g == RMatrix.identity(field, 4)
+    assert log.smith_transforms == 5  # u, then v applied to it
+    assert log.shapes_since(k) == [(4, 4), (4, 4)]
 
 
 @pytest.mark.parametrize("name", ["q_rank5", "q_denominators", "f3_rank5"])

@@ -347,3 +347,37 @@ def test_cli_hom_text(tmp_path, capsys):
         assert main(["hom", str(tmp_path / f"{lhs}.json"),
                      str(tmp_path / f"{rhs}.json")]) == 0
         assert capsys.readouterr().out == text + "\n"
+
+
+def test_cli_main_repeated_in_one_process(tmp_path, k2_file, capsys,
+                                          monkeypatch):
+    # the parser is built once per process; repeated calls of main give
+    # what one call per process gives, usage errors included
+    from periodica.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    argvs = [
+        ["decompose", str(k2_file), "--format", "json"],
+        ["cohomology", str(k2_file)],
+        ["decompose"],  # argparse usage error
+        ["hom", str(k2_file), str(tmp_path / "missing.json")],  # input error
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    single = []
+    for argv in argvs:
+        r = run_cli(*argv)
+        single.append((r.returncode, r.stdout, r.stderr))
+    assert [code for code, *_ in single] == [0, 0, 2, 2]
+    assert "usage: periodica decompose" in single[2][2]
+    assert single[3][2].startswith("error: cannot read")
+    for _ in range(2):
+        for argv, expected in zip(argvs, single):
+            assert in_process(argv) == expected
