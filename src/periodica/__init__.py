@@ -75,6 +75,7 @@ from .errors import (
     NotTrivialError,
     ParseError,
     PeriodicaError,
+    SizeLimitError,
     ValidationError,
 )
 from .fields import FieldSpec

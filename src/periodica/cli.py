@@ -278,7 +278,10 @@ def cmd_selftest(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="periodica",
         description="Exact computations with 2-periodic complexes over k[x] "
@@ -291,56 +294,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="text", choices=fmt_choices,
                        help="output format")
 
-    p = sub.add_parser("validate", help="check a complex document")
-    p.add_argument("complex")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("reduce", help="split off the trivial summands")
-    p.add_argument("complex")
-    common(p)
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("cohomology", help="invariant factors of H0 and H1")
-    p.add_argument("complex")
-    common(p)
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("decompose",
-                       help="indecomposable summands with certificates")
-    p.add_argument("complex")
-    common(p)
-    p.set_defaults(fn=cmd_decompose)
-
-    for name in ("shift", "dual"):
-        p = sub.add_parser(name, help=f"{name} of a complex")
-        p.add_argument("complex")
-        common(p)
-        p.set_defaults(fn=cmd_unary, op=name)
-
-    for name, desc in (("sum", "direct sum"), ("tensor", "2-periodic tensor"),
-                       ("homc", "2-periodic Hom complex")):
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("lhs")
-        p.add_argument("rhs")
-        common(p)
-        p.set_defaults(fn=cmd_binary, op=name)
-
-    p = sub.add_parser("hom", help="Hom-module in the homotopy category")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    common(p)
-    p.set_defaults(fn=cmd_hom)
-
-    p = sub.add_parser("cone", help="mapping cone of a chain map")
-    p.add_argument("map")
-    common(p)
-    p.set_defaults(fn=cmd_cone)
-
-    p = sub.add_parser("homotopic", help="null-homotopy witness search")
-    p.add_argument("map")
-    common(p)
-    p.set_defaults(fn=cmd_homotopic)
+    # commands by the files they read, in registration (and help) order
+    for files, commands in (
+            (("complex",), (
+                ("validate", "check a complex document", cmd_validate),
+                ("reduce", "split off the trivial summands", cmd_reduce),
+                ("cohomology", "invariant factors of H0 and H1",
+                 cmd_cohomology),
+                ("decompose", "indecomposable summands with certificates",
+                 cmd_decompose),
+                ("shift", "shift of a complex", cmd_unary),
+                ("dual", "dual of a complex", cmd_unary))),
+            (("lhs", "rhs"), (
+                ("sum", "direct sum", cmd_binary),
+                ("tensor", "2-periodic tensor", cmd_binary),
+                ("homc", "2-periodic Hom complex", cmd_binary),
+                ("hom", "Hom-module in the homotopy category", cmd_hom))),
+            (("map",), (
+                ("cone", "mapping cone of a chain map", cmd_cone),
+                ("homotopic", "null-homotopy witness search",
+                 cmd_homotopic)))):
+        for name, desc, fn in commands:
+            p = sub.add_parser(name, help=desc)
+            for f in files:
+                p.add_argument(f)
+            common(p)
+            p.set_defaults(fn=fn, op=name)
 
     p = sub.add_parser("strictify", help="strictify quasi-periodic data")
     p.add_argument("data")
@@ -382,15 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; ``parse_args`` leaves it as
-    it was."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "bound", "missing") is None:
         args.bound = args.i + 3
     try:

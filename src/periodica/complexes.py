@@ -66,12 +66,19 @@ from .errors import (
     FieldMismatchError,
     InvalidChainMapError,
     NotAComplexError,
+    SizeLimitError,
     ValidationError,
 )
 from .fields import FieldSpec
 from .localring import LocalElem, format_element, one, x_power, x_shift, zero
 from .matrix import RMatrix, block, block_diag, commutation_matrix, vstack
 from .smith import homology_invariants, solve_over_ring
+
+# Most entries of one Hom-complex differential that are built: 2^20 list
+# slots are 8 MB of references.  Hom(X, X) for X of ranks (r, r) has 4 r^4
+# entries per differential, so ranks up to (22, 22) pass; (60, 60), a
+# 36 KB document of zeros, would need 52M.
+MAX_HOM_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -388,10 +395,15 @@ def _hom_differential(x: TwoPeriodicComplex, a: RMatrix, d: RMatrix,
                       negate: bool) -> RMatrix:
     """The block matrix [[I_X0 (x) a, +-d0_X^T (x) I], [+-d1_X^T (x) I,
     I_X1 (x) d]] of a Hom-complex differential, a being m x k and d
-    k x m, written entry by entry."""
+    k x m, written entry by entry.  SizeLimitError, before anything is
+    allocated, when it has more than MAX_HOM_ENTRIES entries."""
     xr0, xr1 = x.r0, x.r1
     m, k = a.rows, d.rows
     rows, cols = xr0 * m + xr1 * k, xr0 * k + xr1 * m
+    if rows * cols > MAX_HOM_ENTRIES:
+        raise SizeLimitError(
+            f"Hom-complex differential of {rows} x {cols} = {rows * cols} "
+            f"entries exceeds the limit of {MAX_HOM_ENTRIES}")
     out = [zero(x.field)] * (rows * cols)
     top, left = xr0 * m, xr0 * k  # first row / column of the X1 blocks
     ae, de = a.entries, d.entries

@@ -53,5 +53,9 @@ class ParseError(PeriodicaError):
     """Malformed input document or ring-element string."""
 
 
+class SizeLimitError(PeriodicaError):
+    """A construction would exceed the package's size budget."""
+
+
 class ValidationError(PeriodicaError):
     """Well-formed input that violates a mathematical invariant."""

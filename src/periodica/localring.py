@@ -15,6 +15,11 @@ a/b + c/d with g = gcd(b, d), the sum t = a*(d/g) + c*(b/g) is coprime to
 b/g and d/g, so only gcd(t, g) is taken, and none when g = 1.  :func:`elem`
 is the full canonicalisation, used for parsing and as the reference.
 
+Every division is exact and checked: by a gcd through
+:func:`poly.exact_quotient`, and by x^k (:func:`x_shift`,
+:func:`unit_part`) by slicing the numerator at its order, which is
+compared with k first.  An inexact division raises NotDivisibleError.
+
 Text grammar (shared by every file format): polynomials are written
 "c0 + c1*x + c2*x^2" with coefficients "p/q" over Q or integers over F_p
 and exponents at most MAX_EXPONENT; an element is a polynomial, optionally
@@ -85,8 +90,8 @@ class LocalElem:
         # g(0) = 1 makes b/g and d/g keep constant term 1.  t is coprime
         # to b/g and d/g, so only t/g can still cancel.
         g = poly.scale(K, g, K.inv(g[0]))
-        b, _ = poly.divmod_poly(K, b, g)
-        d, _ = poly.divmod_poly(K, d, g)
+        b = poly.exact_quotient(K, b, g)
+        d = poly.exact_quotient(K, d, g)
         t = elem(K, poly.add(K, poly.mul(K, a, d), poly.mul(K, c, b)), g)
         return LocalElem(K, t.num, poly.mul(K, t.den, poly.mul(K, b, d)))
 
@@ -149,8 +154,8 @@ def elem(field: FieldSpec, num: Poly, den: Poly = None) -> LocalElem:
     if len(den) > 1:
         g = poly.gcd(K, num, den)
         if poly.degree(g) > 0:
-            num, _ = poly.divmod_poly(K, num, g)
-            den, _ = poly.divmod_poly(K, den, g)
+            num = poly.exact_quotient(K, num, g)
+            den = poly.exact_quotient(K, den, g)
     c = den[0]
     if c != K.one:
         cinv = K.inv(c)
@@ -208,17 +213,17 @@ def x_shift(e: LocalElem, k: int) -> LocalElem:
     K = e.field
     if k > 0:
         return LocalElem(K, poly.shift_up(K, e.num, k), e.den)
-    o = poly.order(e.num)
-    if o is None or o < -k:
+    if poly.order(e.num) < -k:
         raise NotDivisibleError("valuation too small for division by x^%d" % (-k))
-    return LocalElem(K, poly.shift_down(e.num, -k), e.den)
+    return LocalElem(K, e.num[-k:], e.den)
 
 
 def unit_part(e: LocalElem) -> LocalElem:
     """The unit u with e = u * x^valuation(e); undefined (error) for zero."""
     if not e.num:
         raise NonUnitError("zero has no unit part")
-    return x_shift(e, -poly.order(e.num))
+    o = poly.order(e.num)
+    return LocalElem(e.field, e.num[o:], e.den) if o else e
 
 
 # ---------------------------------------------------------------------------

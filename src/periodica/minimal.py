@@ -29,10 +29,10 @@ from .complexes import (
     Homotopy2,
     TwoPeriodicComplex,
     direct_sum,
+    _checked,
     identity_map,
-    validate_complex,
 )
-from .errors import NotAComplexError, NotTrivialError, PeriodicaError
+from .errors import NotTrivialError, PeriodicaError
 from .fields import FieldSpec
 from .localring import format_element, inverse, one
 from .matrix import RMatrix
@@ -120,8 +120,7 @@ def _reorder(basis: TrackedBasis, perm) -> None:
 
 def reduce(x: TwoPeriodicComplex) -> SplitResult:
     """Split X as minimal + Type1^a + Type2^b with exact certificates."""
-    if validate_complex(x) is not None:
-        raise NotAComplexError("input differentials do not square to zero")
+    _checked(x, "input")
     field = x.field
     r0, r1 = x.r0, x.r1
     d0 = x.d0.to_grid()

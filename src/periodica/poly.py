@@ -16,10 +16,16 @@ for that field on plain values, so the inner loops make no per-coefficient
   J. ACM 18, 1971): clear denominators, take primitive parts, remove the
   content after each pseudo-remainder, and make the last nonzero one monic.
   The monic gcd is unique, so it equals the Euclidean gcd over Q.
+  Division is exact in Z[x] by the primitive part of the divisor, with
+  no ``Fraction`` arithmetic in the loop.
 - over F_p, coefficients are ints in [0, p).  Products are accumulated as
   Python ints and reduced once per output coefficient; a division inverts
   the divisor's lead once and reduces a remainder coefficient only when it
   is read as a leading coefficient.  The gcd is Euclid on that division.
+
+Outside the gcd, division is :func:`exact_quotient`: callers divide only
+by a factor they know, so a remainder is an error (``NotDivisibleError``),
+never a value.
 
 ``scale`` multiplies by one field element through ``FieldSpec.mul``, the
 scalar API.  Result tuples are built from lists, not generator
@@ -33,14 +39,16 @@ from fractions import Fraction
 from math import gcd as igcd, lcm
 from typing import Optional, Sequence, Tuple
 
+from .errors import NotDivisibleError
 from .fields import FieldSpec, Scalar
 
 Poly = Tuple[Scalar, ...]
 
 ZERO: Poly = ()
 
-_QZERO = Fraction(0)
 _QONE = Fraction(1)
+
+_INEXACT = "polynomial division leaves a remainder"
 
 
 def trim(field: FieldSpec, coeffs: Sequence[Scalar]) -> Poly:
@@ -172,16 +180,6 @@ def shift_up(field: FieldSpec, f: Poly, n: int) -> Poly:
     return (field.zero,) * n + f
 
 
-def shift_down(f: Poly, n: int) -> Poly:
-    """Divide by x^n; requires order(f) >= n."""
-    if not f:
-        return ()
-    o = order(f)
-    if o is None or o < n:
-        raise ValueError("polynomial not divisible by x^%d" % n)
-    return f[n:]
-
-
 def _fp_divmod(f: Poly, g: Poly, p: int, want_q: bool):
     """Quotient (or None) and trimmed reduced remainder list over F_p."""
     n = len(g) - 1
@@ -204,32 +202,11 @@ def _fp_divmod(f: Poly, g: Poly, p: int, want_q: bool):
     return q, rem
 
 
-def _q_divmod_fractions(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Long division over the ``Fraction`` coefficients."""
-    n = len(g) - 1
-    lead = g[-1]
-    ginv = None if lead == 1 else 1 / lead
-    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
-    rem = list(f)
-    q = [_QZERO] * max(len(f) - n, 0)
-    while len(rem) > n:
-        c = rem.pop()
-        if c:
-            k = len(rem) - n
-            if ginv is not None:
-                c = c * ginv
-            q[k] = c
-            for i, b in low:
-                rem[k + i] -= c * b
-    return _trimmed(q), _trimmed(rem)
-
-
-def _q_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Division in Z[x] by the primitive part G of g when the lead of G
-    divides every leading coefficient met (always, when g divides f:
-    Gauss's lemma); otherwise over the Fractions."""
-    if len(f) < len(g):
-        return (), f
+def _q_quotient(f: Poly, g: Poly) -> Poly:
+    """f / g by division in Z[x] by the primitive part G of g.  When g
+    divides f, the lead of G divides every leading coefficient met
+    (Gauss's lemma), so a lead that does not divide, or a remainder left
+    over, means that g does not divide f."""
     fn, fd = _over_common_den(f)
     gn, gd = _over_common_den(g)
     c = igcd(*gn)
@@ -245,27 +222,29 @@ def _q_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         if t:
             t, r = divmod(t, lead)
             if r:
-                return _q_divmod_fractions(f, g)
+                raise NotDivisibleError(_INEXACT)
             k = len(rem) - n
             q[k] = t
             for i, b in low:
                 rem[k + i] -= t * b
-    # f = fn / fd and g = c gn / gd, so f = q gd / (c fd) * g + rem / fd
-    while rem and not rem[-1]:
-        rem.pop()
+    if any(rem):
+        raise NotDivisibleError(_INEXACT)
+    # f = fn / fd and g = c G / gd, so f / g = q gd / (c fd)
     qd = c * fd
-    return (tuple([Fraction(a * gd, qd) for a in q]),
-            tuple([Fraction(a, fd) for a in rem]))
+    return tuple([Fraction(a * gd, qd) for a in q])
 
 
-def divmod_poly(field: FieldSpec, f: Poly, g: Poly) -> tuple[Poly, Poly]:
+def exact_quotient(field: FieldSpec, f: Poly, g: Poly) -> Poly:
+    """f / g; NotDivisibleError when g does not divide f."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     p = field.p
     if not p:
-        return _q_divmod(f, g)
+        return _q_quotient(f, g)
     q, rem = _fp_divmod(f, g, p, True)
-    return _trimmed(q), tuple(rem)
+    if rem:
+        raise NotDivisibleError(_INEXACT)
+    return tuple(q)
 
 
 def monic(field: FieldSpec, f: Poly) -> Poly:

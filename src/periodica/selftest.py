@@ -3,14 +3,16 @@
 Each suite draws randomized instances from :mod:`periodica.rand`, checks
 invariants across the whole stack (Smith certificates, splitting
 certificates, classification round trips, duality, AR axioms), and
-reports one line per suite.
+reports one line per suite.  A suite returns the detail of its first
+failed check, or None when every check holds; :func:`run_selftest` names
+the result from ``SUITES``, also when the suite raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, List
+from typing import Callable, List, Optional, Tuple
 
 from .artheory import ar_triangle, serre_length_check, verify_right_ar
 from .classify import assemble, decompose, finite_length_cohomology, k_complex
@@ -45,105 +47,103 @@ def _fields() -> List[FieldSpec]:
     return [FieldSpec.rationals(), FieldSpec.prime_field(101)]
 
 
-def _suite_smith(rng: Random, rounds: int) -> SuiteResult:
+def _suite_smith(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(rounds):
         for field in _fields():
             a = random_matrix(rng, field, rng.randint(0, 4), rng.randint(0, 4))
             s = smith_normal_form(a)
             if not (s.u @ a @ s.v - s.d).is_zero():
-                return SuiteResult("smith-certificates", False, "UAV != D")
+                return "UAV != D"
             if not (s.u @ s.u_inv - RMatrix.identity(field, a.rows)).is_zero():
-                return SuiteResult("smith-certificates", False, "U inverse")
+                return "U inverse"
             if not (s.v @ s.v_inv - RMatrix.identity(field, a.cols)).is_zero():
-                return SuiteResult("smith-certificates", False, "V inverse")
+                return "V inverse"
             if list(s.exponents) != sorted(s.exponents):
-                return SuiteResult("smith-certificates", False, "not ascending")
+                return "not ascending"
             b = random_column(rng, field, a.rows)
             sol = solve_over_ring(a, b)
             if sol is not None and not (a @ sol - b).is_zero():
-                return SuiteResult("smith-certificates", False, "bad solution")
-    return SuiteResult("smith-certificates", True)
+                return "bad solution"
+    return None
 
 
-def _suite_classify(rng: Random, rounds: int) -> SuiteResult:
+def _suite_classify(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(rounds):
         for field in _fields():
             x, ms, _ = random_finite_length_instance(rng, field)
             dec = decompose(x)
             if dec.multiset != ms:
-                return SuiteResult("classification-roundtrip", False,
-                                   f"{dec.multiset} != {ms}")
-    return SuiteResult("classification-roundtrip", True)
+                return f"{dec.multiset} != {ms}"
+    return None
 
 
-def _suite_minimal(rng: Random, rounds: int) -> SuiteResult:
+def _suite_minimal(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(rounds):
         for field in _fields():
             x, _, _ = random_finite_length_instance(rng, field)
             s = reduce(x)
             if not is_minimal(s.minimal):
-                return SuiteResult("minimal-model", False, "not minimal")
+                return "not minimal"
             if s.minimal.total_rank and \
                     is_null_homotopic(identity_map(s.minimal)) is not None:
-                return SuiteResult("minimal-model", False,
-                                   "nonzero minimal is contractible")
-    return SuiteResult("minimal-model", True)
+                return "nonzero minimal is contractible"
+    return None
 
 
-def _suite_duality(rng: Random, rounds: int) -> SuiteResult:
+def _suite_duality(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(rounds):
         for field in _fields():
             x, ms, _ = random_finite_length_instance(
                 rng, field, max_labels=2, max_j=3, max_trivials=1)
             if not finite_length_cohomology(dual(x)):
-                return SuiteResult("duality", False, "dual lost finiteness")
+                return "dual lost finiteness"
             y = assemble(ms, field)
             delta_iso(y, x)  # raises if the squares do not commute
-    return SuiteResult("duality", True)
+    return None
 
 
-def _suite_strictify(rng: Random, rounds: int) -> SuiteResult:
+def _suite_strictify(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(rounds):
         for field in _fields():
             q, expected = random_quasi_periodic(rng, field)
             x = strictify(q)
             if x != expected:
-                return SuiteResult("strictify", False, "unexpected output")
+                return "unexpected output"
             window_chain_map(q, radius=4)  # raises on identity failure
-    return SuiteResult("strictify", True)
+    return None
 
 
-def _suite_ar(rng: Random, rounds: int) -> SuiteResult:
+def _suite_ar(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(max(1, rounds // 4)):
         for field in _fields():
             i = rng.randint(1, 4)
             rep = verify_right_ar(ar_triangle(i, field), bound=i + 2)
             if not rep.passed:
-                return SuiteResult("ar-axioms", False, f"i={i}")
+                return f"i={i}"
             j = rng.randint(1, 4)
             if not serre_length_check(k_complex(i, field),
                                       shift(k_complex(j, field))):
-                return SuiteResult("ar-axioms", False, "serre lengths")
-    return SuiteResult("ar-axioms", True)
+                return "serre lengths"
+    return None
 
 
-SUITES: List[Callable[[Random, int], SuiteResult]] = [
-    _suite_smith,
-    _suite_classify,
-    _suite_minimal,
-    _suite_duality,
-    _suite_strictify,
-    _suite_ar,
+SUITES: List[Tuple[str, Callable[[Random, int], Optional[str]]]] = [
+    ("smith-certificates", _suite_smith),
+    ("classification-roundtrip", _suite_classify),
+    ("minimal-model", _suite_minimal),
+    ("duality", _suite_duality),
+    ("strictify", _suite_strictify),
+    ("ar-axioms", _suite_ar),
 ]
 
 
 def run_selftest(seed: int = 0, rounds: int = 8) -> List[SuiteResult]:
     results = []
-    for idx, suite in enumerate(SUITES):
+    for idx, (name, suite) in enumerate(SUITES):
         rng = Random((seed << 8) + idx)  # deterministic per suite and seed
         try:
-            results.append(suite(rng, rounds))
+            detail = suite(rng, rounds)
         except Exception as exc:  # a raised invariant is a failure, not a crash
-            results.append(SuiteResult(suite.__name__.lstrip("_"), False,
-                                       f"{type(exc).__name__}: {exc}"))
+            detail = f"{type(exc).__name__}: {exc}"
+        results.append(SuiteResult(name, detail is None, detail or ""))
     return results

@@ -273,7 +273,8 @@ def test_decompose_checks_the_complex_before_any_smith_form(monkeypatch):
     calls = _count_smith_forms(monkeypatch)
     with pytest.raises(NotAComplexError) as exc:
         decompose(TwoPeriodicComplex(field, 2, 2, d, d))
-    assert str(exc.value) == "input differentials do not square to zero"
+    assert str(exc.value) == \
+        "input is not a complex: d1*d0 has nonzero entry at (0, 0)"
     assert calls == []
 
 

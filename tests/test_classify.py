@@ -251,4 +251,5 @@ def test_decompose_rejects_non_complex():
     d = mat(Q, 2, 2, [["1", "0"], ["0", "0"]])
     with pytest.raises(NotAComplexError) as exc:
         decompose(TwoPeriodicComplex(Q, 2, 2, d, d))
-    assert str(exc.value) == "input differentials do not square to zero"
+    assert str(exc.value) == \
+        "input is not a complex: d1*d0 has nonzero entry at (0, 0)"

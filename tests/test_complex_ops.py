@@ -3,6 +3,8 @@ cohomology, null-homotopy decisions, and Hom-modules."""
 
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from periodica import (
     InvalidChainMapError,
     NotAComplexError,
     RMatrix,
+    SizeLimitError,
     TwoPeriodicComplex,
     cohomology,
     compose,
@@ -44,7 +47,7 @@ from periodica import (
     zero_map,
 )
 from periodica.classify import decompose, label, IndecompMultiset, model_complex
-from periodica.complexes import _homc_blocks
+from periodica.complexes import MAX_HOM_ENTRIES, _homc_blocks
 from periodica.matrix import block, kron
 from periodica.minimal import TrivialType, reduce, trivial_complex
 from periodica.rand import (
@@ -179,6 +182,35 @@ def test_homc_from_rank_10_source():
     h = homc(x, y)
     assert validate_complex(h) is None
     assert (h.r0, h.r1) == (y.r0, y.r1)
+
+
+def _zeros(r0, r1, field=Q):
+    return TwoPeriodicComplex(field, r0, r1, RMatrix.zeros(field, r1, r0),
+                              RMatrix.zeros(field, r0, r1))
+
+
+@pytest.mark.parametrize("op", ["homc", "tensor2", "hom_module",
+                                "is_null_homotopic"])
+def test_hom_size_limit_raises_before_allocating(op):
+    # ranks (60, 60): each Hom differential would be 7200 x 7200
+    x = _zeros(60, 60)
+    f = zero_map(x, x)
+    call = {"homc": lambda: homc(x, x), "tensor2": lambda: tensor2(x, x),
+            "hom_module": lambda: hom_module(x, x),
+            "is_null_homotopic": lambda: is_null_homotopic(f)}[op]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(SizeLimitError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 10
+    assert peak < 4 * 2**20
+    assert str(exc.value) == (
+        "Hom-complex differential of 7200 x 7200 = 51840000 entries "
+        f"exceeds the limit of {MAX_HOM_ENTRIES}")
 
 
 def test_homc_h0_spec_value():

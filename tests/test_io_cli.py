@@ -287,6 +287,23 @@ def test_cli_selftest_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_selftest_names_raising_and_failing_suites(monkeypatch, capsys):
+    from periodica import selftest
+    from periodica.cli import main
+
+    def raises(rng, rounds):
+        raise ValueError("boom")
+
+    def fails(rng, rounds):
+        return "bad"
+
+    monkeypatch.setattr(selftest, "SUITES", [("smith-certificates", raises),
+                                             ("duality", fails)])
+    assert main(["selftest", "--rounds", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL smith-certificates (ValueError: boom)", "FAIL duality (bad)"]
+
+
 def test_cli_strictify(tmp_path):
     doc = {"field": "Q", "r0": 1, "r1": 1,
            "alpha0": [["0"]], "alpha1": [["x^3"]],
@@ -381,3 +398,21 @@ def test_cli_main_repeated_in_one_process(tmp_path, k2_file, capsys,
     for _ in range(2):
         for argv, expected in zip(argvs, single):
             assert in_process(argv) == expected
+
+
+@pytest.mark.parametrize("command", ["hom", "homc", "tensor", "homotopic"])
+def test_cli_hom_size_limit_exits_2(command, tmp_path):
+    # a 36 KB document of zeros whose Hom differentials would be
+    # 7200 x 7200 each
+    zeros = [["0"] * 60 for _ in range(60)]
+    (tmp_path / "x.json").write_text(json.dumps(
+        {"field": "Q", "r0": 60, "r1": 60, "d0": zeros, "d1": zeros}))
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"src": "x.json", "dst": "x.json", "f0": zeros, "f1": zeros}))
+    files = ["f.json"] if command == "homotopic" else ["x.json", "x.json"]
+    r = run_cli(command, *files, cwd=tmp_path, timeout=60)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: Hom-complex differential of 7200 x 7200 = 51840000 entries "
+        "exceeds the limit of 1048576"]

@@ -311,7 +311,7 @@ def test_arithmetic_matches_reference_canonicalisation(pair):
     same(a * b, poly.mul(K, a.num, b.num), den)
     if b and valuation(b) <= valuation(a):
         v = valuation(b)
-        same(a / b, poly.shift_down(cross_ab, v), poly.shift_down(cross_ba, v))
+        same(a / b, cross_ab[v:], cross_ba[v:])
 
 
 # -- prime check -------------------------------------------------------------------

@@ -9,10 +9,11 @@ trailing zero; plain equality would accept ``1 == Fraction(1)``.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodica import FieldSpec
+from periodica import FieldSpec, NotDivisibleError
 from periodica import poly
 
 FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(101))
@@ -166,12 +167,48 @@ def test_kernels_match_generic_loops(case):
     assert_same(field, poly.mul(field, g, f), ref_mul(field, f, g))
     assert_same(field, poly.scale(field, f, c), ref_scale(field, f, c))
     assert_same(field, poly.monic(field, f), ref_monic(field, f))
-    if g:
-        q, r = poly.divmod_poly(field, f, g)
-        q_ref, r_ref = ref_divmod(field, f, g)
-        assert_same(field, q, q_ref)
-        assert_same(field, r, r_ref)
     assert_same(field, poly.gcd(field, f, g), ref_gcd(field, f, g))
+
+
+DIVISION_FIELDS = (Q, F3, FIELDS[3])
+
+
+@st.composite
+def division_case(draw):
+    """A field, a quotient q, a nonzero divisor g and f = q g + r for a
+    small r, zero half the time."""
+    field = draw(st.sampled_from(DIVISION_FIELDS))
+    q = draw(polys(field))
+    g = draw(polys(field).filter(bool))
+    r = draw(polys(field, max_len=3)) if draw(st.booleans()) else ()
+    return field, q, g, ref_add(field, ref_mul(field, q, g), r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_case())
+# over Q: the lead 2 of 2x + 1 does not divide the lead of x^2 - 2; the
+# lead 1 of x + 1 divides every lead of x^2, which leaves remainder 1
+@example((Q, (), (Fraction(1), Fraction(2)),
+          (Fraction(-2), Fraction(0), Fraction(1))))
+@example((Q, (), (Fraction(1), Fraction(1)),
+          (Fraction(0), Fraction(0), Fraction(1))))
+def test_exact_quotient_matches_reference_division(case):
+    field, q, g, f = case
+    qg = ref_mul(field, q, g)
+    assert ref_divmod(field, qg, g) == (q, ())
+    assert_same(field, poly.exact_quotient(field, qg, g), q)
+    q_ref, r_ref = ref_divmod(field, f, g)
+    if r_ref:
+        with pytest.raises(NotDivisibleError):
+            poly.exact_quotient(field, f, g)
+    else:
+        assert_same(field, poly.exact_quotient(field, f, g), q_ref)
+
+
+def test_exact_quotient_by_zero_raises():
+    for field in DIVISION_FIELDS:
+        with pytest.raises(ZeroDivisionError):
+            poly.exact_quotient(field, poly.one(field), ())
 
 
 @settings(max_examples=150, deadline=None)
