@@ -443,11 +443,13 @@ def _homc_blocks(x: TwoPeriodicComplex, y: TwoPeriodicComplex):
 
 def homc(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """2-periodic Hom complex; degree-0 cycles are the chain maps X -> Y.
-    Checks that x and y are complexes, which makes the result one."""
+    Checks that x and y are complexes (y only when it is another object),
+    which makes the result one."""
     if x.field != y.field:
         raise FieldMismatchError("Hom over different fields")
     _checked(x, "source")
-    _checked(y, "target")
+    if y is not x:
+        _checked(y, "target")
     d0, d1 = _homc_blocks(x, y)
     return TwoPeriodicComplex(
         x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
@@ -457,11 +459,13 @@ def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """2-periodic tensor product with Koszul signs, X-index outer: the
     differentials of Hom(X*, Y) with the degree-1 summand X1 (x) Y0
     negated (rows of d0, columns of d1 from x.r0 * y.r1 on).  Checks
-    that x and y are complexes, which makes the result one."""
+    that x and y are complexes (y only when it is another object), which
+    makes the result one."""
     if x.field != y.field:
         raise FieldMismatchError("tensor over different fields")
     _checked(x, "left factor")
-    _checked(y, "right factor")
+    if y is not x:
+        _checked(y, "right factor")
     h0, h1 = _homc_blocks(dual(x), y)
     cut = x.r0 * y.r1
     e0 = h0.entries
@@ -536,7 +540,8 @@ def is_null_homotopic(f: ChainMap2,
     """Solve f = d s + s d over R; returns a re-verified witness or None.
 
     Without certificates the system is solved by a Smith form, after
-    checking that f.src and f.dst are complexes.  With
+    checking that f.src and f.dst are complexes (f.dst only when it is
+    another object).  With
     block-sum certificates (of f.src, of f.dst) the decision is read off
     the valuations of c = P_Y f Q_X block by block, and the witness is
     s = Q_Y s' P_X + h_Y f + Q_Y P_Y f h_X for the blockwise witness s'.
@@ -556,7 +561,8 @@ def is_null_homotopic(f: ChainMap2,
 def _solved_homotopy(f: ChainMap2):
     x, y = f.src, f.dst
     _checked(x, "source")
-    _checked(y, "target")
+    if y is not x:
+        _checked(y, "target")
     d1h = _hom_differential(x, y.d1, y.d0, negate=False)
     b = vstack(x.field, [f.f0.vec(), f.f1.vec()])
     sol = solve_over_ring(d1h, b)

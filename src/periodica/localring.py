@@ -13,12 +13,16 @@ results without the full gcd of the result's numerator and denominator
 cancel; a monomial numerator cannot cancel at all, since den(0) != 0.  For
 a/b + c/d with g = gcd(b, d), the sum t = a*(d/g) + c*(b/g) is coprime to
 b/g and d/g, so only gcd(t, g) is taken, and none when g = 1.  :func:`elem`
-is the full canonicalisation, used for parsing and as the reference.
+is the full canonicalisation, used for parsing and for those partial
+cancellations: it validates the denominator and hands the fraction to
+the lowest-terms kernel :func:`poly.lowest_terms`, which stays in
+integers (Z[x] over Q, ints mod p over F_p) until it builds the result.
 
 Every division is exact and checked: by a gcd through
-:func:`poly.exact_quotient`, and by x^k (:func:`x_shift`,
-:func:`unit_part`) by slicing the numerator at its order, which is
-compared with k first.  An inexact division raises NotDivisibleError.
+:func:`poly.exact_quotient` or inside :func:`poly.lowest_terms`, and by
+x^k (:func:`x_shift`, :func:`unit_part`) by slicing the numerator at its
+order, which is compared with k first.  An inexact division raises
+NotDivisibleError.
 
 Text grammar (shared by every file format): polynomials are written
 "c0 + c1*x + c2*x^2" with coefficients "p/q" over Q or integers over F_p
@@ -151,17 +155,7 @@ def elem(field: FieldSpec, num: Poly, den: Poly = None) -> LocalElem:
         raise NonUnitError("denominator is not a unit of the local ring")
     if not num:
         return LocalElem(K, (), poly.one(K))
-    if len(den) > 1:
-        g = poly.gcd(K, num, den)
-        if poly.degree(g) > 0:
-            num = poly.exact_quotient(K, num, g)
-            den = poly.exact_quotient(K, den, g)
-    c = den[0]
-    if c != K.one:
-        cinv = K.inv(c)
-        num = poly.scale(K, num, cinv)
-        den = poly.scale(K, den, cinv)
-    return LocalElem(K, num, den)
+    return LocalElem(K, *poly.lowest_terms(K, num, den))
 
 
 def _is_monomial(f: Poly) -> bool:

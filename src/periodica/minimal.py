@@ -97,12 +97,10 @@ def _peel(d, other, rows: TrackedBasis, cols: TrackedBasis,
     i, j = hit
     if d[i][j] != one(rows.field):
         rows.scale(i, inverse(d[i][j]))
-    for l in range(rows.n):
-        if l != i and d[l][j]:
-            rows.add(l, i, -d[l][j])
-    for m in range(cols.n):
-        if m != j and d[i][m]:
-            cols.add(j, m, d[i][m])
+    rows.add_batch([(l, i, -d[l][j]) for l in range(rows.n)
+                    if l != i and d[l][j]])
+    cols.add_batch([(j, m, d[i][m]) for m in range(cols.n)
+                    if m != j and d[i][m]])
     _assert_cleared(other, col=i, row=j)
     rows.swap(i, nrows - 1)
     cols.swap(j, ncols - 1)

@@ -27,6 +27,13 @@ Outside the gcd, division is :func:`exact_quotient`: callers divide only
 by a factor they know, so a remainder is an error (``NotDivisibleError``),
 never a value.
 
+:func:`lowest_terms` is the kernel of ``localring.elem``: num / den
+reduced, with den(0) = 1.  Over Q it clears both denominators once,
+stays in Z[x] for the primitive PRS gcd and the two checked divisions by
+it (the division of :func:`exact_quotient`), and builds one ``Fraction``
+per output coefficient.  Over F_p it runs Euclid and the checked
+division on ints and inverts the new den(0) once.
+
 ``scale`` multiplies by one field element through ``FieldSpec.mul``, the
 scalar API.  Result tuples are built from lists, not generator
 expressions: ``tuple(genexpr)`` keeps a generator frame per call and
@@ -75,11 +82,6 @@ def one(field: FieldSpec) -> Poly:
 
 def x_pow(field: FieldSpec, n: int) -> Poly:
     return (field.zero,) * n + (field.one,)
-
-
-def degree(f: Poly) -> int:
-    """Degree, with the convention deg 0 = -1."""
-    return len(f) - 1
 
 
 def order(f: Poly) -> Optional[int]:
@@ -202,21 +204,16 @@ def _fp_divmod(f: Poly, g: Poly, p: int, want_q: bool):
     return q, rem
 
 
-def _q_quotient(f: Poly, g: Poly) -> Poly:
-    """f / g by division in Z[x] by the primitive part G of g.  When g
-    divides f, the lead of G divides every leading coefficient met
-    (Gauss's lemma), so a lead that does not divide, or a remainder left
-    over, means that g does not divide f."""
-    fn, fd = _over_common_den(f)
-    gn, gd = _over_common_den(g)
-    c = igcd(*gn)
-    if c != 1:
-        gn = [a // c for a in gn]
-    n = len(gn) - 1
-    lead = gn[-1]
-    low = [(i, b) for i, b in enumerate(gn[:-1]) if b]
-    q = [0] * (len(fn) - n)
-    rem = fn
+def _z_quotient(f: Sequence[int], g: Sequence[int]) -> list:
+    """f / g in Z[x].  When g is primitive and divides f in Q[x], the lead
+    of g divides every leading coefficient met (Gauss's lemma), so a lead
+    that does not divide, or a remainder left over, means that g does not
+    divide f."""
+    n = len(g) - 1
+    lead = g[-1]
+    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
+    q = [0] * (len(f) - n)
+    rem = list(f)
     while len(rem) > n:
         t = rem.pop()
         if t:
@@ -229,9 +226,25 @@ def _q_quotient(f: Poly, g: Poly) -> Poly:
                 rem[k + i] -= t * b
     if any(rem):
         raise NotDivisibleError(_INEXACT)
+    return q
+
+
+def _q_quotient(f: Poly, g: Poly) -> Poly:
+    """f / g by division in Z[x] by the primitive part G of g."""
+    fn, fd = _over_common_den(f)
+    gn, gd = _over_common_den(g)
+    c = igcd(*gn)
+    q = _z_quotient(fn, gn if c == 1 else [a // c for a in gn])
     # f = fn / fd and g = c G / gd, so f / g = q gd / (c fd)
     qd = c * fd
     return tuple([Fraction(a * gd, qd) for a in q])
+
+
+def _fp_quotient(f: Poly, g: Poly, p: int) -> Poly:
+    q, rem = _fp_divmod(f, g, p, True)
+    if rem:
+        raise NotDivisibleError(_INEXACT)
+    return tuple(q)
 
 
 def exact_quotient(field: FieldSpec, f: Poly, g: Poly) -> Poly:
@@ -239,12 +252,7 @@ def exact_quotient(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     p = field.p
-    if not p:
-        return _q_quotient(f, g)
-    q, rem = _fp_divmod(f, g, p, True)
-    if rem:
-        raise NotDivisibleError(_INEXACT)
-    return tuple(q)
+    return _fp_quotient(f, g, p) if p else _q_quotient(f, g)
 
 
 def monic(field: FieldSpec, f: Poly) -> Poly:
@@ -282,22 +290,32 @@ def _prem(f: list, g: list) -> list:
     return rem
 
 
-def _q_gcd(f: Poly, g: Poly) -> Poly:
-    if len(f) == 1 or len(g) == 1:
-        return (_QONE,)
-    a = _primitive(_over_common_den(f)[0])
-    b = _primitive(_over_common_den(g)[0])
+def _z_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """Primitive gcd of a and b in Z[x], up to sign; [1] when they are
+    coprime.  Both are nonzero."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while True:
         r = _prem(a, b)
         if not r:
-            break
+            return b
         if len(r) == 1:
-            return (_QONE,)
+            return [1]
         a, b = b, _primitive(r)
-    lead = b[-1]
-    return tuple([Fraction(c, lead) for c in b])
+
+
+def _fp_gcd(f: Poly, g: Poly, p: int) -> Poly:
+    """Monic gcd of nonzero f and g over F_p."""
+    a, b = f, g
+    while len(b) > 1:
+        a, b = b, _fp_divmod(a, b, p, False)[1]
+    if b:
+        return (1,)
+    c = pow(a[-1], -1, p)
+    return tuple(a) if c == 1 else tuple([t * c % p for t in a])
 
 
 def gcd(field: FieldSpec, f: Poly, g: Poly) -> Poly:
@@ -305,12 +323,47 @@ def gcd(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return monic(field, f or g)
     p = field.p
-    if not p:
-        return _q_gcd(f, g)
-    a, b = f, g
-    while len(b) > 1:
-        a, b = b, _fp_divmod(a, b, p, False)[1]
-    return (1,) if b else monic(field, tuple(a))
+    if p:
+        return _fp_gcd(f, g, p)
+    b = _z_gcd(_over_common_den(f)[0], _over_common_den(g)[0])
+    if len(b) == 1:
+        return (_QONE,)
+    lead = b[-1]
+    return tuple([Fraction(c, lead) for c in b])
+
+
+def _q_lowest_terms(num: Poly, den: Poly) -> tuple:
+    a, ad = _over_common_den(num)
+    b, bd = _over_common_den(den)
+    g = _z_gcd(a, b)
+    if len(g) > 1:
+        a, b = _z_quotient(a, g), _z_quotient(b, g)
+    # num / den = (a / ad) / (b / bd) = a bd / (b ad); divide by b(0) ad
+    c = b[0]
+    d = c * ad
+    return (tuple([Fraction(t * bd, d) for t in a]),
+            tuple([Fraction(t, c) for t in b]))
+
+
+def _fp_lowest_terms(num: Poly, den: Poly, p: int) -> tuple:
+    g = _fp_gcd(num, den, p)
+    if len(g) > 1:
+        num, den = _fp_quotient(num, g, p), _fp_quotient(den, g, p)
+    c = den[0]
+    if c != 1:
+        c = pow(c, -1, p)
+        num = tuple([t * c % p for t in num])
+        den = tuple([t * c % p for t in den])
+    return num, den
+
+
+def lowest_terms(field: FieldSpec, num: Poly, den: Poly) -> tuple:
+    """(n, d) with n / d = num / den, gcd(n, d) = 1 and d(0) = 1, for a
+    nonzero num and a den with den(0) != 0."""
+    if len(den) == 1 and den[0] == 1:
+        return num, den
+    p = field.p
+    return _fp_lowest_terms(num, den, p) if p else _q_lowest_terms(num, den)
 
 
 def eval0(field: FieldSpec, f: Poly) -> Scalar:

@@ -30,6 +30,18 @@ remaining submatrix, ties broken by smallest row then column index, so
 the output is deterministic.  The pivot is scaled to x^v, then its
 column and its row are cleared.
 
+The search reads row caches, not the submatrix: each remaining row
+keeps the (valuation, column) of its first minimal-valuation entry, or
+None when it is zero, and the pivot is the least (valuation, row) among
+them, the same entry a row-major scan finds.  A pivot step changes only
+the rows with a nonzero in the pivot column or in the column swapped
+with it, so only those are rescanned; a large sparse matrix (a Hom
+complex) is not rescanned whole at every pivot.  The clearing of a
+column (row) is one :meth:`TrackedBasis.add_batch`: it reads the shared
+pivot row (column) once per grid and logs the same ``add`` steps, in
+the same order, as one ``add`` per entry would, so the replay and every
+transform and certificate are unchanged.
+
 With the transforms and their exact inverses at hand, solving linear
 systems, inverting matrices and presenting subquotients (kernel mod
 image) is certificate-grade: every identity can be re-verified by exact
@@ -88,6 +100,30 @@ def _add(rows, cols, a: int, b: int, lam) -> None:
                     row[b] = row[b] + nlam * e
 
 
+def _add_batch(rows, cols, steps) -> None:
+    """The add steps (a, b, lam) in order, when no a of one is the b of
+    another.  No source row (column) is then written, so each is read
+    once per grid, however many steps share it."""
+    for g in rows:
+        src = {}
+        for a, b, lam in steps:
+            nz = src.get(b)
+            if nz is None:
+                nz = src[b] = [(c, e) for c, e in enumerate(g[b]) if e]
+            ra = g[a]
+            for c, e in nz:
+                ra[c] = ra[c] + lam * e
+    for g in cols:
+        src = {}
+        for a, b, lam in steps:
+            nz = src.get(a)
+            if nz is None:
+                nz = src[a] = [(row, row[a]) for row in g if row[a]]
+            nlam = -lam
+            for row, e in nz:
+                row[b] = row[b] + nlam * e
+
+
 def _apply(field: FieldSpec, steps, m: RMatrix, inverse: bool) -> RMatrix:
     """G m (``inverse`` false) or G^-1 m for the basis change G of a step
     log.  G m runs the steps forward on the rows of m.  G^-1 m runs the
@@ -140,6 +176,13 @@ class TrackedBasis:
         """G <- (I + lam e_ab) G: row a += lam row b; column b -= lam column a."""
         self.steps.append((_add, a, b, lam))
         _add(self._rows, self._cols, a, b, lam)
+
+    def add_batch(self, steps) -> None:
+        """``add(a, b, lam)`` for each step in order, logged as such; no a
+        may be the b of another step, as in the column (row) clearing of
+        one pivot."""
+        self.steps += [(_add, *step) for step in steps]
+        _add_batch(self._rows, self._cols, steps)
 
     def matrices(self) -> tuple:
         """(G, G^-1) as matrices."""
@@ -203,6 +246,21 @@ class SmithForm:
         return self.v_inv_times(RMatrix.identity(self.d.field, self.d.cols))
 
 
+def _first_min(row, start: int, ncols: int):
+    """(valuation, column) of the first minimal-valuation entry of a grid
+    row from column ``start`` on; None when they are all zero."""
+    best = None
+    for j in range(start, ncols):
+        e = row[j]
+        if e:
+            v = e.valuation
+            if best is None or v < best[0]:
+                best = (v, j)
+                if not v:
+                    break
+    return best
+
+
 def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
                 start: int = 0) -> list:
     """Diagonalise the grid ``work`` from position (start, start) on,
@@ -211,39 +269,41 @@ def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
     nrows, ncols = rows.n, cols.n
     unit_one = one(rows.field)
     exps = []
+    # per row from t on: (valuation, column) of its first minimal entry
+    # from column t on, or None for a zero row
+    cache = [None] * start + [_first_min(work[i], start, ncols)
+                              for i in range(start, nrows)]
     for t in range(start, min(nrows, ncols)):
-        # minimal-valuation pivot in the remaining submatrix
+        # least (valuation, row); its cached column is the first minimal
+        # one, so this is the row-major minimal-valuation entry
         best = None
-        best_val = math.inf
         for i in range(t, nrows):
-            wrow = work[i]
-            for j in range(t, ncols):
-                e = wrow[j]
-                if e and e.valuation < best_val:
-                    best_val = e.valuation
-                    best = (i, j)
-                    if best_val == 0:
-                        break
-            if best_val == 0:
-                break
+            c = cache[i]
+            if c is not None and (best is None or c[0] < best[0]):
+                best, pi = c, i
+                if not c[0]:
+                    break
         if best is None:
             break
-        rows.swap(best[0], t)
-        cols.swap(best[1], t)
+        pv, pj = best
+        rows.swap(pi, t)
+        cache[pi], cache[t] = cache[t], cache[pi]
+        cols.swap(pj, t)
         pivot = work[t][t]
-        pv = pivot.valuation
         unit = unit_part(pivot)
         if unit != unit_one:
             rows.scale(t, inverse(unit))
-        # pivot is now exactly x^pv; eliminate its column, then its row
-        for i in range(t + 1, nrows):
-            e = work[i][t]
-            if e:
-                rows.add(i, t, -x_shift(e, -pv))
-        for j in range(t + 1, ncols):
-            e = work[t][j]
-            if e:
-                cols.add(t, j, x_shift(e, -pv))
+        # pivot is now exactly x^pv; eliminate its column, then its row.
+        # Only rows with a nonzero in column t or pj change below row t.
+        touched = [i for i in range(t + 1, nrows)
+                   if work[i][t] or work[i][pj]]
+        rows.add_batch([(i, t, -x_shift(work[i][t], -pv))
+                        for i in touched if work[i][t]])
+        wt = work[t]
+        cols.add_batch([(t, j, x_shift(wt[j], -pv))
+                        for j in range(t + 1, ncols) if wt[j]])
+        for i in touched:
+            cache[i] = _first_min(work[i], t + 1, ncols)
         exps.append(pv)
     return exps
 

@@ -47,6 +47,7 @@ from periodica import (
     zero_map,
 )
 from periodica.classify import decompose, label, IndecompMultiset, model_complex
+from periodica import complexes
 from periodica.complexes import MAX_HOM_ENTRIES, _homc_blocks
 from periodica.matrix import block, kron
 from periodica.minimal import TrivialType, reduce, trivial_complex
@@ -368,6 +369,27 @@ def test_operands_that_are_no_complex_are_rejected():
         with pytest.raises(NotAComplexError) as exc:
             call()
         assert str(exc.value).startswith(message)
+
+
+def test_shared_operand_is_validated_once(monkeypatch):
+    # homc(X, X), tensor2(X, X) and the Smith path of x^m id_X check X
+    # once; distinct operands are checked once each
+    calls = []
+    real = complexes.validate_complex
+    monkeypatch.setattr(complexes, "validate_complex",
+                        lambda x: calls.append(x) or real(x))
+    x = direct_sum(K(1), shift(K(2)))
+    y = direct_sum(K(1), shift(K(2)))
+    f = scale_map(identity_map(x), x_power(Q, 1))
+    g = ChainMap2(x, y, f.f0, f.f1)
+    for same, other in ((lambda: homc(x, x), lambda: homc(x, y)),
+                        (lambda: tensor2(x, x), lambda: tensor2(x, y)),
+                        (lambda: is_null_homotopic(f),
+                         lambda: is_null_homotopic(g))):
+        for call, count in ((same, 1), (other, 2)):
+            calls.clear()
+            call()
+            assert len(calls) == count
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3"])

@@ -2,19 +2,21 @@
 
 Random swap/scale/add sequences must keep p and q mutually inverse and
 act on attached grids exactly as the product of the explicit elementary
-matrices does.  The Smith transforms, replayed from the step log only
-when read, must equal the same elementary products taken along the
-sweep; their products with an operand, applied from the log, must equal
-the products with the built transforms; and ``solve_over_ring`` and
-``homology_invariants`` must build no n x n transform.  The golden
-files under ``golden/`` hold the CLI JSON of ``reduce``, ``decompose``
-and ``hom`` from before the elimination code was unified, and of
-``tensor`` and ``strictify --window 6`` from before the tensor product
-was written through the Hom-complex writer; the output must stay byte
-for byte the same.
+matrices does.  The Smith sweep must take the pivots and log the steps
+of the dense reference sweep.  The Smith transforms, replayed from the
+step log only when read, must equal the same elementary products taken
+along the sweep; their products with an operand, applied from the log,
+must equal the products with the built transforms; and
+``solve_over_ring`` and ``homology_invariants`` must build no n x n
+transform.  The golden files under ``golden/`` hold the CLI JSON of
+``reduce``, ``decompose`` and ``hom`` from before the elimination code
+was unified, and of ``tensor`` and ``strictify --window 6`` from before
+the tensor product was written through the Hom-complex writer; the
+output must stay byte for byte the same.
 """
 
 import json
+import math
 from pathlib import Path
 from random import Random
 
@@ -28,6 +30,8 @@ from periodica import (
     RMatrix,
     inverse,
     one,
+    unit_part,
+    x_shift,
     zero,
 )
 from periodica import smith
@@ -137,6 +141,11 @@ class _EagerBasis(TrackedBasis):
         super().add(a, b, lam)
         self._push("add", a, b, lam)
 
+    def add_batch(self, steps):
+        super().add_batch(steps)
+        for a, b, lam in steps:
+            self._push("add", a, b, lam)
+
 
 def _smith_input(rng, field, kind, rows, cols):
     if kind == "zero":
@@ -171,6 +180,73 @@ def test_lazy_smith_transforms_match_eager_reference(label, seed, kind,
         assert getattr(s, name) == eager[name]
         assert getattr(s, name) is getattr(s, name)  # built once, kept
     assert s.u @ a @ s.v == s.d
+
+
+def _dense_smith_sweep(work, rows, cols, start=0):
+    """The dense sweep, as the reference: a row-major scan of the whole
+    remaining submatrix for each pivot, and one ``add`` per cleared
+    entry."""
+    nrows, ncols = rows.n, cols.n
+    exps = []
+    for t in range(start, min(nrows, ncols)):
+        best, best_val = None, math.inf
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                e = work[i][j]
+                if e and e.valuation < best_val:
+                    best, best_val = (i, j), e.valuation
+        if best is None:
+            break
+        rows.swap(best[0], t)
+        cols.swap(best[1], t)
+        pv = work[t][t].valuation
+        unit = unit_part(work[t][t])
+        if unit != one(rows.field):
+            rows.scale(t, inverse(unit))
+        for i in range(t + 1, nrows):
+            if work[i][t]:
+                rows.add(i, t, -x_shift(work[i][t], -pv))
+        for j in range(t + 1, ncols):
+            if work[t][j]:
+                cols.add(t, j, x_shift(work[t][j], -pv))
+        exps.append(pv)
+    return exps
+
+
+def _sweep_input(rng, field, kind, rows, cols):
+    if kind == "sparse":  # about one entry in four, some with denominators
+        m = random_matrix(rng, field, rows, cols, max_val=3)
+        return RMatrix(field, rows, cols, tuple(
+            (e * inverse(random_unit(rng, field)) if rng.random() < 0.5
+             else e) if rng.random() < 0.25 else zero(field)
+            for e in m.entries))
+    return _smith_input(rng, field, kind, rows, cols)
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "sparse", "deficient", "full"]),
+       rows=st.integers(0, 7), cols=st.integers(0, 7),
+       start=st.integers(0, 7))
+def test_sweep_matches_dense_reference(label, seed, kind, rows, cols, start):
+    # decompose's two sweeps: ``work`` from ``start`` on, then the grid
+    # attached crosswise from where the first stopped; D, the exponents,
+    # the crosswise grid and both step logs entry for entry
+    field = FieldSpec.from_label(label)
+    rng = Random(seed)
+    a = _sweep_input(rng, field, kind, rows, cols)
+    b = _sweep_input(rng, field, kind, cols, rows)
+    start = min(start, rows, cols)
+    runs = []
+    for sweep in (smith_sweep, _dense_smith_sweep):
+        work, other = a.to_grid(), b.to_grid()
+        left = TrackedBasis(field, rows, rows=[work], cols=[other])
+        right = TrackedBasis(field, cols, rows=[other], cols=[work])
+        first = sweep(work, left, right, start)
+        second = sweep(other, right, left, start + len(first))
+        runs.append((first, second, work, other, left.steps, right.steps))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])

@@ -1,6 +1,7 @@
 """Element arithmetic, valuations, and the text grammar."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -288,8 +289,15 @@ def elem_pairs(draw):
 
 
 def _reference(K, num, den):
-    r = elem(K, num, den)
-    return r.num, r.den
+    """num/den divided by the monic gcd, then by the constant term of the
+    denominator, through the generic ``poly`` operations (``gcd``,
+    ``exact_quotient``, ``scale``) rather than ``poly.lowest_terms``."""
+    if not num:
+        return (), poly.one(K)
+    g = poly.gcd(K, num, den)
+    num, den = poly.exact_quotient(K, num, g), poly.exact_quotient(K, den, g)
+    c = K.inv(den[0])
+    return poly.scale(K, num, c), poly.scale(K, den, c)
 
 
 @settings(max_examples=400, deadline=None)
@@ -312,6 +320,46 @@ def test_arithmetic_matches_reference_canonicalisation(pair):
     if b and valuation(b) <= valuation(a):
         v = valuation(b)
         same(a / b, cross_ab[v:], cross_ba[v:])
+
+
+KERNEL_FIELDS = (Q, FieldSpec.prime_field(3), FieldSpec.prime_field(101))
+
+
+@st.composite
+def planted_factors(draw):
+    """A field, n and d with d(0) != 0, and g with g(0) != 0 of degree
+    0 to 3; over Q the coefficients are negative and non-integer too."""
+    K = draw(st.sampled_from(KERNEL_FIELDS))
+    if K.p:
+        scalar = st.integers(0, K.p - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    nonzero = scalar.filter(bool)
+
+    def factor():  # nonzero constant term and lead
+        deg = draw(st.integers(0, 3))
+        if not deg:
+            return (draw(nonzero),)
+        middle = draw(st.lists(scalar, min_size=deg - 1, max_size=deg - 1))
+        return (draw(nonzero), *middle, draw(nonzero))
+
+    n = poly.trim(K, draw(st.lists(scalar, max_size=4)))
+    return K, n, factor(), factor()
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_factors())
+def test_elem_cancels_planted_factors(case):
+    K, n, d, g = case
+    num, den = poly.mul(K, n, g), poly.mul(K, d, g)
+    e = elem(K, num, den)
+    assert (e.num, e.den) == _reference(K, num, den) == _reference(K, n, d)
+    assert e.den[0] == K.one
+    for c in e.num + e.den:
+        assert (type(c) is int and 0 <= c < K.p) if K.p else \
+            type(c) is Fraction
+    with pytest.raises(NonUnitError):  # den(0) = 0: no unit
+        elem(K, num, poly.shift_up(K, den, 1))
 
 
 # -- prime check -------------------------------------------------------------------
