@@ -307,6 +307,11 @@ def _z_gcd(a: Sequence[int], b: Sequence[int]) -> list:
         a, b = b, _primitive(r)
 
 
+def _fp_scaled(f: Sequence[int], c: int, p: int) -> Poly:
+    """c f over F_p, for a unit c."""
+    return tuple(f) if c == 1 else tuple([t * c % p for t in f])
+
+
 def _fp_gcd(f: Poly, g: Poly, p: int) -> Poly:
     """Monic gcd of nonzero f and g over F_p."""
     a, b = f, g
@@ -314,8 +319,7 @@ def _fp_gcd(f: Poly, g: Poly, p: int) -> Poly:
         a, b = b, _fp_divmod(a, b, p, False)[1]
     if b:
         return (1,)
-    c = pow(a[-1], -1, p)
-    return tuple(a) if c == 1 else tuple([t * c % p for t in a])
+    return _fp_scaled(a, pow(a[-1], -1, p), p)
 
 
 def gcd(field: FieldSpec, f: Poly, g: Poly) -> Poly:
@@ -349,12 +353,8 @@ def _fp_lowest_terms(num: Poly, den: Poly, p: int) -> tuple:
     g = _fp_gcd(num, den, p)
     if len(g) > 1:
         num, den = _fp_quotient(num, g, p), _fp_quotient(den, g, p)
-    c = den[0]
-    if c != 1:
-        c = pow(c, -1, p)
-        num = tuple([t * c % p for t in num])
-        den = tuple([t * c % p for t in den])
-    return num, den
+    c = pow(den[0], -1, p)
+    return _fp_scaled(num, c, p), _fp_scaled(den, c, p)
 
 
 def lowest_terms(field: FieldSpec, num: Poly, den: Poly) -> tuple:

@@ -86,18 +86,14 @@ def _scale(rows, cols, i: int, unit, inv) -> None:
 
 
 def _add(rows, cols, a: int, b: int, lam) -> None:
+    """Row a += lam row b: the log's tag for an add step, and its replay
+    by :func:`_apply`, which attaches no ``cols``.  A basis applies its
+    adds to its grids through :func:`_add_batch`."""
     for g in rows:
         ra = g[a]
         for c, e in enumerate(g[b]):
             if e:
                 ra[c] = ra[c] + lam * e
-    if cols:
-        nlam = -lam
-        for g in cols:
-            for row in g:
-                e = row[a]
-                if e:
-                    row[b] = row[b] + nlam * e
 
 
 def _add_batch(rows, cols, steps) -> None:
@@ -174,8 +170,7 @@ class TrackedBasis:
 
     def add(self, a: int, b: int, lam) -> None:
         """G <- (I + lam e_ab) G: row a += lam row b; column b -= lam column a."""
-        self.steps.append((_add, a, b, lam))
-        _add(self._rows, self._cols, a, b, lam)
+        self.add_batch([(a, b, lam)])
 
     def add_batch(self, steps) -> None:
         """``add(a, b, lam)`` for each step in order, logged as such; no a

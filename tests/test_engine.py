@@ -137,10 +137,6 @@ class _EagerBasis(TrackedBasis):
         super().scale(i, unit)
         self._push("scale", i, i, unit)
 
-    def add(self, a, b, lam):
-        super().add(a, b, lam)
-        self._push("add", a, b, lam)
-
     def add_batch(self, steps):
         super().add_batch(steps)
         for a, b, lam in steps:
