@@ -28,7 +28,8 @@ maps, the labels name the block sum, and one product per degree
 ``complexes.hom_module`` and ``complexes.is_null_homotopic`` read: the
 minimal model's when ``reduce`` split off nothing, else that one moved
 along the splitting.  ``model_certificate`` is the identity certificate
-of a model block sum, with no ``reduce``.
+of a model block sum, with no ``reduce`` and no check: the identity is
+one by construction.
 
 ``reduce`` checks that the input is a complex before any Smith form.
 The two sweeps give the ranks of the minimal differentials, so they also
@@ -58,6 +59,7 @@ from .complexes import (
     Homotopy2,
     TwoPeriodicComplex,
     _model_sum,
+    _unchecked,
     identity_map,
 )
 from .errors import NotFiniteLengthError, PeriodicaError
@@ -153,7 +155,7 @@ def model_certificate(labels: Iterable[IndecompLabel],
     multiset's labels); its ``complex`` is that block sum."""
     pairs = tuple((l.j, l.shifted) for l in labels)
     ident = identity_map(_model_sum(field, pairs))
-    return BlockSumCertificate(pairs, ident, ident)
+    return _unchecked(BlockSumCertificate, pairs, ident, ident, None)
 
 
 def finite_length_cohomology(x: TwoPeriodicComplex) -> bool:

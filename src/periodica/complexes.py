@@ -35,6 +35,16 @@ d0 d1 = 0 of the Hom complex once more in ``homology_invariants``.  The
 certified paths take their certificates from ``reduce``/``decompose``,
 which check their input, or from model block sums.
 
+Where chain maps are checked: the constructors of ``ChainMap2`` and
+``BlockSumCertificate`` check their data, and every one built from raw
+matrices goes through them (parsed input, the Smith bases of ``reduce``
+and ``decompose``, the Hom generators of both paths, ``cone``,
+``delta_iso``).  Results that exact algebra makes valid are built
+without the checks: ``identity_map`` and ``zero_map``; ``compose``,
+``add_maps``, ``negate_map``, ``scale_map`` and ``shift_map`` of checked
+maps (their endpoint checks stay); ``BlockSumCertificate.shifted`` of a
+checked certificate; and ``classify.model_certificate``.
+
 Hom and null-homotopy have two paths.  Called with no certificates,
 ``hom_module`` takes the Smith form of the Hom complex and
 ``is_null_homotopic`` solves d s + s d = f by a Smith form.  Called with
@@ -152,7 +162,8 @@ def make_complex(field: FieldSpec, d0: RMatrix, d1: RMatrix) -> TwoPeriodicCompl
 
 @dataclass(frozen=True)
 class ChainMap2:
-    """Degree-0 2-periodic map; construction verifies both commuting squares."""
+    """Degree-0 2-periodic map.  The constructor verifies both commuting
+    squares; maps derived from checked ones skip it (module docstring)."""
 
     src: TwoPeriodicComplex
     dst: TwoPeriodicComplex
@@ -257,8 +268,10 @@ class BlockSumCertificate:
     ``to_blocks`` P: X -> B and ``from_blocks`` Q: B -> X satisfy P Q = I
     in each degree, and ``contraction`` h witnesses id_X - Q P = d h + h d.
     h is None when X and B have equal ranks: then P and Q are square and
-    P Q = I gives Q P = I.  Construction checks all of it, so answers read
-    off the labels rest on verified identities.
+    P Q = I gives Q P = I.  The constructor checks all of it, so answers
+    read off the labels rest on verified identities; ``shifted`` and
+    ``classify.model_certificate`` build certificates that are valid by
+    construction without it.
     """
 
     labels: tuple
@@ -298,8 +311,8 @@ class BlockSumCertificate:
         contraction (-h1, -h0)."""
         h = self.contraction
         sx = shift(self.complex)
-        return BlockSumCertificate(
-            tuple((j, not s) for j, s in self.labels),
+        return _unchecked(
+            BlockSumCertificate, tuple((j, not s) for j, s in self.labels),
             shift_map(self.to_blocks), shift_map(self.from_blocks),
             None if h is None else Homotopy2(sx, sx, -h.s1, -h.s0))
 
@@ -308,41 +321,55 @@ class BlockSumCertificate:
 # chain map helpers
 
 
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with ``values`` as its
+    fields in order, built without running ``__post_init__``.  Only for
+    results that exact algebra makes valid (see "Where chain maps are
+    checked" above); ``tests/test_source_imports.py`` names its callers."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def identity_map(x: TwoPeriodicComplex) -> ChainMap2:
-    return ChainMap2(x, x, RMatrix.identity(x.field, x.r0),
-                     RMatrix.identity(x.field, x.r1))
+    return _unchecked(ChainMap2, x, x, RMatrix.identity(x.field, x.r0),
+                      RMatrix.identity(x.field, x.r1))
 
 
 def zero_map(src: TwoPeriodicComplex, dst: TwoPeriodicComplex) -> ChainMap2:
-    return ChainMap2(src, dst, RMatrix.zeros(src.field, dst.r0, src.r0),
-                     RMatrix.zeros(src.field, dst.r1, src.r1))
+    if src.field != dst.field:
+        raise FieldMismatchError("chain map between different fields")
+    return _unchecked(ChainMap2, src, dst,
+                      RMatrix.zeros(src.field, dst.r0, src.r0),
+                      RMatrix.zeros(src.field, dst.r1, src.r1))
 
 
 def compose(outer: ChainMap2, inner: ChainMap2) -> ChainMap2:
     """outer after inner."""
     if inner.dst != outer.src:
         raise DimensionMismatchError("composition endpoints do not match")
-    return ChainMap2(inner.src, outer.dst,
-                     outer.f0 @ inner.f0, outer.f1 @ inner.f1)
+    return _unchecked(ChainMap2, inner.src, outer.dst,
+                      outer.f0 @ inner.f0, outer.f1 @ inner.f1)
 
 
 def add_maps(f: ChainMap2, g: ChainMap2) -> ChainMap2:
     if f.src != g.src or f.dst != g.dst:
         raise DimensionMismatchError("sum of maps with different endpoints")
-    return ChainMap2(f.src, f.dst, f.f0 + g.f0, f.f1 + g.f1)
+    return _unchecked(ChainMap2, f.src, f.dst, f.f0 + g.f0, f.f1 + g.f1)
 
 
 def negate_map(f: ChainMap2) -> ChainMap2:
-    return ChainMap2(f.src, f.dst, -f.f0, -f.f1)
+    return _unchecked(ChainMap2, f.src, f.dst, -f.f0, -f.f1)
 
 
 def scale_map(f: ChainMap2, c: LocalElem) -> ChainMap2:
-    return ChainMap2(f.src, f.dst, f.f0.scale(c), f.f1.scale(c))
+    return _unchecked(ChainMap2, f.src, f.dst, f.f0.scale(c), f.f1.scale(c))
 
 
 def shift_map(f: ChainMap2) -> ChainMap2:
     """f[1]: X[1] -> Y[1]; components swap because degrees do."""
-    return ChainMap2(shift(f.src), shift(f.dst), f.f1, f.f0)
+    return _unchecked(ChainMap2, shift(f.src), shift(f.dst), f.f1, f.f0)
 
 
 # ---------------------------------------------------------------------------

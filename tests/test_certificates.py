@@ -23,23 +23,29 @@ from periodica import (
     RMatrix,
     TwoPeriodicComplex,
     add_maps,
+    compose,
     decompose,
     decomposition_certificate,
     hom_module,
+    identity_map,
     is_null_homotopic,
     k_complex,
     label,
     model_certificate,
+    negate_map,
+    reduce,
     scale_map,
     serre_length_check,
     shift,
+    shift_map,
     socle_map,
     x_power,
+    zero_map,
 )
 from periodica.errors import ValidationError
-from periodica.rand import random_finite_length_instance
+from periodica.rand import random_element, random_finite_length_instance
 
-from thelpers import mat
+from thelpers import mat, random_complex
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 # random_finite_length_instance(Random(seed), ..., max_labels=2, max_j=3,
@@ -143,6 +149,65 @@ def test_shifted_certificate_matches_decompose_of_shift(label_, seed):
                 f = _times_x(g, m)
                 assert (is_null_homotopic(f, a) is None) == \
                     (is_null_homotopic(f, b) is None) == (m < v)
+
+
+def _rechecked_map(f):
+    """f rebuilt through the checked constructor."""
+    return ChainMap2(f.src, f.dst, f.f0, f.f1)
+
+
+def _rechecked(c):
+    """c rebuilt through the checked constructors."""
+    return BlockSumCertificate(c.labels, _rechecked_map(c.to_blocks),
+                               _rechecked_map(c.from_blocks), c.contraction)
+
+
+def _random_map(rng, x, y):
+    """A random combination of the Smith-path generators of Hom(X, Y),
+    each a checked chain map; the zero map when there are none."""
+    f = zero_map(x, y)
+    for g in hom_module(x, y).generators:
+        f = add_maps(f, scale_map(g, random_element(rng, x.field, 2)))
+    return f
+
+
+@pytest.mark.parametrize("label_", FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(ranks=st.tuples(*[st.integers(0, 3)] * 4),
+       seed=st.integers(0, 2**32 - 1), sc=st.integers(0, 2**32 - 1))
+@example(ranks=(2, 3, 3, 3), seed=1, sc=BOTH_TRIVIAL_TYPES[0])
+@example(ranks=(3, 3, 1, 2), seed=2, sc=BOTH_TRIVIAL_TYPES[1])
+@example(ranks=(0, 2, 3, 0), seed=3, sc=RANK_ZERO)
+def test_derived_maps_and_certificates_pass_the_checked_constructors(
+        label_, ranks, seed, sc):
+    # the helpers build their results without the checks; every result
+    # must pass them when built from its raw parts
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    x = random_complex(rng, field, *ranks[:2])
+    y = random_complex(rng, field, *ranks[2:])
+    f, g, e = _random_map(rng, x, y), _random_map(rng, x, y), \
+        _random_map(rng, y, y)
+    c = random_element(rng, field, 2)
+    for h in (identity_map(x), zero_map(x, y), compose(e, f),
+              add_maps(f, g), negate_map(f), scale_map(f, c), shift_map(f),
+              shift_map(compose(e, negate_map(g))), compose(
+                  shift_map(e), shift_map(add_maps(f, scale_map(g, c))))):
+        assert _rechecked_map(h) == h
+    z, _ = _instance(sc, field)
+    dec = decompose(z)
+    certs = [dec.certificate, decomposition_certificate(dec),
+             model_certificate(dec.multiset.labels(), field),
+             model_certificate([label(2, True), label(1)], field)]
+    for cert in certs + [cert.shifted() for cert in certs] \
+            + [certs[1].shifted().shifted()]:
+        assert _rechecked(cert) == cert
+    for m in (dec.minimal, reduce(x).minimal, reduce(y).minimal,
+              shift(reduce(y).minimal)):
+        s = reduce(m)
+        assert s.minimal == m and s.type1 == s.type2 == 0
+        assert _rechecked_map(s.into) == s.into == identity_map(m)
+        assert _rechecked_map(s.back) == s.back
 
 
 @pytest.mark.parametrize("label_", FIELDS)

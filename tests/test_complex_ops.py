@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thelpers import mat
+from thelpers import mat, random_complex
 
 from periodica import (
     ChainMap2,
@@ -46,7 +46,7 @@ from periodica import (
     zero_complex,
     zero_map,
 )
-from periodica.classify import decompose, label, IndecompMultiset, model_complex
+from periodica.classify import decompose, label, IndecompMultiset
 from periodica import complexes
 from periodica.complexes import MAX_HOM_ENTRIES, _homc_blocks
 from periodica.matrix import block, kron
@@ -134,6 +134,12 @@ def test_direct_sum_cohomology():
 def test_direct_sum_field_mismatch():
     with pytest.raises(FieldMismatchError):
         direct_sum(K(1), k_complex(1, FieldSpec.prime_field(5)))
+
+
+def test_zero_map_field_mismatch():
+    # zero_map builds its map unchecked but keeps this check
+    with pytest.raises(FieldMismatchError):
+        zero_map(K(1), k_complex(1, FieldSpec.prime_field(5)))
 
 
 # -- tensor ------------------------------------------------------------------------
@@ -284,24 +290,6 @@ def _tensor_by_kron(x, y):
     return d0, d1
 
 
-def _random_complex(rng, field, r0, r1):
-    """A conjugated complex of ranks (r0, r1): rank-(1, 1) summands K(j),
-    K(j)[1] or trivial, and zero differentials on the rest."""
-    c = rng.randint(0, min(r0, r1))
-    parts = []
-    for _ in range(c):
-        kind = rng.randrange(3)
-        if kind:
-            parts.append(trivial_complex(TrivialType(kind), 1, field))
-        else:
-            lab = label(rng.randint(1, 3), shifted=rng.random() < 0.5)
-            parts.append(model_complex(lab, field))
-    parts.append(TwoPeriodicComplex(
-        field, r0 - c, r1 - c, RMatrix.zeros(field, r1 - c, r0 - c),
-        RMatrix.zeros(field, r0 - c, r1 - c)))
-    return conjugate_complex(rng, direct_sum(*parts), max_val=2)[0]
-
-
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 @settings(max_examples=30, deadline=None)
 @given(ranks=st.tuples(*[st.integers(0, 3)] * 4),
@@ -312,8 +300,8 @@ def _random_complex(rng, field, r0, r1):
 def test_tensor_matches_kron_formula(label_, ranks, seed):
     field = FieldSpec.from_label(label_)
     rng = random.Random(seed)
-    x = _random_complex(rng, field, *ranks[:2])
-    y = _random_complex(rng, field, *ranks[2:])
+    x = random_complex(rng, field, *ranks[:2])
+    y = random_complex(rng, field, *ranks[2:])
     t = tensor2(x, y)
     assert (t.d0, t.d1) == _tensor_by_kron(x, y)
 
@@ -335,8 +323,8 @@ def test_homc_and_tensor_of_complexes_square_to_zero(label_, ranks, seed):
     # homc and tensor2 check their operands, not their result
     field = FieldSpec.from_label(label_)
     rng = random.Random(seed)
-    x = _random_complex(rng, field, *ranks[:2])
-    y = _random_complex(rng, field, *ranks[2:])
+    x = random_complex(rng, field, *ranks[:2])
+    y = random_complex(rng, field, *ranks[2:])
     assert validate_complex(homc(x, y)) is None
     assert validate_complex(tensor2(x, y)) is None
 

@@ -57,10 +57,13 @@ def test_trivial_complex_shapes():
 
 
 def test_reduce_already_minimal():
-    s = reduce(k_complex(2, Q))
-    assert s.type1 == 0 and s.type2 == 0
-    assert s.into.f0 == RMatrix.identity(Q, 1)
-    assert s.back.f0 == RMatrix.identity(Q, 1)
+    lopsided = direct_sum(k_complex(2, Q), shift(k_complex(1, Q)),
+                          TwoPeriodicComplex(Q, 1, 0, RMatrix.zeros(Q, 0, 1),
+                                             RMatrix.zeros(Q, 1, 0)))
+    for x in (k_complex(2, Q), lopsided):
+        s = reduce(x)
+        assert s.minimal == x and s.type1 == s.type2 == 0
+        assert s.into == s.back == identity_map(x)
 
 
 def test_reduce_conjugated_k2_plus_trivial(rng):
@@ -183,8 +186,11 @@ def test_assert_cleared_names_the_entry(planted, message):
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_reduce_rejects_scaled_inverse_certificate(label_, monkeypatch):
     field = FieldSpec.from_label(label_)
-    x, _, _ = random_finite_length_instance(Random(7), field, max_labels=2,
-                                            max_j=2, max_trivials=2)
+    # seed 10 draws 2*K(1)[1] with one trivial summand of each type, so
+    # reduce peels and builds its bases
+    x, _, trivials = random_finite_length_instance(
+        Random(10), field, max_labels=2, max_j=2, max_trivials=2)
+    assert trivials == (1, 1)
     reduce(x)
     scale_inverse_certificates(monkeypatch)
     with pytest.raises(PeriodicaError) as exc:
@@ -194,11 +200,15 @@ def test_reduce_rejects_scaled_inverse_certificate(label_, monkeypatch):
 
 @pytest.mark.parametrize("call", [0, 1])
 def test_reduce_checks_the_identity_in_each_degree(call, monkeypatch):
-    # with zero differentials any (q0, q1) is a chain map, so scaling the
-    # inverse in one degree (b0 is read first, then b1) is left to q p = I
-    x = TwoPeriodicComplex(Q, 2, 3, RMatrix.zeros(Q, 3, 2),
-                           RMatrix.zeros(Q, 2, 3))
-    scale_inverse_certificates(monkeypatch, calls=(call,))
+    # zero differentials of ranks (2, 3) plus one Type-1 block, which
+    # reduce peels.  Scaling the inverse's first basis vector, which lies
+    # in the zero part, in one degree (b0 is read first, then b1) keeps a
+    # chain map, so it is left to q p = I
+    zeros = TwoPeriodicComplex(Q, 2, 3, RMatrix.zeros(Q, 3, 2),
+                               RMatrix.zeros(Q, 2, 3))
+    x = direct_sum(zeros, trivial_complex(TrivialType.TYPE1, 1, Q))
+    assert reduce(x).type1 == 1
+    scale_inverse_certificates(monkeypatch, calls=(call,), cols=(0,))
     with pytest.raises(PeriodicaError) as exc:
         reduce(x)
     assert str(exc.value) == "split certificates do not compose to identity"

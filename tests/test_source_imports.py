@@ -10,6 +10,11 @@ that is not a dunder, is referenced by name somewhere in the package,
 the benchmark or the tests.  Import statements (and so the re-exports of
 ``__init__.py``) are not references; a ``periodica.<module>:<name>``
 target of the benchmark's tracer is.
+
+``complexes._unchecked`` builds a chain map or a certificate without its
+checks.  Only the helpers in ``UNCHECKED_CALLERS``, whose results exact
+algebra makes valid, refer to it, so that no construction from raw data
+skips its check.
 """
 
 import ast
@@ -24,6 +29,11 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 TRACE_TARGET = re.compile(r"periodica\.\w+:([\w.]+)")
+UNCHECKED_CALLERS = {
+    ("complexes.py", name) for name in (
+        "identity_map", "zero_map", "compose", "add_maps", "negate_map",
+        "scale_map", "shift_map", "BlockSumCertificate.shifted")
+} | {("classify.py", "model_certificate")}
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -132,3 +142,45 @@ def test_checker_sees_an_unreferenced_definition():
     refs = _references(text)
     assert [q for q, name in _definitions(ast.parse(text))
             if name not in refs] == ["gone", "C.idle"]
+
+
+def _unchecked_users(tree: ast.Module):
+    """Qualified name of the top-level function or method (None at module
+    or class level) around each reference to ``_unchecked``."""
+    def scopes():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{node.name}.{m.name}", m
+                    else:
+                        yield None, m
+            else:
+                yield None, node
+    for scope, node in scopes():
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id == "_unchecked"
+                    or isinstance(sub, ast.Attribute)
+                    and sub.attr == "_unchecked"):
+                yield scope
+
+
+def test_unchecked_construction_only_in_derived_helpers():
+    used = {(path.name, scope) for path in MODULES + TESTS + BENCH
+            for scope in _unchecked_users(
+                ast.parse(path.read_text(encoding="utf-8")))}
+    assert used == UNCHECKED_CALLERS
+
+
+def test_checker_sees_an_unchecked_construction():
+    text = ("from .complexes import _unchecked\n"
+            "import periodica.complexes as c\n"
+            "def compose(f):\n    return _unchecked(f)\n"
+            "class C:\n"
+            "    build = c._unchecked\n"
+            "    def m(self, f):\n        return (lambda: _unchecked(f))()\n"
+            "RAW = c._unchecked\n")
+    assert list(_unchecked_users(ast.parse(text))) == \
+        ["compose", None, "C.m", None]

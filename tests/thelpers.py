@@ -4,11 +4,15 @@ from periodica import (
     ChainMap2,
     RMatrix,
     TwoPeriodicComplex,
+    direct_sum,
     is_invertible,
     make_complex,
     parse_element,
     reduce,
 )
+from periodica.classify import label, model_complex
+from periodica.minimal import TrivialType, trivial_complex
+from periodica.rand import conjugate_complex
 
 
 def mat(field, rows, cols, entries):
@@ -29,6 +33,24 @@ def col(field, entries):
     return RMatrix(field, len(ents), 1, ents)
 
 
+def random_complex(rng, field, r0, r1):
+    """A conjugated complex of ranks (r0, r1): rank-(1, 1) summands K(j),
+    K(j)[1] or trivial, and zero differentials on the rest."""
+    c = rng.randint(0, min(r0, r1))
+    parts = []
+    for _ in range(c):
+        kind = rng.randrange(3)
+        if kind:
+            parts.append(trivial_complex(TrivialType(kind), 1, field))
+        else:
+            lab = label(rng.randint(1, 3), shifted=rng.random() < 0.5)
+            parts.append(model_complex(lab, field))
+    parts.append(TwoPeriodicComplex(
+        field, r0 - c, r1 - c, RMatrix.zeros(field, r1 - c, r0 - c),
+        RMatrix.zeros(field, r0 - c, r1 - c)))
+    return conjugate_complex(rng, direct_sum(*parts), max_val=2)[0]
+
+
 def is_homotopy_iso(f: ChainMap2) -> bool:
     """Transport f to the minimal models; there an isomorphism in the
     homotopy category has invertible components in both degrees."""
@@ -45,10 +67,13 @@ def is_homotopy_iso(f: ChainMap2) -> bool:
     return is_invertible(g0_min) and is_invertible(g1_min)
 
 
-def scale_inverse_certificates(monkeypatch, calls=(0, 1)):
+def scale_inverse_certificates(monkeypatch, calls=(0, 1), cols=None):
     """Make the given calls (numbered from 0) of ``TrackedBasis.matrices``
-    return (p, 2 q).  Where (q0, q1) is a chain map so is (2 q0, 2 q1),
-    so only an identity check such as q p = I can reject the pair."""
+    return p and q with the columns ``cols`` of q doubled (all of them
+    when None).  Where (q0, q1) is a chain map so is (2 q0, 2 q1), and so
+    is q with one degree's columns doubled where both differentials of
+    the source vanish on them; so only an identity check such as q p = I
+    can reject the pair."""
     from periodica.localring import one
     from periodica.smith import TrackedBasis
 
@@ -60,6 +85,9 @@ def scale_inverse_certificates(monkeypatch, calls=(0, 1)):
         seen.append(None)
         if len(seen) - 1 not in calls:
             return p, q
-        return p, q.scale(one(self.field) + one(self.field))
+        two = one(self.field) + one(self.field)
+        return p, RMatrix(q.field, q.rows, q.cols, tuple(
+            two * e if cols is None or k % q.cols in cols else e
+            for k, e in enumerate(q.entries)))
 
     monkeypatch.setattr(TrackedBasis, "matrices", scaled)
