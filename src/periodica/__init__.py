@@ -35,7 +35,6 @@ from .classify import (
 from .complexes import (
     BlockSumCertificate,
     ChainMap2,
-    ComplexViolation,
     HomModule,
     Homotopy2,
     Triangle,
@@ -51,13 +50,11 @@ from .complexes import (
     homc,
     identity_map,
     is_null_homotopic,
-    make_complex,
     negate_map,
     scale_map,
     shift,
     shift_map,
     tensor2,
-    validate_complex,
     zero_complex,
     zero_map,
 )

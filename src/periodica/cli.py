@@ -12,8 +12,11 @@ treats a non-complex or a non-chain-map input as an input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +49,12 @@ from .strictify import strictify, window_chain_map
 
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
+# Upper limits of the options whose cost grows without bound.  The largest
+# accepted calls take about 10 s over Q on a 2-vCPU machine: ar-verify
+# --i 1000 --bound 1200 8 s, ar-verify --i 3 --bound 1200 9 s, quiver
+# --max 100 9.6 s (F_101 is faster).
+MAX_I, MAX_BOUND, MAX_QUIVER = 1000, 1200, 100
+
 
 def _load_json(path: str):
     try:
@@ -65,10 +74,12 @@ def _emit(doc, fmt: str, text_renderer=None) -> None:
         print(text_renderer(doc))
 
 
-def _at_least(args, name: str, low: int) -> None:
+def _in_range(args, name: str, low: int, high: int | None = None) -> None:
     value = getattr(args, name)
     if value < low:
         raise ParseError(f"--{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ParseError(f"--{name} must be <= {high}, got {value}")
 
 
 def _field(args) -> FieldSpec:
@@ -194,7 +205,7 @@ def cmd_homotopic(args) -> int:
 
 
 def cmd_strictify(args) -> int:
-    _at_least(args, "window", 0)
+    _in_range(args, "window", 0)
     q = serialize.parse_quasi_doc(_load_json(args.data), _field(args))
     x = strictify(q)
     doc = {"complex": serialize.complex_to_doc(x)}
@@ -207,7 +218,7 @@ def cmd_strictify(args) -> int:
 
 
 def cmd_ar_triangle(args) -> int:
-    _at_least(args, "i", 1)
+    _in_range(args, "i", 1, MAX_I)
     t = ar_triangle(args.i, _field(args))
     dec = decompose(t.e)
     doc = serialize.triangle_to_doc(t)
@@ -217,8 +228,10 @@ def cmd_ar_triangle(args) -> int:
 
 
 def cmd_ar_verify(args) -> int:
-    _at_least(args, "i", 1)
-    _at_least(args, "bound", 1)
+    _in_range(args, "i", 1, MAX_I)
+    if args.bound is None:
+        args.bound = args.i + 3
+    _in_range(args, "bound", 1, MAX_BOUND)
     t = ar_triangle(args.i, _field(args))
     right, left = verify_ar(t, args.bound)
     doc = {"i": args.i, "bound": args.bound,
@@ -233,7 +246,7 @@ def cmd_ar_verify(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    _at_least(args, "max", 2)
+    _in_range(args, "max", 2, MAX_QUIVER)
     result = build_quiver(args.max, _field(args))
     if args.format == "dot":
         print(quiver_dot(result.graph), end="")
@@ -260,7 +273,7 @@ def cmd_serre_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    _at_least(args, "rounds", 1)
+    _in_range(args, "rounds", 1)
     results = run_selftest(seed=args.seed, rounds=args.rounds)
     failed = [r for r in results if not r.ok]
     if args.format == "json":
@@ -361,15 +374,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "bound", "missing") is None:
-        args.bound = args.i + 3
+def _write_stdout(text: str) -> None:
+    """Write a command's output.  A reader that closes the pipe early
+    (``| head``) keeps what it read; the exit code stays the verdict."""
     try:
-        return args.fn(args)
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def main(argv=None) -> int:
+    """Run one command; its stdout is written once, after it returns."""
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return args.fn(args)
     except PeriodicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    finally:
+        _write_stdout(out.getvalue())
 
 
 if __name__ == "__main__":

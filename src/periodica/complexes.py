@@ -25,25 +25,20 @@ d_X^T placed at its index; the Kronecker/block formula they equal is kept
 as the reference in the tests.  The same writer also assembles the
 tensor product.
 
-Where complex-ness is checked: ``make_complex`` and ``cone`` check the
-complex they build.  ``homc``, ``tensor2`` and the Smith path of
-``is_null_homotopic`` check their operands and not the Hom or tensor
-complex.  Its composites are d_Y^2 f - f d_X^2 (for the tensor,
-d_X^2 (x) 1 + 1 (x) d_Y^2): zero when both operands are complexes, but
-an operand that is no complex can cancel in them.  ``hom_module`` checks
-d0 d1 = 0 of the Hom complex once more in ``homology_invariants``.  The
-certified paths take their certificates from ``reduce``/``decompose``,
-which check their input, or from model block sums.
-
-Where chain maps are checked: the constructors of ``ChainMap2`` and
-``BlockSumCertificate`` check their data, and every one built from raw
-matrices goes through them (parsed input, the Smith bases of ``reduce``
-and ``decompose``, the Hom generators of both paths, ``cone``,
-``delta_iso``).  Results that exact algebra makes valid are built
-without the checks: ``identity_map`` and ``zero_map``; ``compose``,
-``add_maps``, ``negate_map``, ``scale_map`` and ``shift_map`` of checked
-maps (their endpoint checks stay); ``BlockSumCertificate.shifted`` of a
-checked certificate; and ``classify.model_certificate``.
+Where invariants are checked: constructors check, derived values skip.
+The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
+``ChainMap2`` (both commuting squares) and ``BlockSumCertificate`` check
+their data, and every value built from raw matrices goes through them:
+parsed input, ``cone``, ``strictify``, conjugated complexes, the Smith
+bases of ``reduce`` and ``decompose``, the Hom generators of both paths
+and ``delta_iso``.  Values that exact algebra makes valid from valid
+inputs are built by ``_unchecked``: ``shift``, ``dual``,
+``direct_sum``, ``homc``, ``tensor2`` and the model sums; the minimal
+model and trivial complexes of ``reduce``; ``identity_map``,
+``zero_map``, ``compose``, ``add_maps``, ``negate_map``, ``scale_map``
+and ``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``
+and ``classify.model_certificate``.  ``tests/test_source_imports.py``
+names them.
 
 Hom and null-homotopy have two paths.  Called with no certificates,
 ``hom_module`` takes the Smith form of the Hom complex and
@@ -92,21 +87,11 @@ MAX_HOM_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
-class ComplexViolation:
-    """Location of a nonzero entry in a composite that should vanish."""
-
-    composite: str  # "d1*d0" or "d0*d1"
-    row: int
-    col: int
-    value: LocalElem
-
-    def __str__(self) -> str:
-        return f"{self.composite} has nonzero entry at ({self.row}, {self.col})"
-
-
-@dataclass(frozen=True)
 class TwoPeriodicComplex:
-    """Ranks (r0, r1) and differentials d0: F0->F1, d1: F1->F0."""
+    """Ranks (r0, r1) and differentials d0: F0->F1, d1: F1->F0 with
+    d1 d0 = 0 and d0 d1 = 0.  The constructor checks both composites and
+    names the first nonzero entry; complexes derived from complexes skip
+    it (module docstring)."""
 
     field: FieldSpec
     r0: int
@@ -121,43 +106,20 @@ class TwoPeriodicComplex:
             raise DimensionMismatchError("d1 must be r0 x r1")
         if self.d0.field != self.field or self.d1.field != self.field:
             raise FieldMismatchError("differentials over a different field")
+        for name, a, b in (("d1*d0", self.d1, self.d0),
+                           ("d0*d1", self.d0, self.d1)):
+            pos = (a @ b).first_nonzero()
+            if pos is not None:
+                raise NotAComplexError(f"{name} has nonzero entry at {pos}")
 
     @property
     def total_rank(self) -> int:
         return self.r0 + self.r1
 
 
-def validate_complex(x: TwoPeriodicComplex) -> Optional[ComplexViolation]:
-    """Check both zero-composite identities exactly; None when valid."""
-    c = x.d1 @ x.d0
-    pos = c.first_nonzero()
-    if pos is not None:
-        return ComplexViolation("d1*d0", pos[0], pos[1], c.at(*pos))
-    c = x.d0 @ x.d1
-    pos = c.first_nonzero()
-    if pos is not None:
-        return ComplexViolation("d0*d1", pos[0], pos[1], c.at(*pos))
-    return None
-
-
-def _checked(x: TwoPeriodicComplex, name: str = "") -> TwoPeriodicComplex:
-    """x itself, or NotAComplexError naming the operand ``name`` (if
-    any) and the first nonzero entry of a composite."""
-    v = validate_complex(x)
-    if v is not None:
-        raise NotAComplexError(f"{name} is not a complex: {v}" if name
-                               else str(v))
-    return x
-
-
 def zero_complex(field: FieldSpec) -> TwoPeriodicComplex:
     z = RMatrix.zeros(field, 0, 0)
     return TwoPeriodicComplex(field, 0, 0, z, z)
-
-
-def make_complex(field: FieldSpec, d0: RMatrix, d1: RMatrix) -> TwoPeriodicComplex:
-    """Build and validate a complex from its two differentials."""
-    return _checked(TwoPeriodicComplex(field, d0.cols, d0.rows, d0, d1))
 
 
 @dataclass(frozen=True)
@@ -324,7 +286,7 @@ class BlockSumCertificate:
 def _unchecked(cls, *values):
     """An instance of the frozen dataclass ``cls`` with ``values`` as its
     fields in order, built without running ``__post_init__``.  Only for
-    results that exact algebra makes valid (see "Where chain maps are
+    results that exact algebra makes valid (see "Where invariants are
     checked" above); ``tests/test_source_imports.py`` names its callers."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values, strict=True):
@@ -378,13 +340,13 @@ def shift_map(f: ChainMap2) -> ChainMap2:
 
 def shift(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """X[1]: degrees swap, both differentials are negated."""
-    return TwoPeriodicComplex(x.field, x.r1, x.r0, -x.d1, -x.d0)
+    return _unchecked(TwoPeriodicComplex, x.field, x.r1, x.r0, -x.d1, -x.d0)
 
 
 def dual(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """X* = Hom(X, R) with d0* = -d1^T, d1* = +d0^T."""
-    return TwoPeriodicComplex(x.field, x.r0, x.r1,
-                              -x.d1.transpose(), x.d0.transpose())
+    return _unchecked(TwoPeriodicComplex, x.field, x.r0, x.r1,
+                      -x.d1.transpose(), x.d0.transpose())
 
 
 def _model_sum(field: FieldSpec, labels) -> TwoPeriodicComplex:
@@ -401,8 +363,9 @@ def _model_sum(field: FieldSpec, labels) -> TwoPeriodicComplex:
             d0[a * (n + 1)] = -x_power(field, j)
         else:
             d1[a * (n + 1)] = x_power(field, j)
-    return TwoPeriodicComplex(field, n, n, RMatrix(field, n, n, tuple(d0)),
-                              RMatrix(field, n, n, tuple(d1)))
+    return _unchecked(TwoPeriodicComplex, field, n, n,
+                      RMatrix(field, n, n, tuple(d0)),
+                      RMatrix(field, n, n, tuple(d1)))
 
 
 def direct_sum(*xs: TwoPeriodicComplex) -> TwoPeriodicComplex:
@@ -414,8 +377,8 @@ def direct_sum(*xs: TwoPeriodicComplex) -> TwoPeriodicComplex:
             raise FieldMismatchError("direct sum over different fields")
     d0 = block_diag(field, [x.d0 for x in xs])
     d1 = block_diag(field, [x.d1 for x in xs])
-    return TwoPeriodicComplex(field, sum(x.r0 for x in xs),
-                              sum(x.r1 for x in xs), d0, d1)
+    return _unchecked(TwoPeriodicComplex, field, sum(x.r0 for x in xs),
+                      sum(x.r1 for x in xs), d0, d1)
 
 
 def _hom_differential(x: TwoPeriodicComplex, a: RMatrix, d: RMatrix,
@@ -470,29 +433,23 @@ def _homc_blocks(x: TwoPeriodicComplex, y: TwoPeriodicComplex):
 
 def homc(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """2-periodic Hom complex; degree-0 cycles are the chain maps X -> Y.
-    Checks that x and y are complexes (y only when it is another object),
-    which makes the result one."""
+    Its composites are d_Y^2 f - f d_X^2, zero because x and y are
+    complexes."""
     if x.field != y.field:
         raise FieldMismatchError("Hom over different fields")
-    _checked(x, "source")
-    if y is not x:
-        _checked(y, "target")
     d0, d1 = _homc_blocks(x, y)
-    return TwoPeriodicComplex(
-        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
+    return _unchecked(TwoPeriodicComplex, x.field, x.r0 * y.r0 + x.r1 * y.r1,
+                      x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
 
 
 def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
     """2-periodic tensor product with Koszul signs, X-index outer: the
     differentials of Hom(X*, Y) with the degree-1 summand X1 (x) Y0
-    negated (rows of d0, columns of d1 from x.r0 * y.r1 on).  Checks
-    that x and y are complexes (y only when it is another object), which
-    makes the result one."""
+    negated (rows of d0, columns of d1 from x.r0 * y.r1 on).  Its
+    composites are d_X^2 (x) 1 + 1 (x) d_Y^2, zero because x and y are
+    complexes."""
     if x.field != y.field:
         raise FieldMismatchError("tensor over different fields")
-    _checked(x, "left factor")
-    if y is not x:
-        _checked(y, "right factor")
     h0, h1 = _homc_blocks(dual(x), y)
     cut = x.r0 * y.r1
     e0 = h0.entries
@@ -500,8 +457,8 @@ def tensor2(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> TwoPeriodicComplex:
                  + tuple(-e for e in e0[cut * h0.cols:]))
     d1 = RMatrix(x.field, h1.rows, h1.cols, tuple(
         -e if k % h1.cols >= cut else e for k, e in enumerate(h1.entries)))
-    return TwoPeriodicComplex(
-        x.field, x.r0 * y.r0 + x.r1 * y.r1, x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
+    return _unchecked(TwoPeriodicComplex, x.field, x.r0 * y.r0 + x.r1 * y.r1,
+                      x.r0 * y.r1 + x.r1 * y.r0, d0, d1)
 
 
 def delta_iso(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> ChainMap2:
@@ -540,7 +497,7 @@ def cone(f: ChainMap2):
         [-x.d0, RMatrix.zeros(field, x.r1, y.r1)],
         [-f.f0, y.d1],
     ])
-    c = _checked(TwoPeriodicComplex(field, x.r1 + y.r0, x.r0 + y.r1, d0, d1))
+    c = TwoPeriodicComplex(field, x.r1 + y.r0, x.r0 + y.r1, d0, d1)
     u = ChainMap2(y, c,
                   vstack(field, [RMatrix.zeros(field, x.r1, y.r0),
                                  RMatrix.identity(field, y.r0)]),
@@ -566,9 +523,7 @@ def is_null_homotopic(f: ChainMap2,
                       certificates: Optional[tuple] = None) -> Optional[Homotopy2]:
     """Solve f = d s + s d over R; returns a re-verified witness or None.
 
-    Without certificates the system is solved by a Smith form, after
-    checking that f.src and f.dst are complexes (f.dst only when it is
-    another object).  With
+    Without certificates the system is solved by a Smith form.  With
     block-sum certificates (of f.src, of f.dst) the decision is read off
     the valuations of c = P_Y f Q_X block by block, and the witness is
     s = Q_Y s' P_X + h_Y f + Q_Y P_Y f h_X for the blockwise witness s'.
@@ -587,9 +542,6 @@ def is_null_homotopic(f: ChainMap2,
 
 def _solved_homotopy(f: ChainMap2):
     x, y = f.src, f.dst
-    _checked(x, "source")
-    if y is not x:
-        _checked(y, "target")
     d1h = _hom_differential(x, y.d1, y.d0, negate=False)
     b = vstack(x.field, [f.f0.vec(), f.f1.vec()])
     sol = solve_over_ring(d1h, b)

@@ -15,7 +15,10 @@ One product per degree proves a certificate pair: both chain maps are
 verified on construction, and q p = I in each degree makes them mutually
 inverse (p, q square over a commutative ring, so p q = I follows).  A
 minimal input is its own minimal model: ``reduce`` returns it with the
-identity maps, which need no check, and builds no basis.
+identity maps, which need no check, and builds no basis.  The input is a
+complex by construction; the minimal model and the trivial complexes are
+blocks of its conjugate by the certificates, so they are built without
+the constructor's check (``complexes`` docstring).
 
 Pivot policy: the unit entry of smallest (row, col) in d1 first, then in
 d0 — reductions are deterministic.
@@ -31,7 +34,7 @@ from .complexes import (
     Homotopy2,
     TwoPeriodicComplex,
     direct_sum,
-    _checked,
+    _unchecked,
     identity_map,
 )
 from .errors import NotTrivialError, PeriodicaError
@@ -75,8 +78,8 @@ def trivial_complex(kind: TrivialType, n: int,
     ident = RMatrix.identity(field, n)
     zmat = RMatrix.zeros(field, n, n)
     if kind is TrivialType.TYPE1:
-        return TwoPeriodicComplex(field, n, n, zmat, ident)
-    return TwoPeriodicComplex(field, n, n, ident, zmat)
+        return _unchecked(TwoPeriodicComplex, field, n, n, zmat, ident)
+    return _unchecked(TwoPeriodicComplex, field, n, n, ident, zmat)
 
 
 def _find_unit(grid, nrows, ncols):
@@ -120,7 +123,6 @@ def _reorder(basis: TrackedBasis, perm) -> None:
 
 def reduce(x: TwoPeriodicComplex) -> SplitResult:
     """Split X as minimal + Type1^a + Type2^b with exact certificates."""
-    _checked(x, "input")
     if is_minimal(x):
         ident = identity_map(x)
         return SplitResult(x, 0, 0, ident, ident)
@@ -157,8 +159,8 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
     p0_m, q0_m = b0.matrices()
     p1_m, q1_m = b1.matrices()
 
-    minimal = TwoPeriodicComplex(
-        field, act0, act1,
+    minimal = _unchecked(
+        TwoPeriodicComplex, field, act0, act1,
         d0_m.submatrix(0, act1, 0, act0), d1_m.submatrix(0, act0, 0, act1))
     if not is_minimal(minimal):
         raise PeriodicaError("reduction left a unit entry (internal error)")

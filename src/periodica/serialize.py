@@ -24,9 +24,8 @@ from .complexes import (
     Homotopy2,
     Triangle,
     TwoPeriodicComplex,
-    validate_complex,
 )
-from .errors import ParseError, PeriodicaError, ValidationError
+from .errors import NotAComplexError, ParseError, PeriodicaError, ValidationError
 from .fields import FieldSpec
 from .localring import format_element, parse_element
 from .matrix import RMatrix
@@ -97,17 +96,20 @@ def _ranks(doc: dict) -> tuple[int, int]:
 
 def parse_complex_doc(doc, expect_field: Optional[FieldSpec] = None
                       ) -> TwoPeriodicComplex:
+    """The complex of a document.  Malformed documents raise ParseError;
+    differentials that do not compose to zero raise ValidationError with
+    the constructor's message, which ``validate`` reports as its
+    verdict."""
     if not isinstance(doc, dict):
         raise ParseError("complex document must be a JSON object")
     field = _field_of(doc, expect_field)
     r0, r1 = _ranks(doc)
     d0 = parse_matrix(field, doc.get("d0"), r1, r0, "$.d0")
     d1 = parse_matrix(field, doc.get("d1"), r0, r1, "$.d1")
-    x = TwoPeriodicComplex(field, r0, r1, d0, d1)
-    v = validate_complex(x)
-    if v is not None:
-        raise ValidationError(str(v))
-    return x
+    try:
+        return TwoPeriodicComplex(field, r0, r1, d0, d1)
+    except NotAComplexError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 # -- chain maps ---------------------------------------------------------------

@@ -24,7 +24,6 @@ from periodica import (
     direct_sum,
     identity_map,
     k_complex,
-    make_complex,
     scale_map,
     shift,
     trivial_complex,
@@ -62,11 +61,13 @@ def test_k_complex_basics():
 
 def test_finite_length_detection():
     assert finite_length_cohomology(k_complex(4, Q))
-    free_pt = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    free_pt = TwoPeriodicComplex(Q, 1, 0, RMatrix.zeros(Q, 0, 1),
+                                 RMatrix.zeros(Q, 1, 0))
     assert not finite_length_cohomology(free_pt)
     # unequal ranks can never have finite-length cohomology
     assert not finite_length_cohomology(
-        make_complex(Q, mat(Q, 1, 2, [["x", "0"]]), RMatrix.zeros(Q, 2, 1)))
+        TwoPeriodicComplex(Q, 2, 1, mat(Q, 1, 2, [["x", "0"]]),
+                           RMatrix.zeros(Q, 2, 1)))
 
 
 def test_decompose_roundtrip_with_trivials(rng):
@@ -85,7 +86,8 @@ def test_decompose_zero():
 
 
 def test_decompose_rejects_infinite_length():
-    free_pt = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    free_pt = TwoPeriodicComplex(Q, 1, 0, RMatrix.zeros(Q, 0, 1),
+                                 RMatrix.zeros(Q, 1, 0))
     with pytest.raises(NotFiniteLengthError):
         decompose(free_pt)
 
@@ -246,10 +248,10 @@ def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
 
 
 def test_decompose_rejects_non_complex():
-    # rank d0 + rank d1 = 2 = r0 passes the finite-length test, but
-    # d1 d0 = d0 d1 = diag(1, 0)
+    # rank d0 + rank d1 = 2 = r0 would pass the finite-length test, but
+    # d1 d0 = d0 d1 = diag(1, 0): the constructor rejects it, so no such
+    # input reaches decompose
     d = mat(Q, 2, 2, [["1", "0"], ["0", "0"]])
     with pytest.raises(NotAComplexError) as exc:
-        decompose(TwoPeriodicComplex(Q, 2, 2, d, d))
-    assert str(exc.value) == \
-        "input is not a complex: d1*d0 has nonzero entry at (0, 0)"
+        TwoPeriodicComplex(Q, 2, 2, d, d)
+    assert str(exc.value) == "d1*d0 has nonzero entry at (0, 0)"

@@ -1,0 +1,169 @@
+"""Random documents and argument vectors through ``cli.main``.
+
+Every call keeps the exit-code contract (0 ok, 1 a verification failed,
+2 bad input), prints no traceback and ends within a time bound.  The
+documents have ranks 0-3; some are complexes, most are not, and some
+are malformed (wrong shapes, non-string entries, bad element strings,
+missing keys, foreign fields).
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from periodica.cli import main
+
+FIELDS = ["Q", "Fp:3", "Fp:101"]
+ENTRIES = st.sampled_from(
+    ["0", "0", "1", "-1", "x", "x^2", "2*x", "x/(1+x)", "1/(1-x)"])
+JUNK = st.sampled_from(
+    [None, 0, [], "1/x", "x^-1", "y", "(", "", "1/0", "x^99999999999"])
+COMPLEX = [("d0", "r1", "r0"), ("d1", "r0", "r1")]
+QUASI = [("alpha0", "r1", "r0"), ("alpha1", "r0", "r1"),
+         ("phi0", "r0", "r0"), ("phi1", "r1", "r1")]
+CALL_SECONDS = 20
+
+
+@st.composite
+def grids(draw, rows, cols, diagonal=False):
+    """A rows x cols grid of element strings (units on the diagonal when
+    asked), now and then malformed."""
+    grid = [["1" if diagonal and i == j else draw(ENTRIES)
+             for j in range(cols)] for i in range(rows)]
+    if draw(st.integers(0, 9)) == 0:
+        if rows and cols:
+            grid[draw(st.integers(0, rows - 1))][
+                draw(st.integers(0, cols - 1))] = draw(JUNK)
+        else:
+            grid.append(["0"])
+    return grid
+
+
+@st.composite
+def documents(draw, keys, field):
+    """A document over ``field`` with ranks 0-3 and the given (key, rows,
+    cols) grids, rows and cols naming ranks; now and then a key is
+    dropped or a value replaced by one of another type or field."""
+    r = {"r0": draw(st.integers(0, 3)), "r1": draw(st.integers(0, 3))}
+    doc = {"field": field, **r}
+    for key, rows, cols in keys:
+        doc[key] = draw(grids(r[rows], r[cols], key.startswith("phi")))
+    if keys is COMPLEX and draw(st.booleans()):
+        # with one differential zero, both composites vanish
+        key, rows, cols = draw(st.sampled_from(COMPLEX))
+        doc[key] = [["0"] * r[cols] for _ in range(r[rows])]
+    if draw(st.integers(0, 9)) == 0:
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(st.sampled_from(
+                [-1, 2.5, "Fp:4", "Fp:5", "Q", "3", None]))
+    return doc
+
+
+@st.composite
+def calls(draw):
+    """(argv, files): a command with its files, to be written to a
+    directory, or a command without files whose options run from
+    below to above their limits."""
+    field = draw(st.sampled_from(FIELDS))
+    fmt = ["--field", field,
+           "--format", draw(st.sampled_from(["text", "json"]))]
+    cx = documents(COMPLEX, field)
+    kind = draw(st.sampled_from(["complex", "pair", "map", "quasi", "ar"]))
+    if kind == "complex":
+        cmd = draw(st.sampled_from(["validate", "reduce", "cohomology",
+                                    "decompose", "shift", "dual"]))
+        return [cmd, "a.json", *fmt], {"a.json": draw(cx)}
+    if kind == "pair":
+        cmd = draw(st.sampled_from(["sum", "tensor", "homc", "hom",
+                                    "serre-check"]))
+        return [cmd, "a.json", "b.json", *fmt], {
+            "a.json": draw(cx), "b.json": draw(cx)}
+    if kind == "map":
+        cmd = draw(st.sampled_from(["cone", "homotopic"]))
+        a, b = draw(cx), draw(cx)
+        ranks = [max(d.get(k), 0) if isinstance(d.get(k), int) else 0
+                 for d in (a, b) for k in ("r0", "r1")]
+        fmap = {"src": "a.json", "dst": draw(st.sampled_from(["b.json", b])),
+                "f0": draw(grids(ranks[2], ranks[0])),
+                "f1": draw(grids(ranks[3], ranks[1]))}
+        return [cmd, "f.json", *fmt], {"a.json": a, "b.json": b,
+                                       "f.json": fmap}
+    if kind == "quasi":
+        window = str(draw(st.integers(-1, 9).map(lambda w: min(w, 3))))
+        return (["strictify", "q.json", "--window", window, *fmt],
+                {"q.json": draw(documents(QUASI, field))})
+    cmd = draw(st.sampled_from(["ar-triangle", "ar-verify", "quiver"]))
+    big = st.sampled_from([10**4, 10**9])
+    if cmd == "quiver":
+        opts = ["--max", str(draw(st.integers(-1, 5) | big))]
+    else:
+        opts = ["--i", str(draw(st.integers(-1, 5) | big))]
+        if cmd == "ar-verify" and draw(st.booleans()):
+            opts += ["--bound", str(draw(st.integers(-1, 6) | big))]
+    return [cmd, *opts, *fmt], {}
+
+
+def _run(argv, files):
+    """(exit code, stdout, stderr, seconds) of ``main`` on ``argv``, its
+    file names written as JSON to a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            (Path(tmp) / name).write_text(json.dumps(doc), encoding="utf-8")
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=calls())
+def test_cli_keeps_the_exit_code_contract(call):
+    code, out, err, seconds = _run(*call)
+    assert code in (0, 1, 2), (call, code)
+    assert "Traceback" not in err
+    assert seconds < CALL_SECONDS, (call, seconds)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+# d1 d0 = x: only validate reports it as its verdict
+NON_COMPLEX = {"field": "Q", "r0": 1, "r1": 1, "d0": [["1"]], "d1": [["x"]]}
+K1 = {"field": "Q", "r0": 1, "r1": 1, "d0": [["0"]], "d1": [["x"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "a.json"], ["cohomology", "a.json"], ["decompose", "a.json"],
+    ["shift", "a.json"], ["dual", "a.json"], ["sum", "k.json", "a.json"],
+    ["tensor", "a.json", "k.json"], ["homc", "a.json", "a.json"],
+    ["hom", "k.json", "a.json"], ["serre-check", "a.json", "k.json"],
+    ["cone", "f.json"], ["homotopic", "f.json"]], ids=lambda a: a[0])
+def test_non_complex_documents_are_input_errors(argv):
+    fmap = {"src": "a.json", "dst": "a.json", "f0": [["0"]], "f1": [["0"]]}
+    files = {"a.json": NON_COMPLEX, "k.json": K1, "f.json": fmap}
+    for fmt in ("text", "json"):
+        assert _run(argv + ["--format", fmt], files)[:3] == (
+            2, "", "error: d1*d0 has nonzero entry at (0, 0)\n")
+
+
+def test_validate_reports_a_non_complex_as_its_verdict():
+    files = {"a.json": NON_COMPLEX}
+    assert _run(["validate", "a.json"], files)[:3] == (
+        1, "invalid: d1*d0 has nonzero entry at (0, 0)\n", "")
+    code, out, err, _ = _run(["validate", "a.json", "--format", "json"],
+                             files)
+    assert (code, json.loads(out), err) == (1, {
+        "valid": False,
+        "violation": "d1*d0 has nonzero entry at (0, 0)"}, "")

@@ -5,13 +5,14 @@ import math
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thelpers import mat, random_complex
+from thelpers import mat, random_complex, rechecked_complex
 
 from periodica import (
     ChainMap2,
@@ -35,13 +36,11 @@ from periodica import (
     is_invertible,
     is_null_homotopic,
     k_complex,
-    make_complex,
     one,
     scale_map,
     shift,
     shift_map,
     tensor2,
-    validate_complex,
     x_power,
     zero_complex,
     zero_map,
@@ -68,18 +67,24 @@ def K(j, field=Q):
 # -- validation -----------------------------------------------------------------
 
 def test_validate_k2():
-    assert validate_complex(K(2)) is None
+    assert rechecked_complex(K(2)) == K(2)
 
 
 def test_validate_detects_nonzero_composite():
-    x = TwoPeriodicComplex(Q, 1, 1, mat(Q, 1, 1, [["1"]]),
-                           mat(Q, 1, 1, [["1"]]))
-    v = validate_complex(x)
-    assert v is not None and v.composite == "d1*d0" and (v.row, v.col) == (0, 0)
+    # the constructor checks d1 d0 first, then d0 d1, and names the first
+    # nonzero entry in row-major order
+    one_ = mat(Q, 1, 1, [["1"]])
+    for d0, d1, message in (
+            (one_, one_, "d1*d0 has nonzero entry at (0, 0)"),
+            (mat(Q, 2, 1, [["1"], ["0"]]), mat(Q, 1, 2, [["0", "x"]]),
+             "d0*d1 has nonzero entry at (0, 1)")):
+        with pytest.raises(NotAComplexError) as exc:
+            TwoPeriodicComplex(Q, d0.cols, d0.rows, d0, d1)
+        assert str(exc.value) == message
 
 
 def test_validate_zero_complex():
-    assert validate_complex(zero_complex(Q)) is None
+    assert rechecked_complex(zero_complex(Q)) == zero_complex(Q)
 
 
 # -- shift -----------------------------------------------------------------------
@@ -145,7 +150,7 @@ def test_zero_map_field_mismatch():
 # -- tensor ------------------------------------------------------------------------
 
 def test_tensor_unit_object():
-    unit = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    unit = _zeros(1, 0)
     t = tensor2(K(3), unit)
     assert (t.r0, t.r1) == (1, 1)
     assert t.d1 == K(3).d1 and t.d0 == K(3).d0
@@ -154,7 +159,7 @@ def test_tensor_unit_object():
 def test_tensor_shape_and_validity():
     t = tensor2(K(1), K(1))
     assert (t.r0, t.r1) == (2, 2)
-    assert validate_complex(t) is None
+    assert rechecked_complex(t) == t
 
 
 def test_tensor_k1_k2_cohomology_lengths():
@@ -184,10 +189,10 @@ def test_homc_end_k1():
 
 
 def test_homc_from_rank_10_source():
-    x = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    x = _zeros(1, 0)
     y = direct_sum(K(2), shift(K(1)))
     h = homc(x, y)
-    assert validate_complex(h) is None
+    assert rechecked_complex(h) == h
     assert (h.r0, h.r1) == (y.r0, y.r1)
 
 
@@ -246,13 +251,15 @@ def _homc_blocks_by_kron(x, y):
 
 def _random_pair(rng, field, r0, r1):
     """Differentials of the given ranks, entries with denominators mixed
-    in; the assembly formula is linear, so they need not compose to 0."""
+    in, in an attribute holder: the assembly formula is linear, so they
+    need not compose to 0, which no TwoPeriodicComplex allows."""
     def grid(rows, cols):
         m = random_matrix(rng, field, rows, cols, max_val=2)
         return RMatrix(field, rows, cols, tuple(
             e * inverse(random_unit(rng, field)) if rng.random() < 0.3 else e
             for e in m.entries))
-    return TwoPeriodicComplex(field, r0, r1, grid(r1, r0), grid(r0, r1))
+    return SimpleNamespace(field=field, r0=r0, r1=r1, d0=grid(r1, r0),
+                           d1=grid(r0, r1))
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
@@ -307,11 +314,12 @@ def test_tensor_matches_kron_formula(label_, ranks, seed):
 
 
 def test_hom_module_rejects_non_complex():
-    # d1 d0 = d0 d1 = diag(1, 0) != 0, so Hom(X, X) is no complex either
+    # d1 d0 = d0 d1 = diag(1, 0) != 0, so Hom(X, X) would be no complex
+    # either; the constructor rejects X before any Hom is formed
     d = mat(Q, 2, 2, [["1", "0"], ["0", "0"]])
-    x = TwoPeriodicComplex(Q, 2, 2, d, d)
-    with pytest.raises(NotAComplexError):
-        hom_module(x, x)
+    with pytest.raises(NotAComplexError) as exc:
+        TwoPeriodicComplex(Q, 2, 2, d, d)
+    assert str(exc.value) == "d1*d0 has nonzero entry at (0, 0)"
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
@@ -319,65 +327,57 @@ def test_hom_module_rejects_non_complex():
 @given(ranks=st.tuples(*[st.integers(0, 3)] * 4),
        seed=st.integers(0, 2**32 - 1))
 @example(ranks=(3, 3, 3, 3), seed=4)
-def test_homc_and_tensor_of_complexes_square_to_zero(label_, ranks, seed):
-    # homc and tensor2 check their operands, not their result
+@example(ranks=(0, 2, 3, 0), seed=5)
+@example(ranks=(0, 0, 2, 1), seed=6)
+def test_derived_complexes_pass_the_checked_constructor(label_, ranks, seed):
+    # the constructions built without the constructor's check give
+    # complexes from complexes: each passes it when built from its parts
     field = FieldSpec.from_label(label_)
     rng = random.Random(seed)
     x = random_complex(rng, field, *ranks[:2])
     y = random_complex(rng, field, *ranks[2:])
-    assert validate_complex(homc(x, y)) is None
-    assert validate_complex(tensor2(x, y)) is None
-
-
-def _cancelling_non_complexes():
-    """X: d0 = d1 = 1 and Y: d0 = 1, d1 = -1, rank (1, 1).  Neither is a
-    complex (d1 d0 = 1 and -1), but d^2 of Hom(X, X) is d_X^2 f - f d_X^2
-    = 0 and d^2 of X (x) Y is d_X^2 (x) 1 + 1 (x) d_Y^2 = 0."""
-    o = one(Q)
-    m = RMatrix(Q, 1, 1, (o,))
-    return (TwoPeriodicComplex(Q, 1, 1, m, m),
-            TwoPeriodicComplex(Q, 1, 1, m, -m))
+    labels = [(rng.randint(1, 3), rng.random() < 0.5)
+              for _ in range(rng.randint(0, 3))]
+    split = reduce(x)
+    for z in (shift(x), dual(y), direct_sum(x, y), direct_sum(y),
+              homc(x, y), homc(y, y), tensor2(x, y), tensor2(y, y),
+              complexes._model_sum(field, labels),
+              trivial_complex(TrivialType.TYPE1, ranks[0], field),
+              trivial_complex(TrivialType.TYPE2, ranks[1], field),
+              split.minimal, reduce(shift(y)).minimal):
+        assert rechecked_complex(z) == z
 
 
 def test_operands_that_are_no_complex_are_rejected():
-    x, y = _cancelling_non_complexes()
-    calls = [
-        (lambda: homc(x, x), "source is not a complex: d1*d0 has nonzero "
-                             "entry at (0, 0)"),
-        (lambda: homc(K(1), y), "target is not a complex: d1*d0 has "
-                                "nonzero entry at (0, 0)"),
-        (lambda: hom_module(x, x), "source is not a complex"),
-        (lambda: tensor2(x, y), "left factor is not a complex: d1*d0 has "
-                                "nonzero entry at (0, 0)"),
-        (lambda: tensor2(K(1), y), "right factor is not a complex"),
-        (lambda: is_null_homotopic(identity_map(x)),
-         "source is not a complex: d1*d0 has nonzero entry at (0, 0)"),
-    ]
-    for call, message in calls:
+    # X: d0 = d1 = 1 and Y: d0 = 1, d1 = -1, rank (1, 1).  d^2 of
+    # Hom(X, X) would be d_X^2 f - f d_X^2 = 0 and d^2 of X (x) Y would be
+    # d_X^2 (x) 1 + 1 (x) d_Y^2 = 0, so only the constructor's check of
+    # the operands themselves rejects them
+    m = mat(Q, 1, 1, [["1"]])
+    for d1 in (m, -m):
         with pytest.raises(NotAComplexError) as exc:
-            call()
-        assert str(exc.value).startswith(message)
+            TwoPeriodicComplex(Q, 1, 1, m, d1)
+        assert str(exc.value) == "d1*d0 has nonzero entry at (0, 0)"
 
 
 def test_shared_operand_is_validated_once(monkeypatch):
-    # homc(X, X), tensor2(X, X) and the Smith path of x^m id_X check X
-    # once; distinct operands are checked once each
+    # X and Y are checked once each, when they are built; homc, tensor2
+    # and the Smith path of the null test check neither again
     calls = []
-    real = complexes.validate_complex
-    monkeypatch.setattr(complexes, "validate_complex",
+    real = TwoPeriodicComplex.__post_init__
+    monkeypatch.setattr(TwoPeriodicComplex, "__post_init__",
                         lambda x: calls.append(x) or real(x))
-    x = direct_sum(K(1), shift(K(2)))
-    y = direct_sum(K(1), shift(K(2)))
+    x = rechecked_complex(direct_sum(K(1), shift(K(2))))
+    y = rechecked_complex(direct_sum(K(1), shift(K(2))))
+    assert calls == [x, y]
     f = scale_map(identity_map(x), x_power(Q, 1))
     g = ChainMap2(x, y, f.f0, f.f1)
-    for same, other in ((lambda: homc(x, x), lambda: homc(x, y)),
-                        (lambda: tensor2(x, x), lambda: tensor2(x, y)),
-                        (lambda: is_null_homotopic(f),
-                         lambda: is_null_homotopic(g))):
-        for call, count in ((same, 1), (other, 2)):
-            calls.clear()
-            call()
-            assert len(calls) == count
+    calls.clear()
+    for call in (lambda: homc(x, x), lambda: homc(x, y),
+                 lambda: tensor2(x, x), lambda: tensor2(x, y),
+                 lambda: is_null_homotopic(f), lambda: is_null_homotopic(g)):
+        call()
+    assert calls == []
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3"])
@@ -422,7 +422,7 @@ def test_delta_on_k1_k1():
 
 
 def test_delta_identity_for_free_point():
-    x = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    x = _zeros(1, 0)
     y = K(2)
     d = delta_iso(x, y)
     assert d.f0 == RMatrix.identity(Q, 1)
@@ -490,7 +490,7 @@ def test_cohomology_trivial_type1():
 
 
 def test_cohomology_free_point():
-    x = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    x = _zeros(1, 0)
     h0, h1 = cohomology(x)
     assert h0.free_rank == 1 and h0.factors == ()
     assert h1.is_zero()
@@ -589,7 +589,7 @@ def test_hom_module_homotopy_invariance(rng):
 
 
 def test_hom_module_free_part():
-    x = make_complex(Q, RMatrix.zeros(Q, 0, 1), RMatrix.zeros(Q, 1, 0))
+    x = _zeros(1, 0)
     hm = hom_module(x, x)
     assert hm.free_rank == 1 and hm.factors == ()
     assert hm.length() == math.inf

@@ -1,6 +1,7 @@
 """Document round trips and the command-line front end (exit codes,
 determinism, formats)."""
 
+import io
 import json
 import os
 import subprocess
@@ -156,6 +157,52 @@ def test_cli_argument_out_of_range(tmp_path, argv):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ar-triangle", "--i", "1001"], "--i must be <= 1000, got 1001"),
+    (["ar-verify", "--i", "1001"], "--i must be <= 1000, got 1001"),
+    (["ar-verify", "--i", "3", "--bound", "1201"],
+     "--bound must be <= 1200, got 1201"),
+    (["quiver", "--max", "101"], "--max must be <= 100, got 101"),
+    (["ar-triangle", "--i", "10000000"], "--i must be <= 1000, got 10000000"),
+])
+def test_cli_argument_above_its_limit(argv, message, capsys):
+    from periodica.cli import main
+
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_ar_verify_default_bound(capsys):
+    from periodica.cli import main
+
+    assert main(["ar-verify", "--i", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == 5
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as after ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["quiver", "--max", "3", "--format", "json"], 0),
+    (["selftest", "--rounds", "1"], 0),
+    (["validate", "BAD"], 1),
+])
+def test_cli_closed_stdout_keeps_the_verdict(argv, code, tmp_path, capsys,
+                                             monkeypatch):
+    from periodica.cli import main
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"field": "Q", "r0": 1, "r1": 1, "d0": [["1"]], "d1": [["1"]]}))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_large_prime_field(tmp_path):

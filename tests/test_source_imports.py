@@ -11,10 +11,11 @@ the benchmark or the tests.  Import statements (and so the re-exports of
 ``__init__.py``) are not references; a ``periodica.<module>:<name>``
 target of the benchmark's tracer is.
 
-``complexes._unchecked`` builds a chain map or a certificate without its
-checks.  Only the helpers in ``UNCHECKED_CALLERS``, whose results exact
-algebra makes valid, refer to it, so that no construction from raw data
-skips its check.
+``complexes._unchecked`` builds a complex, a chain map or a certificate
+without its constructor's checks.  Only the helpers in
+``UNCHECKED_CALLERS``, whose results exact algebra makes valid when their
+inputs are, refer to it, so that no construction from raw data skips its
+check.
 """
 
 import ast
@@ -31,9 +32,11 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 TRACE_TARGET = re.compile(r"periodica\.\w+:([\w.]+)")
 UNCHECKED_CALLERS = {
     ("complexes.py", name) for name in (
+        "shift", "dual", "_model_sum", "direct_sum", "homc", "tensor2",
         "identity_map", "zero_map", "compose", "add_maps", "negate_map",
         "scale_map", "shift_map", "BlockSumCertificate.shifted")
-} | {("classify.py", "model_certificate")}
+} | {("classify.py", "model_certificate"),
+     ("minimal.py", "trivial_complex"), ("minimal.py", "reduce")}
 
 
 def _imported(tree: ast.Module) -> dict:

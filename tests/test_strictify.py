@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from thelpers import mat
+from thelpers import mat, rechecked_complex
 
 from periodica import (
     FieldSpec,
@@ -18,7 +18,6 @@ from periodica import (
     is_minimal,
     k_complex,
     strictify,
-    validate_complex,
     window_chain_map,
 )
 from periodica.classify import decompose, label, IndecompMultiset
@@ -99,7 +98,7 @@ def test_random_quasi_periodic_instances(rng):
         q, expected = random_quasi_periodic(rng, Q)
         x = strictify(q)
         assert x == expected
-        assert validate_complex(x) is None
+        assert rechecked_complex(x) == x
         assert is_minimal(x)
         fs = window_chain_map(q, radius=4)
         for f in fs.values():

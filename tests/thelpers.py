@@ -6,7 +6,6 @@ from periodica import (
     TwoPeriodicComplex,
     direct_sum,
     is_invertible,
-    make_complex,
     parse_element,
     reduce,
 )
@@ -23,9 +22,14 @@ def mat(field, rows, cols, entries):
 
 def cx(field, r0, r1, d0_strings, d1_strings) -> TwoPeriodicComplex:
     """Validated complex from string grids (d0 is r1 x r0, d1 is r0 x r1)."""
-    return make_complex(field,
-                        mat(field, r1, r0, d0_strings),
-                        mat(field, r0, r1, d1_strings))
+    return TwoPeriodicComplex(field, r0, r1, mat(field, r1, r0, d0_strings),
+                              mat(field, r0, r1, d1_strings))
+
+
+def rechecked_complex(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
+    """x built again through the checked constructor, which raises
+    NotAComplexError unless d1 d0 = 0 and d0 d1 = 0."""
+    return TwoPeriodicComplex(x.field, x.r0, x.r1, x.d0, x.d1)
 
 
 def col(field, entries):
