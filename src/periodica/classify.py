@@ -11,8 +11,16 @@ accumulated basis changes give mutually inverse isomorphisms in the
 strict category between the minimal model and the labelled block sum.
 
 Peeling order: odd differential first, invariants ascending — the
-certificate is deterministic.  Inputs whose cohomology is not of finite
-length are rejected rather than assigned free labels.
+certificate is deterministic.
+
+One internal classification serves every complex.  The basis vectors
+that neither sweep pivots on carry zero differentials: they are the free
+summands, labelled R (j = 0, degree 0, ranks (1, 0)) and R[1] (j = 0,
+shifted, ranks (0, 1)) after the K(j) and K(j)[1] blocks.
+``complexes.is_null_homotopic`` reads that certificate for any input.
+The public contract is the finite-length one: ``decompose`` rejects an
+input with a free label (``NotFiniteLengthError``), as before, and no
+public result carries one.
 
 Both stages are ``smith.smith_sweep`` runs over one
 ``smith.TrackedBasis`` per degree of the minimal model (the second
@@ -20,16 +28,17 @@ sweep starts at the rank of the first), and the closing sign flip is a
 scaling of the same basis, so the bases' p and q carry the minimal model
 to the block sum and back.  They make up ``DecomposeResult.certificate``
 (a ``complexes.BlockSumCertificate`` of the minimal model), and building
-it is the one check of the decomposition: p and q are checked chain
-maps, the labels name the block sum, and one product per degree
-(p q = I) proves the pair, as in ``minimal``.
+it is the one check of the decomposition: p is a checked chain map to
+the block sum the labels name, and one product per degree (p q = I)
+proves q its inverse, so q and the certificate are built without a
+second check, as ``into`` in ``minimal``.
 
 ``decomposition_certificate`` gives the certificate of the input X that
 ``complexes.hom_module`` and ``complexes.is_null_homotopic`` read: the
 minimal model's when ``reduce`` split off nothing, else that one moved
-along the splitting.  ``model_certificate`` is the identity certificate
-of a model block sum, with no ``reduce`` and no check: the identity is
-one by construction.
+along the splitting (checked when built).  ``model_certificate`` is the
+identity certificate of a model block sum, with no ``reduce`` and no
+check: the identity is one by construction.
 
 ``reduce`` checks that the input is a complex before any Smith form.
 The two sweeps give the ranks of the minimal differentials, so they also
@@ -62,9 +71,10 @@ from .complexes import (
     _unchecked,
     identity_map,
 )
-from .errors import NotFiniteLengthError, PeriodicaError
+from .errors import NotFiniteLengthError, PeriodicaError, ValidationError
 from .fields import FieldSpec
 from .localring import format_element, one
+from .matrix import RMatrix
 from .minimal import SplitResult, reduce
 from .smith import (
     TrackedBasis,
@@ -182,18 +192,18 @@ class DecomposeResult:
         return self.split.minimal
 
 
-def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
-    if x.r0 != x.r1:
-        raise NotFiniteLengthError("complex does not have finite-length cohomology")
+def _classify(x: TwoPeriodicComplex) -> tuple:
+    """(split, certificate): the splitting X = M + T of ``reduce`` and the
+    block-sum certificate of the minimal model M, whose labels name the
+    free summands too: the vectors neither sweep pivots on carry zero
+    differentials, and each is R (0, False) in degree 0 or R[1] (0, True)
+    in degree 1, after the K(j) and then the K(j)[1] blocks."""
     field = x.field
-    split = reduce(x)  # checks that x is a complex, before any Smith form
+    split = reduce(x)
     m = split.minimal
-    if m.r0 != m.r1:
-        raise PeriodicaError("finite-length minimal model with unequal ranks")
-    n = m.r0
     d0, d1 = m.d0.to_grid(), m.d1.to_grid()
-    b0 = TrackedBasis(field, n, rows=[d1], cols=[d0])
-    b1 = TrackedBasis(field, n, rows=[d0], cols=[d1])
+    b0 = TrackedBasis(field, m.r0, rows=[d1], cols=[d0])
+    b1 = TrackedBasis(field, m.r1, rows=[d0], cols=[d1])
 
     # stage 1: Smith form of the odd differential peels unshifted summands
     unshifted = smith_sweep(d1, b0, b1)
@@ -201,28 +211,42 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     _assert_split(d0, r)
 
     # stage 2: Smith form of the remaining even differential (shifted
-    # part).  The two sweeps give the ranks of the minimal differentials,
-    # which sum to n exactly when the cohomology has finite length.
+    # part); what neither sweep pivots on is free
     shifted = smith_sweep(d0, b1, b0, start=r)
-    if len(shifted) != n - r:
-        raise NotFiniteLengthError("complex does not have finite-length cohomology")
     if any(e < 1 for e in unshifted + shifted):
         raise PeriodicaError("minimal model produced a unit invariant factor")
+    k = r + len(shifted)
 
     # stage 3: flip signs so shifted blocks match shift(K(b)) exactly
-    for i in range(r, n):
+    for i in range(r, k):
         b0.scale(i, -one(field))
 
-    labels_ = [IndecompLabel(False, e) for e in unshifted] + \
-        [IndecompLabel(True, e) for e in shifted]
-    ms = IndecompMultiset.from_labels(labels_)
-    # the one check of the decomposition: p and q are chain maps between
-    # M and the block sum of the labels, and p q = I
-    labels = tuple((l.j, l.shifted) for l in ms.labels())
+    labels = tuple([(e, False) for e in unshifted]
+                   + [(e, True) for e in shifted]
+                   + [(0, False)] * (m.r0 - k) + [(0, True)] * (m.r1 - k))
+    # the one check of the decomposition: p is a chain map between M and
+    # the block sum of the labels, and p q = I, so q is its inverse chain
+    # map (q1 d0_B = q1 d0_B p0 q0 = q1 p1 d0_M q0 = d0_M q0) and the pair
+    # is the certificate
     blocksum = _model_sum(field, labels)
     (p0, q0), (p1, q1) = b0.matrices(), b1.matrices()
-    certificate = BlockSumCertificate(labels, ChainMap2(m, blocksum, p0, p1),
-                                      ChainMap2(blocksum, m, q0, q1))
+    p = ChainMap2(m, blocksum, p0, p1)
+    if (p0 @ q0 != RMatrix.identity(field, m.r0)
+            or p1 @ q1 != RMatrix.identity(field, m.r1)):
+        raise ValidationError("certificate maps do not compose to the "
+                              "identity on the block sum")
+    return split, _unchecked(BlockSumCertificate, labels, p,
+                             _unchecked(ChainMap2, blocksum, m, q0, q1), None)
+
+
+def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
+    if x.r0 != x.r1:
+        raise NotFiniteLengthError("complex does not have finite-length cohomology")
+    split, certificate = _classify(x)
+    if not all(j for j, _ in certificate.labels):
+        raise NotFiniteLengthError("complex does not have finite-length cohomology")
+    ms = IndecompMultiset.from_labels(
+        IndecompLabel(shifted, j) for j, shifted in certificate.labels)
 
     # cohomology cross-check on the input, from the exponents alone
     s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
@@ -230,6 +254,28 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
             or sum(s0.exponents) != ms.h1_length()):
         raise PeriodicaError("cohomology lengths disagree with the multiset")
     return DecomposeResult(ms, split, certificate)
+
+
+def _moved_certificate(split: SplitResult, certificate: BlockSumCertificate
+                       ) -> BlockSumCertificate:
+    """The certificate of the minimal model moved to X along the
+    splitting X = M + T (see ``decomposition_certificate``)."""
+    if split.type1 == split.type2 == 0:
+        return certificate
+    p, q = certificate.to_blocks, certificate.from_blocks
+    into, back = split.into, split.back
+    x, n0, n1 = into.dst, split.minimal.r0, split.minimal.r1
+    return BlockSumCertificate(
+        certificate.labels,
+        ChainMap2(x, p.dst, p.f0 @ back.f0.submatrix(0, n0, 0, x.r0),
+                  p.f1 @ back.f1.submatrix(0, n1, 0, x.r1)),
+        ChainMap2(q.src, x, into.f0.submatrix(0, x.r0, 0, n0) @ q.f0,
+                  into.f1.submatrix(0, x.r1, 0, n1) @ q.f1),
+        Homotopy2(x, x,
+                  into.f1.submatrix(0, x.r1, n1, x.r1)
+                  @ back.f0.submatrix(n0, x.r0, 0, x.r0),
+                  into.f0.submatrix(0, x.r0, n0, x.r0)
+                  @ back.f1.submatrix(n1, x.r1, 0, x.r1)))
 
 
 def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
@@ -243,23 +289,13 @@ def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
     standard contraction s = 1 of T moved to X.  That certificate is
     checked when built, like any other.
     """
-    split = dec.split
-    if split.type1 == split.type2 == 0:
-        return dec.certificate
-    p, q = dec.certificate.to_blocks, dec.certificate.from_blocks
-    into, back = split.into, split.back
-    x, n = into.dst, dec.minimal.r0
-    return BlockSumCertificate(
-        dec.certificate.labels,
-        ChainMap2(x, p.dst, p.f0 @ back.f0.submatrix(0, n, 0, x.r0),
-                  p.f1 @ back.f1.submatrix(0, n, 0, x.r1)),
-        ChainMap2(q.src, x, into.f0.submatrix(0, x.r0, 0, n) @ q.f0,
-                  into.f1.submatrix(0, x.r1, 0, n) @ q.f1),
-        Homotopy2(x, x,
-                  into.f1.submatrix(0, x.r1, n, x.r1)
-                  @ back.f0.submatrix(n, x.r0, 0, x.r0),
-                  into.f0.submatrix(0, x.r0, n, x.r0)
-                  @ back.f1.submatrix(n, x.r1, 0, x.r1)))
+    return _moved_certificate(dec.split, dec.certificate)
+
+
+def _block_sum_certificate(x: TwoPeriodicComplex) -> BlockSumCertificate:
+    """The block-sum certificate of any complex X, its free summands
+    labelled R and R[1]; ``complexes.is_null_homotopic`` reads it."""
+    return _moved_certificate(*_classify(x))
 
 
 def _assert_split(d0, r: int) -> None:

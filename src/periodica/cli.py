@@ -52,8 +52,11 @@ OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 # Upper limits of the options whose cost grows without bound.  The largest
 # accepted calls take about 10 s over Q on a 2-vCPU machine: ar-verify
 # --i 1000 --bound 1200 8 s, ar-verify --i 3 --bound 1200 9 s, quiver
-# --max 100 9.6 s (F_101 is faster).
+# --max 100 9.6 s (F_101 is faster), strictify --window 180 on
+# tests/golden/q_quasi.json 7.5 s (the coefficients of the comparison maps
+# grow with the window: 200 took 15 s), selftest --rounds 250 7.6-8.1 s.
 MAX_I, MAX_BOUND, MAX_QUIVER = 1000, 1200, 100
+MAX_WINDOW, MAX_ROUNDS = 180, 250
 
 
 def _load_json(path: str):
@@ -205,7 +208,7 @@ def cmd_homotopic(args) -> int:
 
 
 def cmd_strictify(args) -> int:
-    _in_range(args, "window", 0)
+    _in_range(args, "window", 0, MAX_WINDOW)
     q = serialize.parse_quasi_doc(_load_json(args.data), _field(args))
     x = strictify(q)
     doc = {"complex": serialize.complex_to_doc(x)}
@@ -273,7 +276,7 @@ def cmd_serre_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    _in_range(args, "rounds", 1)
+    _in_range(args, "rounds", 1, MAX_ROUNDS)
     results = run_selftest(seed=args.seed, rounds=args.rounds)
     failed = [r for r in results if not r.ok]
     if args.format == "json":

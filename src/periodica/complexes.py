@@ -19,7 +19,7 @@ Sign conventions (normative for everything downstream):
 * cone(f)^n = X^(n+1) + Y^n with d(x, y) = (-dx, dy - f(x)).
 
 Hom and tensor blocks are flattened column-major (domain index outer),
-matching :func:`periodica.matrix.RMatrix.vec` and ``kron``.  The Hom-complex
+matching :func:`periodica.matrix.RMatrix.unvec` and ``kron``.  The Hom-complex
 differentials are assembled entry by entry, each signed entry of d_Y and
 d_X^T placed at its index; the Kronecker/block formula they equal is kept
 as the reference in the tests.  The same writer also assembles the
@@ -29,35 +29,41 @@ Where invariants are checked: constructors check, derived values skip.
 The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
 ``ChainMap2`` (both commuting squares) and ``BlockSumCertificate`` check
 their data, and every value built from raw matrices goes through them:
-parsed input, ``cone``, ``strictify``, conjugated complexes, the Smith
-bases of ``reduce`` and ``decompose``, the Hom generators of both paths
-and ``delta_iso``.  Values that exact algebra makes valid from valid
-inputs are built by ``_unchecked``: ``shift``, ``dual``,
-``direct_sum``, ``homc``, ``tensor2`` and the model sums; the minimal
-model and trivial complexes of ``reduce``; ``identity_map``,
-``zero_map``, ``compose``, ``add_maps``, ``negate_map``, ``scale_map``
-and ``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``
+parsed input, ``cone``, ``strictify``, conjugated complexes, one map of
+each Smith basis pair of ``reduce`` and of the classification, the Hom
+generators of both paths and ``delta_iso``.  Values that exact algebra
+makes valid from valid inputs are built by ``_unchecked``: ``shift``,
+``dual``, ``direct_sum``, ``homc``, ``tensor2`` and the model sums; the
+minimal model, trivial complexes and ``into`` of ``reduce``, and the
+inverse map and certificate of the classification (a degreewise inverse
+of a checked chain map is a chain map); ``identity_map``, ``zero_map``,
+``compose``, ``add_maps``, ``negate_map``, ``scale_map`` and
+``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``
 and ``classify.model_certificate``.  ``tests/test_source_imports.py``
 names them.
 
-Hom and null-homotopy have two paths.  Called with no certificates,
-``hom_module`` takes the Smith form of the Hom complex and
-``is_null_homotopic`` solves d s + s d = f by a Smith form.  Called with
-a pair of :class:`BlockSumCertificate` (one for the source, one for the
-target), both read their answer off the labels and valuations.  A
-certificate names X as a block sum B of the models K(j) and K(j)[1] and
-carries checked maps P: X -> B and Q: B -> X, plus a contraction of
-id - Q P.  ``classify.decompose`` builds the certificate of the minimal
-model, ``classify.decomposition_certificate`` moves it to the input,
+Null-homotopy has one path, the closed form on block-sum certificates.
+A certificate names X as a block sum B of the models K(j), K(j)[1], R
+and R[1] and carries checked maps P: X -> B and Q: B -> X, plus a
+contraction of id - Q P.  ``is_null_homotopic`` called without
+certificates classifies both ends (once when they are equal), free
+summands included; ``classify.decompose`` builds the certificate of the
+minimal model of a finite-length complex,
+``classify.decomposition_certificate`` moves it to the input,
 ``classify.model_certificate`` is the identity certificate of a model
-block sum, and ``shifted`` carries a certificate to X[1].
-Then Hom(X, Y) has one summand R/x^min(i, j) per pair of labels, and f is
-null-homotopic when every block of P_Y f Q_X has large enough valuation.
-Every generator is still a verified ``ChainMap2`` and every witness is
-still re-checked by ``Homotopy2.witnesses``.  The AR layer passes only
-certificates without a contraction (decompositions of K(i) and K(i)[1],
-and model block sums), so the contraction terms of the null-homotopy
-witness run only in the tests so far.
+block sum, and ``shifted`` carries a certificate to X[1].  f is
+null-homotopic when every block of P_Y f Q_X has large enough valuation,
+and the witness is still re-checked by ``Homotopy2.witnesses``.  Inputs
+with trivial summands have certificates with a contraction, so the
+contraction terms of the witness run on every such null test.
+
+Hom keeps two paths for now.  Called with no certificates,
+``hom_module`` takes the Smith form of the Hom complex, which is also
+the route for free summands.  Called with a pair of finite-length
+certificates (one for the source, one for the target), Hom(X, Y) has one
+summand R/x^min(i, j) per pair of labels, and every generator is a
+verified ``ChainMap2``.  The AR layer passes only certificates without a
+contraction (decompositions of K(i) and K(i)[1], and model block sums).
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ from .errors import (
 from .fields import FieldSpec
 from .localring import LocalElem, format_element, one, x_power, x_shift, zero
 from .matrix import RMatrix, block, block_diag, commutation_matrix, vstack
-from .smith import homology_invariants, solve_over_ring
+from .smith import homology_invariants
 
 # Most entries of one Hom-complex differential that are built: 2^20 list
 # slots are 8 MB of references.  Hom(X, X) for X of ranks (r, r) has 4 r^4
@@ -225,7 +231,8 @@ class HomModule:
 @dataclass(frozen=True)
 class BlockSumCertificate:
     """A homotopy equivalence between X and the block sum B of the model
-    complexes named by ``labels``, (j, shifted) pairs in block order.
+    complexes named by ``labels``, (j, shifted) pairs in block order; j = 0
+    names the free summands R and R[1] (``_model_sum``).
 
     ``to_blocks`` P: X -> B and ``from_blocks`` Q: B -> X satisfy P Q = I
     in each degree, and ``contraction`` h witnesses id_X - Q P = d h + h d.
@@ -349,23 +356,42 @@ def dual(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
                       -x.d1.transpose(), x.d0.transpose())
 
 
+def _degree_indices(labels) -> tuple:
+    """The index of each label's basis vector in degree 0 and in degree 1
+    of its block sum, None where it has none: R = (0, False) has no
+    degree-1 vector and R[1] = (0, True) no degree-0 vector."""
+    idx0, idx1 = [], []
+    n0 = n1 = 0
+    for j, shifted in labels:
+        idx0.append(None if not j and shifted else n0)
+        idx1.append(None if not j and not shifted else n1)
+        n0 += idx0[-1] is not None
+        n1 += idx1[-1] is not None
+    return idx0, idx1
+
+
 def _model_sum(field: FieldSpec, labels) -> TwoPeriodicComplex:
     """Block sum of the model complexes in the order of ``labels``,
     (j, shifted) pairs: K(j) has d0 = 0 and d1 = x^j, K(j)[1] = shift(K(j))
-    has d0 = -x^j and d1 = 0."""
-    n = len(labels)
-    d0 = [zero(field)] * (n * n)
-    d1 = list(d0)
-    for a, (j, shifted) in enumerate(labels):
-        if j < 1:
-            raise ValueError("model complexes need j >= 1")
+    has d0 = -x^j and d1 = 0, and j = 0 names the free summands R (ranks
+    (1, 0)) and R[1] (ranks (0, 1)), whose differentials are zero."""
+    idx0, idx1 = _degree_indices(labels)
+    r0 = sum(a is not None for a in idx0)
+    r1 = sum(a is not None for a in idx1)
+    d0 = [zero(field)] * (r1 * r0)
+    d1 = [zero(field)] * (r0 * r1)
+    for (j, shifted), a0, a1 in zip(labels, idx0, idx1):
+        if j < 0:
+            raise ValueError("model complexes need j >= 0")
+        if not j:
+            continue
         if shifted:
-            d0[a * (n + 1)] = -x_power(field, j)
+            d0[a1 * r0 + a0] = -x_power(field, j)
         else:
-            d1[a * (n + 1)] = x_power(field, j)
-    return _unchecked(TwoPeriodicComplex, field, n, n,
-                      RMatrix(field, n, n, tuple(d0)),
-                      RMatrix(field, n, n, tuple(d1)))
+            d1[a0 * r1 + a1] = x_power(field, j)
+    return _unchecked(TwoPeriodicComplex, field, r0, r1,
+                      RMatrix(field, r1, r0, tuple(d0)),
+                      RMatrix(field, r0, r1, tuple(d1)))
 
 
 def direct_sum(*xs: TwoPeriodicComplex) -> TwoPeriodicComplex:
@@ -523,33 +549,24 @@ def is_null_homotopic(f: ChainMap2,
                       certificates: Optional[tuple] = None) -> Optional[Homotopy2]:
     """Solve f = d s + s d over R; returns a re-verified witness or None.
 
-    Without certificates the system is solved by a Smith form.  With
-    block-sum certificates (of f.src, of f.dst) the decision is read off
-    the valuations of c = P_Y f Q_X block by block, and the witness is
-    s = Q_Y s' P_X + h_Y f + Q_Y P_Y f h_X for the blockwise witness s'.
+    The decision is read off the valuations of c = P_Y f Q_X block by
+    block, for block-sum certificates (of f.src, of f.dst), and the
+    witness is s = Q_Y s' P_X + h_Y f + Q_Y P_Y f h_X for the blockwise
+    witness s'.  Without certificates both ends are classified first,
+    once when they are equal.
     """
     if certificates is None:
-        s = _solved_homotopy(f)
-    else:
-        s = _certified_homotopy(f, *certificates)
+        from .classify import _block_sum_certificate
+        cx = _block_sum_certificate(f.src)
+        certificates = (cx, cx if f.dst == f.src
+                        else _block_sum_certificate(f.dst))
+    s = _certified_homotopy(f, *certificates)
     if s is None:
         return None
     h = Homotopy2(f.src, f.dst, *s)
     if not h.witnesses(f):
         raise AssertionError("homotopy witness failed re-verification")
     return h
-
-
-def _solved_homotopy(f: ChainMap2):
-    x, y = f.src, f.dst
-    d1h = _hom_differential(x, y.d1, y.d0, negate=False)
-    b = vstack(x.field, [f.f0.vec(), f.f1.vec()])
-    sol = solve_over_ring(d1h, b)
-    if sol is None:
-        return None
-    n0 = x.r0 * y.r1
-    return (RMatrix.unvec(x.field, sol.submatrix(0, n0, 0, 1), y.r1, x.r0),
-            RMatrix.unvec(x.field, sol.submatrix(n0, sol.rows, 0, 1), y.r0, x.r1))
 
 
 def _check_certificate(c: BlockSumCertificate, x: TwoPeriodicComplex,
@@ -565,19 +582,27 @@ def _block_homotopy(i: int, shifted_a: bool, j: int, shifted_b: bool,
     K(i)[shifted_a] -> K(j)[shifted_b], or None when there is none.  On
     these blocks s0 meets the differentials x^i (source unshifted) and
     x^j (target unshifted), s1 meets -x^i (source shifted) and -x^j
-    (target shifted)."""
+    (target shifted).
+
+    A free block (index 0) acts as index infinity: its differentials
+    are zero and it has no vector in one degree, where c0 or c1 is 0.
+    So R -> R and R[1] -> R[1] are null only when zero, and the blocks
+    R -> K(j), R[1] -> K(j)[1], K(i) -> R[1] and K(i)[1] -> R are null
+    when their one component has valuation >= j (resp. i); every other
+    pair with a free end has no nonzero chain map."""
     z = zero(c0.field)
+    i, j = i or math.inf, j or math.inf
     if shifted_a == shifted_b:
-        c = c1 if shifted_a else c0
-        if c.valuation < j:
-            return None
-        q = x_shift(c, -j)
-        return (z, -q) if shifted_a else (q, z)
-    c = c0 if shifted_a else c1
-    v = min(i, j)
+        c, v = (c1 if shifted_a else c0), j
+    else:
+        c, v = (c0 if shifted_a else c1), min(i, j)
+    if not c:
+        return z, z
     if c.valuation < v:
         return None
     q = x_shift(c, -v)
+    if shifted_a == shifted_b:
+        return (z, -q) if shifted_a else (q, z)
     # s0 when the unshifted end carries the smaller power, else s1
     return (q, z) if (j if shifted_a else i) == v else (z, -q)
 
@@ -591,18 +616,28 @@ def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
     py, qy = cy.to_blocks, cy.from_blocks
     pf0, pf1 = py.f0 @ f.f0, py.f1 @ f.f1
     c0, c1 = (pf0 @ qx.f0).entries, (pf1 @ qx.f1).entries
-    nx, ny = len(cx.labels), len(cy.labels)
-    t0 = [zero(x.field)] * (ny * nx)
-    t1 = list(t0)
-    for b, (j, shifted_b) in enumerate(cy.labels):
-        for a, (i, shifted_a) in enumerate(cx.labels):
-            k = b * nx + a
-            st = _block_homotopy(i, shifted_a, j, shifted_b, c0[k], c1[k])
+    nx0, nx1, ny0, ny1 = qx.f0.cols, qx.f1.cols, py.f0.rows, py.f1.rows
+    x0, x1 = _degree_indices(cx.labels)
+    y0, y1 = _degree_indices(cy.labels)
+    z = zero(x.field)
+    t0 = [z] * (ny1 * nx0)
+    t1 = [z] * (ny0 * nx1)
+    for (j, shifted_b), b0, b1 in zip(cy.labels, y0, y1):
+        for (i, shifted_a), a0, a1 in zip(cx.labels, x0, x1):
+            st = _block_homotopy(
+                i, shifted_a, j, shifted_b,
+                z if b0 is None or a0 is None else c0[b0 * nx0 + a0],
+                z if b1 is None or a1 is None else c1[b1 * nx1 + a1])
             if st is None:
                 return None
-            t0[k], t1[k] = st
-    s0 = qy.f1 @ RMatrix(x.field, ny, nx, tuple(t0)) @ px.f0
-    s1 = qy.f0 @ RMatrix(x.field, ny, nx, tuple(t1)) @ px.f1
+            # a nonzero s0 (s1) is from a degree-0 (1) vector to a
+            # degree-1 (0) vector of blocks that have them
+            if st[0]:
+                t0[b1 * nx0 + a0] = st[0]
+            if st[1]:
+                t1[b0 * nx1 + a1] = st[1]
+    s0 = qy.f1 @ RMatrix(x.field, ny1, nx0, tuple(t0)) @ px.f0
+    s1 = qy.f0 @ RMatrix(x.field, ny0, nx1, tuple(t1)) @ px.f1
     if cy.contraction is not None:
         s0 = s0 + cy.contraction.s0 @ f.f0
         s1 = s1 + cy.contraction.s1 @ f.f1
@@ -621,13 +656,17 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
     With block-sum certificates (of x, of y) each pair of labels
     K(i)[e], K(j)[f] gives one summand R/x^min(i, j), generated by
     Q_Y g P_X for the generator g of Hom(K(i)[e], K(j)[f]); the summands
-    are sorted stably by factor, as the Smith path sorts them.
+    are sorted stably by factor, as the Smith path sorts them.  Free
+    blocks R and R[1] have no closed form here yet: ValidationError.
     """
     if certificates is None:
         return _smith_hom(x, y)
     cx, cy = certificates
     _check_certificate(cx, x, "source")
     _check_certificate(cy, y, "target")
+    if not all(j for j, _ in cx.labels + cy.labels):
+        raise ValidationError("the closed form of Hom needs certificates "
+                              "without free blocks")
     field = x.field
     px, qy = cx.to_blocks, cy.from_blocks
     pairs = []

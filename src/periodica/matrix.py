@@ -1,10 +1,10 @@
 """Dense matrices over the local ring, with the block/Kronecker helpers
 used to build 2-periodic tensor and Hom complexes.
 
-Flattening convention: ``vec`` stacks a matrix column by column, so the
-basis element E_{ij} of Hom(V, W) sits at flat index j*dim(W) + i — the
-domain index is the outer one.  ``kron`` is the matching standard
-Kronecker product with the first factor outer.
+Flattening convention: a matrix is flattened column by column (``unvec``
+reads such a column back), so the basis element E_{ij} of Hom(V, W) sits
+at flat index j*dim(W) + i — the domain index is the outer one.  ``kron``
+is the matching standard Kronecker product with the first factor outer.
 """
 
 from __future__ import annotations
@@ -153,11 +153,6 @@ class RMatrix:
                              lambda i, j: self.at(j, i))
 
     # -- flattening ---------------------------------------------------------
-
-    def vec(self) -> "RMatrix":
-        """Column-major flattening into a (rows*cols) x 1 column."""
-        ents = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return RMatrix(self.field, self.rows * self.cols, 1, ents)
 
     @staticmethod
     def unvec(field: FieldSpec, col: "RMatrix", rows: int, cols: int) -> "RMatrix":

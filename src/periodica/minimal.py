@@ -11,11 +11,12 @@ d1 as codomain and d0 as domain, F1 the reverse), whose p and q are
 the certificates: the result carries mutually inverse isomorphisms, not
 just an assertion.
 
-One product per degree proves a certificate pair: both chain maps are
-verified on construction, and q p = I in each degree makes them mutually
-inverse (p, q square over a commutative ring, so p q = I follows).  A
-minimal input is its own minimal model: ``reduce`` returns it with the
-identity maps, which need no check, and builds no basis.  The input is a
+One product per degree proves a certificate pair: ``back`` is verified
+on construction, and q p = I in each degree makes ``into`` its inverse
+(p, q square over a commutative ring, so p q = I follows), which is then
+a chain map too and is built without a check.  A minimal input is its
+own minimal model: ``reduce`` returns it with the identity maps, which
+need no check, and builds no basis.  The input is a
 complex by construction; the minimal model and the trivial complexes are
 blocks of its conjugate by the certificates, so they are built without
 the constructor's check (``complexes`` docstring).
@@ -173,11 +174,12 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
     if blocksum.d0 != d0_m or blocksum.d1 != d1_m:
         raise PeriodicaError("reduced complex is not the expected block sum")
 
-    into = ChainMap2(blocksum, x, q0_m, q1_m)
+    # back is checked; q p = I makes into its inverse, a chain map too
     back = ChainMap2(x, blocksum, p0_m, p1_m)
     if (q0_m @ p0_m != RMatrix.identity(field, r0)
             or q1_m @ p1_m != RMatrix.identity(field, r1)):
         raise PeriodicaError("split certificates do not compose to identity")
+    into = _unchecked(ChainMap2, blocksum, x, q0_m, q1_m)
     return SplitResult(minimal, len(t1), len(t2), into, back)
 
 

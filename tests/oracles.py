@@ -4,13 +4,17 @@ These deliberately avoid the code paths they check: invariant factors
 come from determinantal divisors (cofactor determinants on the entries,
 no elimination and no matrix code of the package), and Hom-lengths
 between the rank-(1,1) indecomposables come from solving the two-unknown
-commutation system by exponent arithmetic alone.
+commutation system by exponent arithmetic alone.  Null-homotopy is
+decided by a Smith solve of d s + s d = f on the Hom complex, which
+goes through neither the classification nor the closed form that
+``is_null_homotopic`` reads off block-sum certificates.
 """
 
 from itertools import combinations
 
-from periodica import RMatrix
+from periodica import Homotopy2, RMatrix, homc, solve_over_ring
 from periodica.localring import one, zero
+from periodica.matrix import vstack
 
 
 def _rows(a: RMatrix) -> list:
@@ -100,3 +104,26 @@ def hom_length_multisets(pairs_x, pairs_y) -> int:
         for (j, f) in pairs_y:
             total += hom_length_kk(i, j, e != f)
     return total
+
+
+def vec(a: RMatrix) -> RMatrix:
+    """Column-major flattening into a (rows*cols) x 1 column, the order
+    of the Hom-complex basis (``RMatrix.unvec`` reads it back)."""
+    ents = tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows))
+    return RMatrix(a.field, a.rows * a.cols, 1, ents)
+
+
+def smith_null_homotopy(f):
+    """A Homotopy2 s with d s + s d = f, or None when f is not
+    null-homotopic: the degree-1 Hom-complex differential applied to
+    the unknown (s0, s1) must give (f0, f1), solved by a Smith form."""
+    x, y = f.src, f.dst
+    b = vstack(x.field, [vec(f.f0), vec(f.f1)])
+    sol = solve_over_ring(homc(x, y).d1, b)
+    if sol is None:
+        return None
+    n0 = x.r0 * y.r1
+    return Homotopy2(
+        x, y,
+        RMatrix.unvec(x.field, sol.submatrix(0, n0, 0, 1), y.r1, x.r0),
+        RMatrix.unvec(x.field, sol.submatrix(n0, sol.rows, 0, 1), y.r0, x.r1))

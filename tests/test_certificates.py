@@ -1,6 +1,7 @@
 """Block-sum certificates and the closed forms of Hom and null-homotopy
-that read them, checked against the Smith path (``hom_module`` and
-``is_null_homotopic`` without certificates), which stays the reference.
+that read them, checked against the Smith references: ``hom_module``
+without certificates, and the Smith solve of ``oracles.py`` for
+null-homotopy.
 """
 
 from random import Random
@@ -45,6 +46,7 @@ from periodica import (
 from periodica.errors import ValidationError
 from periodica.rand import random_element, random_finite_length_instance
 
+from oracles import smith_null_homotopy
 from thelpers import mat, random_complex
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
@@ -66,13 +68,15 @@ def _certified(x):
 
 
 def _agreed_null(f, certs):
-    """Whether f is null-homotopic, the closed form and the Smith path
+    """Whether f is null-homotopic, the closed form on the given
+    certificates, on its own classification and the Smith solve
     agreeing; every witness is re-checked."""
-    fast, slow = is_null_homotopic(f, certs), is_null_homotopic(f)
-    assert (fast is None) == (slow is None)
-    for h in (fast, slow):
+    answers = (is_null_homotopic(f, certs), is_null_homotopic(f),
+               smith_null_homotopy(f))
+    assert len({h is None for h in answers}) == 1
+    for h in answers:
         assert h is None or h.witnesses(f)
-    return fast is not None
+    return answers[0] is not None
 
 
 def test_example_seeds_draw_what_they_claim():
@@ -100,9 +104,9 @@ def test_closed_forms_match_smith_path(label_, sx, sy):
     assert len(fast.generators) == len(fast.factors)
     for v, g in zip(fast.factors, fast.generators):
         assert isinstance(g, ChainMap2) and (g.src, g.dst) == (x, y)
-        # exact order v, decided on the Smith path
-        assert is_null_homotopic(_times_x(g, v - 1)) is None
-        assert is_null_homotopic(_times_x(g, v)) is not None
+        # exact order v, decided by the Smith solve
+        assert smith_null_homotopy(_times_x(g, v - 1)) is None
+        assert smith_null_homotopy(_times_x(g, v)) is not None
     # the closed-form decisions agree on maps from both paths
     for hm in (fast, slow):
         for v, g in zip(hm.factors, hm.generators):
@@ -254,7 +258,7 @@ def test_certified_factors_are_sorted_as_on_the_smith_path():
     fast = hom_module(x, y, (cx, cy))
     assert fast.factors == hom_module(x, y).factors == (1, 1, 2, 3)
     for v, g in zip(fast.factors, fast.generators):
-        assert is_null_homotopic(_times_x(g, v - 1)) is None
+        assert smith_null_homotopy(_times_x(g, v - 1)) is None
 
 
 def test_certificates_must_belong_to_the_endpoints():

@@ -201,15 +201,12 @@ def _zeros(r0, r1, field=Q):
                               RMatrix.zeros(field, r0, r1))
 
 
-@pytest.mark.parametrize("op", ["homc", "tensor2", "hom_module",
-                                "is_null_homotopic"])
+@pytest.mark.parametrize("op", ["homc", "tensor2", "hom_module"])
 def test_hom_size_limit_raises_before_allocating(op):
     # ranks (60, 60): each Hom differential would be 7200 x 7200
     x = _zeros(60, 60)
-    f = zero_map(x, x)
     call = {"homc": lambda: homc(x, x), "tensor2": lambda: tensor2(x, x),
-            "hom_module": lambda: hom_module(x, x),
-            "is_null_homotopic": lambda: is_null_homotopic(f)}[op]
+            "hom_module": lambda: hom_module(x, x)}[op]
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -223,6 +220,23 @@ def test_hom_size_limit_raises_before_allocating(op):
     assert str(exc.value) == (
         "Hom-complex differential of 7200 x 7200 = 51840000 entries "
         f"exceeds the limit of {MAX_HOM_ENTRIES}")
+
+
+def test_null_homotopy_of_large_zero_map_builds_no_hom_complex():
+    # the null test classifies X (60 copies each of R and R[1]) and
+    # builds no Hom complex, so the size budget does not apply
+    x = _zeros(60, 60)
+    f = zero_map(x, x)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        h = is_null_homotopic(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 10
+    assert peak < 4 * 2**20
+    assert h is not None and h.witnesses(f)
 
 
 def test_homc_h0_spec_value():
@@ -362,7 +376,7 @@ def test_operands_that_are_no_complex_are_rejected():
 
 def test_shared_operand_is_validated_once(monkeypatch):
     # X and Y are checked once each, when they are built; homc, tensor2
-    # and the Smith path of the null test check neither again
+    # and the null test check neither again
     calls = []
     real = TwoPeriodicComplex.__post_init__
     monkeypatch.setattr(TwoPeriodicComplex, "__post_init__",

@@ -166,6 +166,9 @@ def test_cli_argument_out_of_range(tmp_path, argv):
      "--bound must be <= 1200, got 1201"),
     (["quiver", "--max", "101"], "--max must be <= 100, got 101"),
     (["ar-triangle", "--i", "10000000"], "--i must be <= 1000, got 10000000"),
+    (["selftest", "--rounds", "251"], "--rounds must be <= 250, got 251"),
+    (["strictify", str(Path(__file__).parent / "golden" / "q_quasi.json"),
+      "--window", "181"], "--window must be <= 180, got 181"),
 ])
 def test_cli_argument_above_its_limit(argv, message, capsys):
     from periodica.cli import main
@@ -447,19 +450,30 @@ def test_cli_main_repeated_in_one_process(tmp_path, k2_file, capsys,
             assert in_process(argv) == expected
 
 
-@pytest.mark.parametrize("command", ["hom", "homc", "tensor", "homotopic"])
-def test_cli_hom_size_limit_exits_2(command, tmp_path):
+def _write_rank_60_zeros(tmp_path):
     # a 36 KB document of zeros whose Hom differentials would be
-    # 7200 x 7200 each
+    # 7200 x 7200 each, and its zero endomorphism
     zeros = [["0"] * 60 for _ in range(60)]
     (tmp_path / "x.json").write_text(json.dumps(
         {"field": "Q", "r0": 60, "r1": 60, "d0": zeros, "d1": zeros}))
     (tmp_path / "f.json").write_text(json.dumps(
         {"src": "x.json", "dst": "x.json", "f0": zeros, "f1": zeros}))
-    files = ["f.json"] if command == "homotopic" else ["x.json", "x.json"]
-    r = run_cli(command, *files, cwd=tmp_path, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["hom", "homc", "tensor"])
+def test_cli_hom_size_limit_exits_2(command, tmp_path):
+    _write_rank_60_zeros(tmp_path)
+    r = run_cli(command, "x.json", "x.json", cwd=tmp_path, timeout=60)
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
         "error: Hom-complex differential of 7200 x 7200 = 51840000 entries "
         "exceeds the limit of 1048576"]
+
+
+def test_cli_homotopic_on_large_zero_map_exits_0(tmp_path):
+    # the null test builds no Hom complex, so the size budget is not hit
+    _write_rank_60_zeros(tmp_path)
+    r = run_cli("homotopic", "f.json", cwd=tmp_path, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        0, "null-homotopic (witness attached)\n", "")
