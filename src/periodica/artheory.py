@@ -18,12 +18,18 @@ so the non-isomorphisms form x Hom and x g is tested for each generator g.
 Every Hom and null-homotopy test of the axiom checks, of ``socle_map``
 and of ``serre_length_check`` passes block-sum certificates to
 ``complexes.hom_module`` / ``complexes.is_null_homotopic``, so they are
-read off labels and valuations instead of Smith forms.  N and M are
-decomposed once per triangle, and their certificates (shifted for N[1]
-and M[1]) come from those decompositions.  Each test object D, and the
-Serre image F(X), is a model block sum with the identity certificate;
-each verifying call builds the test objects' certificates once, and
-``build_quiver`` builds them once for all its triangles.
+read off labels and valuations instead of Smith forms.  Each verifying
+call decomposes N and E of the triangle it is given once (M too when it
+differs from N), and the certificates of N[1] and M[1] are those
+decompositions' certificates shifted.  ``build_quiver`` decomposes only
+the triangle ending at K(i): the shift is a triangle autoequivalence, so
+the terms of the shifted triangle are the same multisets with every
+label's shift class flipped, and since X[1][1] = X on the nose the
+certificates of N[1], M[1], N[1][1] and M[1][1] are those of N[1], M[1],
+N and M.  Each test object D, and the Serre image F(X), is a model
+block sum with the identity certificate; each verifying call builds the
+test objects' certificates once, and ``build_quiver`` builds them once
+for all its triangles.
 """
 
 from __future__ import annotations
@@ -140,6 +146,16 @@ def _multisets(t: Triangle) -> tuple:
     cm1 = cn1 if cm is cn else cm.shifted()
     return ((dn.multiset, dm.multiset, decompose(t.e).multiset),
             (cn, cm, cn1, cm1))
+
+
+def _shifted_terms(terms: tuple) -> tuple:
+    """The terms of ``shift_triangle(t)`` from the terms of t: [1] flips
+    every label's shift class, as the Serre functor does on labels, and
+    X[1][1] = X, so the certificates (cn, cm, cn1, cm1) of (N, M, N[1],
+    M[1]) serve (N[1], M[1], N, M) in that order."""
+    multisets, (cn, cm, cn1, cm1) = terms
+    return (tuple(serre_functor(ms) for ms in multisets),
+            (cn1, cm1, cn, cm))
 
 
 def _family_certificates(bound: int, field: FieldSpec) -> dict:
@@ -260,9 +276,11 @@ def build_quiver(bound: int, field: FieldSpec) -> QuiverResult:
     """AR-triangles for K(i), i <= bound, and their shift images; every
     triangle is verified (axioms 1-3, bound i + 3) and edges are read off
     the middle terms: an arrow Z -> M with multiplicity the number of
-    copies of Z in the middle of the verified triangle ending at M.  The
-    test objects' identity certificates are built once for all triangles
-    (the right check of ``verify_right_ar``)."""
+    copies of Z in the middle of the verified triangle ending at M.  Only
+    the triangle ending at K(i) is decomposed; its shift image reads the
+    same decompositions through ``_shifted_terms``.  The test objects'
+    identity certificates are built once for all triangles (the right
+    check of ``verify_right_ar``)."""
     if bound < 2:
         raise ValueError("quiver bound must be >= 2")
     reports = []
@@ -270,10 +288,11 @@ def build_quiver(bound: int, field: FieldSpec) -> QuiverResult:
     certificates = _family_certificates(bound + 3, field)
     for i in range(1, bound + 1):
         t = ar_triangle(i, field)
-        for tri, target in ((t, label(i, False)),
-                            (shift_triangle(t), label(i, True))):
-            rep = _verify_ar(tri, i + 3, "right", _multisets(tri),
-                             certificates)
+        terms = _multisets(t)
+        for tri, tri_terms, target in (
+                (t, terms, label(i, False)),
+                (shift_triangle(t), _shifted_terms(terms), label(i, True))):
+            rep = _verify_ar(tri, i + 3, "right", tri_terms, certificates)
             reports.append(rep)
             for lab, mult in rep.middle.items:
                 if lab.j <= bound:

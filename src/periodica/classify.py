@@ -36,9 +36,10 @@ second check, as ``into`` in ``minimal``.
 ``decomposition_certificate`` gives the certificate of the input X that
 ``complexes.hom_module`` and ``complexes.is_null_homotopic`` read: the
 minimal model's when ``reduce`` split off nothing, else that one moved
-along the splitting (checked when built).  ``model_certificate`` is the
-identity certificate of a model block sum, with no ``reduce`` and no
-check: the identity is one by construction.
+along the splitting, built without a check since its identities follow
+from those of ``reduce``'s and the classification's checked pairs.
+``model_certificate`` is the identity certificate of a model block sum,
+with no ``reduce`` and no check: the identity is one by construction.
 
 ``reduce`` checks that the input is a complex before any Smith form.
 The two sweeps give the ranks of the minimal differentials, so they also
@@ -259,18 +260,25 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
 def _moved_certificate(split: SplitResult, certificate: BlockSumCertificate
                        ) -> BlockSumCertificate:
     """The certificate of the minimal model moved to X along the
-    splitting X = M + T (see ``decomposition_certificate``)."""
+    splitting X = M + T (see ``decomposition_certificate``), built
+    without a check: every part is a composite of checked maps.  P = p pi
+    back and Q = into iota q are chain maps (the projection pi onto M and
+    the inclusion iota of M are, the sum being direct), P Q = p pi back
+    into iota q = p q = I, and id - Q P = into (0 + 1_T) back = d h + h d
+    for h = into s back, s the standard contraction of T."""
     if split.type1 == split.type2 == 0:
         return certificate
     p, q = certificate.to_blocks, certificate.from_blocks
     into, back = split.into, split.back
     x, n0, n1 = into.dst, split.minimal.r0, split.minimal.r1
-    return BlockSumCertificate(
-        certificate.labels,
-        ChainMap2(x, p.dst, p.f0 @ back.f0.submatrix(0, n0, 0, x.r0),
-                  p.f1 @ back.f1.submatrix(0, n1, 0, x.r1)),
-        ChainMap2(q.src, x, into.f0.submatrix(0, x.r0, 0, n0) @ q.f0,
-                  into.f1.submatrix(0, x.r1, 0, n1) @ q.f1),
+    return _unchecked(
+        BlockSumCertificate, certificate.labels,
+        _unchecked(ChainMap2, x, p.dst,
+                   p.f0 @ back.f0.submatrix(0, n0, 0, x.r0),
+                   p.f1 @ back.f1.submatrix(0, n1, 0, x.r1)),
+        _unchecked(ChainMap2, q.src, x,
+                   into.f0.submatrix(0, x.r0, 0, n0) @ q.f0,
+                   into.f1.submatrix(0, x.r1, 0, n1) @ q.f1),
         Homotopy2(x, x,
                   into.f1.submatrix(0, x.r1, n1, x.r1)
                   @ back.f0.submatrix(n0, x.r0, 0, x.r0),
@@ -286,8 +294,9 @@ def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
     Otherwise the minimal model's (p, q) move to X along the splitting
     X = M + T: P = p after the rows of split.back onto M, Q = the columns
     of split.into from M after q, and h = into (0 + 1_T) back, the
-    standard contraction s = 1 of T moved to X.  That certificate is
-    checked when built, like any other.
+    standard contraction s = 1 of T moved to X.  Its identities follow
+    from the checked ones of ``reduce`` and the classification, so it is
+    built without a second check (``_moved_certificate``).
     """
     return _moved_certificate(dec.split, dec.certificate)
 

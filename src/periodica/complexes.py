@@ -38,9 +38,10 @@ minimal model, trivial complexes and ``into`` of ``reduce``, and the
 inverse map and certificate of the classification (a degreewise inverse
 of a checked chain map is a chain map); ``identity_map``, ``zero_map``,
 ``compose``, ``add_maps``, ``negate_map``, ``scale_map`` and
-``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``
-and ``classify.model_certificate``.  ``tests/test_source_imports.py``
-names them.
+``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``,
+``classify.model_certificate`` and the certificate that
+``classify.decomposition_certificate`` moves along a splitting.
+``tests/test_source_imports.py`` names them.
 
 Null-homotopy has one path, the closed form on block-sum certificates.
 A certificate names X as a block sum B of the models K(j), K(j)[1], R
@@ -571,7 +572,7 @@ def is_null_homotopic(f: ChainMap2,
 
 def _check_certificate(c: BlockSumCertificate, x: TwoPeriodicComplex,
                        end: str) -> None:
-    if c.complex != x:
+    if c.complex is not x and c.complex != x:
         raise DimensionMismatchError(f"the certificate of the {end} is for "
                                      "another complex")
 

@@ -67,7 +67,7 @@ class LocalElem:
     den: Poly
 
     def _check(self, other: "LocalElem") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"mixed fields {self.field.label} and {other.field.label}"
             )

@@ -5,6 +5,11 @@ Flattening convention: a matrix is flattened column by column (``unvec``
 reads such a column back), so the basis element E_{ij} of Hom(V, W) sits
 at flat index j*dim(W) + i — the domain index is the outer one.  ``kron``
 is the matching standard Kronecker product with the first factor outer.
+
+A product with a zero operand (no nonzero entry) or an identity operand
+(square, ones on the diagonal, zeros elsewhere, however its entries were
+built) does no element arithmetic: it is the zero matrix, or the other
+operand itself, which is safe to share since matrices are immutable.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ class RMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "RMatrix") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
 
     def __add__(self, other: "RMatrix") -> "RMatrix":
@@ -129,6 +134,13 @@ class RMatrix:
         z = zero(self.field)
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
+        if not any(a) or not any(b):
+            return RMatrix(self.field, n, m, (z,) * (n * m))
+        o = one(self.field)
+        if n == k and _is_identity(a, k, o):
+            return other
+        if k == m and _is_identity(b, k, o):
+            return self
         out = [z] * (n * m)
         for i in range(n):
             arow = i * k
@@ -160,6 +172,13 @@ class RMatrix:
             raise DimensionMismatchError("unvec shape mismatch")
         return RMatrix.build(field, rows, cols,
                              lambda i, j: col.at(j * rows + i, 0))
+
+
+def _is_identity(entries: tuple, n: int, o: LocalElem) -> bool:
+    """Whether the n x n ``entries`` are one (``o`` or an equal copy) on
+    the diagonal and zero elsewhere."""
+    return (all(e is o or e == o for e in entries[::n + 1])
+            and sum(map(bool, entries)) == n)
 
 
 def kron(a: RMatrix, b: RMatrix) -> RMatrix:

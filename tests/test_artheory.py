@@ -182,6 +182,45 @@ def test_build_quiver_builds_test_certificates_once(bound, monkeypatch):
     assert len(set(calls)) == 2 * (bound + 3)
 
 
+@pytest.mark.parametrize("bound", [2, 4])
+def test_build_quiver_decomposes_each_triangle_once(bound, monkeypatch):
+    # N = M = K(i) and E of the triangle ending at K(i), i <= bound: two
+    # decompositions each, and the shifted triangle derives its terms
+    import periodica.artheory as artheory
+
+    calls = []
+    real = artheory.decompose
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(artheory, "decompose", counting)
+    assert build_quiver(bound, Q).verified
+    assert len(calls) == 2 * bound
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_build_quiver_derives_shifted_terms(label_):
+    # the shift image's terms from the unshifted triangle's decompositions
+    # agree with decomposing the shifted triangle afresh
+    import periodica.artheory as artheory
+
+    field = FieldSpec.from_label(label_)
+    reports = build_quiver(5, field).reports
+    for i in range(1, 6):
+        t = ar_triangle(i, field)
+        s = shift_triangle(t)
+        derived = artheory._shifted_terms(artheory._multisets(t))
+        fresh = artheory._multisets(s)
+        assert derived[0] == fresh[0]
+        terms = (s.n, s.m, shift(s.n), shift(s.m))
+        for c_derived, c_fresh, term in zip(derived[1], fresh[1], terms):
+            assert c_derived.complex == c_fresh.complex == term
+            assert c_derived.labels == c_fresh.labels
+        assert reports[2 * i - 1] == verify_right_ar(s, bound=i + 3)
+
+
 def test_shifted_triangle_verifies():
     t = shift_triangle(ar_triangle(2, Q))
     rep = verify_right_ar(t, bound=5)

@@ -27,6 +27,7 @@ from periodica import (
     compose,
     decompose,
     decomposition_certificate,
+    direct_sum,
     hom_module,
     identity_map,
     is_null_homotopic,
@@ -43,8 +44,15 @@ from periodica import (
     x_power,
     zero_map,
 )
+from periodica.classify import _block_sum_certificate, assemble
 from periodica.errors import ValidationError
-from periodica.rand import random_element, random_finite_length_instance
+from periodica.minimal import TrivialType, trivial_complex
+from periodica.rand import (
+    conjugate_complex,
+    random_element,
+    random_finite_length_instance,
+    random_multiset,
+)
 
 from oracles import smith_null_homotopy
 from thelpers import mat, random_complex
@@ -212,6 +220,36 @@ def test_derived_maps_and_certificates_pass_the_checked_constructors(
         assert s.minimal == m and s.type1 == s.type2 == 0
         assert _rechecked_map(s.into) == s.into == identity_map(m)
         assert _rechecked_map(s.back) == s.back
+
+
+@pytest.mark.parametrize("label_", FIELDS)
+@settings(max_examples=10, deadline=None)
+@given(trivials=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       free=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+       seed=st.integers(0, 2**32 - 1))
+@example(trivials=(1, 1), free=(0, 0), seed=0)
+@example(trivials=(2, 1), free=(1, 0), seed=1)
+@example(trivials=(1, 2), free=(1, 1), seed=2)
+def test_moved_certificate_passes_the_checked_constructors(
+        label_, trivials, free, seed):
+    # the certificate moved along a splitting with trivial summands of
+    # both types is built without the checks; it must pass them when
+    # built from its raw parts, and so must one with free summands
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    parts = [assemble(random_multiset(rng, 2, 3), field),
+             trivial_complex(TrivialType.TYPE1, trivials[0], field),
+             trivial_complex(TrivialType.TYPE2, trivials[1], field),
+             TwoPeriodicComplex(field, free[0], free[1],
+                                RMatrix.zeros(field, free[1], free[0]),
+                                RMatrix.zeros(field, free[0], free[1]))]
+    x, _, _ = conjugate_complex(rng, direct_sum(*parts), max_val=2)
+    certs = [_block_sum_certificate(x)]
+    if free == (0, 0):
+        certs.append(decomposition_certificate(decompose(x)))
+    for cert in certs:
+        assert cert.complex == x and cert.contraction is not None
+        assert _rechecked(cert) == cert
 
 
 @pytest.mark.parametrize("label_", FIELDS)

@@ -2,9 +2,10 @@
 cross-checked against the determinantal-divisor oracle."""
 
 import math
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,12 +20,14 @@ from periodica import (
     invert,
     is_invertible,
     matrix_rank,
+    one,
     parse_element,
     smith_normal_form,
     solve_over_ring,
     x_power,
+    zero,
 )
-from periodica.rand import random_matrix
+from periodica.rand import random_element, random_matrix, random_unit
 
 Q = FieldSpec.rationals()
 
@@ -241,3 +244,109 @@ def test_snf_monomial_matrices(exps):
     s = smith_normal_form(a)
     assert (s.u @ a @ s.v - s.d).is_zero()
     assert list(s.exponents) == oracles.invariant_factors_via_minors(a)
+
+
+# -- hypothesis: products against a triple-loop reference -----------------------
+
+# operand kinds: the last four are square; "copies" is the identity from
+# distinct parsed elements, "unit_diagonal" has nonzero entries off the
+# diagonal, "x_on_diagonal" has x in the last diagonal entry
+MATMUL_KINDS = ("random", "zero", "identity", "copies", "unit_diagonal",
+                "x_on_diagonal")
+
+
+def _nonzero(rng, field):
+    return x_power(field, rng.randint(0, 2)) / random_unit(rng, field)
+
+
+def _operand(rng, field, kind, rows, cols):
+    if kind == "zero":
+        return RMatrix.zeros(field, rows, cols)
+    if kind == "random":
+        # entries over a unit, so most carry a denominator
+        return RMatrix(field, rows, cols, tuple(
+            zero(field) if rng.random() < 0.3
+            else random_element(rng, field, 2) / random_unit(rng, field)
+            for _ in range(rows * cols)))
+    if kind == "identity":
+        return RMatrix.identity(field, rows)
+    n = rows
+    ents = [parse_element(field, "1" if i == j else "0")
+            for i in range(n) for j in range(n)]
+    if kind == "unit_diagonal":
+        ents = [e if k % (n + 1) == 0 else _nonzero(rng, field)
+                for k, e in enumerate(ents)]
+    elif kind == "x_on_diagonal" and n:
+        ents[-1] = x_power(field, 1)
+    return RMatrix(field, n, n, tuple(ents))
+
+
+def _triple_loop(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = zero(a.field)
+            for t in range(a.cols):
+                s = s + a.at(i, t) * b.at(t, j)
+            out.append(s)
+    return RMatrix(a.field, a.rows, b.cols, tuple(out))
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.tuples(*[st.sampled_from(MATMUL_KINDS)] * 2),
+       dims=st.tuples(*[st.integers(0, 3)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(kinds=("random", "random"), dims=(0, 2, 3), seed=0)
+@example(kinds=("zero", "identity"), dims=(0, 0, 0), seed=0)
+@example(kinds=("random", "zero"), dims=(3, 0, 2), seed=0)
+@example(kinds=("copies", "random"), dims=(2, 2, 3), seed=1)
+@example(kinds=("random", "copies"), dims=(3, 2, 2), seed=1)
+@example(kinds=("unit_diagonal", "random"), dims=(2, 2, 2), seed=2)
+@example(kinds=("random", "unit_diagonal"), dims=(2, 3, 3), seed=3)
+@example(kinds=("x_on_diagonal", "random"), dims=(3, 3, 2), seed=4)
+@example(kinds=("random", "x_on_diagonal"), dims=(2, 2, 2), seed=5)
+def test_matmul_matches_triple_loop(label_, kinds, dims, seed):
+    # products with a zero or identity operand skip the arithmetic; every
+    # product must still equal the plain triple loop
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    n, k, m = dims
+    if kinds[0] not in ("random", "zero"):
+        k = n
+    if kinds[1] not in ("random", "zero"):
+        m = k
+    a = _operand(rng, field, kinds[0], n, k)
+    b = _operand(rng, field, kinds[1], k, m)
+    for c, kind in zip((a, b), kinds):
+        if kind == "copies":
+            assert all(e is not one(field) for e in c.entries)
+    assert a @ b == _triple_loop(a, b)
+
+
+def test_products_with_a_zero_or_identity_operand_do_no_arithmetic(
+        monkeypatch):
+    from periodica.localring import LocalElem
+
+    cases = []
+    for label_ in ("Q", "Fp:3", "Fp:101"):
+        field = FieldSpec.from_label(label_)
+        rng = Random(0)
+        a = _operand(rng, field, "unit_diagonal", 3, 3)
+        cases += [(a, _operand(rng, field, kind, 3, 3), kind)
+                  for kind in ("zero", "identity", "copies")]
+    calls = []
+    real = LocalElem.__mul__
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(LocalElem, "__mul__", counting)
+    for a, c, kind in cases:
+        if kind == "zero":
+            assert a @ c == c @ a == c
+        else:
+            # the other operand itself: matrices are immutable
+            assert a @ c is a and c @ a is a
+    assert calls == []

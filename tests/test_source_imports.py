@@ -36,6 +36,7 @@ UNCHECKED_CALLERS = {
         "identity_map", "zero_map", "compose", "add_maps", "negate_map",
         "scale_map", "shift_map", "BlockSumCertificate.shifted")
 } | {("classify.py", "model_certificate"), ("classify.py", "_classify"),
+     ("classify.py", "_moved_certificate"),
      ("minimal.py", "trivial_complex"), ("minimal.py", "reduce")}
 
 
