@@ -45,17 +45,12 @@ with no ``reduce`` and no check: the identity is one by construction.
 The two sweeps give the ranks of the minimal differentials, so they also
 decide finite length.
 
-The closing cross-check compares the cohomology of the input X with the
-multiset, from the Smith exponents of X's differentials alone.  ker d0
-is saturated in F0 (x v in ker d0 forces v in ker d0), so F0/ker d0 is
-free and ker d0 is a summand.  When rank d0 + rank d1 = r0, im d1 has
-the rank of ker d0 and lies in it, so ker d0 is the saturation of im d1
-and H0 = ker d0 / im d1 is the torsion of F0 / im d1: its length is the
-sum of the exponents of d1.  Likewise length H1 is the sum of the
-exponents of d0.  When the ranks do not add up to r0 a cohomology has a
-free part and infinite length.  So comparing the rank sum with r0 and
-the two sums with the multiset's H0 and H1 lengths is the comparison of
-the presented cohomology lengths, and it reads no Smith transform.
+The closing cross-check compares ``complexes.cohomology`` of the input X
+with the multiset: H0 must be the sum of R/x^j over the unshifted labels
+K(j) and H1 the same over the shifted ones, with no free part.
+``cohomology`` reads both off the Smith exponents of X's differentials
+(its docstring gives the saturation argument), so the check reads no
+Smith transform.
 """
 
 from __future__ import annotations
@@ -70,6 +65,7 @@ from .complexes import (
     TwoPeriodicComplex,
     _model_sum,
     _unchecked,
+    cohomology,
     identity_map,
 )
 from .errors import NotFiniteLengthError, PeriodicaError, ValidationError
@@ -77,12 +73,7 @@ from .fields import FieldSpec
 from .localring import format_element, one
 from .matrix import RMatrix
 from .minimal import SplitResult, reduce
-from .smith import (
-    TrackedBasis,
-    matrix_rank,
-    smith_normal_form,
-    smith_sweep,
-)
+from .smith import TrackedBasis, matrix_rank, smith_sweep
 
 
 @dataclass(frozen=True, order=True)
@@ -240,6 +231,10 @@ def _classify(x: TwoPeriodicComplex) -> tuple:
                              _unchecked(ChainMap2, blocksum, m, q0, q1), None)
 
 
+def _sorted_j(labels: tuple, shifted: bool) -> tuple:
+    return tuple(sorted([j for j, s in labels if s == shifted]))
+
+
 def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     if x.r0 != x.r1:
         raise NotFiniteLengthError("complex does not have finite-length cohomology")
@@ -250,9 +245,10 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
         IndecompLabel(shifted, j) for j, shifted in certificate.labels)
 
     # cohomology cross-check on the input, from the exponents alone
-    s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
-    if (s0.rank + s1.rank != x.r0 or sum(s1.exponents) != ms.h0_length()
-            or sum(s0.exponents) != ms.h1_length()):
+    h0, h1 = cohomology(x)
+    if (h0.free_rank or h1.free_rank
+            or h0.factors != _sorted_j(certificate.labels, False)
+            or h1.factors != _sorted_j(certificate.labels, True)):
         raise PeriodicaError("cohomology lengths disagree with the multiset")
     return DecomposeResult(ms, split, certificate)
 

@@ -84,7 +84,7 @@ from .errors import (
 from .fields import FieldSpec
 from .localring import LocalElem, format_element, one, x_power, x_shift, zero
 from .matrix import RMatrix, block, block_diag, commutation_matrix, vstack
-from .smith import homology_invariants
+from .smith import SubquotientModule, homology_invariants, smith_normal_form
 
 # Most entries of one Hom-complex differential that are built: 2^20 list
 # slots are 8 MB of references.  Hom(X, X) for X of ranks (r, r) has 4 r^4
@@ -540,10 +540,23 @@ def cone(f: ChainMap2):
 
 
 def cohomology(x: TwoPeriodicComplex):
-    """(H0, H1) = (ker d0 / im d1, ker d1 / im d0) as subquotient modules."""
-    h0 = homology_invariants(x.d0, x.d1)
-    h1 = homology_invariants(x.d1, x.d0)
-    return h0, h1
+    """(H0, H1) = (ker d0 / im d1, ker d1 / im d0) as subquotient modules,
+    read off the Smith exponents of d0 and d1 alone.
+
+    R is a DVR, so ker d0 is saturated in F0 (x v in ker d0 forces v in
+    ker d0): F0 / ker d0 embeds in the free F1, so it is free and ker d0
+    is a summand of rank r0 - rank d0.  im d1 lies in ker d0 (the
+    constructor proved d0 d1 = 0), so the torsion of F0 / im d1 lies in
+    ker d0 / im d1, and tors H0 = tors coker d1 = the sum of R/x^e over
+    the nonzero exponents e of d1; the rest of H0 is free of rank
+    r0 - rank d0 - rank d1.  H1 likewise has the nonzero exponents of d0
+    and free rank r1 - rank d0 - rank d1.  Neither Smith transform is
+    read.
+    """
+    s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
+    rank = s0.rank + s1.rank
+    return (SubquotientModule(tuple([e for e in s1.exponents if e]), x.r0 - rank),
+            SubquotientModule(tuple([e for e in s0.exponents if e]), x.r1 - rank))
 
 
 def is_null_homotopic(f: ChainMap2,
@@ -709,10 +722,10 @@ def _outer(q: RMatrix, b: int, c: Optional[LocalElem], p: RMatrix,
 
 def _smith_hom(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> HomModule:
     h = homc(x, y)
-    pres = homology_invariants(h.d0, h.d1)
+    pres, cols = homology_invariants(h.d0, h.d1)
     n0 = x.r0 * y.r0
     gens = []
-    for col in pres.generators:
+    for col in cols:
         f0 = RMatrix.unvec(x.field, col.submatrix(0, n0, 0, 1), y.r0, x.r0)
         f1 = RMatrix.unvec(x.field, col.submatrix(n0, col.rows, 0, 1), y.r1, x.r1)
         gens.append(ChainMap2(x, y, f0, f1))

@@ -21,7 +21,9 @@ for that field on plain values, so the inner loops make no per-coefficient
 - over F_p, coefficients are ints in [0, p).  Products are accumulated as
   Python ints and reduced once per output coefficient; a division inverts
   the divisor's lead once and reduces a remainder coefficient only when it
-  is read as a leading coefficient.  The gcd is Euclid on that division.
+  is read as a leading coefficient.  The gcd is Euclid on remainders
+  only: each step reduces one list in place by the other, keeping every
+  coefficient in [0, p), and builds no quotient.
 
 Outside the gcd, division is :func:`exact_quotient`: callers divide only
 by a factor they know, so a remainder is an error (``NotDivisibleError``),
@@ -182,20 +184,19 @@ def shift_up(field: FieldSpec, f: Poly, n: int) -> Poly:
     return (field.zero,) * n + f
 
 
-def _fp_divmod(f: Poly, g: Poly, p: int, want_q: bool):
-    """Quotient (or None) and trimmed reduced remainder list over F_p."""
+def _fp_divmod(f: Poly, g: Poly, p: int):
+    """Quotient and trimmed reduced remainder list over F_p."""
     n = len(g) - 1
     ginv = pow(g[-1], -1, p)
     low = g[:-1]
     rem = list(f)
-    q = [0] * (len(f) - n) if want_q else None
+    q = [0] * (len(f) - n)
     while len(rem) > n:
         c = rem.pop() % p
         if c:
             c = c * ginv % p
             k = len(rem) - n
-            if want_q:
-                q[k] = c
+            q[k] = c
             for i, b in enumerate(low, k):
                 rem[i] -= c * b
     rem = [c % p for c in rem]
@@ -241,7 +242,7 @@ def _q_quotient(f: Poly, g: Poly) -> Poly:
 
 
 def _fp_quotient(f: Poly, g: Poly, p: int) -> Poly:
-    q, rem = _fp_divmod(f, g, p, True)
+    q, rem = _fp_divmod(f, g, p)
     if rem:
         raise NotDivisibleError(_INEXACT)
     return tuple(q)
@@ -313,10 +314,23 @@ def _fp_scaled(f: Sequence[int], c: int, p: int) -> Poly:
 
 
 def _fp_gcd(f: Poly, g: Poly, p: int) -> Poly:
-    """Monic gcd of nonzero f and g over F_p."""
-    a, b = f, g
+    """Monic gcd of nonzero f and g over F_p.  Euclid on two lists: each
+    step reduces a mod b in place, keeps no quotient and reduces every
+    updated coefficient mod p, so a popped lead is already reduced."""
+    a, b = list(f), list(g)
     while len(b) > 1:
-        a, b = b, _fp_divmod(a, b, p, False)[1]
+        n = len(b) - 1
+        binv = pow(b[-1], -1, p)
+        while len(a) > n:
+            c = a.pop()
+            if c:
+                c = c * binv % p
+                k = len(a) - n
+                for i in range(n):
+                    a[k + i] = (a[k + i] - c * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     if b:
         return (1,)
     return _fp_scaled(a, pow(a[-1], -1, p), p)

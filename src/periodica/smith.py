@@ -362,16 +362,13 @@ def solve_over_ring(a: RMatrix, b: RMatrix) -> Optional[RMatrix]:
 
 @dataclass(frozen=True)
 class SubquotientModule:
-    """Presentation of ker(a)/im(b): R/x^f1 + ... + R/x^fk + R^free_rank.
-
-    ``generators`` are columns of the ambient free module lifting the
-    cyclic generators (torsion factors first, in the order of ``factors``,
-    then the free generators).
-    """
+    """Presentation of ker(a)/im(b): R/x^f1 + ... + R/x^fk + R^free_rank,
+    the factors ascending.  ``complexes.cohomology`` reads both fields off
+    Smith exponents; ``homology_invariants`` returns lifted generators
+    beside it."""
 
     factors: tuple
     free_rank: int
-    generators: tuple
 
     def length(self):
         """k-length; math.inf when a free summand is present."""
@@ -383,8 +380,11 @@ class SubquotientModule:
         return not self.factors and self.free_rank == 0
 
 
-def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
-    """Invariant factors of ker(a)/im(b) with lifted generators.
+def homology_invariants(a: RMatrix, b: RMatrix) -> tuple:
+    """(module, generators): the invariant factors of ker(a)/im(b) and
+    columns of the ambient free module lifting its cyclic generators,
+    torsion factors first in the order of ``module.factors``, then the
+    free generators.
 
     Requires a @ b = 0, checked without forming a @ b: with u a v = d,
     u a b = d (v^-1 b), and the first rank(a) entries of d's diagonal are
@@ -418,4 +418,4 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> SubquotientModule:
     lifts = s.v_times(vstack(a.field, [RMatrix.zeros(a.field, r, k),
                                        s2.u_inv_times(e_gen)]))
     gens = tuple(RMatrix(a.field, n, 1, lifts.entries[i::k]) for i in range(k))
-    return SubquotientModule(tuple(torsion), free_rank, gens)
+    return SubquotientModule(tuple(torsion), free_rank), gens

@@ -405,3 +405,21 @@ def test_cli_cohomology_forms_each_composite_once(monkeypatch, capsys):
     assert "H0 = " in capsys.readouterr().out
     assert products.count((x.d1.entries, x.d0.entries)) == 1
     assert products.count((x.d0.entries, x.d1.entries)) == 1
+
+
+@pytest.mark.parametrize("name", ["q_rank5", "q_tensor_lhs", "f101_free"])
+def test_cli_cohomology_takes_one_smith_form_per_differential(
+        name, monkeypatch, capsys):
+    # the exponents of d0 and d1 are the whole answer, free parts too
+    from pathlib import Path
+
+    from periodica import serialize
+    from periodica.cli import _load_json, main
+
+    path = str(Path(__file__).parent / "golden" / f"{name}.json")
+    doc = _load_json(path)
+    x = serialize.parse_complex_doc(doc, FieldSpec.from_label(doc["field"]))
+    calls = _count_smith_forms(monkeypatch)
+    assert main(["cohomology", path, "--field", doc["field"]]) == 0
+    assert "H0 = " in capsys.readouterr().out
+    assert [a.entries for a in calls] == [x.d0.entries, x.d1.entries]

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thelpers import is_homotopy_iso, mat, scale_inverse_certificates
+from thelpers import (
+    is_homotopy_iso,
+    mat,
+    random_complex,
+    scale_inverse_certificates,
+)
 
 from periodica import (
     FieldSpec,
@@ -30,7 +35,7 @@ from periodica import (
     x_power,
     zero_complex,
 )
-from periodica import classify
+from periodica import classify, complexes
 from periodica.classify import (
     _assert_split,
     IndecompMultiset,
@@ -43,7 +48,7 @@ from periodica.errors import PeriodicaError, ValidationError
 from periodica.localring import parse_element, zero
 from periodica.minimal import reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
-from periodica.smith import smith_normal_form
+from periodica.smith import homology_invariants, smith_normal_form
 
 Q = FieldSpec.rationals()
 
@@ -133,12 +138,41 @@ def test_cohomology_lengths_are_smith_exponent_sums(label_, seed):
     assert s0.rank + s1.rank == x.r0
 
 
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       source=st.sampled_from(["any", "finite", "finite+free"]),
+       r0=st.integers(0, 5), r1=st.integers(0, 5))
+def test_cohomology_matches_homology_invariants(label_, seed, source, r0,
+                                                 r1):
+    # cohomology reads Smith exponents; the oracle presents ker/im by a
+    # second Smith form on the kernel block.  "any" draws ranks (r0, r1)
+    # with free summands, r0 != r1 and zero ranks; "finite+free" adds
+    # zero differentials of ranks (r0, r1) to a finite-length instance
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    if source == "any":
+        x = random_complex(rng, field, r0, r1)
+    else:
+        x, _, _ = random_finite_length_instance(rng, field, max_labels=3,
+                                                max_j=4, max_trivials=2)
+        if source == "finite+free":
+            free = TwoPeriodicComplex(field, r0, r1,
+                                      RMatrix.zeros(field, r1, r0),
+                                      RMatrix.zeros(field, r0, r1))
+            x = conjugate_complex(rng, direct_sum(x, free), max_val=2)[0]
+    h0, h1 = cohomology(x)
+    assert h0 == homology_invariants(x.d0, x.d1)[0]
+    assert h1 == homology_invariants(x.d1, x.d0)[0]
+
+
 @pytest.mark.parametrize("label_", ["Q", "Fp:101"])
 @pytest.mark.parametrize("target, corrupt", [
     ("d1", lambda e: (e[0] + 1,) + e[1:]),  # H0 length off by one
     ("d0", lambda e: (e[0] + 1,) + e[1:]),  # H1 length off by one
     ("d0", lambda e: e + (0,)),             # ranks add up to r0 + 1
     ("d1", lambda e: e[1:]),                # drops a 0: ranks add to r0 - 1
+    ("d1", lambda e: e[:-2] + (1, 2)),      # H0 R/x + R/x^2: same length
 ])
 def test_decompose_rejects_corrupted_exponents(label_, target, corrupt,
                                                monkeypatch):
@@ -148,7 +182,7 @@ def test_decompose_rejects_corrupted_exponents(label_, target, corrupt,
     x, ms, _ = random_finite_length_instance(Random(11), field, max_labels=3,
                                              max_j=3, max_trivials=2)
     assert (ms.h0_length(), ms.h1_length()) == (3, 5)
-    real = classify.smith_normal_form
+    real = complexes.smith_normal_form
 
     def corrupted(a):
         s = real(a)
@@ -157,7 +191,7 @@ def test_decompose_rejects_corrupted_exponents(label_, target, corrupt,
         exps = corrupt(s.exponents)
         return SimpleNamespace(exponents=exps, rank=len(exps))
 
-    monkeypatch.setattr(classify, "smith_normal_form", corrupted)
+    monkeypatch.setattr(complexes, "smith_normal_form", corrupted)
     with pytest.raises(PeriodicaError) as exc:
         decompose(x)
     assert str(exc.value) == "cohomology lengths disagree with the multiset"

@@ -7,12 +7,15 @@ of the dense reference sweep.  The Smith transforms, replayed from the
 step log only when read, must equal the same elementary products taken
 along the sweep; their products with an operand, applied from the log,
 must equal the products with the built transforms; and
-``solve_over_ring`` and ``homology_invariants`` must build no n x n
-transform.  The golden files under ``golden/`` hold the CLI JSON of
+``solve_over_ring`` and ``homology_invariants`` (which returns lifted
+generators beside the module) must build no n x n transform, and
+``cohomology``, which reads only Smith exponents, must apply none at
+all.  The golden files under ``golden/`` hold the CLI JSON of
 ``reduce``, ``decompose`` and ``hom`` from before the elimination code
 was unified, and of ``tensor`` and ``strictify --window 6`` from before
-the tensor product was written through the Hom-complex writer; the
-output must stay byte for byte the same.
+the tensor product was written through the Hom-complex writer, and the
+text and JSON of ``cohomology`` from before it read Smith exponents
+only; the output must stay byte for byte the same.
 """
 
 import json
@@ -28,6 +31,7 @@ from periodica import (
     DimensionMismatchError,
     FieldSpec,
     RMatrix,
+    cohomology,
     inverse,
     one,
     unit_part,
@@ -314,11 +318,15 @@ def test_transforms_are_built_only_when_read(label, monkeypatch):
     for _ in range(2):
         s.u, s.u_inv, s.v, s.v_inv
     assert log.smith_transforms == 4
+    # cohomology reads only the exponents: no product with a transform
+    k = len(log.calls)
+    cohomology(x)
+    assert log.shapes_since(k) == [] and log.smith_transforms == 4
+    assert log.matrices_calls == 4
     # v^-1 b, u2^-1 on the generator columns and v on their lifts: no
     # identity operand, so no transform built
-    k = len(log.calls)
-    h0 = homology_invariants(x.d0, x.d1)
-    ngen = len(h0.generators)
+    _, gens = homology_invariants(x.d0, x.d1)
+    ngen = len(gens)
     assert log.shapes_since(k) == [
         (x.r0, x.r1), (x.r0 - matrix_rank(x.d0), ngen), (x.r0, ngen)]
     assert 0 < ngen < x.r0 and log.smith_transforms == 4
@@ -353,3 +361,15 @@ def test_golden_tensor_and_strictify(argv, expected, capsys):
     args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert main([*args, "--field", "Q", "--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize("name", ["q_rank5", "q_denominators", "f3_rank5",
+                                  "q_tensor_lhs", "q_tensor_rhs", "f101_free"])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_golden_cohomology(name, fmt, suffix, capsys):
+    path = GOLDEN / f"{name}.json"
+    field = json.loads(path.read_text())["field"]
+    assert main(["cohomology", str(path), "--field", field,
+                 "--format", fmt]) == 0
+    expected = (GOLDEN / f"{name}.cohomology.{suffix}").read_text()
+    assert capsys.readouterr().out == expected

@@ -223,3 +223,57 @@ def test_gcd_recovers_common_factor(data):
     assert_same(field, got, ref_gcd(field, f, g))
     assert len(got) >= len(h)
     assert ref_divmod(field, got, h)[1] == ()
+
+
+F101 = FIELDS[3]
+
+
+def leads(field):
+    """Scalars other than 0 and 1: the lead of a polynomial that is not
+    monic."""
+    return st.integers(2, field.p - 1)
+
+
+def with_lead(field, f, c):
+    return ref_scale(field, f, field.mul(c, field.inv(f[-1])))
+
+
+@st.composite
+def fp_gcd_case(draw):
+    """A prime field, a kind and two nonzero polynomials of that kind,
+    neither of them monic."""
+    field = draw(st.sampled_from((F3, F101)))
+    kind = draw(st.sampled_from(("any", "common", "constant", "equal",
+                                 "coprime")))
+    f = draw(polys(field, max_len=8).filter(bool))
+    g = draw(polys(field, max_len=8).filter(bool))
+    if kind == "common":
+        h = draw(polys(field, max_len=4).filter(lambda h: len(h) > 1))
+        f, g = ref_mul(field, f, h), ref_mul(field, g, h)
+    elif kind == "constant":
+        g = (1,)
+    elif kind == "equal":
+        g = f
+    elif kind == "coprime":
+        # g = f h + c: any common factor of f and g divides c != 0
+        h = draw(polys(field, max_len=4).filter(lambda h: len(h) > 1))
+        g = ref_add(field, ref_mul(field, f, h), (draw(nonzero(field)),))
+    a = draw(leads(field))
+    b = a if kind == "equal" else draw(leads(field))
+    return field, kind, with_lead(field, f, a), with_lead(field, g, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fp_gcd_case())
+@example((F3, "constant", (0, 2), (2,)))
+@example((F3, "equal", (2, 0, 2), (2, 0, 2)))
+@example((F101, "coprime", (5, 0, 7), (6, 0, 7)))
+def test_fp_gcd_matches_reference_euclid(case):
+    field, kind, f, g = case
+    got = poly.gcd(field, f, g)
+    assert_same(field, got, ref_gcd(field, f, g))
+    assert poly.gcd(field, g, f) == got
+    if kind in ("constant", "coprime"):
+        assert got == (1,)
+    elif kind == "equal":
+        assert got == ref_monic(field, f)
