@@ -83,7 +83,14 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .localring import LocalElem, format_element, one, x_power, x_shift, zero
-from .matrix import RMatrix, block, block_diag, commutation_matrix, vstack
+from .matrix import (
+    RMatrix,
+    block,
+    block_diag,
+    commutation_matrix,
+    product_first_nonzero,
+    vstack,
+)
 from .smith import SubquotientModule, homology_invariants, smith_normal_form
 
 # Most entries of one Hom-complex differential that are built: 2^20 list
@@ -96,9 +103,10 @@ MAX_HOM_ENTRIES = 1 << 20
 @dataclass(frozen=True)
 class TwoPeriodicComplex:
     """Ranks (r0, r1) and differentials d0: F0->F1, d1: F1->F0 with
-    d1 d0 = 0 and d0 d1 = 0.  The constructor checks both composites and
-    names the first nonzero entry; complexes derived from complexes skip
-    it (module docstring)."""
+    d1 d0 = 0 and d0 d1 = 0.  The constructor checks both composites a
+    row at a time without forming them (``matrix.product_first_nonzero``)
+    and names the first nonzero entry; complexes derived from complexes
+    skip it (module docstring)."""
 
     field: FieldSpec
     r0: int
@@ -115,7 +123,7 @@ class TwoPeriodicComplex:
             raise FieldMismatchError("differentials over a different field")
         for name, a, b in (("d1*d0", self.d1, self.d0),
                            ("d0*d1", self.d0, self.d1)):
-            pos = (a @ b).first_nonzero()
+            pos = product_first_nonzero(a, b)
             if pos is not None:
                 raise NotAComplexError(f"{name} has nonzero entry at {pos}")
 

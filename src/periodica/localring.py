@@ -302,6 +302,8 @@ def parse_poly(field: FieldSpec, text: str) -> Poly:
 
 def parse_element(field: FieldSpec, text: str) -> LocalElem:
     """Parse an element of R from the shared text grammar."""
+    if text == "0":  # most entries of a document; the grammar gives zero
+        return zero(field)
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty ring element")

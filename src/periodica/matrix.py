@@ -96,13 +96,6 @@ class RMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def first_nonzero(self) -> tuple | None:
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.entries[i * self.cols + j]:
-                    return (i, j)
-        return None
-
     def all_entries_in_maximal_ideal(self) -> bool:
         return all(e.valuation >= 1 for e in self.entries)
 
@@ -172,6 +165,39 @@ class RMatrix:
             raise DimensionMismatchError("unvec shape mismatch")
         return RMatrix.build(field, rows, cols,
                              lambda i, j: col.at(j * rows + i, 0))
+
+
+def product_first_nonzero(a: RMatrix, b: RMatrix) -> tuple | None:
+    """(i, j) of the first nonzero entry of a @ b in row-major order, or
+    None when a @ b = 0, without forming a @ b: one row of the product
+    is summed at a time over the nonzero entries of a and b, and the
+    search stops at the first nonzero row.  A lopsided product (an
+    n x 1 by 1 x n one) takes memory linear in its operands."""
+    a._check(b)
+    if a.cols != b.rows:
+        raise DimensionMismatchError(
+            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    z = zero(a.field)
+    k, m = a.cols, b.cols
+    nz_rows = {}  # t -> the nonzero (j, entry) of row t of b
+    for i in range(a.rows):
+        acc = None
+        for t, e in enumerate(a.entries[i * k:(i + 1) * k]):
+            if not e:
+                continue
+            nz = nz_rows.get(t)
+            if nz is None:
+                nz = nz_rows[t] = [(j, f) for j, f in
+                                   enumerate(b.entries[t * m:(t + 1) * m]) if f]
+            if nz and acc is None:
+                acc = [z] * m
+            for j, f in nz:
+                acc[j] = acc[j] + e * f
+        if acc is not None:
+            for j, c in enumerate(acc):
+                if c:
+                    return (i, j)
+    return None
 
 
 def _is_identity(entries: tuple, n: int, o: LocalElem) -> bool:

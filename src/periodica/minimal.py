@@ -21,8 +21,14 @@ complex by construction; the minimal model and the trivial complexes are
 blocks of its conjugate by the certificates, so they are built without
 the constructor's check (``complexes`` docstring).
 
-Pivot policy: the unit entry of smallest (row, col) in d1 first, then in
-d0 — reductions are deterministic.
+Pivot policy: a unit of d1 first, then of d0; among them the one whose
+unit part has the fewest coefficients (``smith.pivot_cost``), ties to
+the smallest (row, col), so reductions are deterministic.  The peel
+scales the pivot row by the pivot's inverse, and a constant unit puts no
+denominator into it.  Any unit of d1 (d0) splits off a summand of the
+same type, and the minimal model is unique up to isomorphism, so the
+counts of each type and the minimal model's invariants do not depend on
+the choice; only the certificates do.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import NotTrivialError, PeriodicaError
 from .fields import FieldSpec
 from .localring import format_element, inverse, one
 from .matrix import RMatrix
-from .smith import TrackedBasis
+from .smith import TrackedBasis, pivot_cost
 
 
 class TrivialType(enum.Enum):
@@ -84,19 +90,28 @@ def trivial_complex(kind: TrivialType, n: int,
 
 
 def _find_unit(grid, nrows, ncols):
+    """(row, column) of the unit of least :func:`smith.pivot_cost` in the
+    active block, the first in row-major order among equals; None when
+    there is no unit.  The scan stops at a constant unit (cost 2)."""
+    best, hit = None, None
     for i in range(nrows):
         row = grid[i]
         for j in range(ncols):
             e = row[j]
             if e and e.valuation == 0:
-                return i, j
-    return None
+                c = pivot_cost(e, 0)
+                if best is None or c < best:
+                    best, hit = c, (i, j)
+                    if c == 2:
+                        return hit
+    return hit
 
 
 def _peel(d, other, rows: TrackedBasis, cols: TrackedBasis,
           nrows: int, ncols: int) -> bool:
-    """Turn the first unit of d in its active nrows x ncols block into a
-    1x1 identity block at the last active position; False when none."""
+    """Turn the simplest unit of d in its active nrows x ncols block
+    (:func:`_find_unit`) into a 1x1 identity block at the last active
+    position; False when none."""
     hit = _find_unit(d, nrows, ncols)
     if hit is None:
         return False

@@ -25,22 +25,33 @@ n x n transform.
 Smith pivot policy (:func:`smith_sweep`): over k[x]_(x) every nonzero
 element is unit * x^v, so one sweep with a minimal-valuation pivot
 produces U A V = D, D = diag(x^a1, ..., x^ar, 0, ...) with
-a1 <= ... <= ar.  The pivot is the entry of minimal valuation in the
-remaining submatrix, ties broken by smallest row then column index, so
-the output is deterministic.  The pivot is scaled to x^v, then its
-column and its row are cleared.
+a1 <= ... <= ar.  Among the entries of minimal valuation in the
+remaining submatrix the pivot is the one whose unit part has the fewest
+coefficients (:func:`pivot_cost`), ties broken by smallest row then
+column index, so the output is deterministic.  The pivot is scaled to
+x^v, then its column and its row are cleared.  The exponents are the
+invariant factors of A, whichever admissible entry is taken; the choice
+only decides what the transforms look like.  The simplest unit is
+chosen because the pivot row is scaled by its inverse: a constant unit
+puts no denominator into it, so while a monomial pivot exists at each
+step the elimination stays in k[x], where sums and products take no gcd
+(Kannan and Bachem, SIAM J. Comput. 8, 1979, and Storjohann's thesis,
+ETH 2000, control intermediate growth the same way, through the choice
+of pivot).
 
 The search reads row caches, not the submatrix: each remaining row
-keeps the (valuation, column) of its first minimal-valuation entry, or
-None when it is zero, and the pivot is the least (valuation, row) among
-them, the same entry a row-major scan finds.  A pivot step changes only
-the rows with a nonzero in the pivot column or in the column swapped
-with it, so only those are rescanned; a large sparse matrix (a Hom
-complex) is not rescanned whole at every pivot.  The clearing of a
-column (row) is one :meth:`TrackedBasis.add_batch`: it reads the shared
-pivot row (column) once per grid and logs the same ``add`` steps, in
-the same order, as one ``add`` per entry would, so the replay and every
-transform and certificate are unchanged.
+keeps the (valuation, cost, column) of its first entry of least
+(valuation, cost), or None when it is zero, and the pivot is the least
+(valuation, cost, row) among them, the same entry a row-major scan for
+the least (valuation, cost) finds.  Both scans stop at a constant unit,
+key (0, 2), which nothing beats, so a matrix with one pays no full scan.
+A pivot step changes only the rows with a nonzero in the pivot column
+or in the column swapped with it, so only those are rescanned; a large
+sparse matrix (a Hom complex) is not rescanned whole at every pivot.
+The clearing of a column (row) is one :meth:`TrackedBasis.add_batch`:
+it reads the shared pivot row (column) once per grid and logs the same
+``add`` steps, in the same order, as one ``add`` per entry would, so
+the replay and every transform and certificate are unchanged.
 
 With the transforms and their exact inverses at hand, solving linear
 systems, inverting matrices and presenting subquotients (kernel mod
@@ -62,7 +73,7 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .localring import inverse, one, unit_part, x_shift, zero
-from .matrix import RMatrix, vstack
+from .matrix import RMatrix, product_first_nonzero, vstack
 
 
 def _swap(rows, cols, i: int, j: int) -> None:
@@ -241,17 +252,27 @@ class SmithForm:
         return self.v_inv_times(RMatrix.identity(self.d.field, self.d.cols))
 
 
+def pivot_cost(e, v: int) -> int:
+    """Coefficients of the unit part of e = unit * x^v: those of its
+    numerator from x^v up, and those of its denominator.  A constant
+    unit costs 2, the least there is."""
+    return len(e.num) - v + len(e.den)
+
+
 def _first_min(row, start: int, ncols: int):
-    """(valuation, column) of the first minimal-valuation entry of a grid
-    row from column ``start`` on; None when they are all zero."""
+    """(valuation, cost, column) of the first entry of least (valuation,
+    :func:`pivot_cost`) of a grid row from column ``start`` on; None
+    when they are all zero.  The scan stops at a constant unit, key
+    (0, 2), which no entry beats."""
     best = None
     for j in range(start, ncols):
         e = row[j]
         if e:
             v = e.valuation
-            if best is None or v < best[0]:
-                best = (v, j)
-                if not v:
+            key = (v, pivot_cost(e, v))
+            if best is None or key < best[:2]:
+                best = (*key, j)
+                if key == (0, 2):
                     break
     return best
 
@@ -264,23 +285,23 @@ def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
     nrows, ncols = rows.n, cols.n
     unit_one = one(rows.field)
     exps = []
-    # per row from t on: (valuation, column) of its first minimal entry
-    # from column t on, or None for a zero row
+    # per row from t on: (valuation, cost, column) of its first least
+    # entry from column t on, or None for a zero row
     cache = [None] * start + [_first_min(work[i], start, ncols)
                               for i in range(start, nrows)]
     for t in range(start, min(nrows, ncols)):
-        # least (valuation, row); its cached column is the first minimal
-        # one, so this is the row-major minimal-valuation entry
+        # least (valuation, cost, row); its cached column is the row's
+        # first least one, so ties go to the lowest (row, column)
         best = None
         for i in range(t, nrows):
             c = cache[i]
-            if c is not None and (best is None or c[0] < best[0]):
+            if c is not None and (best is None or c[:2] < best[:2]):
                 best, pi = c, i
-                if not c[0]:
+                if c[:2] == (0, 2):
                     break
         if best is None:
             break
-        pv, pj = best
+        pv, _, pj = best
         rows.swap(pi, t)
         cache[pi], cache[t] = cache[t], cache[pi]
         cols.swap(pj, t)
@@ -389,8 +410,9 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> tuple:
     Requires a @ b = 0, checked without forming a @ b: with u a v = d,
     u a b = d (v^-1 b), and the first rank(a) entries of d's diagonal are
     nonzero, so a @ b = 0 exactly when the first rank(a) rows of v^-1 b
-    vanish.  a @ b is formed only to name its first nonzero entry when
-    that test fails.  The kernel of ``a`` is the free summand spanned by
+    vanish.  When that test fails, the first nonzero entry of a @ b is
+    found without forming it (:func:`matrix.product_first_nonzero`) to
+    name it.  The kernel of ``a`` is the free summand spanned by
     the trailing columns of v; the image of ``b`` is rewritten in those
     coordinates and reduced by a second Smith form.  Each generator is
     lifted as v [0 ; u2^-1 e] for its unit column e, both transforms
@@ -404,7 +426,7 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> tuple:
     kdim = n - r
     bk = s.v_inv_times(b)
     if any(bk.entries[:r * b.cols]):
-        i, j = (a @ b).first_nonzero()
+        i, j = product_first_nonzero(a, b)
         raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
     m = bk.submatrix(r, n, 0, b.cols)
     s2 = smith_normal_form(m)

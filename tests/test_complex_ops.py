@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thelpers import mat, random_complex, rechecked_complex
+from thelpers import first_nonzero, mat, random_complex, rechecked_complex
 
 from periodica import (
     ChainMap2,
@@ -48,7 +48,7 @@ from periodica import (
 from periodica.classify import decompose, label, IndecompMultiset
 from periodica import complexes
 from periodica.complexes import MAX_HOM_ENTRIES, _homc_blocks
-from periodica.matrix import block, kron
+from periodica.matrix import block, kron, product_first_nonzero
 from periodica.minimal import TrivialType, reduce, trivial_complex
 from periodica.rand import (
     conjugate_complex,
@@ -56,6 +56,8 @@ from periodica.rand import (
     random_matrix,
     random_unit,
 )
+from periodica.serialize import parse_complex_doc
+from periodica.smith import smith_normal_form
 
 Q = FieldSpec.rationals()
 
@@ -81,6 +83,42 @@ def test_validate_detects_nonzero_composite():
         with pytest.raises(NotAComplexError) as exc:
             TwoPeriodicComplex(Q, d0.cols, d0.rows, d0, d1)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:3"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5),
+       k=st.integers(0, 5), m=st.integers(0, 5),
+       zero_bias=st.sampled_from([0.3, 0.7, 0.95]))
+def test_product_first_nonzero_matches_the_product(label, seed, n, k, m,
+                                                   zero_bias):
+    field = FieldSpec.from_label(label)
+    rng = random.Random(seed)
+    a = random_matrix(rng, field, n, k, max_val=2, zero_bias=zero_bias)
+    b = random_matrix(rng, field, k, m, max_val=2, zero_bias=zero_bias)
+    if rng.random() < 0.5:  # columns in the kernel of a: a @ b = 0
+        s = smith_normal_form(a)
+        b = s.v.take_cols(range(s.rank, k)) @ random_matrix(
+            rng, field, k - s.rank, m, max_val=2)
+    assert product_first_nonzero(a, b) == first_nonzero(a @ b)
+
+
+def test_validate_lopsided_zero_document():
+    # ranks (1, 4000): d0 d1 is 4000 x 4000, but the check forms no
+    # product, so time and memory stay linear in the 8000 entries
+    n = 4000
+    doc = {"field": "Q", "r0": 1, "r1": n, "d0": [["0"]] * n,
+           "d1": [["0"] * n]}
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        x = parse_complex_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 2
+    assert peak < 2**20
+    assert (x.r0, x.r1) == (1, n)
 
 
 def test_validate_zero_complex():
@@ -422,7 +460,7 @@ def test_chain_map_rejects_single_entry_change(label_):
             with pytest.raises(InvalidChainMapError) as info:
                 ChainMap2(x, x, g["f0"], g["f1"])
             name, diff = bad[0]
-            i, j = diff.first_nonzero()
+            i, j = first_nonzero(diff)
             assert str(info.value).startswith(f"{name} at ({i}, {j}): ")
             caught.add((comp, name))
     assert len(caught) == 4

@@ -3,23 +3,27 @@
 Random swap/scale/add sequences must keep p and q mutually inverse and
 act on attached grids exactly as the product of the explicit elementary
 matrices does.  The Smith sweep must take the pivots and log the steps
-of the dense reference sweep.  The Smith transforms, replayed from the
-step log only when read, must equal the same elementary products taken
-along the sweep; their products with an operand, applied from the log,
-must equal the products with the built transforms; and
-``solve_over_ring`` and ``homology_invariants`` (which returns lifted
-generators beside the module) must build no n x n transform, and
-``cohomology``, which reads only Smith exponents, must apply none at
-all.  The golden files under ``golden/`` hold the CLI JSON of
-``reduce``, ``decompose`` and ``hom`` from before the elimination code
-was unified, and of ``tensor`` and ``strictify --window 6`` from before
-the tensor product was written through the Hom-complex writer, and the
-text and JSON of ``cohomology`` from before it read Smith exponents
-only; the output must stay byte for byte the same.
+of the dense reference sweep, which pivots on the simplest unit among
+the minimal-valuation entries, and reach the exponents of the sweep
+that pivots on the first of them; a constant unit beside 1 + x keeps
+every Smith transform and ``reduce`` certificate free of denominators.
+The Smith transforms, replayed from the step log only when read, must
+equal the same elementary products taken along the sweep; their
+products with an operand, applied from the log, must equal the products
+with the built transforms; and ``solve_over_ring`` and
+``homology_invariants`` (which returns lifted generators beside the
+module) must build no n x n transform, and ``cohomology``, which reads
+only Smith exponents, must apply none at all.  The golden files under
+``golden/`` hold the CLI JSON of ``reduce``, ``decompose`` and ``hom``
+(their provenance is in ``golden/README.md``), of ``tensor`` and
+``strictify --window 6`` from before the tensor product was written
+through the Hom-complex writer, and the text and JSON of
+``cohomology`` from before it read Smith exponents only; the output
+must stay byte for byte the same, and the certificates in them must
+check on their own terms.
 """
 
 import json
-import math
 from pathlib import Path
 from random import Random
 
@@ -28,19 +32,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodica import (
+    ChainMap2,
     DimensionMismatchError,
     FieldSpec,
     RMatrix,
     cohomology,
+    direct_sum,
     inverse,
+    is_null_homotopic,
     one,
     unit_part,
+    x_power,
     x_shift,
     zero,
 )
 from periodica import smith
-from periodica.classify import decompose
+from periodica.classify import (
+    IndecompLabel,
+    IndecompMultiset,
+    assemble,
+    decompose,
+)
 from periodica.cli import main
+from periodica.minimal import TrivialType, reduce, trivial_complex
 from periodica.rand import (
     random_element,
     random_finite_length_instance,
@@ -48,6 +62,7 @@ from periodica.rand import (
     random_matrix,
     random_unit,
 )
+from periodica.serialize import parse_complex_doc, parse_matrix
 from periodica.smith import (
     TrackedBasis,
     homology_invariants,
@@ -58,6 +73,7 @@ from periodica.smith import (
     smith_sweep,
     solve_over_ring,
 )
+from thelpers import cx, mat
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,19 +198,27 @@ def test_lazy_smith_transforms_match_eager_reference(label, seed, kind,
     assert s.u @ a @ s.v == s.d
 
 
-def _dense_smith_sweep(work, rows, cols, start=0):
+def _dense_smith_sweep(work, rows, cols, start=0, simplest=True):
     """The dense sweep, as the reference: a row-major scan of the whole
     remaining submatrix for each pivot, and one ``add`` per cleared
-    entry."""
+    entry.  The pivot is the first entry of least valuation and, with
+    ``simplest``, of least unit part among those (numerator coefficients
+    from x^v up plus denominator coefficients); without it, the first
+    entry of least valuation, the rule before pivots were chosen by
+    their unit part, kept as an oracle for the exponents."""
     nrows, ncols = rows.n, cols.n
     exps = []
     for t in range(start, min(nrows, ncols)):
-        best, best_val = None, math.inf
+        best, best_key = None, None
         for i in range(t, nrows):
             for j in range(t, ncols):
                 e = work[i][j]
-                if e and e.valuation < best_val:
-                    best, best_val = (i, j), e.valuation
+                if not e:
+                    continue
+                v = e.valuation
+                key = (v, len(e.num) - v + len(e.den) if simplest else 0)
+                if best is None or key < best_key:
+                    best, best_key = (i, j), key
         if best is None:
             break
         rows.swap(best[0], t)
@@ -211,6 +235,10 @@ def _dense_smith_sweep(work, rows, cols, start=0):
                 cols.add(t, j, x_shift(work[t][j], -pv))
         exps.append(pv)
     return exps
+
+
+def _row_major_smith_sweep(work, rows, cols, start=0):
+    return _dense_smith_sweep(work, rows, cols, start, simplest=False)
 
 
 def _sweep_input(rng, field, kind, rows, cols):
@@ -247,6 +275,61 @@ def test_sweep_matches_dense_reference(label, seed, kind, rows, cols, start):
         second = sweep(other, right, left, start + len(first))
         runs.append((first, second, work, other, left.steps, right.steps))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "sparse", "deficient", "full"]),
+       rows=st.integers(0, 7), cols=st.integers(0, 7),
+       start=st.integers(0, 7))
+def test_pivot_choice_leaves_exponents_alone(label, seed, kind, rows, cols,
+                                             start):
+    # the simplest-unit pivot against the first minimal-valuation one on
+    # the block from (start, start) on: the same exponents, so the same
+    # rank; from start 0 both end at the same diagonal D
+    field = FieldSpec.from_label(label)
+    a = _sweep_input(Random(seed), field, kind, rows, cols)
+    start = min(start, rows, cols)
+    runs = []
+    for sweep in (smith_sweep, _row_major_smith_sweep):
+        work = a.to_grid()
+        exps = sweep(work, TrackedBasis(field, rows, rows=[work]),
+                     TrackedBasis(field, cols, cols=[work]), start)
+        runs.append((exps, work if start == 0 else None))
+    assert runs[0] == runs[1]
+
+
+def _denominator_free(*mats):
+    return all(len(e.den) == 1 for m in mats for e in m.entries)
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
+def test_sweep_pivots_on_a_constant_unit(label):
+    # the first unit in row-major order is 1 + x; the constant 1 beside
+    # it is the pivot, so no transform or form takes a denominator
+    field = FieldSpec.from_label(label)
+    a = mat(field, 2, 2, [["1 + x", "1"], ["1", "0"]])
+    s = smith_normal_form(a)
+    assert s.exponents == (0, 0)
+    assert _denominator_free(s.d, s.u, s.v, s.u_inv, s.v_inv)
+    assert s.u @ a @ s.v == s.d
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
+def test_peel_pivots_on_a_constant_unit(label):
+    # d1's first unit in row-major order is 1 + x; the peel takes the
+    # constant 1 beside it, so the minimal model and both certificates
+    # stay denominator-free
+    field = FieldSpec.from_label(label)
+    x = cx(field, 3, 3, [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "x"]],
+           [["1 + x", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]])
+    split = reduce(x)
+    assert (split.type1, split.type2) == (2, 0)
+    assert (split.minimal.r0, split.minimal.r1) == (1, 1)
+    assert _denominator_free(split.minimal.d0, split.minimal.d1,
+                             split.into.f0, split.into.f1,
+                             split.back.f0, split.back.f1)
 
 
 @pytest.mark.parametrize("label", ["Q", "Fp:3", "Fp:101"])
@@ -349,6 +432,60 @@ def test_golden_certificates(name, command, capsys):
     assert main([command, *operands, "--field", field, "--format", "json"]) == 0
     expected = (GOLDEN / f"{name}.{command}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+def _golden_map(doc, src, dst):
+    f0 = parse_matrix(src.field, doc["f0"], dst.r0, src.r0, "$.f0")
+    f1 = parse_matrix(src.field, doc["f1"], dst.r1, src.r1, "$.f1")
+    return ChainMap2(src, dst, f0, f1)  # checks both commuting squares
+
+
+def _mutually_inverse(f, g):
+    return all(
+        a @ b == RMatrix.identity(a.field, a.rows) and
+        b @ a == RMatrix.identity(a.field, a.cols)
+        for a, b in ((f.f0, g.f0), (f.f1, g.f1)))
+
+
+@pytest.mark.parametrize("name", ["q_rank5", "q_denominators", "f3_rank5"])
+def test_golden_certificates_verify(name):
+    # the golden certificates checked on their own terms: reduce's and
+    # decompose's maps are mutually inverse chain maps between the right
+    # complexes, and each Hom generator g with factor f has x^f g null-
+    # homotopic and x^(f-1) g not
+    x = parse_complex_doc(json.loads((GOLDEN / f"{name}.json").read_text()))
+    field = x.field
+
+    def golden(command):
+        return json.loads((GOLDEN / f"{name}.{command}.json").read_text())
+
+    doc = golden("reduce")
+    m = parse_complex_doc(doc["minimal"], field)
+    parts = [m] + [trivial_complex(kind, doc["trivials"][key], field)
+                   for kind, key in ((TrivialType.TYPE1, "type1"),
+                                     (TrivialType.TYPE2, "type2"))
+                   if doc["trivials"][key]]
+    blocksum = direct_sum(*parts)
+    assert _mutually_inverse(_golden_map(doc["into"], blocksum, x),
+                             _golden_map(doc["back"], x, blocksum))
+
+    doc = golden("decompose")
+    assert parse_complex_doc(doc["minimal"], field) == m
+    blocks = assemble(IndecompMultiset.from_labels(
+        IndecompLabel(lab["shifted"], lab["j"])
+        for lab in doc["multiset"] for _ in range(lab["mult"])), field)
+    assert _mutually_inverse(_golden_map(doc["to_blocks"], m, blocks),
+                             _golden_map(doc["from_blocks"], blocks, m))
+
+    doc = golden("hom")
+    assert doc["free_rank"] == 0
+    assert len(doc["generators"]) == len(doc["factors"])
+    for g_doc, f in zip(doc["generators"], doc["factors"]):
+        g = _golden_map(g_doc, x, x)
+        for k, null in ((f - 1, False), (f, True)):
+            c = x_power(field, k)
+            xg = ChainMap2(x, x, g.f0.scale(c), g.f1.scale(c))
+            assert (is_null_homotopic(xg) is not None) == null
 
 
 @pytest.mark.parametrize("argv, expected", [

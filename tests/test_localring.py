@@ -110,6 +110,30 @@ def test_parse_rejects_garbage():
             parse_element(Q, bad)
 
 
+@pytest.mark.parametrize("label", ["Q", "Fp:101"])
+def test_parse_zero_spellings(label, monkeypatch):
+    # the literal "0" is zero without the grammar; every other spelling
+    # of zero, and every malformed one, is parsed as before
+    field = FieldSpec.from_label(label)
+    calls = []
+    real = localring.parse_poly
+    monkeypatch.setattr(localring, "parse_poly",
+                        lambda f, t: calls.append(t) or real(f, t))
+    assert parse_element(field, "0") is zero(field) and calls == []
+    for text in (" 0 ", "00", "-0", "+0", "0*x", "0x", "0/(1 + x)", "0\n"):
+        assert parse_element(field, text) == zero(field)
+    assert len(calls) == 9  # one each, two for the fraction
+    for text, message in (
+            ("0+", "malformed polynomial '0+'"),
+            ("0^2", "bad term '0^2' in polynomial '0^2'"),
+            ("0.0", "bad term '0.0' in polynomial '0.0'"),
+            ("(0", "unexpected parentheses in polynomial '(0'"),
+            ("0/(x)", "denominator vanishes at x = 0 in '0/(x)'")):
+        with pytest.raises(ParseError) as err:
+            parse_element(field, text)
+        assert str(err.value) == message
+
+
 def _strip_outer_parens_reference(s):
     """The former stripping loop: rescans the string once per pair."""
     while s.startswith("(") and s.endswith(")"):

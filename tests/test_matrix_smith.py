@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thelpers import col, mat
+from thelpers import col, first_nonzero, mat
 
 from periodica import (
     CompositeNotZeroError,
@@ -189,7 +189,7 @@ def test_homology_composite_check_matches_the_product(field, rng):
             s = smith_normal_form(a)
             b = s.v.take_cols(range(s.rank, n)) @ random_matrix(
                 rng, field, n - s.rank, k, max_val=2)
-        pos = (a @ b).first_nonzero()
+        pos = first_nonzero(a @ b)
         if pos is None:
             homology_invariants(a, b)
             continue

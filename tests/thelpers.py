@@ -32,6 +32,12 @@ def rechecked_complex(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
     return TwoPeriodicComplex(x.field, x.r0, x.r1, x.d0, x.d1)
 
 
+def first_nonzero(m: RMatrix):
+    """(i, j) of the first nonzero entry of m in row-major order, or None."""
+    return next((divmod(k, m.cols) for k, e in enumerate(m.entries) if e),
+                None)
+
+
 def col(field, entries):
     ents = tuple(parse_element(field, s) for s in entries)
     return RMatrix(field, len(ents), 1, ents)
