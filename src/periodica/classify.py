@@ -22,9 +22,10 @@ The public contract is the finite-length one: ``decompose`` rejects an
 input with a free label (``NotFiniteLengthError``), as before, and no
 public result carries one.
 
-Both stages are ``smith.smith_sweep`` runs over one
-``smith.TrackedBasis`` per degree of the minimal model (the second
-sweep starts at the rank of the first), and the closing sign flip is a
+Both stages are ``minimal._two_sweeps``, the two Smith sweeps over one
+``smith.TrackedBasis`` per degree that ``reduce`` runs with a stop at
+the units, here run on the minimal model to the end (the second sweep
+starts at the rank of the first), and the closing sign flip is a
 scaling of the same basis, so the bases' p and q carry the minimal model
 to the block sum and back.  They make up ``DecomposeResult.certificate``
 (a ``complexes.BlockSumCertificate`` of the minimal model), and building
@@ -70,10 +71,10 @@ from .complexes import (
 )
 from .errors import NotFiniteLengthError, PeriodicaError, ValidationError
 from .fields import FieldSpec
-from .localring import format_element, one
+from .localring import one
 from .matrix import RMatrix
-from .minimal import SplitResult, reduce
-from .smith import TrackedBasis, matrix_rank, smith_sweep
+from .minimal import SplitResult, _two_sweeps, reduce
+from .smith import matrix_rank
 
 
 @dataclass(frozen=True, order=True)
@@ -193,20 +194,14 @@ def _classify(x: TwoPeriodicComplex) -> tuple:
     field = x.field
     split = reduce(x)
     m = split.minimal
-    d0, d1 = m.d0.to_grid(), m.d1.to_grid()
-    b0 = TrackedBasis(field, m.r0, rows=[d1], cols=[d0])
-    b1 = TrackedBasis(field, m.r1, rows=[d0], cols=[d1])
-
-    # stage 1: Smith form of the odd differential peels unshifted summands
-    unshifted = smith_sweep(d1, b0, b1)
-    r = len(unshifted)
-    _assert_split(d0, r)
-
-    # stage 2: Smith form of the remaining even differential (shifted
-    # part); what neither sweep pivots on is free
-    shifted = smith_sweep(d0, b1, b0, start=r)
+    # stage 1: the Smith sweep of the odd differential splits off the
+    # unshifted summands; stage 2: that of the even differential, from
+    # the first one's rank, the shifted ones.  What neither sweep pivots
+    # on is free
+    _, _, b0, b1, unshifted, shifted = _two_sweeps(m)
     if any(e < 1 for e in unshifted + shifted):
         raise PeriodicaError("minimal model produced a unit invariant factor")
+    r = len(unshifted)
     k = r + len(shifted)
 
     # stage 3: flip signs so shifted blocks match shift(K(b)) exactly
@@ -301,14 +296,4 @@ def _block_sum_certificate(x: TwoPeriodicComplex) -> BlockSumCertificate:
     """The block-sum certificate of any complex X, its free summands
     labelled R and R[1]; ``complexes.is_null_homotopic`` reads it."""
     return _moved_certificate(*_classify(x))
-
-
-def _assert_split(d0, r: int) -> None:
-    """Both composites vanish, so rows and columns < r of d0 must be zero."""
-    for i, row in enumerate(d0):
-        for j, e in enumerate(row):
-            if (i < r or j < r) and e:
-                raise PeriodicaError(
-                    "even differential does not respect the split at "
-                    f"({i}, {j}): {format_element(e)}")
 

@@ -1,15 +1,24 @@
-"""Minimal models: peel contractible rank-(1,1) summands until every
-differential entry lies in the maximal ideal.
+"""Minimal models: split off the contractible rank-(1,1) summands until
+every differential entry lies in the maximal ideal.
 
 A complex is minimal when every entry of d0 and d1 has valuation >= 1.
-The splitting peels one unit pivot at a time: basis changes turn the
-pivot into a 1x1 identity block whose complementary row and column of
-the *other* differential vanish automatically (both composites are
-zero), so a trivial summand splits off exactly.  All basis changes are
-elementary steps of one ``smith.TrackedBasis`` per degree (F0 carries
-d1 as codomain and d0 as domain, F1 the reverse), whose p and q are
-the certificates: the result carries mutually inverse isomorphisms, not
-just an assertion.
+A trivial summand is a Smith step whose pivot is a unit, so the split
+is two unit-only Smith sweeps (``smith.smith_sweep`` with
+``units_only``): one of d1, which splits off the Type1 summands, then
+one of d0 from the rank of the first, which splits off the Type2 ones.
+Each pivot becomes a 1x1 identity block whose row and column of the
+*other* differential vanish because both composites do, so a trivial
+summand splits off exactly; :func:`_assert_split` checks that after each
+sweep.  Two sweeps are enough: after the first, d1's remaining block
+holds no unit, and the second only conjugates that block by invertible
+matrices, so its entries stay in (x).  The trivial blocks, Type1 then
+Type2, are then rotated behind the remaining minimal block.  All basis
+changes are elementary steps of one ``smith.TrackedBasis`` per degree
+(F0 carries d1 as codomain and d0 as domain, F1 the reverse), whose p
+and q are the certificates: the result carries mutually inverse
+isomorphisms, not just an assertion.  ``classify`` runs the same two
+sweeps (:func:`_two_sweeps`) on the minimal model, with no stop at the
+units, for the K(j)/K(j)[1] classification.
 
 One product per degree proves a certificate pair: ``back`` is verified
 on construction, and q p = I in each degree makes ``into`` its inverse
@@ -21,14 +30,14 @@ complex by construction; the minimal model and the trivial complexes are
 blocks of its conjugate by the certificates, so they are built without
 the constructor's check (``complexes`` docstring).
 
-Pivot policy: a unit of d1 first, then of d0; among them the one whose
+Pivot policy: the Smith sweep's, among the units only: the one whose
 unit part has the fewest coefficients (``smith.pivot_cost``), ties to
-the smallest (row, col), so reductions are deterministic.  The peel
+the smallest (row, col), so reductions are deterministic.  The sweep
 scales the pivot row by the pivot's inverse, and a constant unit puts no
-denominator into it.  Any unit of d1 (d0) splits off a summand of the
-same type, and the minimal model is unique up to isomorphism, so the
-counts of each type and the minimal model's invariants do not depend on
-the choice; only the certificates do.
+denominator into it.  The counts of each type are the k-ranks of d1(0)
+and of d0(0), and the minimal model is unique up to isomorphism, so
+they and the minimal model's invariants do not depend on the choice;
+only the certificates do.
 """
 
 from __future__ import annotations
@@ -46,9 +55,9 @@ from .complexes import (
 )
 from .errors import NotTrivialError, PeriodicaError
 from .fields import FieldSpec
-from .localring import format_element, inverse, one
+from .localring import format_element
 from .matrix import RMatrix
-from .smith import TrackedBasis, pivot_cost
+from .smith import TrackedBasis, smith_sweep
 
 
 class TrivialType(enum.Enum):
@@ -89,43 +98,31 @@ def trivial_complex(kind: TrivialType, n: int,
     return _unchecked(TwoPeriodicComplex, field, n, n, ident, zmat)
 
 
-def _find_unit(grid, nrows, ncols):
-    """(row, column) of the unit of least :func:`smith.pivot_cost` in the
-    active block, the first in row-major order among equals; None when
-    there is no unit.  The scan stops at a constant unit (cost 2)."""
-    best, hit = None, None
-    for i in range(nrows):
-        row = grid[i]
-        for j in range(ncols):
-            e = row[j]
-            if e and e.valuation == 0:
-                c = pivot_cost(e, 0)
-                if best is None or c < best:
-                    best, hit = c, (i, j)
-                    if c == 2:
-                        return hit
-    return hit
+def _assert_split(grid, lo: int, hi: int) -> None:
+    """Rows and columns lo..hi-1 of ``grid`` vanish: the other
+    differential's pivots there split off, both composites being zero."""
+    for i, row in enumerate(grid):
+        for j in range(len(row)) if lo <= i < hi else range(lo, hi):
+            if row[j]:
+                raise PeriodicaError(
+                    "differential does not respect the split at "
+                    f"({i}, {j}): {format_element(row[j])}")
 
 
-def _peel(d, other, rows: TrackedBasis, cols: TrackedBasis,
-          nrows: int, ncols: int) -> bool:
-    """Turn the simplest unit of d in its active nrows x ncols block
-    (:func:`_find_unit`) into a 1x1 identity block at the last active
-    position; False when none."""
-    hit = _find_unit(d, nrows, ncols)
-    if hit is None:
-        return False
-    i, j = hit
-    if d[i][j] != one(rows.field):
-        rows.scale(i, inverse(d[i][j]))
-    rows.add_batch([(l, i, -d[l][j]) for l in range(rows.n)
-                    if l != i and d[l][j]])
-    cols.add_batch([(j, m, d[i][m]) for m in range(cols.n)
-                    if m != j and d[i][m]])
-    _assert_cleared(other, col=i, row=j)
-    rows.swap(i, nrows - 1)
-    cols.swap(j, ncols - 1)
-    return True
+def _two_sweeps(x: TwoPeriodicComplex, units_only: bool = False) -> tuple:
+    """(d0, d1, b0, b1, odd, even): a Smith sweep of d1, then one of d0
+    from the rank of the first, on grids of X's differentials attached to
+    one ``TrackedBasis`` per degree; odd and even are the valuations of
+    their pivots.  Each sweep's split is checked."""
+    d0, d1 = x.d0.to_grid(), x.d1.to_grid()
+    # F0 is the codomain of d1 and the domain of d0; F1 the other way round
+    b0 = TrackedBasis(x.field, x.r0, rows=[d1], cols=[d0])
+    b1 = TrackedBasis(x.field, x.r1, rows=[d0], cols=[d1])
+    odd = smith_sweep(d1, b0, b1, units_only=units_only)
+    _assert_split(d0, 0, len(odd))
+    even = smith_sweep(d0, b1, b0, len(odd), units_only)
+    _assert_split(d1, len(odd), len(odd) + len(even))
+    return d0, d1, b0, b1, odd, even
 
 
 def _reorder(basis: TrackedBasis, perm) -> None:
@@ -142,49 +139,30 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
     if is_minimal(x):
         ident = identity_map(x)
         return SplitResult(x, 0, 0, ident, ident)
-    field = x.field
-    r0, r1 = x.r0, x.r1
-    d0 = x.d0.to_grid()
-    d1 = x.d1.to_grid()
-    # F0 is the codomain of d1 and the domain of d0; F1 the other way round
-    b0 = TrackedBasis(field, r0, rows=[d1], cols=[d0])
-    b1 = TrackedBasis(field, r1, rows=[d0], cols=[d1])
-
-    act0, act1 = r0, r1
-    peels = []  # (TrivialType, f0_index, f1_index) in peel order
-    while act0 > 0 and act1 > 0:
-        if _peel(d1, d0, b0, b1, act0, act1):
-            kind = TrivialType.TYPE1
-        elif _peel(d0, d1, b1, b0, act1, act0):
-            kind = TrivialType.TYPE2
-        else:
-            break
-        act0 -= 1
-        act1 -= 1
-        peels.append((kind, act0, act1))
-
-    # reorder trailing peeled pairs: Type1 blocks first, then Type2
-    t1 = [(a, b) for kind, a, b in peels if kind is TrivialType.TYPE1]
-    t2 = [(a, b) for kind, a, b in peels if kind is TrivialType.TYPE2]
-    perm0 = list(range(act0)) + [a for a, _ in t1] + [a for a, _ in t2]
-    perm1 = list(range(act1)) + [b for _, b in t1] + [b for _, b in t2]
-    _reorder(b0, perm0)
-    _reorder(b1, perm1)
+    field, r0, r1 = x.field, x.r0, x.r1
+    d0, d1, b0, b1, odd, even = _two_sweeps(x, units_only=True)
+    t1, t2 = len(odd), len(even)
+    # rotate the trivial blocks, Type1 at [0, t1) and Type2 at [t1, k),
+    # behind the minimal block
+    k = t1 + t2
+    _reorder(b0, list(range(k, r0)) + list(range(k)))
+    _reorder(b1, list(range(k, r1)) + list(range(k)))
     d0_m = RMatrix.from_grid(field, r1, r0, d0)
     d1_m = RMatrix.from_grid(field, r0, r1, d1)
     p0_m, q0_m = b0.matrices()
     p1_m, q1_m = b1.matrices()
 
     minimal = _unchecked(
-        TwoPeriodicComplex, field, act0, act1,
-        d0_m.submatrix(0, act1, 0, act0), d1_m.submatrix(0, act0, 0, act1))
+        TwoPeriodicComplex, field, r0 - k, r1 - k,
+        d0_m.submatrix(0, r1 - k, 0, r0 - k),
+        d1_m.submatrix(0, r0 - k, 0, r1 - k))
     if not is_minimal(minimal):
         raise PeriodicaError("reduction left a unit entry (internal error)")
     parts = [minimal]
     if t1:
-        parts.append(trivial_complex(TrivialType.TYPE1, len(t1), field))
+        parts.append(trivial_complex(TrivialType.TYPE1, t1, field))
     if t2:
-        parts.append(trivial_complex(TrivialType.TYPE2, len(t2), field))
+        parts.append(trivial_complex(TrivialType.TYPE2, t2, field))
     blocksum = direct_sum(*parts) if len(parts) > 1 else minimal
     if blocksum.d0 != d0_m or blocksum.d1 != d1_m:
         raise PeriodicaError("reduced complex is not the expected block sum")
@@ -195,18 +173,7 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
             or q1_m @ p1_m != RMatrix.identity(field, r1)):
         raise PeriodicaError("split certificates do not compose to identity")
     into = _unchecked(ChainMap2, blocksum, x, q0_m, q1_m)
-    return SplitResult(minimal, len(t1), len(t2), into, back)
-
-
-def _assert_cleared(other, col, row):
-    for l, r in enumerate(other):
-        if r[col]:
-            raise PeriodicaError("complementary column failed to vanish at "
-                                 f"({l}, {col}): {format_element(r[col])}")
-    for m, e in enumerate(other[row]):
-        if e:
-            raise PeriodicaError("complementary row failed to vanish at "
-                                 f"({row}, {m}): {format_element(e)}")
+    return SplitResult(minimal, t1, t2, into, back)
 
 
 def trivial_contraction(w: TwoPeriodicComplex) -> Homotopy2:

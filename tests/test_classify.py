@@ -37,7 +37,6 @@ from periodica import (
 )
 from periodica import classify, complexes
 from periodica.classify import (
-    _assert_split,
     IndecompMultiset,
     assemble,
     decompose,
@@ -46,7 +45,7 @@ from periodica.classify import (
 )
 from periodica.errors import PeriodicaError, ValidationError
 from periodica.localring import parse_element, zero
-from periodica.minimal import reduce
+from periodica.minimal import _assert_split, reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
 from periodica.smith import homology_invariants, smith_normal_form
 
@@ -247,17 +246,26 @@ def test_is_homotopy_iso_between_different_objects():
     assert all(not is_homotopy_iso(g) for g in gens)
 
 
-@pytest.mark.parametrize("planted", [(0, 2), (2, 1), (1, 1)])
+# the shared split check of reduce and the classification, on a grid of
+# d0 (F0 of rank 3 to F1 of rank 4) and of d1 (the reverse), split at
+# [1, 2): an entry in row 1 or column 1 is named, one outside passes
+@pytest.mark.parametrize("planted", [
+    ((rows, cols), at, named)
+    for rows, cols in ((4, 3), (3, 4))
+    for at, named in (((1, cols - 1), True), ((rows - 1, 1), True),
+                      ((0, 0), False), ((rows - 1, cols - 1), False))])
 def test_assert_split_names_the_entry(planted):
-    grid = [[zero(Q)] * 3 for _ in range(3)]
-    grid[2][2] = parse_element(Q, "x")
-    _assert_split(grid, 2)
-    i, j = planted
+    (rows, cols), (i, j), named = planted
+    grid = [[zero(Q)] * cols for _ in range(rows)]
+    _assert_split(grid, 1, 2)
     grid[i][j] = parse_element(Q, "x^2/(1 + x)")
+    if not named:
+        _assert_split(grid, 1, 2)
+        return
     with pytest.raises(PeriodicaError) as exc:
-        _assert_split(grid, 2)
+        _assert_split(grid, 1, 2)
     assert str(exc.value) == (
-        f"even differential does not respect the split at ({i}, {j}): "
+        f"differential does not respect the split at ({i}, {j}): "
         "x^2/(1 + x)")
 
 

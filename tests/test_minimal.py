@@ -1,11 +1,17 @@
 """Minimality, the splitting into minimal + trivial summands, and the
-contraction witnesses."""
+contraction witnesses.  The trivial counts of ``reduce`` are checked
+against an oracle that shares no code with the elimination engine: the
+k-ranks of d1(0) and d0(0), by Gaussian elimination over k written
+here."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thelpers import scale_inverse_certificates
+from thelpers import random_complex, scale_inverse_certificates
 
 from periodica import (
     FieldSpec,
@@ -27,8 +33,6 @@ from periodica import (
 )
 from periodica.classify import decompose, label, IndecompMultiset
 from periodica.errors import PeriodicaError
-from periodica.localring import parse_element, zero
-from periodica.minimal import _assert_cleared
 from periodica.rand import conjugate_complex, random_finite_length_instance
 
 Q = FieldSpec.rationals()
@@ -169,18 +173,53 @@ def test_contraction_rejects_nontrivial():
         trivial_contraction(k_complex(1, Q))
 
 
-@pytest.mark.parametrize("planted, message", [
-    ((2, 1), "complementary column failed to vanish at (2, 1): 3*x^2"),
-    ((1, 2), "complementary row failed to vanish at (1, 2): 3*x^2"),
-])
-def test_assert_cleared_names_the_entry(planted, message):
-    grid = [[zero(Q)] * 3 for _ in range(3)]
-    _assert_cleared(grid, col=1, row=1)
-    i, j = planted
-    grid[i][j] = parse_element(Q, "3*x^2")
-    with pytest.raises(PeriodicaError) as exc:
-        _assert_cleared(grid, col=1, row=1)
-    assert str(exc.value) == message
+def _rank_at_zero(m: RMatrix) -> int:
+    """k-rank of m(0): Gaussian elimination over k on the constant terms
+    num(0) / den(0) of the entries."""
+    p = m.field.p
+
+    def div(a, b):
+        return Fraction(a) / b if p == 0 else a * pow(b, -1, p) % p
+
+    rows = [[div(e.num[0], e.den[0]) if e else 0
+             for e in m.entries[i * m.cols:(i + 1) * m.cols]]
+            for i in range(m.rows)]
+    rank = 0
+    for c in range(m.cols):
+        hit = next((i for i in range(rank, m.rows) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, m.rows):
+            f = div(rows[i][c], top[c])
+            rows[i] = [a - f * b if p == 0 else (a - f * b) % p
+                       for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r0=st.integers(0, 4),
+       r1=st.integers(0, 4), finite=st.booleans())
+def test_reduce_counts_are_the_ranks_at_zero(label_, seed, r0, r1, finite):
+    # a complex with free parts, r0 != r1 or rank 0, or a finite-length
+    # one with trivial summands: type1 and type2 are the k-ranks of d1(0)
+    # and d0(0), and the rest is a minimal model
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    if finite:
+        x, _, _ = random_finite_length_instance(
+            rng, field, max_labels=2, max_j=3, max_trivials=3, max_val=2)
+    else:
+        x = random_complex(rng, field, r0, r1)
+    split = reduce(x)
+    t1, t2 = _rank_at_zero(x.d1), _rank_at_zero(x.d0)
+    assert (split.type1, split.type2) == (t1, t2)
+    assert (split.minimal.r0, split.minimal.r1) == \
+        (x.r0 - t1 - t2, x.r1 - t1 - t2)
+    assert is_minimal(split.minimal)
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])

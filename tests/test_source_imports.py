@@ -9,7 +9,9 @@ Every top-level function and class of the package, and every method
 that is not a dunder, is referenced by name somewhere in the package,
 the benchmark or the tests.  Import statements (and so the re-exports of
 ``__init__.py``) are not references; a ``periodica.<module>:<name>``
-target of the benchmark's tracer is.
+target of the benchmark's tracer is.  An underscore-named top-level
+function or class is referenced from the package itself: the tests and
+the benchmark do not keep a private helper alive.
 
 ``complexes._unchecked`` builds a complex, a chain map or a certificate
 without its constructor's checks.  Only the helpers in
@@ -146,6 +148,31 @@ def test_checker_sees_an_unreferenced_definition():
     refs = _references(text)
     assert [q for q, name in _definitions(ast.parse(text))
             if name not in refs] == ["gone", "C.idle"]
+
+
+def _private_unreferenced(sources: dict) -> list:
+    """module:name of each underscore-named top-level function or class
+    of ``sources`` (module name -> text) that no text there references."""
+    refs = set().union(*map(_references, sources.values()))
+    return [f"{module}:{qual}" for module, text in sources.items()
+            for qual, _ in _definitions(ast.parse(text))
+            if qual.startswith("_") and "." not in qual and qual not in refs]
+
+
+def test_private_definitions_are_referenced_by_the_package():
+    unreferenced = _private_unreferenced(
+        {path.name: path.read_text(encoding="utf-8") for path in MODULES})
+    assert not unreferenced, ", ".join(unreferenced)
+
+
+def test_checker_sees_a_private_definition_the_package_does_not_use():
+    sources = {"a.py": ("def _kept():\n    pass\n"
+                        "def _imported_only():\n    pass\n"
+                        "class _Gone:\n    def _m(self):\n        pass\n"
+                        "def public():\n    pass\n"),
+               "b.py": "from .a import _kept, _imported_only\n_kept()\n"}
+    assert _private_unreferenced(sources) == ["a.py:_imported_only",
+                                              "a.py:_Gone"]
 
 
 def _unchecked_users(tree: ast.Module):
