@@ -1,8 +1,11 @@
 """Coefficient fields: the rationals and the prime fields F_p.
 
-Field elements are plain Python values (``Fraction`` over Q, ints reduced
-into ``[0, p)`` over F_p); a :class:`FieldSpec` carries the arithmetic so
-polynomials and matrices stay lightweight and hashable.
+Field elements are plain Python values: over Q an ``int`` when the value is
+integral and a ``Fraction`` with denominator > 1 otherwise, over F_p ints
+reduced into ``[0, p)``.  A :class:`FieldSpec` carries the arithmetic so
+polynomials and matrices stay lightweight and hashable.  Over Q every
+method returns an integral result as an ``int``; ``int`` and ``Fraction``
+compare and hash equal by value, so only the Python type differs.
 
 ``FieldSpec`` is the scalar API: each method branches on ``p`` and acts on
 one or two elements.  Loops over polynomial coefficients live in
@@ -20,8 +23,12 @@ from .errors import ParseError
 
 Scalar = Union[Fraction, int]
 
-_QZERO = Fraction(0)
 _QONE = Fraction(1)
+
+
+def q_canon(c: Scalar) -> Scalar:
+    """A rational as an ``int`` when it is integral, else the ``Fraction``."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -106,23 +113,23 @@ class FieldSpec:
 
     @property
     def zero(self) -> Scalar:
-        return _QZERO if self.p == 0 else 0
+        return 0
 
     @property
     def one(self) -> Scalar:
-        return _QONE if self.p == 0 else 1
+        return 1
 
     def of_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.p == 0 else n % self.p
+        return n if self.p == 0 else n % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.p == 0 else (a + b) % self.p
+        return q_canon(a + b) if self.p == 0 else (a + b) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p == 0 else (a - b) % self.p
+        return q_canon(a - b) if self.p == 0 else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.p == 0 else (a * b) % self.p
+        return q_canon(a * b) if self.p == 0 else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p == 0 else (-a) % self.p
@@ -131,7 +138,8 @@ class FieldSpec:
         if self.p == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return _QONE / a
+            # Fraction(1) / a, not 1 / a: two ints would divide to a float
+            return q_canon(_QONE / a)
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
@@ -143,7 +151,7 @@ class FieldSpec:
         token = token.strip()
         try:
             if self.p == 0:
-                return Fraction(token)
+                return q_canon(Fraction(token))
             return int(token) % self.p
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {token!r} over {self.label}") from None

@@ -2,9 +2,12 @@
 
 An element is a reduced fraction num/den of polynomials with den(0) != 0.
 Canonical form: gcd(num, den) = 1 and den has constant term 1; zero is
-0/1.  The valuation of a nonzero element is the order of vanishing of its
-numerator at x = 0; every nonzero element factors as unit * x^valuation,
-and the units are exactly the elements of valuation 0.
+0/1.  Coefficients are the field's plain values (see :mod:`fields`): over
+Q an ``int`` when integral and a ``Fraction`` with denominator > 1
+otherwise, so den(0) = 1 is the int 1.  The valuation of a nonzero
+element is the order of vanishing of its numerator at x = 0; every
+nonzero element factors as unit * x^valuation, and the units are exactly
+the elements of valuation 0.
 
 Arithmetic relies on its operands being canonical and returns canonical
 results without the full gcd of the result's numerator and denominator

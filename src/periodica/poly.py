@@ -8,16 +8,20 @@ Every arithmetic function checks ``field.p`` once and then runs a kernel
 for that field on plain values, so the inner loops make no per-coefficient
 ``FieldSpec`` calls:
 
-- over Q, coefficients are ``Fraction``.  A product with a constant or a
-  monomial only scales or shifts; a general product convolves the integer
-  numerators over the product of the two lcm denominators and builds one
-  ``Fraction`` per output coefficient.  The gcd is the primitive
-  pseudo-remainder sequence in Z[x] (Knuth, TAOCP vol. 2, 4.6.1; Brown,
-  J. ACM 18, 1971): clear denominators, take primitive parts, remove the
-  content after each pseudo-remainder, and make the last nonzero one monic.
-  The monic gcd is unique, so it equals the Euclidean gcd over Q.
-  Division is exact in Z[x] by the primitive part of the divisor, with
-  no ``Fraction`` arithmetic in the loop.
+- over Q, a coefficient is an ``int`` when it is integral and a
+  ``Fraction`` with denominator > 1 otherwise (``fields.q_canon``), and
+  every kernel returns coefficients of that form.  A product with a
+  constant or a monomial only scales or shifts, and turns an integral
+  scaled coefficient into an ``int``; a general product convolves the
+  integer numerators over the product of the two lcm denominators d and
+  emits c // d where d divides c and ``Fraction(c, d)`` only where it
+  does not.  The gcd is the primitive pseudo-remainder sequence in Z[x]
+  (Knuth, TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971): clear
+  denominators, take primitive parts, remove the content after each
+  pseudo-remainder, and make the last nonzero one monic.  The monic gcd
+  is unique, so it equals the Euclidean gcd over Q.  Division is exact in
+  Z[x] by the primitive part of the divisor, with no ``Fraction``
+  arithmetic in the loop.
 - over F_p, coefficients are ints in [0, p).  Products are accumulated as
   Python ints and reduced once per output coefficient; a division inverts
   the divisor's lead once and reduces a remainder coefficient only when it
@@ -32,9 +36,9 @@ never a value.
 :func:`lowest_terms` is the kernel of ``localring.elem``: num / den
 reduced, with den(0) = 1.  Over Q it clears both denominators once,
 stays in Z[x] for the primitive PRS gcd and the two checked divisions by
-it (the division of :func:`exact_quotient`), and builds one ``Fraction``
-per output coefficient.  Over F_p it runs Euclid and the checked
-division on ints and inverts the new den(0) once.
+it (the division of :func:`exact_quotient`), and builds a ``Fraction``
+only for an output coefficient that is not integral.  Over F_p it runs
+Euclid and the checked division on ints and inverts the new den(0) once.
 
 ``scale`` multiplies by one field element through ``FieldSpec.mul``, the
 scalar API.  Result tuples are built from lists, not generator
@@ -49,13 +53,11 @@ from math import gcd as igcd, lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import NotDivisibleError
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, q_canon
 
 Poly = Tuple[Scalar, ...]
 
 ZERO: Poly = ()
-
-_QONE = Fraction(1)
 
 _INEXACT = "polynomial division leaves a remainder"
 
@@ -105,7 +107,7 @@ def add(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     if p:
         out = [(a + b) % p for a, b in zip(f, g)]
     else:
-        out = [a + b for a, b in zip(f, g)]
+        out = [q_canon(a + b) for a, b in zip(f, g)]
     if len(f) > len(g):
         out += f[len(g):]
         return tuple(out)
@@ -142,6 +144,13 @@ def _over_common_den(f: Poly) -> tuple[list, int]:
     return [c.numerator * (d // c.denominator) for c in f], d
 
 
+def _over(nums: Sequence[int], d: int) -> Poly:
+    """The Q coefficients n / d: n // d where d divides n, else a Fraction."""
+    if d == 1:
+        return tuple(nums)
+    return tuple([n // d if n % d == 0 else Fraction(n, d) for n in nums])
+
+
 def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -155,19 +164,15 @@ def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
             return f[:-1] + g
         if p:
             return f[:-1] + tuple([c * b % p for b in g])
-        return f[:-1] + tuple([c * b for b in g])
+        return f[:-1] + tuple([q_canon(c * b) for b in g])
     if p:
         return tuple([c % p for c in _convolve(f, g)])
     if not any(g[:-1]):
         c = g[-1]
-        return g[:-1] + tuple([a * c for a in f])
+        return g[:-1] + tuple([q_canon(a * c) for a in f])
     fn, fd = _over_common_den(f)
     gn, gd = _over_common_den(g)
-    out = _convolve(fn, gn)
-    d = fd * gd
-    if d == 1:
-        return tuple([Fraction(c) for c in out])
-    return tuple([Fraction(c, d) for c in out])
+    return _over(_convolve(fn, gn), fd * gd)
 
 
 def scale(field: FieldSpec, f: Poly, c: Scalar) -> Poly:
@@ -237,8 +242,7 @@ def _q_quotient(f: Poly, g: Poly) -> Poly:
     c = igcd(*gn)
     q = _z_quotient(fn, gn if c == 1 else [a // c for a in gn])
     # f = fn / fd and g = c G / gd, so f / g = q gd / (c fd)
-    qd = c * fd
-    return tuple([Fraction(a * gd, qd) for a in q])
+    return _over([a * gd for a in q], c * fd)
 
 
 def _fp_quotient(f: Poly, g: Poly, p: int) -> Poly:
@@ -345,9 +349,8 @@ def gcd(field: FieldSpec, f: Poly, g: Poly) -> Poly:
         return _fp_gcd(f, g, p)
     b = _z_gcd(_over_common_den(f)[0], _over_common_den(g)[0])
     if len(b) == 1:
-        return (_QONE,)
-    lead = b[-1]
-    return tuple([Fraction(c, lead) for c in b])
+        return (1,)
+    return _over(b, b[-1])
 
 
 def _q_lowest_terms(num: Poly, den: Poly) -> tuple:
@@ -358,9 +361,7 @@ def _q_lowest_terms(num: Poly, den: Poly) -> tuple:
         a, b = _z_quotient(a, g), _z_quotient(b, g)
     # num / den = (a / ad) / (b / bd) = a bd / (b ad); divide by b(0) ad
     c = b[0]
-    d = c * ad
-    return (tuple([Fraction(t * bd, d) for t in a]),
-            tuple([Fraction(t, c) for t in b]))
+    return _over([t * bd for t in a], c * ad), _over(b, c)
 
 
 def _fp_lowest_terms(num: Poly, den: Poly, p: int) -> tuple:
