@@ -2,13 +2,20 @@
 
 Every indecomposable with finite-length cohomology is one of the
 rank-(1,1) complexes K(j) (odd differential x^j, even differential 0)
-or its shift.  ``decompose`` certifies this: the minimal model's odd
-differential is put in Smith form, which splits off the unshifted
-summands at once (both composites being zero forces the complementary
-blocks of the even differential to vanish); the remaining even
-differential is then put in Smith form for the shifted summands.  The
-accumulated basis changes give mutually inverse isomorphisms in the
-strict category between the minimal model and the labelled block sum.
+or its shift.  ``decompose`` certifies this with the one elimination of
+``minimal.reduce``: the Smith sweep of the odd differential splits off
+the Type1 summands and the unshifted ones (both composites being zero
+forces the complementary blocks of the even differential to vanish);
+the sweep of the remaining even differential then splits off the Type2
+summands and the shifted ones.  ``reduce``'s minimal model is the block
+sum of these labels, and its checked pair (``back`` a chain map, p q = I
+in each degree) carries X to that block sum plus the trivial complexes
+and back.  The minimal model's certificate
+(``DecomposeResult.certificate``, a ``complexes.BlockSumCertificate``)
+is then its identity.  A minimal X, which ``reduce`` returns as it is,
+is labelled by the same sweeps (``minimal._split``), and their checked
+pair is its certificate.  Either way one pair of bases is built and
+checked once.
 
 Peeling order: odd differential first, invariants ascending — the
 certificate is deterministic.
@@ -22,29 +29,18 @@ The public contract is the finite-length one: ``decompose`` rejects an
 input with a free label (``NotFiniteLengthError``), as before, and no
 public result carries one.
 
-Both stages are ``minimal._two_sweeps``, the two Smith sweeps over one
-``smith.TrackedBasis`` per degree that ``reduce`` runs with a stop at
-the units, here run on the minimal model to the end (the second sweep
-starts at the rank of the first), and the closing sign flip is a
-scaling of the same basis, so the bases' p and q carry the minimal model
-to the block sum and back.  They make up ``DecomposeResult.certificate``
-(a ``complexes.BlockSumCertificate`` of the minimal model), and building
-it is the one check of the decomposition: p is a checked chain map to
-the block sum the labels name, and one product per degree (p q = I)
-proves q its inverse, so q and the certificate are built without a
-second check, as ``into`` in ``minimal``.
-
 ``decomposition_certificate`` gives the certificate of the input X that
 ``complexes.hom_module`` and ``complexes.is_null_homotopic`` read: the
-minimal model's when ``reduce`` split off nothing, else that one moved
-along the splitting, built without a check since its identities follow
-from those of ``reduce``'s and the classification's checked pairs.
-``model_certificate`` is the identity certificate of a model block sum,
-with no ``reduce`` and no check: the identity is one by construction.
+minimal model's when ``reduce`` split off nothing, else the blocks of
+``reduce``'s pair that run between X and the minimal model, with the
+trivial part's contraction, built without a check since its identities
+follow from those of ``reduce``'s checked pair.  ``model_certificate``
+is the identity certificate of a model block sum, with no ``reduce``
+and no check: the identity is one by construction.
 
-``reduce`` checks that the input is a complex before any Smith form.
-The two sweeps give the ranks of the minimal differentials, so they also
-decide finite length.
+The input is a complex by construction (``TwoPeriodicComplex`` checks
+d^2 = 0).  The two sweeps give the ranks of the minimal differentials,
+so they also decide finite length.
 
 The closing cross-check compares ``complexes.cohomology`` of the input X
 with the multiset: H0 must be the sum of R/x^j over the unshifted labels
@@ -69,11 +65,9 @@ from .complexes import (
     cohomology,
     identity_map,
 )
-from .errors import NotFiniteLengthError, PeriodicaError, ValidationError
+from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
-from .localring import one
-from .matrix import RMatrix
-from .minimal import SplitResult, _two_sweeps, reduce
+from .minimal import SplitResult, _split, reduce
 from .smith import matrix_rank
 
 
@@ -188,42 +182,19 @@ class DecomposeResult:
 def _classify(x: TwoPeriodicComplex) -> tuple:
     """(split, certificate): the splitting X = M + T of ``reduce`` and the
     block-sum certificate of the minimal model M, whose labels name the
-    free summands too: the vectors neither sweep pivots on carry zero
-    differentials, and each is R (0, False) in degree 0 or R[1] (0, True)
-    in degree 1, after the K(j) and then the K(j)[1] blocks."""
-    field = x.field
+    free summands too: R (0, False) and R[1] (0, True) after the K(j)
+    and then the K(j)[1] blocks.  Unless X is minimal, M is the block sum
+    of ``reduce``'s labels and the certificate its identity; a minimal X,
+    which ``reduce`` returns as it is, is labelled by the same sweeps
+    (``minimal._split``), whose checked pair is then the certificate."""
     split = reduce(x)
-    m = split.minimal
-    # stage 1: the Smith sweep of the odd differential splits off the
-    # unshifted summands; stage 2: that of the even differential, from
-    # the first one's rank, the shifted ones.  What neither sweep pivots
-    # on is free
-    _, _, b0, b1, unshifted, shifted = _two_sweeps(m)
-    if any(e < 1 for e in unshifted + shifted):
-        raise PeriodicaError("minimal model produced a unit invariant factor")
-    r = len(unshifted)
-    k = r + len(shifted)
-
-    # stage 3: flip signs so shifted blocks match shift(K(b)) exactly
-    for i in range(r, k):
-        b0.scale(i, -one(field))
-
-    labels = tuple([(e, False) for e in unshifted]
-                   + [(e, True) for e in shifted]
-                   + [(0, False)] * (m.r0 - k) + [(0, True)] * (m.r1 - k))
-    # the one check of the decomposition: p is a chain map between M and
-    # the block sum of the labels, and p q = I, so q is its inverse chain
-    # map (q1 d0_B = q1 d0_B p0 q0 = q1 p1 d0_M q0 = d0_M q0) and the pair
-    # is the certificate
-    blocksum = _model_sum(field, labels)
-    (p0, q0), (p1, q1) = b0.matrices(), b1.matrices()
-    p = ChainMap2(m, blocksum, p0, p1)
-    if (p0 @ q0 != RMatrix.identity(field, m.r0)
-            or p1 @ q1 != RMatrix.identity(field, m.r1)):
-        raise ValidationError("certificate maps do not compose to the "
-                              "identity on the block sum")
-    return split, _unchecked(BlockSumCertificate, labels, p,
-                             _unchecked(ChainMap2, blocksum, m, q0, q1), None)
+    if split.labels is None:
+        own = _split(x)
+        return split, _unchecked(BlockSumCertificate, own.labels, own.back,
+                                 own.into, None)
+    ident = identity_map(split.minimal)
+    return split, _unchecked(BlockSumCertificate, split.labels, ident, ident,
+                             None)
 
 
 def _sorted_j(labels: tuple, shifted: bool) -> tuple:
@@ -252,29 +223,27 @@ def _moved_certificate(split: SplitResult, certificate: BlockSumCertificate
                        ) -> BlockSumCertificate:
     """The certificate of the minimal model moved to X along the
     splitting X = M + T (see ``decomposition_certificate``), built
-    without a check: every part is a composite of checked maps.  P = p pi
-    back and Q = into iota q are chain maps (the projection pi onto M and
-    the inclusion iota of M are, the sum being direct), P Q = p pi back
-    into iota q = p q = I, and id - Q P = into (0 + 1_T) back = d h + h d
-    for h = into s back, s the standard contraction of T."""
-    if split.type1 == split.type2 == 0:
+    without a check: every part is a block of a checked map.  M is its
+    own block sum, with the identity certificate, so P = pi back and
+    Q = into iota are chain maps (the projection pi onto M and the
+    inclusion iota of M are, the sum being direct), P Q = pi back into
+    iota = I, and id - Q P = into (0 + 1_T) back = d h + h d for
+    h = into s back, s the standard contraction of T."""
+    if split.labels is None:
         return certificate
-    p, q = certificate.to_blocks, certificate.from_blocks
-    into, back = split.into, split.back
-    x, n0, n1 = into.dst, split.minimal.r0, split.minimal.r1
+    into, back, m = split.into, split.back, split.minimal
+    x = into.dst
     return _unchecked(
         BlockSumCertificate, certificate.labels,
-        _unchecked(ChainMap2, x, p.dst,
-                   p.f0 @ back.f0.submatrix(0, n0, 0, x.r0),
-                   p.f1 @ back.f1.submatrix(0, n1, 0, x.r1)),
-        _unchecked(ChainMap2, q.src, x,
-                   into.f0.submatrix(0, x.r0, 0, n0) @ q.f0,
-                   into.f1.submatrix(0, x.r1, 0, n1) @ q.f1),
+        _unchecked(ChainMap2, x, m, back.f0.submatrix(0, m.r0, 0, x.r0),
+                   back.f1.submatrix(0, m.r1, 0, x.r1)),
+        _unchecked(ChainMap2, m, x, into.f0.submatrix(0, x.r0, 0, m.r0),
+                   into.f1.submatrix(0, x.r1, 0, m.r1)),
         Homotopy2(x, x,
-                  into.f1.submatrix(0, x.r1, n1, x.r1)
-                  @ back.f0.submatrix(n0, x.r0, 0, x.r0),
-                  into.f0.submatrix(0, x.r0, n0, x.r0)
-                  @ back.f1.submatrix(n1, x.r1, 0, x.r1)))
+                  into.f1.submatrix(0, x.r1, m.r1, x.r1)
+                  @ back.f0.submatrix(m.r0, x.r0, 0, x.r0),
+                  into.f0.submatrix(0, x.r0, m.r0, x.r0)
+                  @ back.f1.submatrix(m.r1, x.r1, 0, x.r1)))
 
 
 def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
@@ -282,12 +251,12 @@ def decomposition_certificate(dec: DecomposeResult) -> BlockSumCertificate:
 
     When ``reduce`` split off no trivial summand, X is its own minimal
     model and this is ``dec.certificate``, with no further check.
-    Otherwise the minimal model's (p, q) move to X along the splitting
-    X = M + T: P = p after the rows of split.back onto M, Q = the columns
-    of split.into from M after q, and h = into (0 + 1_T) back, the
-    standard contraction s = 1 of T moved to X.  Its identities follow
-    from the checked ones of ``reduce`` and the classification, so it is
-    built without a second check (``_moved_certificate``).
+    Otherwise the minimal model is its own block sum and the splitting
+    X = M + T moves its identity certificate to X: P = the rows of
+    split.back onto M, Q = the columns of split.into from M, and
+    h = into (0 + 1_T) back, the standard contraction s = 1 of T moved
+    to X.  Its identities follow from the checked ones of ``reduce``, so
+    it is built without a second check (``_moved_certificate``).
     """
     return _moved_certificate(dec.split, dec.certificate)
 

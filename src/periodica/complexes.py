@@ -30,13 +30,13 @@ The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
 ``ChainMap2`` (both commuting squares) and ``BlockSumCertificate`` check
 their data, and every value built from raw matrices goes through them:
 parsed input, ``cone``, ``strictify``, conjugated complexes, one map of
-each Smith basis pair of ``reduce`` and of the classification, the Hom
-generators of both paths and ``delta_iso``.  Values that exact algebra
-makes valid from valid inputs are built by ``_unchecked``: ``shift``,
-``dual``, ``direct_sum``, ``homc``, ``tensor2`` and the model sums; the
-minimal model, trivial complexes and ``into`` of ``reduce``, and the
-inverse map and certificate of the classification (a degreewise inverse
-of a checked chain map is a chain map); ``identity_map``, ``zero_map``,
+the Smith basis pair of ``minimal._split``, the Hom generators of both
+paths and ``delta_iso``.  Values that exact algebra makes valid from
+valid inputs are built by ``_unchecked``: ``shift``, ``dual``,
+``direct_sum``, ``homc``, ``tensor2`` and the model sums; the trivial
+complexes and ``into`` of ``minimal._split`` (a degreewise inverse of a
+checked chain map is a chain map), and the certificate of the
+classification, that pair or an identity; ``identity_map``, ``zero_map``,
 ``compose``, ``add_maps``, ``negate_map``, ``scale_map`` and
 ``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``,
 ``classify.model_certificate`` and the certificate that

@@ -2,60 +2,63 @@
 every differential entry lies in the maximal ideal.
 
 A complex is minimal when every entry of d0 and d1 has valuation >= 1.
-A trivial summand is a Smith step whose pivot is a unit, so the split
-is two unit-only Smith sweeps (``smith.smith_sweep`` with
-``units_only``): one of d1, which splits off the Type1 summands, then
-one of d0 from the rank of the first, which splits off the Type2 ones.
-Each pivot becomes a 1x1 identity block whose row and column of the
-*other* differential vanish because both composites do, so a trivial
-summand splits off exactly; :func:`_assert_split` checks that after each
-sweep.  Two sweeps are enough: after the first, d1's remaining block
-holds no unit, and the second only conjugates that block by invertible
-matrices, so its entries stay in (x).  The trivial blocks, Type1 then
-Type2, are then rotated behind the remaining minimal block.  All basis
-changes are elementary steps of one ``smith.TrackedBasis`` per degree
-(F0 carries d1 as codomain and d0 as domain, F1 the reverse), whose p
-and q are the certificates: the result carries mutually inverse
-isomorphisms, not just an assertion.  ``classify`` runs the same two
-sweeps (:func:`_two_sweeps`) on the minimal model, with no stop at the
-units, for the K(j)/K(j)[1] classification.
+One elimination splits X completely (:func:`_split`): a Smith sweep of
+d1 (``smith.smith_sweep``), then one of d0 from the rank of the first.
+Each pivot becomes a diagonal block whose row and column of the *other*
+differential vanish because both composites do; :func:`_assert_split`
+checks that after each sweep.  The second sweep only conjugates the
+rows and columns that the first left zero, so d1 keeps its form.  The
+sweep takes the least valuation first, so the unit pivots of each sweep
+come first: those of d1 are the Type1 summands, those of d0 the Type2
+ones.  The positive pivots x^j of d1 are the labels K(j), those of d0,
+their basis vector of degree 0 scaled by -1, the labels K(j)[1], and the
+vectors neither sweep pivots on carry zero differentials, the free
+summands R and R[1].  The minimal model is the block sum of these labels
+(``complexes._model_sum``), and the trivial blocks, Type1 then Type2,
+are moved behind it.  All basis changes are elementary steps of one
+``smith.TrackedBasis`` per degree (F0 carries d1 as codomain and d0 as
+domain, F1 the reverse), whose p and q are the certificates: the result
+carries mutually inverse isomorphisms, not just an assertion.
 
 One product per degree proves a certificate pair: ``back`` is verified
-on construction, and q p = I in each degree makes ``into`` its inverse
-(p, q square over a commutative ring, so p q = I follows), which is then
+on construction, and p q = I in each degree makes ``into`` its inverse
+(p, q square over a commutative ring, so q p = I follows), which is then
 a chain map too and is built without a check.  A minimal input is its
 own minimal model: ``reduce`` returns it with the identity maps, which
-need no check, and builds no basis.  The input is a
-complex by construction; the minimal model and the trivial complexes are
-blocks of its conjugate by the certificates, so they are built without
-the constructor's check (``complexes`` docstring).
+need no check, and builds no basis; ``classify`` runs :func:`_split` on
+it for its labels.  The input is a complex by construction; the model
+sums and the trivial complexes are blocks of its conjugate by the
+certificates, so they are built without the constructor's check
+(``complexes`` docstring).
 
-Pivot policy: the Smith sweep's, among the units only: the one whose
-unit part has the fewest coefficients (``smith.pivot_cost``), ties to
-the smallest (row, col), so reductions are deterministic.  The sweep
-scales the pivot row by the pivot's inverse, and a constant unit puts no
-denominator into it.  The counts of each type are the k-ranks of d1(0)
-and of d0(0), and the minimal model is unique up to isomorphism, so
-they and the minimal model's invariants do not depend on the choice;
-only the certificates do.
+Pivot policy: the Smith sweep's, the least valuation first and among
+those the entry whose unit part has the fewest coefficients
+(``smith.pivot_cost``), ties to the smallest (row, col), so reductions
+are deterministic.  The counts of each type are the k-ranks of d1(0)
+and of d0(0), the labels are the invariant factors of the minimal
+model's differentials, and the minimal model is unique up to
+isomorphism, so none of them depends on the choice; only the
+certificates do.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 from .complexes import (
     ChainMap2,
     Homotopy2,
     TwoPeriodicComplex,
-    direct_sum,
+    _model_sum,
     _unchecked,
+    direct_sum,
     identity_map,
 )
 from .errors import NotTrivialError, PeriodicaError
 from .fields import FieldSpec
-from .localring import format_element
+from .localring import format_element, one
 from .matrix import RMatrix
 from .smith import TrackedBasis, smith_sweep
 
@@ -71,13 +74,17 @@ class TrivialType(enum.Enum):
 class SplitResult:
     """minimal + trivials together with exact mutually inverse isomorphisms
     into: (minimal + trivials) -> X and back: X -> (minimal + trivials);
-    type1 and type2 count the trivial summands of each type."""
+    type1 and type2 count the trivial summands of each type.  labels are
+    the (j, shifted) pairs of which minimal is the block sum
+    (``complexes._model_sum``), or None when X was minimal and is
+    returned as it is."""
 
     minimal: TwoPeriodicComplex
     type1: int
     type2: int
     into: ChainMap2
     back: ChainMap2
+    labels: Optional[tuple]
 
 
 def is_minimal(x: TwoPeriodicComplex) -> bool:
@@ -109,22 +116,6 @@ def _assert_split(grid, lo: int, hi: int) -> None:
                     f"({i}, {j}): {format_element(row[j])}")
 
 
-def _two_sweeps(x: TwoPeriodicComplex, units_only: bool = False) -> tuple:
-    """(d0, d1, b0, b1, odd, even): a Smith sweep of d1, then one of d0
-    from the rank of the first, on grids of X's differentials attached to
-    one ``TrackedBasis`` per degree; odd and even are the valuations of
-    their pivots.  Each sweep's split is checked."""
-    d0, d1 = x.d0.to_grid(), x.d1.to_grid()
-    # F0 is the codomain of d1 and the domain of d0; F1 the other way round
-    b0 = TrackedBasis(x.field, x.r0, rows=[d1], cols=[d0])
-    b1 = TrackedBasis(x.field, x.r1, rows=[d0], cols=[d1])
-    odd = smith_sweep(d1, b0, b1, units_only=units_only)
-    _assert_split(d0, 0, len(odd))
-    even = smith_sweep(d0, b1, b0, len(odd), units_only)
-    _assert_split(d1, len(odd), len(odd) + len(even))
-    return d0, d1, b0, b1, odd, even
-
-
 def _reorder(basis: TrackedBasis, perm) -> None:
     """Swap basis vectors until position k holds the one now at perm[k]."""
     at = list(range(basis.n))  # at[k]: index before the reorder now at k
@@ -134,46 +125,64 @@ def _reorder(basis: TrackedBasis, perm) -> None:
         at[k], at[cur] = at[cur], at[k]
 
 
+def _split(x: TwoPeriodicComplex) -> SplitResult:
+    """X split as the labelled minimal model + Type1^a + Type2^b by a
+    Smith sweep of d1 and then one of d0 from the rank of the first, on
+    grids of X's differentials attached to one ``TrackedBasis`` per
+    degree (module docstring); ``back`` is checked and p q = I."""
+    field, r0, r1 = x.field, x.r0, x.r1
+    d0, d1 = x.d0.to_grid(), x.d1.to_grid()
+    # F0 is the codomain of d1 and the domain of d0; F1 the other way round
+    b0 = TrackedBasis(field, r0, rows=[d1], cols=[d0])
+    b1 = TrackedBasis(field, r1, rows=[d0], cols=[d1])
+    odd = smith_sweep(d1, b0, b1)
+    r = len(odd)
+    _assert_split(d0, 0, r)
+    even = smith_sweep(d0, b1, b0, r)
+    k = r + len(even)
+    _assert_split(d1, r, k)
+    # the least valuation comes first: the unit pivots, Type1 at [0, t1)
+    # and Type2 at [r, r + t2), lead their sweeps
+    t1, t2 = odd.count(0), even.count(0)
+    # flip signs so the shifted blocks match shift(K(j)) exactly
+    for i in range(r + t2, k):
+        b0.scale(i, -one(field))
+    labels = tuple([(e, False) for e in odd[t1:]]
+                   + [(e, True) for e in even[t2:]]
+                   + [(0, False)] * (r0 - k) + [(0, True)] * (r1 - k))
+    minimal = _model_sum(field, labels)
+    blocksum = minimal
+    if t1 or t2:
+        # move the trivial blocks behind the minimal one
+        trivial = [*range(t1), *range(r, r + t2)]
+        for b in (b0, b1):
+            _reorder(b, [i for i in range(b.n) if i not in trivial] + trivial)
+        blocksum = direct_sum(
+            minimal, trivial_complex(TrivialType.TYPE1, t1, field),
+            trivial_complex(TrivialType.TYPE2, t2, field))
+    if (RMatrix.from_grid(field, r1, r0, d0) != blocksum.d0
+            or RMatrix.from_grid(field, r0, r1, d1) != blocksum.d1):
+        raise PeriodicaError("reduced complex is not the expected block sum")
+
+    # back is checked; p q = I makes into its inverse, a chain map too
+    (p0, q0), (p1, q1) = b0.matrices(), b1.matrices()
+    back = ChainMap2(x, blocksum, p0, p1)
+    if (p0 @ q0 != RMatrix.identity(field, r0)
+            or p1 @ q1 != RMatrix.identity(field, r1)):
+        raise PeriodicaError("split certificates do not compose to identity")
+    into = _unchecked(ChainMap2, blocksum, x, q0, q1)
+    return SplitResult(minimal, t1, t2, into, back, labels)
+
+
 def reduce(x: TwoPeriodicComplex) -> SplitResult:
     """Split X as minimal + Type1^a + Type2^b with exact certificates."""
     if is_minimal(x):
         ident = identity_map(x)
-        return SplitResult(x, 0, 0, ident, ident)
-    field, r0, r1 = x.field, x.r0, x.r1
-    d0, d1, b0, b1, odd, even = _two_sweeps(x, units_only=True)
-    t1, t2 = len(odd), len(even)
-    # rotate the trivial blocks, Type1 at [0, t1) and Type2 at [t1, k),
-    # behind the minimal block
-    k = t1 + t2
-    _reorder(b0, list(range(k, r0)) + list(range(k)))
-    _reorder(b1, list(range(k, r1)) + list(range(k)))
-    d0_m = RMatrix.from_grid(field, r1, r0, d0)
-    d1_m = RMatrix.from_grid(field, r0, r1, d1)
-    p0_m, q0_m = b0.matrices()
-    p1_m, q1_m = b1.matrices()
-
-    minimal = _unchecked(
-        TwoPeriodicComplex, field, r0 - k, r1 - k,
-        d0_m.submatrix(0, r1 - k, 0, r0 - k),
-        d1_m.submatrix(0, r0 - k, 0, r1 - k))
-    if not is_minimal(minimal):
+        return SplitResult(x, 0, 0, ident, ident, None)
+    split = _split(x)
+    if not is_minimal(split.minimal):
         raise PeriodicaError("reduction left a unit entry (internal error)")
-    parts = [minimal]
-    if t1:
-        parts.append(trivial_complex(TrivialType.TYPE1, t1, field))
-    if t2:
-        parts.append(trivial_complex(TrivialType.TYPE2, t2, field))
-    blocksum = direct_sum(*parts) if len(parts) > 1 else minimal
-    if blocksum.d0 != d0_m or blocksum.d1 != d1_m:
-        raise PeriodicaError("reduced complex is not the expected block sum")
-
-    # back is checked; q p = I makes into its inverse, a chain map too
-    back = ChainMap2(x, blocksum, p0_m, p1_m)
-    if (q0_m @ p0_m != RMatrix.identity(field, r0)
-            or q1_m @ p1_m != RMatrix.identity(field, r1)):
-        raise PeriodicaError("split certificates do not compose to identity")
-    into = _unchecked(ChainMap2, blocksum, x, q0_m, q1_m)
-    return SplitResult(minimal, t1, t2, into, back)
+    return split
 
 
 def trivial_contraction(w: TwoPeriodicComplex) -> Homotopy2:

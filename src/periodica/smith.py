@@ -7,12 +7,10 @@ R^n, applied one elementary step at a time (swap two basis vectors,
 scale one by a unit, add a multiple of one to another).  Grids attached
 as ``rows`` have the module as codomain and become G m; grids attached
 as ``cols`` have it as domain and become m G^-1.  Its pivot policies
-are the Smith sweep (:func:`smith_sweep`), which gives Smith forms;
-the same sweep stopped at the last unit pivot (``units_only``), which
-``minimal.reduce`` runs on d1 and then on d0 to split off the trivial
-summands; the full sweep of d1 and then d0 of the minimal model, which
-gives the K(j)/K(j)[1] split (``classify.decompose``), the two sharing
-one helper (``minimal._two_sweeps``); and random conjugations
+are the Smith sweep (:func:`smith_sweep`), which gives Smith forms and,
+run on d1 and then on d0 of a complex (``minimal._split``), splits off
+its trivial summands and labels the rest K(j), K(j)[1], R and R[1]
+(``minimal.reduce``, ``classify.decompose``); and random conjugations
 (``rand.random_invertible``).  Each certificate is the p = G and
 q = G^-1 of its bases.
 
@@ -41,9 +39,8 @@ puts no denominator into it, so while a monomial pivot exists at each
 step the elimination stays in k[x], where sums and products take no gcd
 (Kannan and Bachem, SIAM J. Comput. 8, 1979, and Storjohann's thesis,
 ETH 2000, control intermediate growth the same way, through the choice
-of pivot).  With ``units_only`` the sweep ends once the least remaining
-valuation is positive: it takes the full sweep's unit pivots, in the
-same order, and stops there.
+of pivot).  Since the least valuation comes first, the unit pivots
+lead the sweep.
 
 The search reads row caches, not the submatrix: each remaining row
 keeps the (valuation, cost, column) of its first entry of least
@@ -284,11 +281,10 @@ def _first_min(row, start: int, ncols: int):
 
 
 def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
-                start: int = 0, units_only: bool = False) -> list:
+                start: int = 0) -> list:
     """Diagonalise the grid ``work`` from position (start, start) on,
     with ``work`` attached to ``rows`` (its codomain) and ``cols`` (its
-    domain); returns the valuations of the diagonal pivots in order.
-    With ``units_only`` the sweep stops once no unit remains."""
+    domain); returns the valuations of the diagonal pivots in order."""
     nrows, ncols = rows.n, cols.n
     unit_one = one(rows.field)
     exps = []
@@ -306,7 +302,7 @@ def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
                 best, pi = c, i
                 if c[:2] == (0, 2):
                     break
-        if best is None or units_only and best[0]:
+        if best is None:
             break
         pv, _, pj = best
         rows.swap(pi, t)

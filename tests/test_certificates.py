@@ -224,17 +224,20 @@ def test_derived_maps_and_certificates_pass_the_checked_constructors(
 
 @pytest.mark.parametrize("label_", FIELDS)
 @settings(max_examples=10, deadline=None)
-@given(trivials=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+@given(trivials=st.tuples(st.integers(0, 2), st.integers(0, 2)),
        free=st.tuples(st.integers(0, 1), st.integers(0, 1)),
        seed=st.integers(0, 2**32 - 1))
 @example(trivials=(1, 1), free=(0, 0), seed=0)
 @example(trivials=(2, 1), free=(1, 0), seed=1)
 @example(trivials=(1, 2), free=(1, 1), seed=2)
+@example(trivials=(0, 1), free=(0, 1), seed=3)
+@example(trivials=(0, 0), free=(1, 0), seed=4)
 def test_moved_certificate_passes_the_checked_constructors(
         label_, trivials, free, seed):
-    # the certificate moved along a splitting with trivial summands of
-    # both types is built without the checks; it must pass them when
-    # built from its raw parts, and so must one with free summands
+    # the certificate moved along a splitting with trivial summands, of
+    # one type or both, is built without the checks, and so is the swept
+    # certificate of a minimal input; each must pass them when built from
+    # its raw parts, also with free summands, r0 != r1 or rank 0
     field = FieldSpec.from_label(label_)
     rng = Random(seed)
     parts = [assemble(random_multiset(rng, 2, 3), field),
@@ -248,7 +251,8 @@ def test_moved_certificate_passes_the_checked_constructors(
     if free == (0, 0):
         certs.append(decomposition_certificate(decompose(x)))
     for cert in certs:
-        assert cert.complex == x and cert.contraction is not None
+        assert cert.complex == x
+        assert (cert.contraction is None) == (trivials == (0, 0))
         assert _rechecked(cert) == cert
 
 

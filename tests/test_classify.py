@@ -35,7 +35,7 @@ from periodica import (
     x_power,
     zero_complex,
 )
-from periodica import classify, complexes
+from periodica import complexes
 from periodica.classify import (
     IndecompMultiset,
     assemble,
@@ -43,7 +43,7 @@ from periodica.classify import (
     finite_length_cohomology,
     label,
 )
-from periodica.errors import PeriodicaError, ValidationError
+from periodica.errors import PeriodicaError
 from periodica.localring import parse_element, zero
 from periodica.minimal import _assert_split, reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
@@ -271,22 +271,23 @@ def test_assert_split_names_the_entry(planted):
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
+    # decompose builds and checks one pair of bases: reduce's for a
+    # non-minimal input (seed 10 draws 2*K(1)[1] with one trivial summand
+    # of each type), the classification's own for a minimal one (seed 7
+    # draws K(1)[1]).  The doubled inverse is still a chain map, so only
+    # p q = I rejects it
     field = FieldSpec.from_label(label_)
-    x, _, _ = random_finite_length_instance(Random(7), field, max_labels=2,
-                                            max_j=2, max_trivials=2)
-    real_reduce = classify.reduce
-
-    def reduce_then_scale(y):
-        split = real_reduce(y)  # reduce's own certificates stay unscaled
-        scale_inverse_certificates(monkeypatch)
-        return split
-
-    monkeypatch.setattr(classify, "reduce", reduce_then_scale)
-    # building the block-sum certificate is decompose's identity check
-    with pytest.raises(ValidationError) as exc:
+    for seed, trivials in ((10, (1, 1)), (7, (0, 0))):
+        x, _, drawn = random_finite_length_instance(
+            Random(seed), field, max_labels=2, max_j=2, max_trivials=2)
+        assert drawn == trivials and x.r0 > 0
         decompose(x)
-    assert str(exc.value) == ("certificate maps do not compose to the "
-                              "identity on the block sum")
+        with monkeypatch.context() as patch:
+            scale_inverse_certificates(patch)
+            with pytest.raises(PeriodicaError) as exc:
+                decompose(x)
+        assert str(exc.value) == \
+            "split certificates do not compose to identity"
 
 
 def test_decompose_rejects_non_complex():

@@ -15,6 +15,7 @@ from thelpers import random_complex, scale_inverse_certificates
 
 from periodica import (
     FieldSpec,
+    NotFiniteLengthError,
     NotTrivialError,
     RMatrix,
     TrivialType,
@@ -31,7 +32,13 @@ from periodica import (
     trivial_contraction,
     zero_complex,
 )
-from periodica.classify import decompose, label, IndecompMultiset
+from periodica.classify import (
+    IndecompMultiset,
+    decompose,
+    finite_length_cohomology,
+    label,
+)
+from periodica.complexes import _model_sum
 from periodica.errors import PeriodicaError
 from periodica.rand import conjugate_complex, random_finite_length_instance
 
@@ -206,7 +213,9 @@ def _rank_at_zero(m: RMatrix) -> int:
 def test_reduce_counts_are_the_ranks_at_zero(label_, seed, r0, r1, finite):
     # a complex with free parts, r0 != r1 or rank 0, or a finite-length
     # one with trivial summands: type1 and type2 are the k-ranks of d1(0)
-    # and d0(0), and the rest is a minimal model
+    # and d0(0), and the rest is a minimal model, the block sum of its
+    # labels unless X is minimal and returned as it is.  decompose takes
+    # the same split
     field = FieldSpec.from_label(label_)
     rng = Random(seed)
     if finite:
@@ -220,6 +229,16 @@ def test_reduce_counts_are_the_ranks_at_zero(label_, seed, r0, r1, finite):
     assert (split.minimal.r0, split.minimal.r1) == \
         (x.r0 - t1 - t2, x.r1 - t1 - t2)
     assert is_minimal(split.minimal)
+    assert (split.labels is None) == is_minimal(x)
+    if split.labels is None:
+        assert split.minimal == x
+    else:
+        assert split.minimal == _model_sum(field, split.labels)
+    if finite_length_cohomology(x):
+        assert decompose(x).split == split
+    else:
+        with pytest.raises(NotFiniteLengthError):
+            decompose(x)
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
@@ -242,7 +261,7 @@ def test_reduce_checks_the_identity_in_each_degree(call, monkeypatch):
     # zero differentials of ranks (2, 3) plus one Type-1 block, which
     # reduce peels.  Scaling the inverse's first basis vector, which lies
     # in the zero part, in one degree (b0 is read first, then b1) keeps a
-    # chain map, so it is left to q p = I
+    # chain map, so it is left to p q = I
     zeros = TwoPeriodicComplex(Q, 2, 3, RMatrix.zeros(Q, 3, 2),
                                RMatrix.zeros(Q, 2, 3))
     x = direct_sum(zeros, trivial_complex(TrivialType.TYPE1, 1, Q))

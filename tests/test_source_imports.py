@@ -39,7 +39,7 @@ UNCHECKED_CALLERS = {
         "scale_map", "shift_map", "BlockSumCertificate.shifted")
 } | {("classify.py", "model_certificate"), ("classify.py", "_classify"),
      ("classify.py", "_moved_certificate"),
-     ("minimal.py", "trivial_complex"), ("minimal.py", "reduce")}
+     ("minimal.py", "trivial_complex"), ("minimal.py", "_split")}
 
 
 def _imported(tree: ast.Module) -> dict:

@@ -82,7 +82,7 @@ def scale_inverse_certificates(monkeypatch, calls=(0, 1), cols=None):
     return p and q with the columns ``cols`` of q doubled (all of them
     when None).  Where (q0, q1) is a chain map so is (2 q0, 2 q1), and so
     is q with one degree's columns doubled where both differentials of
-    the source vanish on them; so only an identity check such as q p = I
+    the source vanish on them; so only an identity check such as p q = I
     can reject the pair."""
     from periodica.localring import one
     from periodica.smith import TrackedBasis
