@@ -23,7 +23,8 @@ certificate is deterministic.
 One internal classification serves every complex.  The basis vectors
 that neither sweep pivots on carry zero differentials: they are the free
 summands, labelled R (j = 0, degree 0, ranks (1, 0)) and R[1] (j = 0,
-shifted, ranks (0, 1)) after the K(j) and K(j)[1] blocks.
+shifted, ranks (0, 1)) after the K(j) and K(j)[1] blocks, in the label
+coordinates of ``models``.
 ``complexes.is_null_homotopic`` reads that certificate for any input.
 The public contract is the finite-length one: ``decompose`` rejects an
 input with a free label (``NotFiniteLengthError``), as before, and no
@@ -68,7 +69,6 @@ from .complexes import (
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
 from .minimal import SplitResult, _split, reduce
-from .smith import matrix_rank
 
 
 @dataclass(frozen=True, order=True)
@@ -156,11 +156,11 @@ def model_certificate(labels: Iterable[IndecompLabel],
 
 
 def finite_length_cohomology(x: TwoPeriodicComplex) -> bool:
-    """True iff both cohomologies are torsion, i.e. the fraction-field
-    ranks satisfy rank(d0) + rank(d1) = r0 = r1."""
-    if x.r0 != x.r1:
-        return False
-    return matrix_rank(x.d0) + matrix_rank(x.d1) == x.r0
+    """True iff both cohomologies are torsion: ``cohomology`` gives free
+    ranks r0 - rank d0 - rank d1 and r1 - rank d0 - rank d1, both 0
+    exactly when rank(d0) + rank(d1) = r0 = r1."""
+    h0, h1 = cohomology(x)
+    return not (h0.free_rank or h1.free_rank)
 
 
 @dataclass(frozen=True)

@@ -30,18 +30,29 @@ The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
 ``ChainMap2`` (both commuting squares) and ``BlockSumCertificate`` check
 their data, and every value built from raw matrices goes through them:
 parsed input, ``cone``, ``strictify``, conjugated complexes, one map of
-the Smith basis pair of ``minimal._split``, the Hom generators of both
-paths and ``delta_iso``.  Values that exact algebra makes valid from
-valid inputs are built by ``_unchecked``: ``shift``, ``dual``,
-``direct_sum``, ``homc``, ``tensor2`` and the model sums; the trivial
-complexes and ``into`` of ``minimal._split`` (a degreewise inverse of a
-checked chain map is a chain map), and the certificate of the
-classification, that pair or an identity; ``identity_map``, ``zero_map``,
-``compose``, ``add_maps``, ``negate_map``, ``scale_map`` and
-``shift_map`` (endpoint checks stay); ``BlockSumCertificate.shifted``,
-``classify.model_certificate`` and the certificate that
-``classify.decomposition_certificate`` moves along a splitting.
+the Smith basis pair of ``minimal._split``, the Smith-route Hom
+generators and ``delta_iso``.  Values that exact algebra makes valid
+from valid inputs are built by ``_unchecked``:
+
+* complexes: ``shift``, ``dual``, ``direct_sum``, ``homc``, ``tensor2``,
+  the model sums and the trivial complexes;
+* maps: ``identity_map``, ``zero_map``, ``compose``, ``add_maps``,
+  ``negate_map``, ``scale_map`` and ``shift_map`` (endpoint checks
+  stay), ``into`` of ``minimal._split`` (a degreewise inverse of a
+  checked chain map is a chain map) and the closed-form Hom generators
+  Q_Y g P_X (``hom_module``);
+* certificates: the classification's (that pair or an identity),
+  ``BlockSumCertificate.shifted``, ``classify.model_certificate`` and
+  the certificate that ``classify.decomposition_certificate`` moves
+  along a splitting.
+
 ``tests/test_source_imports.py`` names them.
+
+Model block sums live in label coordinates in ``models``: the degree
+index of each label, the differentials of a block sum and one entry per
+ordered label pair, with the Hom factor, the generator and the standard
+homotopy.  Both closed forms below read that one entry; this module
+builds the maps from it and transports them along the certificates.
 
 Null-homotopy has one path, the closed form on block-sum certificates.
 A certificate names X as a block sum B of the models K(j), K(j)[1], R
@@ -53,18 +64,18 @@ minimal model of a finite-length complex,
 ``classify.decomposition_certificate`` moves it to the input,
 ``classify.model_certificate`` is the identity certificate of a model
 block sum, and ``shifted`` carries a certificate to X[1].  f is
-null-homotopic when every block of P_Y f Q_X has large enough valuation,
-and the witness is still re-checked by ``Homotopy2.witnesses``.  Inputs
+null-homotopic when every block r g of P_Y f Q_X has r in x^v R, and
+the witness is still re-checked by ``Homotopy2.witnesses``.  Inputs
 with trivial summands have certificates with a contraction, so the
 contraction terms of the witness run on every such null test.
 
-Hom keeps two paths for now.  Called with no certificates,
-``hom_module`` takes the Smith form of the Hom complex, which is also
-the route for free summands.  Called with a pair of finite-length
-certificates (one for the source, one for the target), Hom(X, Y) has one
-summand R/x^min(i, j) per pair of labels, and every generator is a
-verified ``ChainMap2``.  The AR layer passes only certificates without a
-contraction (decompositions of K(i) and K(i)[1], and model block sums).
+Hom has two routes.  Called with no certificates, ``hom_module`` takes
+the Smith form of the Hom complex, which is also the route for free
+summands.  Called with a pair of finite-length certificates (one for the
+source, one for the target), Hom(X, Y) has one summand R/x^v per pair of
+labels, generated by Q_Y g P_X.  The AR layer passes only certificates
+without a contraction (decompositions of K(i) and K(i)[1], and model
+block sums).
 """
 
 from __future__ import annotations
@@ -82,7 +93,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import FieldSpec
-from .localring import LocalElem, format_element, one, x_power, x_shift, zero
+from .localring import LocalElem, format_element, x_power, x_shift, zero
 from .matrix import (
     RMatrix,
     block,
@@ -91,6 +102,7 @@ from .matrix import (
     product_first_nonzero,
     vstack,
 )
+from .models import block_sum, label_pairs
 from .smith import SubquotientModule, homology_invariants, smith_normal_form
 
 # Most entries of one Hom-complex differential that are built: 2^20 list
@@ -365,42 +377,10 @@ def dual(x: TwoPeriodicComplex) -> TwoPeriodicComplex:
                       -x.d1.transpose(), x.d0.transpose())
 
 
-def _degree_indices(labels) -> tuple:
-    """The index of each label's basis vector in degree 0 and in degree 1
-    of its block sum, None where it has none: R = (0, False) has no
-    degree-1 vector and R[1] = (0, True) no degree-0 vector."""
-    idx0, idx1 = [], []
-    n0 = n1 = 0
-    for j, shifted in labels:
-        idx0.append(None if not j and shifted else n0)
-        idx1.append(None if not j and not shifted else n1)
-        n0 += idx0[-1] is not None
-        n1 += idx1[-1] is not None
-    return idx0, idx1
-
-
 def _model_sum(field: FieldSpec, labels) -> TwoPeriodicComplex:
     """Block sum of the model complexes in the order of ``labels``,
-    (j, shifted) pairs: K(j) has d0 = 0 and d1 = x^j, K(j)[1] = shift(K(j))
-    has d0 = -x^j and d1 = 0, and j = 0 names the free summands R (ranks
-    (1, 0)) and R[1] (ranks (0, 1)), whose differentials are zero."""
-    idx0, idx1 = _degree_indices(labels)
-    r0 = sum(a is not None for a in idx0)
-    r1 = sum(a is not None for a in idx1)
-    d0 = [zero(field)] * (r1 * r0)
-    d1 = [zero(field)] * (r0 * r1)
-    for (j, shifted), a0, a1 in zip(labels, idx0, idx1):
-        if j < 0:
-            raise ValueError("model complexes need j >= 0")
-        if not j:
-            continue
-        if shifted:
-            d0[a1 * r0 + a0] = -x_power(field, j)
-        else:
-            d1[a0 * r1 + a1] = x_power(field, j)
-    return _unchecked(TwoPeriodicComplex, field, r0, r1,
-                      RMatrix(field, r1, r0, tuple(d0)),
-                      RMatrix(field, r0, r1, tuple(d1)))
+    (j, shifted) pairs (``models.block_sum``)."""
+    return _unchecked(TwoPeriodicComplex, field, *block_sum(field, labels))
 
 
 def direct_sum(*xs: TwoPeriodicComplex) -> TwoPeriodicComplex:
@@ -598,68 +578,33 @@ def _check_certificate(c: BlockSumCertificate, x: TwoPeriodicComplex,
                                      "another complex")
 
 
-def _block_homotopy(i: int, shifted_a: bool, j: int, shifted_b: bool,
-                    c0: LocalElem, c1: LocalElem):
-    """(s0, s1) with d s + s d = (c0, c1) for a chain map
-    K(i)[shifted_a] -> K(j)[shifted_b], or None when there is none.  On
-    these blocks s0 meets the differentials x^i (source unshifted) and
-    x^j (target unshifted), s1 meets -x^i (source shifted) and -x^j
-    (target shifted).
-
-    A free block (index 0) acts as index infinity: its differentials
-    are zero and it has no vector in one degree, where c0 or c1 is 0.
-    So R -> R and R[1] -> R[1] are null only when zero, and the blocks
-    R -> K(j), R[1] -> K(j)[1], K(i) -> R[1] and K(i)[1] -> R are null
-    when their one component has valuation >= j (resp. i); every other
-    pair with a free end has no nonzero chain map."""
-    z = zero(c0.field)
-    i, j = i or math.inf, j or math.inf
-    if shifted_a == shifted_b:
-        c, v = (c1 if shifted_a else c0), j
-    else:
-        c, v = (c0 if shifted_a else c1), min(i, j)
-    if not c:
-        return z, z
-    if c.valuation < v:
-        return None
-    q = x_shift(c, -v)
-    if shifted_a == shifted_b:
-        return (z, -q) if shifted_a else (q, z)
-    # s0 when the unshifted end carries the smaller power, else s1
-    return (q, z) if (j if shifted_a else i) == v else (z, -q)
-
-
 def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
                         cy: BlockSumCertificate):
+    """(s0, s1) with d s + s d = f, or None: each block r g of
+    c = P_Y f Q_X is read in the slot of its ``models`` entry, and r/x^v
+    times the entry's standard homotopy is the block of s'."""
     x, y = f.src, f.dst
     _check_certificate(cx, x, "source")
     _check_certificate(cy, y, "target")
     px, qx = cx.to_blocks, cx.from_blocks
     py, qy = cy.to_blocks, cy.from_blocks
     pf0, pf1 = py.f0 @ f.f0, py.f1 @ f.f1
-    c0, c1 = (pf0 @ qx.f0).entries, (pf1 @ qx.f1).entries
-    nx0, nx1, ny0, ny1 = qx.f0.cols, qx.f1.cols, py.f0.rows, py.f1.rows
-    x0, x1 = _degree_indices(cx.labels)
-    y0, y1 = _degree_indices(cy.labels)
+    c = ((pf0 @ qx.f0).entries, (pf1 @ qx.f1).entries)
+    nx, ny0, ny1 = (qx.f0.cols, qx.f1.cols), py.f0.rows, py.f1.rows
     z = zero(x.field)
-    t0 = [z] * (ny1 * nx0)
-    t1 = [z] * (ny0 * nx1)
-    for (j, shifted_b), b0, b1 in zip(cy.labels, y0, y1):
-        for (i, shifted_a), a0, a1 in zip(cx.labels, x0, x1):
-            st = _block_homotopy(
-                i, shifted_a, j, shifted_b,
-                z if b0 is None or a0 is None else c0[b0 * nx0 + a0],
-                z if b1 is None or a1 is None else c1[b1 * nx1 + a1])
-            if st is None:
-                return None
-            # a nonzero s0 (s1) is from a degree-0 (1) vector to a
-            # degree-1 (0) vector of blocks that have them
-            if st[0]:
-                t0[b1 * nx0 + a0] = st[0]
-            if st[1]:
-                t1[b0 * nx1 + a1] = st[1]
-    s0 = qy.f1 @ RMatrix(x.field, ny1, nx0, tuple(t0)) @ px.f0
-    s1 = qy.f0 @ RMatrix(x.field, ny0, nx1, tuple(t1)) @ px.f1
+    t = ([z] * (ny1 * nx[0]), [z] * (ny0 * nx[1]))
+    for a, b, (v, g, h) in label_pairs(cx.labels, cy.labels):
+        k = g.index(0)  # r g is read where g is 1
+        r = c[k][b[k] * nx[k] + a[k]]
+        if not r:
+            continue
+        if r.valuation < v:
+            return None
+        # s_h = (-1)^h runs from the degree-h vector of a to the other of b
+        q = x_shift(r, -v)
+        t[h][b[1 - h] * nx[h] + a[h]] = -q if h else q
+    s0 = qy.f1 @ RMatrix(x.field, ny1, nx[0], tuple(t[0])) @ px.f0
+    s1 = qy.f0 @ RMatrix(x.field, ny0, nx[1], tuple(t[1])) @ px.f1
     if cy.contraction is not None:
         s0 = s0 + cy.contraction.s0 @ f.f0
         s1 = s1 + cy.contraction.s1 @ f.f1
@@ -672,14 +617,20 @@ def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
 def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
                certificates: Optional[tuple] = None) -> HomModule:
     """H0 of the Hom complex: Hom in the homotopy category, with each
-    generator an honest (re-validated) chain map.
+    generator a chain map.
 
-    Without certificates this is the Smith form of the Hom complex.
-    With block-sum certificates (of x, of y) each pair of labels
+    Without certificates this is the Smith form of the Hom complex, and
+    each generator is checked by the ``ChainMap2`` constructor.  With
+    block-sum certificates (of x, of y) each pair of labels
     K(i)[e], K(j)[f] gives one summand R/x^min(i, j), generated by
-    Q_Y g P_X for the generator g of Hom(K(i)[e], K(j)[f]); the summands
-    are sorted stably by factor, as the Smith path sorts them.  Free
-    blocks R and R[1] have no closed form here yet: ValidationError.
+    Q_Y g P_X for the generator g of its ``models`` entry; the summands
+    are sorted stably by factor, as the Smith path sorts them.  These
+    generators are built without a check: Q_Y and P_X are chain maps
+    (checked, or derived from checked ones), g is a chain map between
+    the model blocks (the table test in tests/test_null_closed_form.py
+    proves every entry through the constructor), and a composite of
+    chain maps is one.  Free blocks R and R[1] have no closed form here
+    yet: ValidationError.
     """
     if certificates is None:
         return _smith_hom(x, y)
@@ -689,39 +640,24 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
     if not all(j for j, _ in cx.labels + cy.labels):
         raise ValidationError("the closed form of Hom needs certificates "
                               "without free blocks")
-    field = x.field
     px, qy = cx.to_blocks, cy.from_blocks
-    pairs = []
-    for a, (i, shifted_a) in enumerate(cx.labels):
-        for b, (j, shifted_b) in enumerate(cy.labels):
-            g0, g1 = _block_generator(field, i, shifted_a, j, shifted_b)
-            pairs.append((min(i, j), ChainMap2(
-                x, y, _outer(qy.f0, b, g0, px.f0, a),
-                _outer(qy.f1, b, g1, px.f1, a))))
-    pairs.sort(key=lambda p: p[0])
+    pairs = sorted(
+        ((v, _unchecked(ChainMap2, x, y,
+                        _outer(qy.f0, b[0], g[0], px.f0, a[0]),
+                        _outer(qy.f1, b[1], g[1], px.f1, a[1])))
+         for a, b, (v, g, _) in label_pairs(cx.labels, cy.labels)),
+        key=lambda p: p[0])
     return HomModule(x, y, tuple(v for v, _ in pairs), 0,
                      tuple(g for _, g in pairs))
 
 
-def _block_generator(field: FieldSpec, i: int, shifted_a: bool, j: int,
-                     shifted_b: bool) -> tuple:
-    """Generator (g0, g1) of Hom(K(i)[shifted_a], K(j)[shifted_b]) =
-    R/x^min(i, j), None for a zero component: (x^(j-v), x^(i-v)) between
-    unshifted models, its shift between shifted ones, and the identity in
-    the one degree where a chain map between a model and a shifted model
-    can be nonzero."""
-    v = min(i, j)
-    if shifted_a == shifted_b:
-        a, b = x_power(field, j - v), x_power(field, i - v)
-        return (b, a) if shifted_a else (a, b)
-    return (one(field), None) if shifted_a else (None, one(field))
-
-
-def _outer(q: RMatrix, b: int, c: Optional[LocalElem], p: RMatrix,
+def _outer(q: RMatrix, b: int, power: Optional[int], p: RMatrix,
            a: int) -> RMatrix:
-    """c times column b of q times row a of p; zero when c is None."""
-    if c is None:
+    """x^power times column b of q times row a of p; zero when power is
+    None."""
+    if power is None:
         return RMatrix.zeros(q.field, q.rows, p.cols)
+    c = x_power(q.field, power)
     col = [c * q.entries[r * q.cols + b] for r in range(q.rows)]
     row = p.entries[a * p.cols:(a + 1) * p.cols]
     return RMatrix(q.field, q.rows, p.cols,

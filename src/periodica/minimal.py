@@ -14,7 +14,7 @@ ones.  The positive pivots x^j of d1 are the labels K(j), those of d0,
 their basis vector of degree 0 scaled by -1, the labels K(j)[1], and the
 vectors neither sweep pivots on carry zero differentials, the free
 summands R and R[1].  The minimal model is the block sum of these labels
-(``complexes._model_sum``), and the trivial blocks, Type1 then Type2,
+(``models.block_sum``), and the trivial blocks, Type1 then Type2,
 are moved behind it.  All basis changes are elementary steps of one
 ``smith.TrackedBasis`` per degree (F0 carries d1 as codomain and d0 as
 domain, F1 the reverse), whose p and q are the certificates: the result
@@ -76,7 +76,7 @@ class SplitResult:
     into: (minimal + trivials) -> X and back: X -> (minimal + trivials);
     type1 and type2 count the trivial summands of each type.  labels are
     the (j, shifted) pairs of which minimal is the block sum
-    (``complexes._model_sum``), or None when X was minimal and is
+    (``models.block_sum``), or None when X was minimal and is
     returned as it is."""
 
     minimal: TwoPeriodicComplex

@@ -1,9 +1,11 @@
 """``is_null_homotopic`` without certificates classifies both ends, free
 summands R and R[1] included, and reads its answer off the block-sum
 certificates.  Its decisions are compared with the Smith solve of
-``oracles.py`` and every witness is re-checked.
+``oracles.py`` and every witness is re-checked.  Every entry of the
+label-pair table of ``models`` is checked at the chain-map level.
 """
 
+import math
 from random import Random
 
 import pytest
@@ -29,10 +31,18 @@ from periodica import (
     zero_map,
 )
 from periodica.classify import _block_sum_certificate, label, model_complex
+from periodica.complexes import _model_sum
+from periodica.localring import one, x_shift, zero
 from periodica.minimal import TrivialType, trivial_complex
-from periodica.rand import conjugate_complex, random_element, random_matrix
+from periodica.models import entry
+from periodica.rand import (
+    conjugate_complex,
+    random_element,
+    random_matrix,
+    random_unit,
+)
 
-from oracles import smith_null_homotopy
+from oracles import hom_length_kk, smith_null_homotopy
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 KINDS = ("K", "K[1]", "R", "R[1]", "T1", "T2")
@@ -194,3 +204,90 @@ def test_closed_form_hom_refuses_free_blocks():
     c = _block_sum_certificate(x)
     with pytest.raises(ValidationError):
         hom_module(x, x, (c, c))
+
+
+def _block(field, lab):
+    """The model complex of one (j, shifted) label and its identity
+    certificate, both through the checked constructors."""
+    x = _model_sum(field, [lab])
+    x = TwoPeriodicComplex(field, x.r0, x.r1, x.d0, x.d1)
+    ident = ChainMap2(x, x, RMatrix.identity(field, x.r0),
+                      RMatrix.identity(field, x.r1))
+    return x, BlockSumCertificate((lab,), ident, ident)
+
+
+def _blockwise(cls, x, y, parts, shapes):
+    """``cls`` from x to y with the components ``parts``, each a ring
+    element or 0, on blocks of at most 1 x 1 of the given shapes."""
+    z = zero(x.field)
+    return cls(x, y, *(RMatrix(x.field, r, c, (p or z,) * (r * c))
+                       for p, (r, c) in zip(parts, shapes)))
+
+
+labels = st.tuples(st.integers(0, 12), st.booleans())
+
+
+@pytest.mark.parametrize("label_", FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(a=labels, b=labels, m=st.integers(0, 14), seed=st.integers(0, 99))
+# every pair of free labels, and each free label against a model
+@example(a=(0, False), b=(0, False), m=0, seed=0)
+@example(a=(0, False), b=(0, True), m=0, seed=0)
+@example(a=(0, True), b=(0, False), m=0, seed=0)
+@example(a=(0, True), b=(0, True), m=0, seed=0)
+@example(a=(0, False), b=(4, False), m=4, seed=1)
+@example(a=(0, True), b=(4, True), m=3, seed=2)
+@example(a=(0, False), b=(4, True), m=3, seed=2)
+@example(a=(0, True), b=(4, False), m=3, seed=2)
+@example(a=(5, False), b=(0, True), m=5, seed=3)
+@example(a=(5, True), b=(0, False), m=4, seed=4)
+@example(a=(5, False), b=(0, False), m=4, seed=4)
+@example(a=(5, True), b=(0, True), m=4, seed=4)
+@example(a=(12, False), b=(7, True), m=7, seed=5)
+@example(a=(3, True), b=(12, False), m=2, seed=6)
+@example(a=(2, False), b=(9, False), m=2, seed=7)
+@example(a=(9, True), b=(2, True), m=1, seed=8)
+def test_every_table_entry_at_the_chain_map_level(label_, a, b, m, seed):
+    # the models entry of a -> b: g is a chain map generating Hom, s
+    # witnesses x^v g, and the null decision on r g and its witness
+    # (r/x^v) s agree with the Smith solve of the oracles
+    field = FieldSpec.from_label(label_)
+    x, cx = _block(field, a)
+    y, cy = _block(field, b)
+    e = entry(a, b)
+    smith = hom_module(x, y)
+    if e is None:
+        # every chain map a -> b is zero
+        assert (smith.factors, smith.free_rank) == ((), 0)
+        assert all(g.is_zero() for g in smith.generators)
+        return
+    v, gen, h = e
+    if a[0] and b[0]:
+        assert v == hom_length_kk(a[0], b[0], a[1] != b[1])
+    assert (smith.factors, smith.free_rank) == (
+        ((), 1) if v == math.inf else ((v,), 0))
+    g = _blockwise(ChainMap2, x, y, [
+        None if k is None else x_power(field, k) for k in gen],
+        [(y.r0, x.r0), (y.r1, x.r1)])
+    # g has order x^v in Hom = R/x^v, or none in a free Hom: it generates
+    assert smith_null_homotopy(g if v == math.inf else scale_map(
+        g, x_power(field, v - 1))) is None
+
+    def standard(q):
+        """q times the standard homotopy, whose one component is
+        s_h = (-1)^h."""
+        return _blockwise(Homotopy2, x, y, [q, None] if h == 0 else
+                          [None, -q], [(y.r1, x.r0), (y.r0, x.r1)])
+
+    xv = zero(field) if v == math.inf else x_power(field, v)
+    assert standard(one(field)).witnesses(scale_map(g, xv))
+    # r g for r = unit * x^m, and 0
+    rng = Random(seed)
+    for r in (random_unit(rng, field) * x_power(field, m), zero(field)):
+        c = scale_map(g, r)
+        fast = is_null_homotopic(c, (cx, cy))
+        slow = smith_null_homotopy(c)
+        assert (fast is None) == (slow is None) == (bool(r) and m < v)
+        if fast is not None:
+            assert slow.witnesses(c)
+            assert fast == standard(x_shift(r, -v) if r else zero(field))

@@ -36,7 +36,8 @@ UNCHECKED_CALLERS = {
     ("complexes.py", name) for name in (
         "shift", "dual", "_model_sum", "direct_sum", "homc", "tensor2",
         "identity_map", "zero_map", "compose", "add_maps", "negate_map",
-        "scale_map", "shift_map", "BlockSumCertificate.shifted")
+        "scale_map", "shift_map", "BlockSumCertificate.shifted",
+        "hom_module")
 } | {("classify.py", "model_certificate"), ("classify.py", "_classify"),
      ("classify.py", "_moved_certificate"),
      ("minimal.py", "trivial_complex"), ("minimal.py", "_split")}

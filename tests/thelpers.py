@@ -1,15 +1,20 @@
 """Small builders and checks shared by the test modules."""
 
+from random import Random
+
 from periodica import (
     ChainMap2,
+    IndecompMultiset,
     RMatrix,
     TwoPeriodicComplex,
+    assemble,
     direct_sum,
     is_invertible,
     parse_element,
     reduce,
 )
 from periodica.classify import label, model_complex
+from periodica.localring import elem
 from periodica.minimal import TrivialType, trivial_complex
 from periodica.rand import conjugate_complex
 
@@ -101,3 +106,35 @@ def scale_inverse_certificates(monkeypatch, calls=(0, 1), cols=None):
             for k, e in enumerate(q.entries)))
 
     monkeypatch.setattr(TrackedBasis, "matrices", scaled)
+
+
+def high_degree_complex(seed, field, n=6, degree=50):
+    """A block sum of n labels K(j)[e], j <= 3, conjugated by 2n
+    elementary matrices E(l) = I + l e_ab in each degree, where
+    l = c x^degree + a x + b with a, b in 1..9, and c = 123456789/7 over
+    Q and 5 over F_p.  Entries have no denominator; products of the
+    conjugations raise their degrees to several times ``degree`` (351 for
+    seed 1 and the defaults).  Seeded, so a seed names one document."""
+    rng = Random(seed)
+    x = assemble(IndecompMultiset.from_labels(
+        label(rng.randint(1, 3), rng.random() < 0.5) for _ in range(n)),
+        field)
+    c = (field.mul(field.of_int(123456789), field.inv(field.of_int(7)))
+         if field.is_rationals else field.of_int(5))
+    d0, d1 = x.d0, x.d1
+    for _ in range(2 * n):
+        for in_f1 in (False, True):
+            lam = elem(field, [field.of_int(rng.randint(1, 9)),
+                               field.of_int(rng.randint(1, 9))]
+                       + [field.zero] * (degree - 2) + [c])
+            a, b = rng.sample(range(n), 2)
+            e, e_inv = (RMatrix(field, n, n, tuple(
+                s if k == a * n + b else u
+                for k, u in enumerate(RMatrix.identity(field, n).entries)))
+                for s in (lam, -lam))
+            # E changes the basis of F0, then a fresh one that of F1
+            if in_f1:
+                d0, d1 = e @ d0, d1 @ e_inv
+            else:
+                d0, d1 = d0 @ e_inv, e @ d1
+    return TwoPeriodicComplex(field, n, n, d0, d1)
