@@ -50,11 +50,12 @@ from .strictify import strictify, window_chain_map
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
 # Upper limits of the options whose cost grows without bound.  The largest
-# accepted calls take about 10 s over Q on a 2-vCPU machine: ar-verify
-# --i 1000 --bound 1200 8 s, ar-verify --i 3 --bound 1200 9 s, quiver
-# --max 100 9.6 s (F_101 is faster), strictify --window 180 on
-# tests/golden/q_quasi.json 7.5 s (the coefficients of the comparison maps
-# grow with the window: 200 took 15 s), selftest --rounds 250 7.6-8.1 s.
+# accepted calls take at most about 10 s over Q on a 2-vCPU machine:
+# ar-verify --i 1000 --bound 1200 1.1-1.4 s, ar-verify --i 3 --bound 1200
+# 1.0-1.4 s and 34 MB, quiver --max 100 2.2-2.7 s (F_101 is faster),
+# strictify --window 180 on tests/golden/q_quasi.json 7.5 s (the
+# coefficients of the comparison maps grow with the window: 200 took
+# 15 s), selftest --rounds 250 7.6-8.1 s.
 MAX_I, MAX_BOUND, MAX_QUIVER = 1000, 1200, 100
 MAX_WINDOW, MAX_ROUNDS = 180, 250
 

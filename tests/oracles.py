@@ -7,13 +7,27 @@ between the rank-(1,1) indecomposables come from solving the two-unknown
 commutation system by exponent arithmetic alone.  Null-homotopy is
 decided by a Smith solve of d s + s d = f on the Hom complex, which
 goes through neither the classification nor the closed form that
-``is_null_homotopic`` reads off block-sum certificates.
+``is_null_homotopic`` reads off block-sum certificates.  AR axiom 3 is
+decided by testing each candidate map on its own, with Smith-route Hom
+generators and that Smith solve, where ``artheory`` tests them in
+batches on block-sum certificates.
 """
 
 from itertools import combinations
 
-from periodica import Homotopy2, RMatrix, homc, solve_over_ring
-from periodica.localring import one, zero
+from periodica import (
+    Homotopy2,
+    RMatrix,
+    compose,
+    hom_module,
+    homc,
+    negate_map,
+    scale_map,
+    shift_map,
+    solve_over_ring,
+)
+from periodica.classify import IndecompMultiset, decompose, label, model_complex
+from periodica.localring import one, x_power, zero
 from periodica.matrix import vstack
 
 
@@ -127,3 +141,28 @@ def smith_null_homotopy(f):
         x, y,
         RMatrix.unvec(x.field, sol.submatrix(0, n0, 0, 1), y.r1, x.r0),
         RMatrix.unvec(x.field, sol.submatrix(n0, sol.rows, 0, 1), y.r0, x.r1))
+
+
+def ar3_counterexample(t, bound: int, side: str):
+    """The first (label, generator index) in family order, K(1..bound)
+    then K(1..bound)[1], whose AR3 candidate the connecting map does not
+    kill, or None.  Each generator g of Hom(D, M) (right) or Hom(N, D)
+    (left), or x g when D is the endpoint, is composed with the
+    connecting map (h on the right, -h[1] on the left) and tested on its
+    own by ``smith_null_homotopy``: the per-generator loop that
+    ``artheory`` replaced by batched tests."""
+    right = side == "right"
+    conn = t.h if right else negate_map(shift_map(t.h))
+    end = t.m if right else t.n
+    end_ms = decompose(end).multiset
+    x = x_power(end.field, 1)
+    for lab in [label(j, s) for s in (False, True) for j in range(1, bound + 1)]:
+        d = model_complex(lab, end.field)
+        gens = (hom_module(d, t.m) if right else hom_module(t.n, d)).generators
+        at_endpoint = end_ms == IndecompMultiset.from_labels([lab])
+        for idx, g in enumerate(gens):
+            cand = scale_map(g, x) if at_endpoint else g
+            comp = compose(conn, cand) if right else compose(cand, conn)
+            if smith_null_homotopy(comp) is None:
+                return lab, idx
+    return None

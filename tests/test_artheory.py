@@ -4,6 +4,8 @@ symmetry, and the quiver builder."""
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thelpers import is_homotopy_iso
 
@@ -26,12 +28,15 @@ from periodica import (
     shift_map,
     shift_triangle,
     socle_map,
+    verify_ar,
     verify_left_ar,
     verify_right_ar,
     x_power,
     zero_map,
 )
+import periodica.artheory as artheory
 from periodica.classify import IndecompMultiset, assemble, decompose, label
+from periodica.localring import parse_element
 from periodica.rand import random_multiset
 
 import oracles
@@ -134,6 +139,59 @@ def test_rar3_fails_for_non_socle_connecting_map():
     assert is_null_homotopic(compose(g, cand)) is None
 
 
+@settings(max_examples=30, deadline=None)
+@given(label_=st.sampled_from(["Q", "Fp:3", "Fp:101"]),
+       i=st.integers(1, 26), data=st.data())
+@example(label_="Q", i=21, data=None)
+@example(label_="Fp:101", i=24, data=None)
+def test_batched_ar3_matches_per_generator_loop(label_, i, data):
+    # the connecting map x^k u g, g generating Hom(K(i), K(i)[1]) = R/x^i
+    # and u a unit, in batches against testing each candidate on its own:
+    # same axiom 3 and the same counterexample, also when the first
+    # failing test object lies beyond the first batch (i >= 20 with k
+    # near i fails first at K(k + 1)); unit multiples of the socle map
+    # (k = i - 1) pass
+    field = FieldSpec.from_label(label_)
+    if data is None:
+        k, unit, bound = i - 2, "1", i + 3
+    else:
+        k = data.draw(st.one_of(st.integers(0, i - 1),
+                                st.integers(max(0, i - 4), i - 1)), label="k")
+        unit = data.draw(st.sampled_from(["1", "2 + x", "(2 + x)/(1 - x)"]),
+                         label="unit")
+        bound = data.draw(st.integers(1, 2 * artheory._AR3_BATCH + 13),
+                          label="bound")
+    t = ar_triangle(i, field)
+    g = hom_module(t.m, shift(t.n)).generators[0]
+    h = scale_map(g, x_power(field, k) * parse_element(field, unit))
+    t = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=h)
+    for rep in (verify_right_ar(t, bound), verify_left_ar(t, bound)):
+        expected = oracles.ar3_counterexample(t, bound, rep.side)
+        assert rep.counterexample == expected
+        assert rep.axioms[2] == (expected is None)
+        if k == i - 1:
+            assert rep.passed
+        if data is None:
+            assert rep.counterexample[0].j == k + 1 > artheory._AR3_BATCH
+
+
+def test_ar3_batches_are_bounded(monkeypatch):
+    # no block sum tested in one go has more labels than the batch size,
+    # also for a family of 400 test objects
+    calls = []
+    real = artheory.model_certificate
+
+    def counting(labels, field):
+        calls.append(len(labels))
+        return real(labels, field)
+
+    monkeypatch.setattr(artheory, "model_certificate", counting)
+    t = ar_triangle(3, Q)
+    assert all(r.passed for r in verify_ar(t, 200))
+    assert max(calls) == artheory._AR3_BATCH
+    assert calls.count(artheory._AR3_BATCH) == 2 * (400 // artheory._AR3_BATCH)
+
+
 def test_rar2_fails_for_zero_connecting_map():
     t = ar_triangle(2, Q)
     mutated = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g,
@@ -144,7 +202,6 @@ def test_rar2_fails_for_zero_connecting_map():
 
 def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
     # N = M = K(2) and E = K(1) + K(3): two decompositions serve both sides
-    import periodica.artheory as artheory
     from periodica.cli import main
 
     calls = []
@@ -166,8 +223,7 @@ def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
 @pytest.mark.parametrize("bound", [2, 4])
 def test_build_quiver_builds_test_certificates_once(bound, monkeypatch):
     # one identity certificate per test object K(j), K(j)[1], j <= bound
-    # + 3, shared by all 2 * bound triangles, plus one per socle map
-    import periodica.artheory as artheory
+    # + 3, shared by all 2 * bound triangles, plus one per socle map,
 
     calls = []
     real = artheory.model_certificate
@@ -178,15 +234,23 @@ def test_build_quiver_builds_test_certificates_once(bound, monkeypatch):
 
     monkeypatch.setattr(artheory, "model_certificate", counting)
     assert build_quiver(bound, Q).verified
-    assert len(calls) == 2 * (bound + 3) + bound
-    assert len(set(calls)) == 2 * (bound + 3)
+    single = [c for c in calls if len(c) == 1]
+    assert len(single) == 2 * (bound + 3) + bound
+    assert len(set(single)) == 2 * (bound + 3)
+    # and one block-sum certificate per AR3 batch of more than one
+    # candidate: each test object has one generator into K(i) (or
+    # K(i)[1]), so the two triangles of K(i) test 2 (i + 3) candidates each
+    n = artheory._AR3_BATCH
+    sizes = [min(n, 2 * (i + 3) - s) for i in range(1, bound + 1)
+             for s in range(0, 2 * (i + 3), n)]
+    batches = sorted(len(c) for c in calls if len(c) > 1)
+    assert batches == sorted(2 * [k for k in sizes if k > 1])
 
 
 @pytest.mark.parametrize("bound", [2, 4])
 def test_build_quiver_decomposes_each_triangle_once(bound, monkeypatch):
     # N = M = K(i) and E of the triangle ending at K(i), i <= bound: two
     # decompositions each, and the shifted triangle derives its terms
-    import periodica.artheory as artheory
 
     calls = []
     real = artheory.decompose
@@ -204,7 +268,6 @@ def test_build_quiver_decomposes_each_triangle_once(bound, monkeypatch):
 def test_build_quiver_derives_shifted_terms(label_):
     # the shift image's terms from the unshifted triangle's decompositions
     # agree with decomposing the shifted triangle afresh
-    import periodica.artheory as artheory
 
     field = FieldSpec.from_label(label_)
     reports = build_quiver(5, field).reports
