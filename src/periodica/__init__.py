@@ -30,7 +30,6 @@ from .classify import (
     k_complex,
     label,
     model_certificate,
-    model_complex,
 )
 from .complexes import (
     BlockSumCertificate,
@@ -39,7 +38,6 @@ from .complexes import (
     Homotopy2,
     Triangle,
     TwoPeriodicComplex,
-    add_maps,
     cohomology,
     compose,
     cone,
@@ -55,8 +53,6 @@ from .complexes import (
     shift,
     shift_map,
     tensor2,
-    zero_complex,
-    zero_map,
 )
 from .errors import (
     CompositeNotZeroError,
@@ -69,7 +65,6 @@ from .errors import (
     NotFiniteLengthError,
     NotInvertibleError,
     NotMinimalError,
-    NotTrivialError,
     ParseError,
     PeriodicaError,
     SizeLimitError,
@@ -84,19 +79,17 @@ from .localring import (
     one,
     parse_element,
     unit_part,
-    valuation,
     x_power,
     x_shift,
     zero,
 )
-from .matrix import RMatrix, block, block_diag, commutation_matrix, kron
+from .matrix import RMatrix, block, block_diag, commutation_matrix
 from .minimal import (
     SplitResult,
     TrivialType,
     is_minimal,
     reduce,
     trivial_complex,
-    trivial_contraction,
 )
 from .smith import (
     SmithForm,
@@ -104,13 +97,11 @@ from .smith import (
     homology_invariants,
     invert,
     is_invertible,
-    matrix_rank,
     smith_normal_form,
     solve_over_ring,
 )
 from .strictify import (
     QuasiPeriodicData,
-    ambient_differential,
     strictify,
     window_chain_map,
 )

@@ -35,9 +35,11 @@ public result carries one.
 minimal model's when ``reduce`` split off nothing, else the blocks of
 ``reduce``'s pair that run between X and the minimal model, with the
 trivial part's contraction, built without a check since its identities
-follow from those of ``reduce``'s checked pair.  ``model_certificate``
-is the identity certificate of a model block sum, with no ``reduce``
-and no check: the identity is one by construction.
+follow from those of ``reduce``'s checked pair.  It is the package's one
+trivial contraction: for a contractible X (no labels) it witnesses
+id_X ~ 0.  ``model_certificate`` is the identity certificate of a model
+block sum, with no ``reduce`` and no check: the identity is one by
+construction.
 
 The input is a complex by construction (``TwoPeriodicComplex`` checks
 d^2 = 0).  The two sweeps give the ranks of the minimal differentials,
@@ -116,12 +118,6 @@ class IndecompMultiset:
     def is_singleton(self) -> bool:
         return len(self.items) == 1 and self.items[0][1] == 1
 
-    def h0_length(self) -> int:
-        return sum(l.j * m for l, m in self.items if not l.shifted)
-
-    def h1_length(self) -> int:
-        return sum(l.j * m for l, m in self.items if l.shifted)
-
     def __str__(self) -> str:
         if not self.items:
             return "0"
@@ -136,10 +132,6 @@ def k_complex(j: int, field: FieldSpec) -> TwoPeriodicComplex:
     return _model_sum(field, [(j, False)])
 
 
-def model_complex(lab: IndecompLabel, field: FieldSpec) -> TwoPeriodicComplex:
-    return _model_sum(field, [(lab.j, lab.shifted)])
-
-
 def assemble(ms: IndecompMultiset, field: FieldSpec) -> TwoPeriodicComplex:
     """Block sum of the model complexes in canonical label order."""
     return _model_sum(field, [(l.j, l.shifted) for l in ms.labels()])
@@ -148,7 +140,7 @@ def assemble(ms: IndecompMultiset, field: FieldSpec) -> TwoPeriodicComplex:
 def model_certificate(labels: Iterable[IndecompLabel],
                       field: FieldSpec) -> BlockSumCertificate:
     """The identity certificate of the block sum of ``labels`` in the
-    given order (``model_complex`` for one label, ``assemble`` for a
+    given order (``k_complex`` for one label K(j), ``assemble`` for a
     multiset's labels); its ``complex`` is that block sum."""
     pairs = tuple((l.j, l.shifted) for l in labels)
     ident = identity_map(_model_sum(field, pairs))

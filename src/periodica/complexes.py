@@ -19,11 +19,11 @@ Sign conventions (normative for everything downstream):
 * cone(f)^n = X^(n+1) + Y^n with d(x, y) = (-dx, dy - f(x)).
 
 Hom and tensor blocks are flattened column-major (domain index outer),
-matching :func:`periodica.matrix.RMatrix.unvec` and ``kron``.  The Hom-complex
+matching :func:`periodica.matrix.RMatrix.unvec`.  The Hom-complex
 differentials are assembled entry by entry, each signed entry of d_Y and
-d_X^T placed at its index; the Kronecker/block formula they equal is kept
-as the reference in the tests.  The same writer also assembles the
-tensor product.
+d_X^T placed at its index; the Kronecker/block formula they equal is
+kept as the reference in the tests (``oracles.kron``).  The same writer
+also assembles the tensor product.
 
 Where invariants are checked: constructors check, derived values skip.
 The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
@@ -31,22 +31,15 @@ The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
 their data, and every value built from raw matrices goes through them:
 parsed input, ``cone``, ``strictify``, conjugated complexes, one map of
 the Smith basis pair of ``minimal._split``, the Smith-route Hom
-generators and ``delta_iso``.  Values that exact algebra makes valid
-from valid inputs are built by ``_unchecked``:
-
-* complexes: ``shift``, ``dual``, ``direct_sum``, ``homc``, ``tensor2``,
-  the model sums and the trivial complexes;
-* maps: ``identity_map``, ``zero_map``, ``compose``, ``add_maps``,
-  ``negate_map``, ``scale_map`` and ``shift_map`` (endpoint checks
-  stay), ``into`` of ``minimal._split`` (a degreewise inverse of a
-  checked chain map is a chain map) and the closed-form Hom generators
-  Q_Y g P_X (``hom_module``);
-* certificates: the classification's (that pair or an identity),
-  ``BlockSumCertificate.shifted``, ``classify.model_certificate`` and
-  the certificate that ``classify.decomposition_certificate`` moves
-  along a splitting.
-
-``tests/test_source_imports.py`` names them.
+generators and ``delta_iso``.  A value that exact algebra makes valid
+when its inputs are is built by ``_unchecked``, without the check: a
+complex derived from complexes (shift, dual, sums, Hom and tensor
+complexes, model sums, trivial complexes), a map derived from chain maps
+(identities, composites, negatives, multiples and shifts, the inverse of
+a checked isomorphism, the closed-form Hom generators Q_Y g P_X) and a
+certificate derived from checked maps.  ``UNCHECKED_CALLERS`` in
+``tests/test_source_imports.py`` is the one list of the helpers that do
+so, and the lint there holds the package to it.
 
 Model block sums live in label coordinates in ``models``: the degree
 index of each label, the differentials of a block sum and one entry per
@@ -70,12 +63,13 @@ with trivial summands have certificates with a contraction, so the
 contraction terms of the witness run on every such null test.
 
 Hom has two routes.  Called with no certificates, ``hom_module`` takes
-the Smith form of the Hom complex, which is also the route for free
-summands.  Called with a pair of finite-length certificates (one for the
-source, one for the target), Hom(X, Y) has one summand R/x^v per pair of
-labels, generated by Q_Y g P_X.  The AR layer passes only certificates
-without a contraction (decompositions of K(i) and K(i)[1], and model
-block sums).
+the Smith form of the Hom complex.  Called with a pair of block-sum
+certificates (one for the source, one for the target), free labels R
+and R[1] included, Hom(X, Y) has one summand R/x^v per pair of labels
+with a nonzero ``models`` entry, free when v is infinite, generated by
+Q_Y g P_X.  The CLI takes the first route; the AR layer passes only
+certificates without a contraction (decompositions of K(i) and K(i)[1],
+and model block sums).
 """
 
 from __future__ import annotations
@@ -142,11 +136,6 @@ class TwoPeriodicComplex:
     @property
     def total_rank(self) -> int:
         return self.r0 + self.r1
-
-
-def zero_complex(field: FieldSpec) -> TwoPeriodicComplex:
-    z = RMatrix.zeros(field, 0, 0)
-    return TwoPeriodicComplex(field, 0, 0, z, z)
 
 
 @dataclass(frozen=True)
@@ -327,26 +316,12 @@ def identity_map(x: TwoPeriodicComplex) -> ChainMap2:
                       RMatrix.identity(x.field, x.r1))
 
 
-def zero_map(src: TwoPeriodicComplex, dst: TwoPeriodicComplex) -> ChainMap2:
-    if src.field != dst.field:
-        raise FieldMismatchError("chain map between different fields")
-    return _unchecked(ChainMap2, src, dst,
-                      RMatrix.zeros(src.field, dst.r0, src.r0),
-                      RMatrix.zeros(src.field, dst.r1, src.r1))
-
-
 def compose(outer: ChainMap2, inner: ChainMap2) -> ChainMap2:
     """outer after inner."""
     if inner.dst != outer.src:
         raise DimensionMismatchError("composition endpoints do not match")
     return _unchecked(ChainMap2, inner.src, outer.dst,
                       outer.f0 @ inner.f0, outer.f1 @ inner.f1)
-
-
-def add_maps(f: ChainMap2, g: ChainMap2) -> ChainMap2:
-    if f.src != g.src or f.dst != g.dst:
-        raise DimensionMismatchError("sum of maps with different endpoints")
-    return _unchecked(ChainMap2, f.src, f.dst, f.f0 + g.f0, f.f1 + g.f1)
 
 
 def negate_map(f: ChainMap2) -> ChainMap2:
@@ -621,25 +596,22 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
 
     Without certificates this is the Smith form of the Hom complex, and
     each generator is checked by the ``ChainMap2`` constructor.  With
-    block-sum certificates (of x, of y) each pair of labels
-    K(i)[e], K(j)[f] gives one summand R/x^min(i, j), generated by
-    Q_Y g P_X for the generator g of its ``models`` entry; the summands
-    are sorted stably by factor, as the Smith path sorts them.  These
+    block-sum certificates (of x, of y) each pair of labels with a
+    nonzero ``models`` entry gives one summand R/x^v, free when v is
+    infinite (R or R[1] at both ends), generated by Q_Y g P_X for the
+    entry's generator g; the summands are sorted stably by v, so the
+    free generators come last, as the Smith path sorts them.  These
     generators are built without a check: Q_Y and P_X are chain maps
     (checked, or derived from checked ones), g is a chain map between
     the model blocks (the table test in tests/test_null_closed_form.py
     proves every entry through the constructor), and a composite of
-    chain maps is one.  Free blocks R and R[1] have no closed form here
-    yet: ValidationError.
+    chain maps is one.
     """
     if certificates is None:
         return _smith_hom(x, y)
     cx, cy = certificates
     _check_certificate(cx, x, "source")
     _check_certificate(cy, y, "target")
-    if not all(j for j, _ in cx.labels + cy.labels):
-        raise ValidationError("the closed form of Hom needs certificates "
-                              "without free blocks")
     px, qy = cx.to_blocks, cy.from_blocks
     pairs = sorted(
         ((v, _unchecked(ChainMap2, x, y,
@@ -647,7 +619,8 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
                         _outer(qy.f1, b[1], g[1], px.f1, a[1])))
          for a, b, (v, g, _) in label_pairs(cx.labels, cy.labels)),
         key=lambda p: p[0])
-    return HomModule(x, y, tuple(v for v, _ in pairs), 0,
+    factors = tuple(v for v, _ in pairs if v != math.inf)
+    return HomModule(x, y, factors, len(pairs) - len(factors),
                      tuple(g for _, g in pairs))
 
 

@@ -29,10 +29,6 @@ class InvalidChainMapError(PeriodicaError):
     """Matrices fail the chain-map commutation identities."""
 
 
-class NotTrivialError(PeriodicaError):
-    """Complex is not a direct sum of contractible rank-(1,1) pieces."""
-
-
 class NotInvertibleError(PeriodicaError):
     """Matrix is not invertible over the local ring."""
 

@@ -125,9 +125,6 @@ class FieldSpec:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return q_canon(a + b) if self.p == 0 else (a + b) % self.p
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return q_canon(a - b) if self.p == 0 else (a - b) % self.p
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return q_canon(a * b) if self.p == 0 else (a * b) % self.p
 

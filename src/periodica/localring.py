@@ -185,10 +185,6 @@ def x_power(field: FieldSpec, k: int) -> LocalElem:
     return LocalElem(field, poly.x_pow(field, k), poly.one(field))
 
 
-def valuation(e: LocalElem) -> Valuation:
-    return e.valuation
-
-
 def inverse(e: LocalElem) -> LocalElem:
     """Inverse of a unit (valuation 0); NonUnitError otherwise."""
     if e.valuation != 0:

@@ -1,10 +1,12 @@
-"""Dense matrices over the local ring, with the block/Kronecker helpers
-used to build 2-periodic tensor and Hom complexes.
+"""Dense matrices over the local ring, with the block helpers and the
+commutation matrix used to build 2-periodic tensor and Hom complexes.
 
 Flattening convention: a matrix is flattened column by column (``unvec``
 reads such a column back), so the basis element E_{ij} of Hom(V, W) sits
-at flat index j*dim(W) + i — the domain index is the outer one.  ``kron``
-is the matching standard Kronecker product with the first factor outer.
+at flat index j*dim(W) + i — the domain index is the outer one, as in
+the Kronecker product with the first factor outer.  That product is the
+reference the tests hold the Hom-complex writer of ``complexes`` to
+(``tests/oracles.py``); the package builds no Kronecker product.
 
 A product with a zero operand (no nonzero entry) or an identity operand
 (square, ones on the diagonal, zeros elsewhere, however its entries were
@@ -205,27 +207,6 @@ def _is_identity(entries: tuple, n: int, o: LocalElem) -> bool:
     the diagonal and zero elsewhere."""
     return (all(e is o or e == o for e in entries[::n + 1])
             and sum(map(bool, entries)) == n)
-
-
-def kron(a: RMatrix, b: RMatrix) -> RMatrix:
-    """Kronecker product with the first factor's indices outer."""
-    a._check(b)
-    z = zero(a.field)
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [z] * (rows * cols)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            e = a.at(i1, j1)
-            if not e:
-                continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * cols + j1 * b.cols
-                brow = i2 * b.cols
-                for j2 in range(b.cols):
-                    f = b.entries[brow + j2]
-                    if f:
-                        out[base + j2] = e * f
-    return RMatrix(a.field, rows, cols, tuple(out))
 
 
 def block(field: FieldSpec, grid: Sequence[Sequence[RMatrix]]) -> RMatrix:

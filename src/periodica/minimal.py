@@ -29,7 +29,10 @@ need no check, and builds no basis; ``classify`` runs :func:`_split` on
 it for its labels.  The input is a complex by construction; the model
 sums and the trivial complexes are blocks of its conjugate by the
 certificates, so they are built without the constructor's check
-(``complexes`` docstring).
+(``complexes`` docstring).  The contraction of the trivial part,
+into (0 + s) back for the standard contraction s = 1 of the trivial
+blocks, is built in one place: the certificate that
+``classify.decomposition_certificate`` moves along the splitting.
 
 Pivot policy: the Smith sweep's, the least valuation first and among
 those the entry whose unit part has the fewest coefficients
@@ -49,14 +52,13 @@ from typing import Optional
 
 from .complexes import (
     ChainMap2,
-    Homotopy2,
     TwoPeriodicComplex,
     _model_sum,
     _unchecked,
     direct_sum,
     identity_map,
 )
-from .errors import NotTrivialError, PeriodicaError
+from .errors import PeriodicaError
 from .fields import FieldSpec
 from .localring import format_element, one
 from .matrix import RMatrix
@@ -183,23 +185,3 @@ def reduce(x: TwoPeriodicComplex) -> SplitResult:
     if not is_minimal(split.minimal):
         raise PeriodicaError("reduction left a unit entry (internal error)")
     return split
-
-
-def trivial_contraction(w: TwoPeriodicComplex) -> Homotopy2:
-    """Homotopy witnessing id_W ~ 0 for a sum of trivial complexes.
-
-    The witness for a standard block is transported through the exact
-    splitting isomorphisms, so any complex whose reduction has no minimal
-    part is accepted; everything else raises NotTrivialError.  The standard
-    contraction s = 1 gets no check of its own: d h + h d = into (d s + s d)
-    back, which the final re-verification tests.
-    """
-    split = reduce(w)
-    if split.minimal.total_rank != 0:
-        raise NotTrivialError("complex has a nonzero minimal part")
-    s0 = split.into.f1 @ split.back.f0
-    s1 = split.into.f0 @ split.back.f1
-    h = Homotopy2(w, w, s0, s1)
-    if not h.witnesses(identity_map(w)):
-        raise PeriodicaError("transported contraction failed re-verification")
-    return h

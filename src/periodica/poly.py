@@ -76,10 +76,6 @@ def _trimmed(out: list) -> Poly:
     return tuple(out)
 
 
-def const(field: FieldSpec, c: Scalar) -> Poly:
-    return () if c == field.zero else (c,)
-
-
 def one(field: FieldSpec) -> Poly:
     return (field.one,)
 
@@ -119,10 +115,6 @@ def neg(field: FieldSpec, f: Poly) -> Poly:
     if p:
         return tuple([-c % p for c in f])
     return tuple([-c for c in f])
-
-
-def sub(field: FieldSpec, f: Poly, g: Poly) -> Poly:
-    return add(field, f, neg(field, g))
 
 
 def _convolve(f: Sequence[int], g: Sequence[int]) -> list:

@@ -11,7 +11,7 @@ from typing import Tuple
 from .classify import IndecompMultiset, assemble, label
 from .complexes import ChainMap2, TwoPeriodicComplex, direct_sum
 from .fields import FieldSpec
-from .localring import LocalElem, elem, x_power, zero
+from .localring import LocalElem, elem, zero
 from .matrix import RMatrix
 from .minimal import TrivialType, trivial_complex
 from .smith import TrackedBasis
@@ -33,16 +33,6 @@ def random_element(rng: Random, field: FieldSpec, max_val: int = 3,
         coeffs[d] = field.add(coeffs[d], random_scalar(rng, field))
     from . import poly
     return elem(field, poly.trim(field, coeffs))
-
-
-def random_unit(rng: Random, field: FieldSpec) -> LocalElem:
-    c = field.zero
-    while c == field.zero:
-        c = random_scalar(rng, field)
-    u = elem(field, (c,))
-    if rng.random() < 0.5:
-        u = u + x_power(field, rng.randint(1, 2))
-    return u
 
 
 def random_invertible(rng: Random, field: FieldSpec, n: int,

@@ -120,14 +120,6 @@ def map_to_doc(f: ChainMap2) -> dict:
     return {"f0": matrix_to_grid(f.f0), "f1": matrix_to_grid(f.f1)}
 
 
-def chain_map_to_doc(f: ChainMap2) -> dict:
-    return {
-        "src": complex_to_doc(f.src),
-        "dst": complex_to_doc(f.dst),
-        **map_to_doc(f),
-    }
-
-
 def parse_chain_map_doc(doc, expect_field: Optional[FieldSpec] = None,
                         loader: Optional[Callable] = None) -> ChainMap2:
     """``loader`` resolves string entries of src/dst (file paths) to
@@ -158,18 +150,6 @@ def homotopy_to_doc(h: Homotopy2) -> dict:
 
 
 # -- quasi-periodic data ------------------------------------------------------
-
-
-def quasi_to_doc(q) -> dict:
-    return {
-        "field": q.field.label,
-        "r0": q.r0,
-        "r1": q.r1,
-        "alpha0": matrix_to_grid(q.alpha0),
-        "alpha1": matrix_to_grid(q.alpha1),
-        "phi0": matrix_to_grid(q.phi0),
-        "phi1": matrix_to_grid(q.phi1),
-    }
 
 
 def parse_quasi_doc(doc, expect_field: Optional[FieldSpec] = None):

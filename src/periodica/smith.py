@@ -336,11 +336,6 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
                      tuple(exps), left.steps, right.steps)
 
 
-def matrix_rank(a: RMatrix) -> int:
-    """Rank over the fraction field k(x)."""
-    return smith_normal_form(a).rank
-
-
 def is_invertible(a: RMatrix) -> bool:
     if not a.is_square():
         return False

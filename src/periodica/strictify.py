@@ -82,21 +82,6 @@ def strictify(q: QuasiPeriodicData) -> TwoPeriodicComplex:
     return TwoPeriodicComplex(q.field, q.r0, q.r1, q.alpha0 @ inv[0], q.alpha1)
 
 
-def ambient_differential(q: QuasiPeriodicData, n: int) -> RMatrix:
-    """alpha^n of the ambient complex generated by period-2 conjugation,
-    computed from alpha0 or alpha1 on its own."""
-    phi, inv = _validated_periods(q)
-    a = q.alpha0 if n % 2 == 0 else q.alpha1
-    i = n % 2
-    while i < n:
-        a = phi[(i + 1) % 2] @ a @ inv[i % 2]
-        i += 2
-    while i > n:
-        a = inv[(i - 1) % 2] @ a @ phi[i % 2]
-        i -= 2
-    return a
-
-
 def window_chain_map(q: QuasiPeriodicData, radius: int = 10) -> Dict[int, RMatrix]:
     """Comparison maps f_n, |n| <= radius, with the chain-map identity
     alpha^(n-1) f_(n-1) = f_n d^(n-1) verified exactly at every window

@@ -10,7 +10,10 @@ goes through neither the classification nor the closed form that
 ``is_null_homotopic`` reads off block-sum certificates.  AR axiom 3 is
 decided by testing each candidate map on its own, with Smith-route Hom
 generators and that Smith solve, where ``artheory`` tests them in
-batches on block-sum certificates.
+batches on block-sum certificates.  The Hom and tensor complexes are
+held to the Kronecker/block formula (``kron``), and strictification to
+the ambient differentials conjugated one period at a time
+(``ambient_differential``).
 """
 
 from itertools import combinations
@@ -21,12 +24,13 @@ from periodica import (
     compose,
     hom_module,
     homc,
+    invert,
     negate_map,
     scale_map,
     shift_map,
     solve_over_ring,
 )
-from periodica.classify import IndecompMultiset, decompose, label, model_complex
+from periodica.classify import IndecompMultiset, assemble, decompose, label
 from periodica.localring import one, x_power, zero
 from periodica.matrix import vstack
 
@@ -157,7 +161,7 @@ def ar3_counterexample(t, bound: int, side: str):
     end_ms = decompose(end).multiset
     x = x_power(end.field, 1)
     for lab in [label(j, s) for s in (False, True) for j in range(1, bound + 1)]:
-        d = model_complex(lab, end.field)
+        d = assemble(IndecompMultiset.from_labels([lab]), end.field)
         gens = (hom_module(d, t.m) if right else hom_module(t.n, d)).generators
         at_endpoint = end_ms == IndecompMultiset.from_labels([lab])
         for idx, g in enumerate(gens):
@@ -166,3 +170,36 @@ def ar3_counterexample(t, bound: int, side: str):
             if smith_null_homotopy(comp) is None:
                 return lab, idx
     return None
+
+
+def kron(a: RMatrix, b: RMatrix) -> RMatrix:
+    """Kronecker product with the first factor's indices outer, the
+    flattening order of the Hom-complex basis."""
+    assert a.field == b.field, "Kronecker product over different fields"
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    out = [zero(a.field)] * (rows * cols)
+    for i1 in range(a.rows):
+        for j1 in range(a.cols):
+            e = a.at(i1, j1)
+            for i2 in range(b.rows):
+                for j2 in range(b.cols):
+                    f = b.at(i2, j2)
+                    if e and f:
+                        out[(i1 * b.rows + i2) * cols + j1 * b.cols + j2] = e * f
+    return RMatrix(a.field, rows, cols, tuple(out))
+
+
+def ambient_differential(q, n: int) -> RMatrix:
+    """alpha^n of the ambient complex that period-2 conjugation generates
+    from quasi-periodic data q, alpha^(i+2) = phi_(i+1) alpha^i phi_i^-1,
+    computed from alpha0 or alpha1 on its own."""
+    phi, inv = (q.phi0, q.phi1), (invert(q.phi0), invert(q.phi1))
+    a = q.alpha0 if n % 2 == 0 else q.alpha1
+    i = n % 2
+    while i < n:
+        a = phi[(i + 1) % 2] @ a @ inv[i % 2]
+        i += 2
+    while i > n:
+        a = inv[(i - 1) % 2] @ a @ phi[i % 2]
+        i -= 2
+    return a

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thelpers import is_homotopy_iso
+from thelpers import add_maps, is_homotopy_iso, zero_map
 
 from periodica import (
     FieldSpec,
@@ -32,7 +32,6 @@ from periodica import (
     verify_left_ar,
     verify_right_ar,
     x_power,
-    zero_map,
 )
 import periodica.artheory as artheory
 from periodica.classify import IndecompMultiset, assemble, decompose, label
@@ -332,7 +331,7 @@ def test_end_k1_dichotomy(rng):
     for g in hm.generators:
         assert is_homotopy_iso(g) or is_null_homotopic(g) is not None
     from periodica.rand import random_element
-    from periodica import add_maps, ChainMap2, Homotopy2
+    from periodica import ChainMap2, Homotopy2
     from periodica.rand import random_matrix
     for _ in range(20):
         c = random_element(rng, Q, max_val=2)

@@ -23,7 +23,6 @@ from periodica import (
     NotFiniteLengthError,
     RMatrix,
     TwoPeriodicComplex,
-    add_maps,
     compose,
     decompose,
     decomposition_certificate,
@@ -42,7 +41,6 @@ from periodica import (
     shift_map,
     socle_map,
     x_power,
-    zero_map,
 )
 from periodica.classify import _block_sum_certificate, assemble
 from periodica.errors import ValidationError
@@ -55,7 +53,7 @@ from periodica.rand import (
 )
 
 from oracles import smith_null_homotopy
-from thelpers import mat, random_complex
+from thelpers import add_maps, mat, random_complex, zero_map
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 # random_finite_length_instance(Random(seed), ..., max_labels=2, max_j=3,

@@ -12,7 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thelpers import first_nonzero, mat, random_complex, rechecked_complex
+from oracles import kron
+from thelpers import (
+    first_nonzero,
+    mat,
+    random_complex,
+    random_unit,
+    rechecked_complex,
+    zero_complex,
+    zero_map,
+)
 
 from periodica import (
     ChainMap2,
@@ -42,19 +51,16 @@ from periodica import (
     shift_map,
     tensor2,
     x_power,
-    zero_complex,
-    zero_map,
 )
 from periodica.classify import decompose, label, IndecompMultiset
 from periodica import complexes
 from periodica.complexes import MAX_HOM_ENTRIES, _homc_blocks
-from periodica.matrix import block, kron, product_first_nonzero
+from periodica.matrix import block, product_first_nonzero
 from periodica.minimal import TrivialType, reduce, trivial_complex
 from periodica.rand import (
     conjugate_complex,
     random_finite_length_instance,
     random_matrix,
-    random_unit,
 )
 from periodica.serialize import parse_complex_doc
 from periodica.smith import smith_normal_form
@@ -180,7 +186,7 @@ def test_direct_sum_field_mismatch():
 
 
 def test_zero_map_field_mismatch():
-    # zero_map builds its map unchecked but keeps this check
+    # the checked constructor that zero_map goes through refuses it
     with pytest.raises(FieldMismatchError):
         zero_map(K(1), k_complex(1, FieldSpec.prime_field(5)))
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from thelpers import chain_map_to_doc, quasi_to_doc
+
 from periodica import (
     FieldSpec,
     ParseError,
@@ -20,12 +22,10 @@ from periodica import (
 )
 from periodica.rand import random_finite_length_instance
 from periodica.serialize import (
-    chain_map_to_doc,
     complex_to_doc,
     parse_chain_map_doc,
     parse_complex_doc,
     parse_quasi_doc,
-    quasi_to_doc,
 )
 
 Q = FieldSpec.rationals()
@@ -278,7 +278,6 @@ def test_cli_ar_verify(k2_file):
 def test_cli_homotopic(tmp_path, k2_file):
     # x * id on K(2) is not null-homotopic; x^2 * id is
     from periodica import identity_map, scale_map, x_power
-    from periodica.serialize import chain_map_to_doc
     k2 = k_complex(2, Q)
     f1 = scale_map(identity_map(k2), x_power(Q, 1))
     f2 = scale_map(identity_map(k2), x_power(Q, 2))

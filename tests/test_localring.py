@@ -20,7 +20,6 @@ from periodica import (
     one,
     parse_element,
     unit_part,
-    valuation,
     x_shift,
     zero,
 )
@@ -47,14 +46,14 @@ def test_zero_and_one_are_shared_per_field():
 
 
 def test_valuation_examples():
-    assert valuation(q("x^2 + x^3")) == 2
-    assert valuation(q("x/(1+x)")) == 1
-    assert valuation(zero(Q)) == math.inf
+    assert q("x^2 + x^3").valuation == 2
+    assert q("x/(1+x)").valuation == 1
+    assert zero(Q).valuation == math.inf
 
 
 def test_valuation_of_constants():
-    assert valuation(q("7")) == 0
-    assert valuation(q("1/2")) == 0
+    assert q("7").valuation == 0
+    assert q("1/2").valuation == 0
 
 
 # -- inverse -------------------------------------------------------------------
@@ -95,7 +94,7 @@ def test_parse_fraction_coefficients():
 
 def test_parse_denominator():
     e = parse_element(Q, "(1 + x)/(1 + 2*x)")
-    assert valuation(e) == 0
+    assert e.valuation == 0
     assert e * parse_element(Q, "1 + 2*x") == parse_element(Q, "1 + x")
 
 
@@ -178,7 +177,7 @@ def test_parse_deep_parentheses_linear():
 
 
 def test_parse_exponent_limit():
-    assert valuation(parse_element(Q, "x^10000")) == 10000
+    assert parse_element(Q, "x^10000").valuation == 10000
     assert parse_element(Q, "x^0002") == parse_element(Q, "x^2")
 
 
@@ -222,7 +221,7 @@ def test_ring_axioms_rationals(n1, d1, n2, d2):
 def test_valuation_multiplicative(n1, n2):
     a = _elem_from(Q, n1, [])
     b = _elem_from(Q, n2, [])
-    assert valuation(a * b) == valuation(a) + valuation(b)
+    assert (a * b).valuation == a.valuation + b.valuation
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,7 +289,7 @@ def elem_pairs(draw):
         den = poly.one(K) if kind == "polynomial" else product(unit=True)
         if kind == "monomial":
             c = K.of_int(draw(st.integers(1, 3)))
-            num = poly.shift_up(K, poly.const(K, c), draw(st.integers(0, 3)))
+            num = poly.shift_up(K, poly.trim(K, [c]), draw(st.integers(0, 3)))
         else:
             num = poly.shift_up(K, product(unit=False), draw(st.integers(0, 2)))
         return elem(K, num, den)
@@ -306,8 +305,8 @@ def elem_pairs(draw):
     elif relation == "cancelling":
         # b = s - a, so a + b = s loses a's denominator
         s = element()
-        b = elem(K, poly.sub(K, poly.mul(K, s.num, a.den),
-                             poly.mul(K, a.num, s.den)),
+        b = elem(K, poly.add(K, poly.mul(K, s.num, a.den),
+                             poly.neg(K, poly.mul(K, a.num, s.den))),
                  poly.mul(K, s.den, a.den))
     else:
         b = element()
@@ -341,10 +340,10 @@ def test_arithmetic_matches_reference_canonicalisation(pair):
         assert (got.num, got.den) == _reference(K, num, den)
 
     same(a + b, poly.add(K, cross_ab, cross_ba), den)
-    same(a - b, poly.sub(K, cross_ab, cross_ba), den)
+    same(a - b, poly.add(K, cross_ab, poly.neg(K, cross_ba)), den)
     same(a * b, poly.mul(K, a.num, b.num), den)
-    if b and valuation(b) <= valuation(a):
-        v = valuation(b)
+    if b and b.valuation <= a.valuation:
+        v = b.valuation
         same(a / b, cross_ab[v:], cross_ba[v:])
 
 

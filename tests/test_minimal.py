@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thelpers import random_complex, scale_inverse_certificates
+from thelpers import random_complex, scale_inverse_certificates, zero_complex
 
 from periodica import (
     FieldSpec,
     NotFiniteLengthError,
-    NotTrivialError,
     RMatrix,
     TrivialType,
     TwoPeriodicComplex,
@@ -29,12 +28,11 @@ from periodica import (
     reduce,
     shift,
     trivial_complex,
-    trivial_contraction,
-    zero_complex,
 )
 from periodica.classify import (
     IndecompMultiset,
     decompose,
+    decomposition_certificate,
     finite_length_cohomology,
     label,
 )
@@ -154,30 +152,38 @@ def test_dual_of_contractible_contractible(rng):
             assert reduce(dual(y)).minimal.total_rank == 0
 
 
+FIELDS = [FieldSpec.from_label(s) for s in ("Q", "Fp:3", "Fp:101")]
+
+
+def _contracts(w) -> bool:
+    """Whether the contraction of a contractible w, the one its
+    decomposition certificate carries, witnesses id_w ~ 0."""
+    dec = decompose(w)
+    assert dec.multiset.size() == 0
+    return (decomposition_certificate(dec).contraction
+            .witnesses(identity_map(w)))
+
+
 def test_contraction_type1():
-    w = trivial_complex(TrivialType.TYPE1, 1, Q)
-    h = trivial_contraction(w)
-    assert h.witnesses(identity_map(w))
+    for field in FIELDS:
+        for n in (1, 3):
+            assert _contracts(trivial_complex(TrivialType.TYPE1, n, field))
 
 
 def test_contraction_type2_and_mixed():
-    w = trivial_complex(TrivialType.TYPE2, 1, Q)
-    assert trivial_contraction(w).witnesses(identity_map(w))
-    mixed = direct_sum(trivial_complex(TrivialType.TYPE1, 1, Q),
-                       trivial_complex(TrivialType.TYPE2, 2, Q))
-    assert trivial_contraction(mixed).witnesses(identity_map(mixed))
+    for field in FIELDS:
+        assert _contracts(trivial_complex(TrivialType.TYPE2, 1, field))
+        assert _contracts(direct_sum(
+            trivial_complex(TrivialType.TYPE1, 1, field),
+            trivial_complex(TrivialType.TYPE2, 2, field)))
 
 
 def test_contraction_conjugated(rng):
-    x = direct_sum(trivial_complex(TrivialType.TYPE1, 1, Q),
-                   trivial_complex(TrivialType.TYPE2, 1, Q))
-    y, _, _ = conjugate_complex(rng, x)
-    assert trivial_contraction(y).witnesses(identity_map(y))
-
-
-def test_contraction_rejects_nontrivial():
-    with pytest.raises(NotTrivialError):
-        trivial_contraction(k_complex(1, Q))
+    for field in FIELDS:
+        x = direct_sum(trivial_complex(TrivialType.TYPE1, 1, field),
+                       trivial_complex(TrivialType.TYPE2, 1, field))
+        for _ in range(3):
+            assert _contracts(conjugate_complex(rng, x)[0])
 
 
 def _rank_at_zero(m: RMatrix) -> int:

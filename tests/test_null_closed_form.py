@@ -19,30 +19,29 @@ from periodica import (
     Homotopy2,
     RMatrix,
     TwoPeriodicComplex,
-    ValidationError,
-    add_maps,
     direct_sum,
     hom_module,
     is_null_homotopic,
     scale_map,
     shift,
     x_power,
-    zero_complex,
-    zero_map,
 )
-from periodica.classify import _block_sum_certificate, label, model_complex
+from periodica.classify import _block_sum_certificate, label
 from periodica.complexes import _model_sum
 from periodica.localring import one, x_shift, zero
 from periodica.minimal import TrivialType, trivial_complex
 from periodica.models import entry
-from periodica.rand import (
-    conjugate_complex,
-    random_element,
-    random_matrix,
-    random_unit,
-)
+from periodica.rand import conjugate_complex, random_element, random_matrix
 
 from oracles import hom_length_kk, smith_null_homotopy
+from thelpers import (
+    add_maps,
+    model_complex,
+    random_complex,
+    random_unit,
+    zero_complex,
+    zero_map,
+)
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 KINDS = ("K", "K[1]", "R", "R[1]", "T1", "T2")
@@ -198,12 +197,38 @@ def test_free_certificates_pass_the_checked_constructors(label_):
         assert c.shifted().complex == shift(x)
 
 
-def test_closed_form_hom_refuses_free_blocks():
-    field = FieldSpec.rationals()
-    x = direct_sum(_free(field), model_complex(label(2), field))
-    c = _block_sum_certificate(x)
-    with pytest.raises(ValidationError):
-        hom_module(x, x, (c, c))
+ranks = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@pytest.mark.parametrize("label_", FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rx=ranks, ry=ranks, same=st.booleans())
+# free summands at both ends with r0 != r1, and Hom(X, X)
+@example(seed=1, rx=(3, 1), ry=(1, 3), same=False)
+@example(seed=2, rx=(3, 2), ry=(0, 0), same=True)
+def test_closed_form_hom_matches_the_smith_route(label_, seed, rx, ry, same):
+    # certificates with free labels R and R[1]: the same factors and free
+    # rank as the Smith route, and generators that are chain maps of the
+    # right order, x^v g null and x^(v-1) g not, none for a free one
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    x = random_complex(rng, field, *rx)
+    y = x if same else random_complex(rng, field, *ry)
+    cx = _block_sum_certificate(x)
+    cy = cx if same else _block_sum_certificate(y)
+    hm = hom_module(x, y, (cx, cy))
+    smith = hom_module(x, y)
+    assert (hm.factors, hm.free_rank) == (smith.factors, smith.free_rank)
+    assert len(hm.generators) == len(hm.factors) + hm.free_rank
+    for k, g in enumerate(hm.generators):
+        assert ChainMap2(x, y, g.f0, g.f1) == g
+        if k < len(hm.factors):
+            v = hm.factors[k]
+            assert _decided(scale_map(g, x_power(field, v)))
+            assert not _decided(scale_map(g, x_power(field, v - 1)))
+        else:
+            for m in range(3):
+                assert not _decided(scale_map(g, x_power(field, m)))
 
 
 def _block(field, lab):

@@ -38,10 +38,6 @@ class FractionQ:
         return Fraction(a) + b
 
     @staticmethod
-    def sub(a, b):
-        return Fraction(a) - b
-
-    @staticmethod
     def mul(a, b):
         return Fraction(a) * b
 
@@ -134,7 +130,7 @@ def ref_divmod(field, f, g):
         factor = field.mul(c, ginv)
         q[k] = factor
         for i, b in enumerate(g):
-            rem[k + i] = field.sub(rem[k + i], field.mul(factor, b))
+            rem[k + i] = field.add(rem[k + i], field.neg(field.mul(factor, b)))
         rem.pop()
     return ref_trim(field, q), ref_trim(field, rem)
 
@@ -218,8 +214,6 @@ F3 = FIELDS[2]
 def test_kernels_match_generic_loops(case):
     field, f, g, c = canon(case)
     assert_same(field, poly.add(field, f, g), ref_add(field, f, g))
-    assert_same(field, poly.sub(field, f, g),
-                ref_add(field, f, ref_neg(field, g)))
     assert_same(field, poly.neg(field, f), ref_neg(field, f))
     assert_same(field, poly.mul(field, f, g), ref_mul(field, f, g))
     assert_same(field, poly.mul(field, g, f), ref_mul(field, f, g))

@@ -27,7 +27,7 @@ from test_poly_kernels import (
 )
 from thelpers import random_complex
 
-from periodica import FieldSpec, elem, inverse, reduce, valuation, x_shift
+from periodica import FieldSpec, elem, inverse, reduce, x_shift
 from periodica import poly
 
 Q = FieldSpec(0)
@@ -90,7 +90,6 @@ def ref_lowest(num, den):
          -1)
 def test_polynomial_kernels_keep_the_form(f, g, c):
     assert_form(poly.add(Q, f, g), ref_add(Q, f, g))
-    assert_form(poly.sub(Q, f, g), ref_add(Q, f, ref_neg(Q, g)))
     assert_form(poly.neg(Q, f), ref_neg(Q, f))
     fg = ref_mul(Q, f, g)
     assert_form(poly.mul(Q, f, g), fg)
@@ -145,14 +144,14 @@ def test_element_operations_keep_the_form(a_case, b_case, k):
     assert_elem(a + b, ref_add(Q, ab, ba), den)
     assert_elem(a - b, ref_add(Q, ab, ref_neg(Q, ba)), den)
     assert_elem(a * b, ref_mul(Q, an, bn), den)
-    if b and valuation(b) <= valuation(a):
-        v = valuation(b)
+    if b and b.valuation <= a.valuation:
+        v = b.valuation
         assert_elem(a / b, ab[v:], ba[v:])
-    if a and valuation(a) == 0:
+    if a and a.valuation == 0:
         assert_elem(inverse(a), ad, an)
     assert_elem(x_shift(a, k), (0,) * k + an if an else (), ad)
     if a:
-        v = valuation(a)
+        v = a.valuation
         assert_elem(x_shift(a, -v), ref_divmod(Q, an, (0,) * v + (1,))[0], ad)
 
 
@@ -184,7 +183,6 @@ def test_scalar_api_over_q():
     assert (Q.zero, Q.one, Q.of_int(3)) == (0, 1, 3)
     half = Fraction(1, 2)
     assert type(Q.add(half, half)) is int
-    assert type(Q.sub(Fraction(3, 2), half)) is int
     assert type(Q.mul(half, 2)) is int
     assert type(Q.mul(half, 3)) is Fraction
     assert Q.neg(half) == Fraction(-1, 2)

@@ -6,18 +6,21 @@ imports act on the compiler, so both are exempt.  Names inside quoted
 annotations count as used.
 
 Every top-level function and class of the package, and every method
-that is not a dunder, is referenced by name somewhere in the package,
-the benchmark or the tests.  Import statements (and so the re-exports of
-``__init__.py``) are not references; a ``periodica.<module>:<name>``
-target of the benchmark's tracer is.  An underscore-named top-level
-function or class is referenced from the package itself: the tests and
-the benchmark do not keep a private helper alive.
+that is not a dunder, is referenced by name somewhere in the package or
+the benchmark: a definition that only the tests use belongs in the tests
+(``oracles`` for references, ``thelpers`` for fixtures).  Import
+statements (and so the re-exports of ``__init__.py``) are not
+references; a ``periodica.<module>:<name>`` target of the benchmark's
+tracer is.  An underscore-named top-level function or class is
+referenced from the package itself: the benchmark does not keep a
+private helper alive either.
 
 ``complexes._unchecked`` builds a complex, a chain map or a certificate
 without its constructor's checks.  Only the helpers in
 ``UNCHECKED_CALLERS``, whose results exact algebra makes valid when their
 inputs are, refer to it, so that no construction from raw data skips its
-check.
+check.  This is the one list of them; the ``complexes`` docstring gives
+the rule.
 """
 
 import ast
@@ -35,9 +38,8 @@ TRACE_TARGET = re.compile(r"periodica\.\w+:([\w.]+)")
 UNCHECKED_CALLERS = {
     ("complexes.py", name) for name in (
         "shift", "dual", "_model_sum", "direct_sum", "homc", "tensor2",
-        "identity_map", "zero_map", "compose", "add_maps", "negate_map",
-        "scale_map", "shift_map", "BlockSumCertificate.shifted",
-        "hom_module")
+        "identity_map", "compose", "negate_map", "scale_map", "shift_map",
+        "BlockSumCertificate.shifted", "hom_module")
 } | {("classify.py", "model_certificate"), ("classify.py", "_classify"),
      ("classify.py", "_moved_certificate"),
      ("minimal.py", "trivial_complex"), ("minimal.py", "_split")}
@@ -124,14 +126,22 @@ def _references(text: str) -> set:
     return out
 
 
+def _unreferenced(modules: dict, others=()) -> list:
+    """module:qualified name of each definition of ``modules`` (module
+    name -> text) that neither those texts nor ``others`` reference."""
+    refs = set().union(*map(_references, [*modules.values(), *others]))
+    return [f"{module}:{qual}" for module, text in modules.items()
+            for qual, name in _definitions(ast.parse(text))
+            if name not in refs]
+
+
+def _package() -> dict:
+    return {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+
+
 def test_every_definition_is_referenced():
-    refs = set()
-    for path in MODULES + TESTS + BENCH:
-        refs |= _references(path.read_text(encoding="utf-8"))
-    unreferenced = [f"{path.name}:{qual}" for path in MODULES
-                    for qual, name in _definitions(
-                        ast.parse(path.read_text(encoding="utf-8")))
-                    if name not in refs]
+    unreferenced = _unreferenced(
+        _package(), [path.read_text(encoding="utf-8") for path in BENCH])
     assert not unreferenced, ", ".join(unreferenced)
 
 
@@ -151,18 +161,25 @@ def test_checker_sees_an_unreferenced_definition():
             if name not in refs] == ["gone", "C.idle"]
 
 
+def test_checker_sees_a_definition_only_a_test_references():
+    package = {"a.py": ("def used():\n    pass\n"
+                        "def test_only():\n    pass\n"),
+               "b.py": "from .a import used\nused()\n"}
+    test = "from periodica.a import test_only\ntest_only()\n"
+    bench = "TARGET = 'periodica.a:used'\n"
+    assert _unreferenced(package, [bench]) == ["a.py:test_only"]
+    assert _unreferenced(package, [bench, test]) == []
+
+
 def _private_unreferenced(sources: dict) -> list:
     """module:name of each underscore-named top-level function or class
     of ``sources`` (module name -> text) that no text there references."""
-    refs = set().union(*map(_references, sources.values()))
-    return [f"{module}:{qual}" for module, text in sources.items()
-            for qual, _ in _definitions(ast.parse(text))
-            if qual.startswith("_") and "." not in qual and qual not in refs]
+    return [name for name in _unreferenced(sources)
+            if re.fullmatch(r"[\w.]+:_\w+", name)]
 
 
 def test_private_definitions_are_referenced_by_the_package():
-    unreferenced = _private_unreferenced(
-        {path.name: path.read_text(encoding="utf-8") for path in MODULES})
+    unreferenced = _private_unreferenced(_package())
     assert not unreferenced, ", ".join(unreferenced)
 
 

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from oracles import ambient_differential
 from thelpers import mat, rechecked_complex
 
 from periodica import (
@@ -12,7 +13,6 @@ from periodica import (
     NotMinimalError,
     QuasiPeriodicData,
     RMatrix,
-    ambient_differential,
     invert,
     is_invertible,
     is_minimal,

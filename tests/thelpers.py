@@ -12,11 +12,60 @@ from periodica import (
     is_invertible,
     parse_element,
     reduce,
+    x_power,
 )
-from periodica.classify import label, model_complex
+from periodica.classify import label
 from periodica.localring import elem
 from periodica.minimal import TrivialType, trivial_complex
-from periodica.rand import conjugate_complex
+from periodica.rand import conjugate_complex, random_scalar
+from periodica.serialize import complex_to_doc, map_to_doc, matrix_to_grid
+
+
+def model_complex(lab, field) -> TwoPeriodicComplex:
+    """The model complex K(j) or K(j)[1] of one label."""
+    return assemble(IndecompMultiset.from_labels([lab]), field)
+
+
+def zero_complex(field) -> TwoPeriodicComplex:
+    z = RMatrix.zeros(field, 0, 0)
+    return TwoPeriodicComplex(field, 0, 0, z, z)
+
+
+def zero_map(src, dst) -> ChainMap2:
+    """The zero map, through the checked constructor (which refuses
+    endpoints over different fields)."""
+    return ChainMap2(src, dst, RMatrix.zeros(src.field, dst.r0, src.r0),
+                     RMatrix.zeros(src.field, dst.r1, src.r1))
+
+
+def add_maps(f: ChainMap2, g: ChainMap2) -> ChainMap2:
+    """f + g, through the checked constructor."""
+    assert (f.src, f.dst) == (g.src, g.dst), "sum of maps with other ends"
+    return ChainMap2(f.src, f.dst, f.f0 + g.f0, f.f1 + g.f1)
+
+
+def random_unit(rng, field):
+    """A nonzero constant c, plus x or x^2 half of the time."""
+    c = field.zero
+    while c == field.zero:
+        c = random_scalar(rng, field)
+    u = elem(field, (c,))
+    if rng.random() < 0.5:
+        u = u + x_power(field, rng.randint(1, 2))
+    return u
+
+
+def chain_map_to_doc(f: ChainMap2) -> dict:
+    """The chain-map document of f with both ends inline."""
+    return {"src": complex_to_doc(f.src), "dst": complex_to_doc(f.dst),
+            **map_to_doc(f)}
+
+
+def quasi_to_doc(q) -> dict:
+    """The quasi-periodic document of q."""
+    return {"field": q.field.label, "r0": q.r0, "r1": q.r1,
+            **{k: matrix_to_grid(getattr(q, k))
+               for k in ("alpha0", "alpha1", "phi0", "phi1")}}
 
 
 def mat(field, rows, cols, entries):
