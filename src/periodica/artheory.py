@@ -15,21 +15,30 @@ is a non-isomorphism and each Hom generator is tested.  When D is the
 endpoint K(j) (or K(j)[1]), End(D) = R/x^j is local with radical x End(D),
 so the non-isomorphisms form x Hom and x g is tested for each generator g.
 
-Every Hom and null-homotopy test of the axiom checks, of ``socle_map``
-and of ``serre_length_check`` passes block-sum certificates to
-``complexes.hom_module`` / ``complexes.is_null_homotopic``, so they are
-read off labels and valuations instead of Smith forms.  Each verifying
-call decomposes N and E of the triangle it is given once (M too when it
-differs from N), and the certificates of N[1] and M[1] are those
-decompositions' certificates shifted.  ``build_quiver`` decomposes only
-the triangle ending at K(i): the shift is a triangle autoequivalence, so
-the terms of the shifted triangle are the same multisets with every
-label's shift class flipped, and since X[1][1] = X on the nose the
-certificates of N[1], M[1], N[1][1] and M[1][1] are those of N[1], M[1],
-N and M.  Each test object D, and the Serre image F(X), is a model
-block sum with the identity certificate; each verifying call builds the
-test objects' certificates once, and ``build_quiver`` builds them once
-for all its triangles.
+Every null-homotopy test of the axiom checks, and every Hom of
+``socle_map`` and of ``serre_length_check``, passes block-sum
+certificates to ``complexes.is_null_homotopic`` /
+``complexes.hom_module``, so they are read off labels and valuations
+instead of Smith forms.  Each verifying call decomposes N and E of the
+triangle it is given once (M too when it differs from N), and the
+certificates of N[1] and M[1] are those decompositions' certificates
+shifted.  ``build_quiver`` decomposes only the triangle ending at K(i):
+the shift is a triangle autoequivalence, so the terms of the shifted
+triangle are the same multisets with every label's shift class flipped,
+and since X[1][1] = X on the nose the certificates of N[1], M[1],
+N[1][1] and M[1][1] are those of N[1], M[1], N and M.  The Serre image
+F(X) is a model block sum with the identity certificate.
+
+The AR3 candidates are read in label coordinates, with no Hom module
+built: each test object D is a model K(j)[e], one label, and the
+endpoint M (right) or N (left) carries the block-sum certificate
+(P, Q).  The closed form of ``hom_module`` generates Hom(D, M) by
+Q_M g P_D, one generator g per label b of M with a nonzero
+``models.entry`` (D, b), and Hom(N, D) by Q_D g P_N.  D carries its
+identity certificate, so P_D = Q_D = I, and a candidate is named by its
+label, its generator index in the order of ``models.hom_pairs``, the
+endpoint label's indices and the powers of x of g, one higher when D is
+the endpoint.  No certificate is built per test object.
 
 Axiom 3 is tested in batches of at most ``_AR3_BATCH`` candidates.  A
 map out of a direct sum is null-homotopic exactly when each of its
@@ -42,13 +51,18 @@ Algebras*, LMS LN 119, 1988, Ch. I.4).  So on the right the candidates
 D_k -> M, side by side, form one chain map F out of the block sum of
 their test objects, and h F is null-homotopic exactly when h kills
 every candidate; on the left the candidates N -> D_k, stacked, form F
-into that block sum, tested by F w.  Each batch is one
-``is_null_homotopic`` call on the identity certificate of the block sum
-(``model_certificate`` of the candidates' labels), and its witness is
-re-verified there.  Only a batch that fails is tested again candidate
-by candidate; its first failing candidate is the counterexample, which
-is the first failing (label, generator index) in family order, since
-every earlier batch passed.
+into that block sum, tested by F w.  Side by side, the generators
+Q_M g_k are Q_M G for the monomial matrix G whose k-th column holds g_k
+in the endpoint label's row, so F = Q_M G in each degree, one product;
+stacked, F = G P_N.  F still goes through the checked ``ChainMap2``
+constructor.  Each batch is one ``is_null_homotopic`` call on the
+identity certificate of the block sum (``model_certificate`` of the
+candidates' labels), and its witness is re-verified there.  Only a
+batch that fails is tested again candidate by candidate; its first
+failing candidate is the counterexample, which is the first failing
+(label, generator index) in family order, since every earlier batch
+passed.  The batch null test makes the decision, so no composition law
+of the block generators is needed.
 """
 
 from __future__ import annotations
@@ -81,8 +95,9 @@ from .complexes import (
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
-from .localring import x_power
-from .matrix import block, vstack
+from .localring import x_power, zero
+from .matrix import RMatrix
+from .models import hom_pairs
 
 # The most AR3 candidates in one null-homotopy test (module docstring).
 # A batch of n candidates is a block sum of n test objects with an n x n
@@ -189,73 +204,89 @@ def _shifted_terms(terms: tuple) -> tuple:
             (cn1, cm1, cn, cm))
 
 
-def _family_certificates(bound: int, field: FieldSpec) -> dict:
-    """The identity certificate of each test object K(j), K(j)[1], j <= bound."""
-    return {lab: model_certificate([lab], field) for lab in _family(bound)}
-
-
-def _ar3_candidates(t: Triangle, right: bool, family: list,
-                    certificates: dict, end_cert, endpoint_ms):
-    """The AR3 candidates (label, generator index, map) in family order:
-    each generator g of Hom(D, M) (right) or Hom(N, D) (left), with
-    ``end_cert`` the certificate of M or N, and x g in place of g when D
-    is the endpoint.  A label's generators are built only when the
-    iteration reaches it."""
-    x = x_power(t.n.field, 1)
+def _ar3_candidates(right: bool, family: list, end_labels: tuple):
+    """The AR3 candidates in family order, in the label coordinates of
+    the endpoint's certificate (labels ``end_labels``, of M on the right
+    and of N on the left): for each test object D and each generator of
+    Hom(D, M) (right) or Hom(N, D) (left), in the order of
+    ``models.hom_pairs`` and so with the index of ``hom_module``'s closed
+    form, (label of D, generator index, (the endpoint label's degree
+    indices, power of x in degree 0, power in degree 1)), None for a
+    zero component.  The powers are those of ``models.entry``, plus 1
+    when D is the endpoint."""
     for lab in family:
-        cd = certificates[lab]
-        if right:
-            gens = hom_module(cd.complex, t.m, (cd, end_cert)).generators
-        else:
-            gens = hom_module(t.n, cd.complex, (end_cert, cd)).generators
+        d = ((lab.j, lab.shifted),)
         # D = endpoint: End(K(j)) = R/x^j is local with radical x End, so
         # the non-isomorphisms between D and the endpoint are x Hom
-        at_endpoint = endpoint_ms == IndecompMultiset.from_labels([lab])
-        for idx, g in enumerate(gens):
-            yield lab, idx, scale_map(g, x) if at_endpoint else g
+        up = int(end_labels == d)
+        pairs = hom_pairs(d, end_labels) if right else hom_pairs(end_labels, d)
+        for idx, (a, b, (_, g, _)) in enumerate(pairs):
+            yield lab, idx, (b if right else a,
+                             *(None if k is None else k + up for k in g))
+
+
+def _batch_map(end: TwoPeriodicComplex, end_cert, right: bool,
+               batch: list) -> tuple:
+    """(cb, F): cb the identity certificate of the block sum of the
+    batch's test objects, and F the batch's candidates side by side out
+    of it into M = ``end`` (right), or stacked from N = ``end`` into it
+    (left), built through the checked ``ChainMap2`` constructor.  In each
+    degree F is Q_M G (right) or G P_N (left) for the monomial matrix G
+    of the candidates' powers, ``end_cert`` carrying P and Q: a test
+    object carries the identity certificate, so these are the
+    ``hom_module`` generators Q_M g P_D (or Q_D g P_N) of the candidates.
+    Each test object K(j)[e] has one vector in each degree, the k-th
+    candidate's being the k-th of the block sum in both."""
+    field = end.field
+    cb = model_certificate([lab for lab, _, _ in batch], field)
+    z = zero(field)
+    n = len(batch)
+    q = end_cert.from_blocks if right else end_cert.to_blocks
+    mats = []
+    for deg, qd in enumerate((q.f0, q.f1)):
+        m = qd.cols if right else qd.rows  # the endpoint's block-sum rank
+        g = [z] * (m * n)
+        for k, (_, _, (ends, *powers)) in enumerate(batch):
+            if powers[deg] is not None:
+                g[ends[deg] * n + k if right else k * m + ends[deg]] = \
+                    x_power(field, powers[deg])
+        mats.append(qd @ RMatrix(field, m, n, tuple(g)) if right
+                    else RMatrix(field, n, m, tuple(g)) @ qd)
+    if right:
+        return cb, ChainMap2(cb.complex, end, *mats)
+    return cb, ChainMap2(end, cb.complex, *mats)
 
 
 def _kills(t: Triangle, conn: ChainMap2, right: bool, batch: list,
-           certificates: dict, end_cert) -> bool:
+           end_cert, null_end) -> bool:
     """Whether the connecting map ``conn`` kills every candidate of
-    ``batch``, in one null-homotopy test (module docstring): one map F
-    out of (right) or into (left) the block sum of the candidates' test
-    objects, built through the checked ``ChainMap2`` constructor, and
-    ``end_cert`` the certificate of N[1] (right) or M[1] (left).  A single
-    candidate is tested on its own test object."""
-    field = t.n.field
-    maps = [g for _, _, g in batch]
-    if len(batch) == 1:
-        cb, f = certificates[batch[0][0]], maps[0]
-    else:
-        cb = model_certificate([lab for lab, _, _ in batch], field)
-        if right:
-            f = ChainMap2(cb.complex, t.m, block(field, [[g.f0 for g in maps]]),
-                          block(field, [[g.f1 for g in maps]]))
-        else:
-            f = ChainMap2(t.n, cb.complex, vstack(field, [g.f0 for g in maps]),
-                          vstack(field, [g.f1 for g in maps]))
+    ``batch``, in one null-homotopy test (module docstring) of conn F on
+    the right or F conn on the left, F the batch map of
+    :func:`_batch_map`; ``end_cert`` is the certificate of M (right) or N
+    (left) and ``null_end`` that of N[1] (right) or M[1] (left)."""
+    cb, f = _batch_map(t.m if right else t.n, end_cert, right, batch)
     if right:
-        return is_null_homotopic(compose(conn, f), (cb, end_cert)) is not None
-    return is_null_homotopic(compose(f, conn), (end_cert, cb)) is not None
+        return is_null_homotopic(compose(conn, f), (cb, null_end)) is not None
+    return is_null_homotopic(compose(f, conn), (null_end, cb)) is not None
 
 
-def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple,
-               certificates: dict) -> ARReport:
+def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
     """(AR1) endpoints indecomposable, (AR2) the connecting map c is not
     null-homotopic, (AR3) c kills every non-isomorphism between an
     endpoint and D, D running over K(j), K(j)[1] for j <= bound.
     ``terms`` are the multisets and certificates of ``_multisets``; each
-    D carries its identity certificate from ``certificates`` (those of
-    ``_family_certificates`` for this bound or a larger one), so every
-    Hom and null-homotopy here is read off labels and valuations.
+    D is a model block sum with the identity certificate, so every Hom
+    and null-homotopy here is read off labels and valuations.
 
-    AR3 runs one null-homotopy test per batch of at most ``_AR3_BATCH``
-    candidates, built when the batch is tested: c kills a map out of (or
-    into) a direct sum exactly when it kills each component.  Only a
-    failing batch is tested again candidate by candidate, so the
-    counterexample is the first failing (label, generator index) in
-    family order, as a test of each candidate in turn would name it."""
+    AR3 reads its candidates off the ``models`` table in the label
+    coordinates of the endpoint's certificate (:func:`_ar3_candidates`),
+    with no Hom module built, and runs one null-homotopy test per batch
+    of at most ``_AR3_BATCH`` candidates, built when the batch is tested:
+    c kills a map out of (or into) a direct sum exactly when it kills
+    each component.  Only a failing batch is tested again candidate by
+    candidate, so the counterexample is the first failing (label,
+    generator index) in family order, as a test of each candidate in
+    turn would name it."""
     (n_ms, m_ms, middle), (cn, cm, cn1, cm1) = terms
     ax1 = n_ms.is_singleton() and m_ms.is_singleton()
     right = side == "right"
@@ -263,17 +294,16 @@ def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple,
     conn = t.h if right else negate_map(shift_map(t.h))
     ax2 = is_null_homotopic(conn, (cm, cn1) if right else (cm1, cn)) is None
     family = _family(bound)
-    candidates = _ar3_candidates(t, right, family, certificates,
-                                 cm if right else cn, m_ms if right else n_ms)
-    null_end = cn1 if right else cm1
+    end_cert, null_end = (cm, cn1) if right else (cn, cm1)
+    candidates = _ar3_candidates(right, family, end_cert.labels)
     counterexample = None
     for batch in iter(lambda: list(islice(candidates, _AR3_BATCH)), []):
-        if _kills(t, conn, right, batch, certificates, null_end):
+        if _kills(t, conn, right, batch, end_cert, null_end):
             continue
         # every earlier batch passed: the first failure is in this one
         counterexample = next(
             c[:2] for c in batch
-            if not _kills(t, conn, right, [c], certificates, null_end))
+            if not _kills(t, conn, right, [c], end_cert, null_end))
         break
     return ARReport(t, side, (ax1, ax2, counterexample is None), middle,
                     tuple(family), counterexample)
@@ -281,23 +311,20 @@ def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple,
 
 def verify_right_ar(t: Triangle, bound: int) -> ARReport:
     """Right axioms: h t null-homotopic for every non-isomorphism t: D -> M."""
-    return _verify_ar(t, bound, "right", _multisets(t),
-                      _family_certificates(bound, t.n.field))
+    return _verify_ar(t, bound, "right", _multisets(t))
 
 
 def verify_left_ar(t: Triangle, bound: int) -> ARReport:
     """Left axioms: s w null-homotopic for every non-isomorphism s: N -> D."""
-    return _verify_ar(t, bound, "left", _multisets(t),
-                      _family_certificates(bound, t.n.field))
+    return _verify_ar(t, bound, "left", _multisets(t))
 
 
 def verify_ar(t: Triangle, bound: int) -> tuple:
-    """(right report, left report), decomposing N, M and E and building
-    the test objects' certificates once for both."""
+    """(right report, left report), decomposing N, M and E once for both;
+    AR3 reads its candidates in label coordinates (``_verify_ar``)."""
     ms = _multisets(t)
-    certs = _family_certificates(bound, t.n.field)
-    return (_verify_ar(t, bound, "right", ms, certs),
-            _verify_ar(t, bound, "left", ms, certs))
+    return (_verify_ar(t, bound, "right", ms),
+            _verify_ar(t, bound, "left", ms))
 
 
 def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:
@@ -349,21 +376,21 @@ def build_quiver(bound: int, field: FieldSpec) -> QuiverResult:
     the middle terms: an arrow Z -> M with multiplicity the number of
     copies of Z in the middle of the verified triangle ending at M.  Only
     the triangle ending at K(i) is decomposed; its shift image reads the
-    same decompositions through ``_shifted_terms``.  The test objects'
-    identity certificates are built once for all triangles (the right
-    check of ``verify_right_ar``)."""
+    same decompositions through ``_shifted_terms``.  Each triangle is
+    checked as by ``verify_right_ar``: its AR3 candidates are read in
+    label coordinates, with no Hom module and no certificate per test
+    object built."""
     if bound < 2:
         raise ValueError("quiver bound must be >= 2")
     reports = []
     edges = []
-    certificates = _family_certificates(bound + 3, field)
     for i in range(1, bound + 1):
         t = ar_triangle(i, field)
         terms = _multisets(t)
         for tri, tri_terms, target in (
                 (t, terms, label(i, False)),
                 (shift_triangle(t), _shifted_terms(terms), label(i, True))):
-            rep = _verify_ar(tri, i + 3, "right", tri_terms, certificates)
+            rep = _verify_ar(tri, i + 3, "right", tri_terms)
             reports.append(rep)
             for lab, mult in rep.middle.items:
                 if lab.j <= bound:

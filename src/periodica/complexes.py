@@ -96,7 +96,7 @@ from .matrix import (
     product_first_nonzero,
     vstack,
 )
-from .models import block_sum, label_pairs
+from .models import block_sum, hom_pairs, label_pairs
 from .smith import SubquotientModule, homology_invariants, smith_normal_form
 
 # Most entries of one Hom-complex differential that are built: 2^20 list
@@ -599,13 +599,13 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
     block-sum certificates (of x, of y) each pair of labels with a
     nonzero ``models`` entry gives one summand R/x^v, free when v is
     infinite (R or R[1] at both ends), generated by Q_Y g P_X for the
-    entry's generator g; the summands are sorted stably by v, so the
-    free generators come last, as the Smith path sorts them.  These
-    generators are built without a check: Q_Y and P_X are chain maps
-    (checked, or derived from checked ones), g is a chain map between
-    the model blocks (the table test in tests/test_null_closed_form.py
-    proves every entry through the constructor), and a composite of
-    chain maps is one.
+    entry's generator g; the summands come in the order of
+    ``models.hom_pairs``, sorted stably by v, so the free generators come
+    last, as the Smith path sorts them.  These generators are built
+    without a check: Q_Y and P_X are chain maps (checked, or derived from
+    checked ones), g is a chain map between the model blocks (the table
+    test in tests/test_null_closed_form.py proves every entry through the
+    constructor), and a composite of chain maps is one.
     """
     if certificates is None:
         return _smith_hom(x, y)
@@ -613,15 +613,12 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
     _check_certificate(cx, x, "source")
     _check_certificate(cy, y, "target")
     px, qy = cx.to_blocks, cy.from_blocks
-    pairs = sorted(
-        ((v, _unchecked(ChainMap2, x, y,
-                        _outer(qy.f0, b[0], g[0], px.f0, a[0]),
-                        _outer(qy.f1, b[1], g[1], px.f1, a[1])))
-         for a, b, (v, g, _) in label_pairs(cx.labels, cy.labels)),
-        key=lambda p: p[0])
-    factors = tuple(v for v, _ in pairs if v != math.inf)
-    return HomModule(x, y, factors, len(pairs) - len(factors),
-                     tuple(g for _, g in pairs))
+    pairs = hom_pairs(cx.labels, cy.labels)
+    factors = tuple(v for _, _, (v, _, _) in pairs if v != math.inf)
+    return HomModule(x, y, factors, len(pairs) - len(factors), tuple(
+        _unchecked(ChainMap2, x, y, _outer(qy.f0, b[0], g[0], px.f0, a[0]),
+                   _outer(qy.f1, b[1], g[1], px.f1, a[1]))
+        for a, b, (_, g, _) in pairs))
 
 
 def _outer(q: RMatrix, b: int, power: Optional[int], p: RMatrix,

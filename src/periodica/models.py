@@ -31,6 +31,12 @@ vector.  For a = K(i)[e] and b = K(j)[f], with v = min(i, j):
 So r g is null-homotopic exactly when r lies in x^v R, with witness
 (r / x^v) s, and r is the entry of r g in the degree where g is 1.
 
+The generators of Hom between two block sums come in one order,
+:func:`hom_pairs`: the label pairs in block order, sorted stably by v,
+so the free ones come last.  ``complexes.hom_module`` numbers its
+closed-form generators in it, and ``artheory`` numbers its AR3
+candidates in it, so a generator index means the same map in both.
+
 This module handles labels, exponents, indices and the differentials'
 matrices only; ``complexes`` builds the complexes, maps and homotopies
 from them and transports them along block-sum certificates.
@@ -119,3 +125,9 @@ def label_pairs(src, dst):
             e = entry(a, b)
             if e is not None:
                 yield (a0, a1), (b0, b1), e
+
+
+def hom_pairs(src, dst) -> list:
+    """:func:`label_pairs` sorted stably by the Hom factor v: the order
+    of the Hom generators between the block sums (module docstring)."""
+    return sorted(label_pairs(src, dst), key=lambda p: p[2][0])

@@ -12,10 +12,12 @@ for that field on plain values, so the inner loops make no per-coefficient
   ``Fraction`` with denominator > 1 otherwise (``fields.q_canon``), and
   every kernel returns coefficients of that form.  A product with a
   constant or a monomial only scales or shifts, and turns an integral
-  scaled coefficient into an ``int``; a general product convolves the
-  integer numerators over the product of the two lcm denominators d and
-  emits c // d where d divides c and ``Fraction(c, d)`` only where it
-  does not.  The gcd is the primitive pseudo-remainder sequence in Z[x]
+  scaled coefficient into an ``int``; a product of two monomials, over
+  either field, multiplies only their lead coefficients, so x^j costs no
+  arithmetic per degree; a general product convolves the integer
+  numerators over the product of the two lcm denominators d and emits
+  c // d where d divides c and ``Fraction(c, d)`` only where it does
+  not.  The gcd is the primitive pseudo-remainder sequence in Z[x]
   (Knuth, TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971): clear
   denominators, take primitive parts, remove the content after each
   pseudo-remainder, and make the last nonzero one monic.  The monic gcd
@@ -154,6 +156,10 @@ def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
         c = f[-1]
         if c == 1:
             return f[:-1] + g
+        if not any(g[:-1]):
+            # c x^k * d x^l: the lead coefficients only
+            d = c * g[-1]
+            return f[:-1] + g[:-1] + (d % p if p else q_canon(d),)
         if p:
             return f[:-1] + tuple([c * b % p for b in g])
         return f[:-1] + tuple([q_canon(c * b) for b in g])

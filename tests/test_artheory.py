@@ -2,12 +2,19 @@
 symmetry, and the quiver builder."""
 
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thelpers import add_maps, is_homotopy_iso, zero_map
+from thelpers import (
+    add_maps,
+    high_degree_complex,
+    is_homotopy_iso,
+    model_complex,
+    zero_map,
+)
 
 from periodica import (
     FieldSpec,
@@ -34,9 +41,19 @@ from periodica import (
     x_power,
 )
 import periodica.artheory as artheory
-from periodica.classify import IndecompMultiset, assemble, decompose, label
+import periodica.complexes as complexes
+from periodica.classify import (
+    IndecompMultiset,
+    assemble,
+    decompose,
+    decomposition_certificate,
+    label,
+    model_certificate,
+)
 from periodica.localring import parse_element
-from periodica.rand import random_multiset
+from periodica.matrix import block, vstack
+from periodica.minimal import TrivialType, trivial_complex
+from periodica.rand import conjugate_complex, random_multiset
 
 import oracles
 
@@ -220,9 +237,22 @@ def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("bound", [2, 4])
-def test_build_quiver_builds_test_certificates_once(bound, monkeypatch):
-    # one identity certificate per test object K(j), K(j)[1], j <= bound
-    # + 3, shared by all 2 * bound triangles, plus one per socle map,
+def test_verify_ar_builds_no_hom_module(bound, monkeypatch):
+    # AR3 reads its candidates off the models table: _verify_ar makes no
+    # hom_module call, and builds one model_certificate per batch of at
+    # most _AR3_BATCH candidates and no other.  Each test object has one
+    # generator into K(i) (or K(i)[1]) and one out of it, so a family
+    # bound b gives 2 b candidates per side, in ceil(2 b / n) batches
+
+    triangles = []
+    for i in range(1, bound + 1):
+        t = ar_triangle(i, Q)
+        terms = artheory._multisets(t)
+        triangles += [(t, terms),
+                      (shift_triangle(t), artheory._shifted_terms(terms))]
+
+    def refused(*args):
+        raise AssertionError("hom_module called")
 
     calls = []
     real = artheory.model_certificate
@@ -231,19 +261,69 @@ def test_build_quiver_builds_test_certificates_once(bound, monkeypatch):
         calls.append(tuple(labels))
         return real(labels, field)
 
+    monkeypatch.setattr(artheory, "hom_module", refused)
+    monkeypatch.setattr(complexes, "hom_module", refused)
     monkeypatch.setattr(artheory, "model_certificate", counting)
-    assert build_quiver(bound, Q).verified
-    single = [c for c in calls if len(c) == 1]
-    assert len(single) == 2 * (bound + 3) + bound
-    assert len(set(single)) == 2 * (bound + 3)
-    # and one block-sum certificate per AR3 batch of more than one
-    # candidate: each test object has one generator into K(i) (or
-    # K(i)[1]), so the two triangles of K(i) test 2 (i + 3) candidates each
     n = artheory._AR3_BATCH
-    sizes = [min(n, 2 * (i + 3) - s) for i in range(1, bound + 1)
-             for s in range(0, 2 * (i + 3), n)]
-    batches = sorted(len(c) for c in calls if len(c) > 1)
-    assert batches == sorted(2 * [k for k in sizes if k > 1])
+    for t, terms in triangles:
+        for b in (bound, 8 * bound):
+            for side in ("right", "left"):
+                calls.clear()
+                assert artheory._verify_ar(t, b, side, terms).passed
+                assert [len(c) for c in calls] == [
+                    min(n, 2 * b - s) for s in range(0, 2 * b, n)]
+                assert [lab for c in calls for lab in c] == \
+                    artheory._family(b)
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_label_coordinate_batch_is_the_hom_generators(label_):
+    # the batch map of _batch_map is the hom_module generators of its
+    # candidates, side by side (right) or stacked (left), in the same
+    # index order and x-scaled at the endpoint, for endpoints whose
+    # certificates are not identities: conjugated, non-minimal (with
+    # trivial summands) and multi-label
+    field = FieldSpec.from_label(label_)
+    rng = Random(29)
+    x = x_power(field, 1)
+    ends = [high_degree_complex(seed, field, n=3, degree=4)
+            for seed in (1, 2)]
+    for lab in (label(2), label(3, True), label(1)):
+        m = model_complex(lab, field)
+        ends.append(conjugate_complex(rng, m, max_val=2)[0])
+        parts = (m, trivial_complex(TrivialType.TYPE1, 1, field),
+                 trivial_complex(TrivialType.TYPE2, 1, field))
+        ends.append(conjugate_complex(rng, direct_sum(*parts), max_val=2)[0])
+    bound = 4
+    for end in ends:
+        ce = decomposition_certificate(decompose(end))
+        single = len(ce.labels) == 1
+        for right in (True, False):
+            expected = []
+            for lab in artheory._family(bound):
+                cd = model_certificate([lab], field)
+                gens = (hom_module(cd.complex, end, (cd, ce)) if right else
+                        hom_module(end, cd.complex, (ce, cd))).generators
+                at_end = ce.labels == ((lab.j, lab.shifted),)
+                expected += [(lab, idx, scale_map(g, x) if at_end else g)
+                             for idx, g in enumerate(gens)]
+            assert single == any(
+                ce.labels == ((lab.j, lab.shifted),)
+                for lab in artheory._family(bound))
+            cands = list(artheory._ar3_candidates(
+                right, artheory._family(bound), ce.labels))
+            assert [c[:2] for c in cands] == [e[:2] for e in expected]
+            for size in (1, 3, len(cands)):
+                for s in range(0, len(cands), size):
+                    batch = cands[s:s + size]
+                    maps = [g for _, _, g in expected[s:s + size]]
+                    cb, f = artheory._batch_map(end, ce, right, batch)
+                    assert cb.labels == tuple(
+                        (lab.j, lab.shifted) for lab, _, _ in batch)
+                    join = (lambda ms: block(field, [ms])) if right else \
+                        (lambda ms: vstack(field, ms))
+                    assert f.f0 == join([g.f0 for g in maps])
+                    assert f.f1 == join([g.f1 for g in maps])
 
 
 @pytest.mark.parametrize("bound", [2, 4])
