@@ -96,7 +96,6 @@ from .smith import (
     SubquotientModule,
     homology_invariants,
     invert,
-    is_invertible,
     smith_normal_form,
     solve_over_ring,
 )

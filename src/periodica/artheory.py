@@ -95,7 +95,7 @@ from .complexes import (
 )
 from .errors import NotFiniteLengthError, PeriodicaError
 from .fields import FieldSpec
-from .localring import x_power, zero
+from .localring import x_power
 from .matrix import RMatrix
 from .models import hom_pairs
 
@@ -239,19 +239,17 @@ def _batch_map(end: TwoPeriodicComplex, end_cert, right: bool,
     candidate's being the k-th of the block sum in both."""
     field = end.field
     cb = model_certificate([lab for lab, _, _ in batch], field)
-    z = zero(field)
     n = len(batch)
     q = end_cert.from_blocks if right else end_cert.to_blocks
     mats = []
     for deg, qd in enumerate((q.f0, q.f1)):
         m = qd.cols if right else qd.rows  # the endpoint's block-sum rank
-        g = [z] * (m * n)
-        for k, (_, _, (ends, *powers)) in enumerate(batch):
-            if powers[deg] is not None:
-                g[ends[deg] * n + k if right else k * m + ends[deg]] = \
-                    x_power(field, powers[deg])
-        mats.append(qd @ RMatrix(field, m, n, tuple(g)) if right
-                    else RMatrix(field, n, m, tuple(g)) @ qd)
+        g = [((ends[deg], k) if right else (k, ends[deg]),
+              x_power(field, powers[deg]))
+             for k, (_, _, (ends, *powers)) in enumerate(batch)
+             if powers[deg] is not None]
+        mats.append(qd @ RMatrix.from_cells(field, m, n, g) if right
+                    else RMatrix.from_cells(field, n, m, g) @ qd)
     if right:
         return cb, ChainMap2(cb.complex, end, *mats)
     return cb, ChainMap2(end, cb.complex, *mats)

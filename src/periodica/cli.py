@@ -53,9 +53,12 @@ OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 # accepted calls take at most about 10 s over Q on a 2-vCPU machine:
 # ar-verify --i 1000 --bound 1200 1.1-1.4 s, ar-verify --i 3 --bound 1200
 # 1.0-1.4 s and 34 MB, quiver --max 100 2.2-2.7 s (F_101 is faster),
-# strictify --window 180 on tests/golden/q_quasi.json 7.5 s (the
-# coefficients of the comparison maps grow with the window: 200 took
-# 15 s), selftest --rounds 250 7.6-8.1 s.
+# strictify --window 180 on tests/golden/q_quasi.json 5.4-6.1 s and
+# 48 MB (the coefficients of the comparison maps grow with the window:
+# 200 took 15 s), selftest --rounds 250 7.6-8.1 s.  Input documents are
+# bounded at parse (serialize.MAX_MATRIX_COEFFICIENTS): validate on a
+# 58 KB grid of 60 x 60 x^10000 exits 2 in 0.14 s at 25 MB peak, where
+# parsing it whole took 1.0 s and 293 MB.
 MAX_I, MAX_BOUND, MAX_QUIVER = 1000, 1200, 100
 MAX_WINDOW, MAX_ROUNDS = 180, 250
 
@@ -65,7 +68,9 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, a file that is not UTF-8, or an integer of
+        # more digits than int() converts
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None

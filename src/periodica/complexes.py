@@ -29,12 +29,13 @@ Where invariants are checked: constructors check, derived values skip.
 The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
 ``ChainMap2`` (both commuting squares) and ``BlockSumCertificate`` check
 their data, and every value built from raw matrices goes through them:
-parsed input, ``cone``, ``strictify``, conjugated complexes, one map of
+parsed input, ``cone``, conjugated complexes, one map of
 the Smith basis pair of ``minimal._split``, the Smith-route Hom
 generators and ``delta_iso``.  A value that exact algebra makes valid
 when its inputs are is built by ``_unchecked``, without the check: a
 complex derived from complexes (shift, dual, sums, Hom and tensor
-complexes, model sums, trivial complexes), a map derived from chain maps
+complexes, model sums, trivial complexes) or from quasi-periodic data
+whose composites ``strictify`` checked, a map derived from chain maps
 (identities, composites, negatives, multiples and shifts, the inverse of
 a checked isomorphism, the closed-form Hom generators Q_Y g P_X) and a
 certificate derived from checked maps.  ``UNCHECKED_CALLERS`` in
@@ -45,7 +46,8 @@ Model block sums live in label coordinates in ``models``: the degree
 index of each label, the differentials of a block sum and one entry per
 ordered label pair, with the Hom factor, the generator and the standard
 homotopy.  Both closed forms below read that one entry; this module
-builds the maps from it and transports them along the certificates.
+builds the maps from it, each cell by cell through
+``RMatrix.from_cells``, and transports them along the certificates.
 
 Null-homotopy has one path, the closed form on block-sum certificates.
 A certificate names X as a block sum B of the models K(j), K(j)[1], R
@@ -546,11 +548,12 @@ def is_null_homotopic(f: ChainMap2,
     return h
 
 
-def _check_certificate(c: BlockSumCertificate, x: TwoPeriodicComplex,
-                       end: str) -> None:
-    if c.complex is not x and c.complex != x:
-        raise DimensionMismatchError(f"the certificate of the {end} is for "
-                                     "another complex")
+def _check_certificates(cx: BlockSumCertificate, cy: BlockSumCertificate,
+                        x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> None:
+    for c, comp, end in ((cx, x, "source"), (cy, y, "target")):
+        if c.complex is not comp and c.complex != comp:
+            raise DimensionMismatchError(f"the certificate of the {end} is "
+                                         "for another complex")
 
 
 def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
@@ -559,27 +562,24 @@ def _certified_homotopy(f: ChainMap2, cx: BlockSumCertificate,
     c = P_Y f Q_X is read in the slot of its ``models`` entry, and r/x^v
     times the entry's standard homotopy is the block of s'."""
     x, y = f.src, f.dst
-    _check_certificate(cx, x, "source")
-    _check_certificate(cy, y, "target")
+    _check_certificates(cx, cy, x, y)
     px, qx = cx.to_blocks, cx.from_blocks
     py, qy = cy.to_blocks, cy.from_blocks
     pf0, pf1 = py.f0 @ f.f0, py.f1 @ f.f1
-    c = ((pf0 @ qx.f0).entries, (pf1 @ qx.f1).entries)
-    nx, ny0, ny1 = (qx.f0.cols, qx.f1.cols), py.f0.rows, py.f1.rows
-    z = zero(x.field)
-    t = ([z] * (ny1 * nx[0]), [z] * (ny0 * nx[1]))
+    c = (pf0 @ qx.f0, pf1 @ qx.f1)
+    t = ([], [])  # the cells of s'_0 and s'_1
     for a, b, (v, g, h) in label_pairs(cx.labels, cy.labels):
         k = g.index(0)  # r g is read where g is 1
-        r = c[k][b[k] * nx[k] + a[k]]
+        r = c[k].at(b[k], a[k])
         if not r:
             continue
         if r.valuation < v:
             return None
         # s_h = (-1)^h runs from the degree-h vector of a to the other of b
         q = x_shift(r, -v)
-        t[h][b[1 - h] * nx[h] + a[h]] = -q if h else q
-    s0 = qy.f1 @ RMatrix(x.field, ny1, nx[0], tuple(t[0])) @ px.f0
-    s1 = qy.f0 @ RMatrix(x.field, ny0, nx[1], tuple(t[1])) @ px.f1
+        t[h].append(((b[1 - h], a[h]), -q if h else q))
+    s0, s1 = (qd @ RMatrix.from_cells(x.field, qd.cols, pd.rows, cells) @ pd
+              for qd, cells, pd in ((qy.f1, t[0], px.f0), (qy.f0, t[1], px.f1)))
     if cy.contraction is not None:
         s0 = s0 + cy.contraction.s0 @ f.f0
         s1 = s1 + cy.contraction.s1 @ f.f1
@@ -610,8 +610,7 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
     if certificates is None:
         return _smith_hom(x, y)
     cx, cy = certificates
-    _check_certificate(cx, x, "source")
-    _check_certificate(cy, y, "target")
+    _check_certificates(cx, cy, x, y)
     px, qy = cx.to_blocks, cy.from_blocks
     pairs = hom_pairs(cx.labels, cy.labels)
     factors = tuple(v for _, _, (v, _, _) in pairs if v != math.inf)
@@ -623,15 +622,15 @@ def hom_module(x: TwoPeriodicComplex, y: TwoPeriodicComplex,
 
 def _outer(q: RMatrix, b: int, power: Optional[int], p: RMatrix,
            a: int) -> RMatrix:
-    """x^power times column b of q times row a of p; zero when power is
-    None."""
-    if power is None:
-        return RMatrix.zeros(q.field, q.rows, p.cols)
-    c = x_power(q.field, power)
-    col = [c * q.entries[r * q.cols + b] for r in range(q.rows)]
-    row = p.entries[a * p.cols:(a + 1) * p.cols]
-    return RMatrix(q.field, q.rows, p.cols,
-                   tuple(u * w for u in col for w in row))
+    """x^power times column b of q times row a of p, written from its
+    nonzero cells; zero when power is None."""
+    cells = []
+    if power is not None:
+        c = x_power(q.field, power)
+        col = [(i, c * u) for i in range(q.rows) if (u := q.at(i, b))]
+        row = [(j, w) for j in range(p.cols) if (w := p.at(a, j))]
+        cells = [((i, j), u * w) for i, u in col for j, w in row]
+    return RMatrix.from_cells(q.field, q.rows, p.cols, cells)
 
 
 def _smith_hom(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> HomModule:

@@ -8,6 +8,12 @@ the Kronecker product with the first factor outer.  That product is the
 reference the tests hold the Hom-complex writer of ``complexes`` to
 (``tests/oracles.py``); the package builds no Kronecker product.
 
+A matrix that is zero but at a few cells, such as a block-sum
+differential, a Hom generator or a homotopy in the label coordinates of
+``models``, is written by :meth:`RMatrix.from_cells` from its
+((row, col), entry) cells, so no module but this one computes where a
+cell sits in the row-major ``entries``.
+
 A product with a zero operand (no nonzero entry) or an identity operand
 (square, ones on the diagonal, zeros elsewhere, however its entries were
 built) does no element arithmetic: it is the zero matrix, or the other
@@ -50,6 +56,16 @@ class RMatrix:
               fn: Callable[[int, int], LocalElem]) -> "RMatrix":
         ents = tuple(fn(i, j) for i in range(rows) for j in range(cols))
         return RMatrix(field, rows, cols, ents)
+
+    @staticmethod
+    def from_cells(field: FieldSpec, rows: int, cols: int,
+                   cells: Iterable[tuple]) -> "RMatrix":
+        """The rows x cols matrix that is zero but at the ((i, j), entry)
+        ``cells``, each (i, j) named at most once."""
+        ents = [zero(field)] * (rows * cols)
+        for (i, j), e in cells:
+            ents[i * cols + j] = e
+        return RMatrix(field, rows, cols, tuple(ents))
 
     @staticmethod
     def from_grid(field: FieldSpec, rows: int, cols: int,
@@ -249,10 +265,6 @@ def vstack(field: FieldSpec, mats: Sequence[RMatrix]) -> RMatrix:
 
 def commutation_matrix(field: FieldSpec, m: int, n: int) -> RMatrix:
     """Permutation sending flat index i*n + j (i outer) to j*m + i (j outer)."""
-    z, o = zero(field), one(field)
-    size = m * n
-    ents = [z] * (size * size)
-    for i in range(m):
-        for j in range(n):
-            ents[(j * m + i) * size + (i * n + j)] = o
-    return RMatrix(field, size, size, tuple(ents))
+    o = one(field)
+    return RMatrix.from_cells(field, m * n, m * n, (
+        ((j * m + i, i * n + j), o) for i in range(m) for j in range(n)))

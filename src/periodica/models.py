@@ -39,7 +39,9 @@ candidates in it, so a generator index means the same map in both.
 
 This module handles labels, exponents, indices and the differentials'
 matrices only; ``complexes`` builds the complexes, maps and homotopies
-from them and transports them along block-sum certificates.
+from them and transports them along block-sum certificates.  Every
+matrix in label coordinates, here and there, is written cell by cell
+through ``RMatrix.from_cells``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 from typing import Optional
 
 from .fields import FieldSpec
-from .localring import x_power, zero
+from .localring import x_power
 from .matrix import RMatrix
 
 INF = math.inf
@@ -73,17 +75,14 @@ def block_sum(field: FieldSpec, labels) -> tuple:
     order of ``labels`` (module docstring)."""
     idx0, idx1 = degree_indices(labels)
     r0, r1 = len(idx0) - idx0.count(None), len(idx1) - idx1.count(None)
-    d0 = [zero(field)] * (r1 * r0)
-    d1 = [zero(field)] * (r0 * r1)
+    cells = ([], [])  # of d0 and of d1
     for (j, shifted), a0, a1 in zip(labels, idx0, idx1):
-        if not j:
-            continue
-        if shifted:
-            d0[a1 * r0 + a0] = -x_power(field, j)
-        else:
-            d1[a0 * r1 + a1] = x_power(field, j)
-    return (r0, r1, RMatrix(field, r1, r0, tuple(d0)),
-            RMatrix(field, r0, r1, tuple(d1)))
+        if j and shifted:
+            cells[0].append(((a1, a0), -x_power(field, j)))
+        elif j:
+            cells[1].append(((a0, a1), x_power(field, j)))
+    return (r0, r1, RMatrix.from_cells(field, r1, r0, cells[0]),
+            RMatrix.from_cells(field, r0, r1, cells[1]))
 
 
 def entry(a: tuple, b: tuple) -> Optional[tuple]:

@@ -25,7 +25,8 @@ from .complexes import (
     Triangle,
     TwoPeriodicComplex,
 )
-from .errors import NotAComplexError, ParseError, PeriodicaError, ValidationError
+from .errors import (NotAComplexError, ParseError, PeriodicaError,
+                     SizeLimitError, ValidationError)
 from .fields import FieldSpec
 from .localring import format_element, parse_element
 from .matrix import RMatrix
@@ -34,6 +35,13 @@ from .smith import SubquotientModule
 
 
 # -- matrices ---------------------------------------------------------------
+
+# Most coefficients beyond the first of each numerator and denominator in
+# one parsed matrix: x^k costs k, a constant nothing, and 2^20 list slots
+# are 8 MB of references.  MAX_EXPONENT bounds one entry only, so a 58 KB
+# grid of 60 x 60 x^10000 would hold 36M and peak near 300 MB; the
+# densest documents the tests parse (ranks (6, 6), degree 200) hold 47k.
+MAX_MATRIX_COEFFICIENTS = 1 << 20
 
 
 def matrix_to_grid(m: RMatrix) -> list:
@@ -46,6 +54,7 @@ def parse_matrix(field: FieldSpec, doc, rows: int, cols: int,
     if not isinstance(doc, list) or len(doc) != rows:
         raise ParseError(f"{path}: expected {rows} rows")
     ents = []
+    budget = MAX_MATRIX_COEFFICIENTS
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{path}[{i}]: expected {cols} entries")
@@ -53,9 +62,14 @@ def parse_matrix(field: FieldSpec, doc, rows: int, cols: int,
             if not isinstance(cell, str):
                 raise ParseError(f"{path}[{i}][{j}]: entry must be a string")
             try:
-                ents.append(parse_element(field, cell))
+                e = parse_element(field, cell)
             except PeriodicaError as exc:
                 raise ParseError(f"{path}[{i}][{j}]: {exc}") from None
+            budget -= max(len(e.num) - 1, 0) + len(e.den) - 1
+            if budget < 0:
+                raise SizeLimitError(f"{path}[{i}][{j}]: coefficients of positive "
+                                     f"degree exceed {MAX_MATRIX_COEFFICIENTS}")
+            ents.append(e)
     return RMatrix(field, rows, cols, tuple(ents))
 
 

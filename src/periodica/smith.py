@@ -336,13 +336,6 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
                      tuple(exps), left.steps, right.steps)
 
 
-def is_invertible(a: RMatrix) -> bool:
-    if not a.is_square():
-        return False
-    s = smith_normal_form(a)
-    return s.rank == a.rows and all(e == 0 for e in s.exponents)
-
-
 def invert(a: RMatrix) -> RMatrix:
     """Inverse over R; exists iff the Smith form is the identity."""
     if not a.is_square():

@@ -13,7 +13,9 @@ generators and that Smith solve, where ``artheory`` tests them in
 batches on block-sum certificates.  The Hom and tensor complexes are
 held to the Kronecker/block formula (``kron``), and strictification to
 the ambient differentials conjugated one period at a time
-(``ambient_differential``).
+(``ambient_differential``).  Invertibility is read off a Smith form
+(``is_invertible``) for maps the package builds invertible by
+construction and does not test.
 """
 
 from itertools import combinations
@@ -28,6 +30,7 @@ from periodica import (
     negate_map,
     scale_map,
     shift_map,
+    smith_normal_form,
     solve_over_ring,
 )
 from periodica.classify import IndecompMultiset, assemble, decompose, label
@@ -122,6 +125,17 @@ def hom_length_multisets(pairs_x, pairs_y) -> int:
         for (j, f) in pairs_y:
             total += hom_length_kk(i, j, e != f)
     return total
+
+
+def is_invertible(a: RMatrix) -> bool:
+    """Whether a is invertible over R: square, with a Smith form of full
+    rank and all exponents 0.  The package proves invertibility only
+    inside ``invert``; the tests hold the maps it does not test (the
+    window comparison maps, ``delta_iso``) to this."""
+    if not a.is_square():
+        return False
+    s = smith_normal_form(a)
+    return s.rank == a.rows and all(e == 0 for e in s.exponents)
 
 
 def vec(a: RMatrix) -> RMatrix:

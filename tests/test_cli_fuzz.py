@@ -4,12 +4,17 @@ Every call keeps the exit-code contract (0 ok, 1 a verification failed,
 2 bad input), prints no traceback and ends within a time bound.  The
 documents have ranks 0-3; some are complexes, most are not, and some
 are malformed (wrong shapes, non-string entries, bad element strings,
-missing keys, foreign fields).
+missing keys, foreign fields).  Files that are not JSON the reader
+accepts, and matrices over the parse budget of coefficients, are input
+errors too; the budget also bounds the parser's peak memory.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -18,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodica import FieldSpec, SizeLimitError
 from periodica.cli import main
+from periodica.serialize import MAX_MATRIX_COEFFICIENTS, parse_matrix
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 ENTRIES = st.sampled_from(
@@ -115,10 +122,12 @@ def calls(draw):
 
 def _run(argv, files):
     """(exit code, stdout, stderr, seconds) of ``main`` on ``argv``, its
-    file names written as JSON to a fresh directory."""
+    file names written to a fresh directory: as JSON, or as they are
+    when given as bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in files.items():
-            (Path(tmp) / name).write_text(json.dumps(doc), encoding="utf-8")
+            (Path(tmp) / name).write_bytes(
+                doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         argv = [str(Path(tmp) / a) if a in files else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         t0 = time.perf_counter()
@@ -167,3 +176,66 @@ def test_validate_reports_a_non_complex_as_its_verdict():
     assert (code, json.loads(out), err) == (1, {
         "valid": False,
         "violation": "d1*d0 has nonzero entry at (0, 0)"}, "")
+
+
+# a byte that is not UTF-8, and an integer of more digits than int()
+# converts: both are ValueErrors of the reader, not verdicts
+UNREADABLE = {
+    "not-utf8": b'{"field": "Q", "r0": 1\xff}',
+    "long-int": b'{"field": "Q", "r0": 1' + b"0" * 5000
+                + b', "r1": 1, "d0": [["0"]], "d1": [["x"]]}'}
+
+
+@pytest.mark.parametrize("bad", sorted(UNREADABLE))
+@pytest.mark.parametrize("argv", [
+    ["validate", "bad.json"], ["cone", "bad.json"], ["cone", "f.json"]],
+    ids=["validate", "cone", "cone-src"])
+def test_unreadable_documents_are_input_errors(argv, bad):
+    # cone-src: the map document is fine, the src it refers to is not
+    fmap = {"src": "bad.json", "dst": "k.json", "f0": [["0"]],
+            "f1": [["0"]]}
+    files = {"bad.json": UNREADABLE[bad], "k.json": K1, "f.json": fmap}
+    code, out, err, _ = _run(argv, files)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "invalid JSON" in err
+    assert "Traceback" not in err
+
+
+# runs the CLI as a child and reports its peak RSS in KB, as CI does
+PEAK = ("import json, resource, subprocess, sys\n"
+        "r = subprocess.run([sys.executable, '-m', 'periodica.cli',"
+        " *sys.argv[1:]], capture_output=True, text=True)\n"
+        "print(json.dumps([r.returncode, r.stdout, r.stderr,"
+        " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))\n")
+
+
+def test_high_exponents_stop_at_the_parse_budget(tmp_path):
+    # 58 KB: a 60 x 60 grid of x^10000 held 36M coefficients and peaked
+    # near 300 MB before the budget
+    doc = {"field": "Q", "r0": 60, "r1": 60, "d0": [["0"] * 60] * 60,
+           "d1": [["x^10000"] * 60] * 60}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", PEAK, "validate", str(path)],
+                         capture_output=True, text=True, env=env,
+                         timeout=CALL_SECONDS, check=True)
+    code, out, err, peak_kb = json.loads(run.stdout)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: $.d1[") and "Traceback" not in err
+    assert peak_kb < 64 * 1024
+
+
+@pytest.mark.parametrize("label_", FIELDS)
+def test_parse_budget_counts_coefficients_of_positive_degree(label_):
+    # x^k costs k, a denominator its degree, zeros and constants nothing;
+    # a matrix at the budget parses and one coefficient more does not
+    field = FieldSpec.from_label(label_)
+    rest = MAX_MATRIX_COEFFICIENTS - 104 * 10_000 - 1
+    row = ["0", "3"] + ["x^10000"] * 104
+    at = row + [f"x^{rest}/(1 + x)"]
+    assert parse_matrix(field, [at], 1, 107, "$.m").rows == 1
+    with pytest.raises(SizeLimitError, match=r"^\$\.m\[0\]\[106\]: "):
+        parse_matrix(field, [row + [f"x^{rest + 1}/(1 + x)"]], 1, 107, "$.m")

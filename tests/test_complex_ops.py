@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import kron
+from oracles import is_invertible, kron
 from thelpers import (
     first_nonzero,
     mat,
@@ -42,7 +42,6 @@ from periodica import (
     homc,
     identity_map,
     inverse,
-    is_invertible,
     is_null_homotopic,
     k_complex,
     one,

@@ -66,11 +66,11 @@ from periodica.smith import (
     TrackedBasis,
     homology_invariants,
     invert,
-    is_invertible,
     smith_normal_form,
     smith_sweep,
     solve_over_ring,
 )
+from oracles import is_invertible
 from thelpers import cx, mat, random_unit
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -18,7 +18,6 @@ from periodica import (
     RMatrix,
     homology_invariants,
     invert,
-    is_invertible,
     one,
     parse_element,
     smith_normal_form,
@@ -149,7 +148,7 @@ def test_invert_and_failure():
     assert (ainv @ a - RMatrix.identity(Q, 2)).is_zero()
     with pytest.raises(NotInvertibleError):
         invert(mat(Q, 2, 2, [["x", "0"], ["0", "1"]]))
-    assert not is_invertible(mat(Q, 1, 2, [["1", "0"]]))
+    assert not oracles.is_invertible(mat(Q, 1, 2, [["1", "0"]]))
 
 
 # -- subquotients ---------------------------------------------------------------
@@ -351,3 +350,20 @@ def test_products_with_a_zero_or_identity_operand_do_no_arithmetic(
             # the other operand itself: matrices are immutable
             assert a @ c is a and c @ a is a
     assert calls == []
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:101"])
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_from_cells_places_each_cell(label_, dims, seed):
+    # the one writer of matrices that are zero but at a few cells, against
+    # a dense build that looks each cell up
+    field = FieldSpec.from_label(label_)
+    rng = Random(seed)
+    rows, cols = dims
+    cells = {(i, j): random_element(rng, field)
+             for i in range(rows) for j in range(cols) if rng.random() < 0.4}
+    m = RMatrix.from_cells(field, rows, cols, list(cells.items()))
+    assert m == RMatrix.build(field, rows, cols,
+                              lambda i, j: cells.get((i, j), zero(field)))

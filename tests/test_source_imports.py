@@ -42,7 +42,8 @@ UNCHECKED_CALLERS = {
         "BlockSumCertificate.shifted", "hom_module")
 } | {("classify.py", "model_certificate"), ("classify.py", "_classify"),
      ("classify.py", "_moved_certificate"),
-     ("minimal.py", "trivial_complex"), ("minimal.py", "_split")}
+     ("minimal.py", "trivial_complex"), ("minimal.py", "_split"),
+     ("strictify.py", "strictify")}
 
 
 def _imported(tree: ast.Module) -> dict:

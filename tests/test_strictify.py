@@ -3,18 +3,21 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ambient_differential
+from oracles import ambient_differential, is_invertible
 from thelpers import mat, rechecked_complex
 
 from periodica import (
+    FieldMismatchError,
     FieldSpec,
     NotAComplexError,
     NotMinimalError,
     QuasiPeriodicData,
     RMatrix,
+    TwoPeriodicComplex,
     invert,
-    is_invertible,
     is_minimal,
     k_complex,
     strictify,
@@ -154,3 +157,37 @@ def test_window_products_grow_linearly(monkeypatch):
         window_chain_map(q, radius=radius)
         counts.append(calls[0])
     assert counts[2] - counts[1] == counts[1] - counts[0]
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), radius=st.integers(1, 4))
+def test_what_strictify_does_not_check_again(label_, seed, radius):
+    # strictify builds its complex without the constructor's check and
+    # window_chain_map does not test its maps for invertibility: both
+    # hold by construction from what _validated_periods proved
+    field = FieldSpec.from_label(label_)
+    q, _ = random_quasi_periodic(Random(seed), field)
+    x = strictify(q)
+    assert rechecked_complex(x) == x
+    fs = window_chain_map(q, radius=radius)
+    assert len(fs) == 2 * radius + 1
+    assert all(is_invertible(f) for f in fs.values())
+
+
+def test_strictify_checks_the_composites_once(monkeypatch):
+    q, _ = random_quasi_periodic(Random(5), Q)
+    checks = []
+    real = TwoPeriodicComplex.__post_init__
+    monkeypatch.setattr(TwoPeriodicComplex, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    strictify(q)
+    assert checks == []
+
+
+def test_quasi_periodic_data_rejects_a_foreign_field():
+    f3 = FieldSpec.prime_field(3)
+    one = RMatrix.identity(Q, 1)
+    with pytest.raises(FieldMismatchError):
+        QuasiPeriodicData(f3, 1, 1, alpha0=mat(Q, 1, 1, [["0"]]),
+                          alpha1=mat(Q, 1, 1, [["x"]]), phi0=one, phi1=one)

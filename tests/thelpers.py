@@ -9,7 +9,6 @@ from periodica import (
     TwoPeriodicComplex,
     assemble,
     direct_sum,
-    is_invertible,
     parse_element,
     reduce,
     x_power,
@@ -19,6 +18,8 @@ from periodica.localring import elem
 from periodica.minimal import TrivialType, trivial_complex
 from periodica.rand import conjugate_complex, random_scalar
 from periodica.serialize import complex_to_doc, map_to_doc, matrix_to_grid
+
+from oracles import is_invertible
 
 
 def model_complex(lab, field) -> TwoPeriodicComplex:
