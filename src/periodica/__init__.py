@@ -6,6 +6,7 @@ indecomposables, and Auslander-Reiten triangles and quivers.
 
 from .artheory import (
     ARReport,
+    ARTriangle,
     QuiverGraph,
     QuiverResult,
     ar_triangle,

@@ -19,15 +19,21 @@ Every null-homotopy test of the axiom checks, and every Hom of
 ``socle_map`` and of ``serre_length_check``, passes block-sum
 certificates to ``complexes.is_null_homotopic`` /
 ``complexes.hom_module``, so they are read off labels and valuations
-instead of Smith forms.  Each verifying call decomposes N and E of the
-triangle it is given once (M too when it differs from N), and the
-certificates of N[1] and M[1] are those decompositions' certificates
-shifted.  ``build_quiver`` decomposes only the triangle ending at K(i):
+instead of Smith forms.  The triangle carries these certificates, built
+once where its terms are built: ``ar_triangle`` returns an
+``ARTriangle``, whose ``terms`` are the multisets of N, M and E and the
+certificates of N, M, N[1] and M[1].  N = M = K(i) is the model block
+sum of one label, so its certificate is the identity one that
+``socle_map`` builds for its Hom, N is that certificate's own complex,
+and N[1]'s certificate is its shift; only E, the cone, is decomposed,
+once.  ``shift_triangle`` carries the terms over with no decomposition:
 the shift is a triangle autoequivalence, so the terms of the shifted
-triangle are the same multisets with every label's shift class flipped,
-and since X[1][1] = X on the nose the certificates of N[1], M[1],
-N[1][1] and M[1][1] are those of N[1], M[1], N and M.  The Serre image
-F(X) is a model block sum with the identity certificate.
+triangle are the same multisets with every label's shift class
+flipped, and since X[1][1] = X on the nose the certificates of N[1],
+M[1], N[1][1] and M[1][1] are those of N[1], M[1], N and M.  The
+verifiers and ``build_quiver`` read the carried terms and decompose
+nothing.  The Serre image F(X) is a model block sum with the identity
+certificate.
 
 The AR3 candidates are read in label coordinates, with no Hom module
 built: each test object D is a model K(j)[e], one label, and the
@@ -75,8 +81,6 @@ from .classify import (
     IndecompLabel,
     IndecompMultiset,
     decompose,
-    decomposition_certificate,
-    k_complex,
     label,
     model_certificate,
 )
@@ -117,9 +121,9 @@ def serre_functor(ms: IndecompMultiset) -> IndecompMultiset:
         IndecompLabel(not l.shifted, l.j) for l in ms.labels())
 
 
-def socle_map(i: int, field: FieldSpec) -> ChainMap2:
-    """The socle generator of Hom(K(i), K(i)[1]) = R/x^i: x^(i-1) times a
-    module generator.  Not null-homotopic; x times it is."""
+def _socle(i: int, field: FieldSpec) -> tuple:
+    """(cn, cn1, h): the identity certificate cn of K(i), that of K(i)[1]
+    (its shift) and the socle map h between their complexes."""
     if i < 1:
         raise ValueError("socle_map needs i >= 1")
     src = model_certificate([label(i)], field)
@@ -127,29 +131,55 @@ def socle_map(i: int, field: FieldSpec) -> ChainMap2:
     hm = hom_module(src.complex, dst.complex, (src, dst))
     if hm.free_rank != 0 or hm.factors != (i,):
         raise PeriodicaError("Hom(K(i), K(i)[1]) is not cyclic of length i")
-    return scale_map(hm.generators[0], x_power(field, i - 1))
+    return src, dst, scale_map(hm.generators[0], x_power(field, i - 1))
 
 
-def ar_triangle(i: int, field: FieldSpec) -> Triangle:
+def socle_map(i: int, field: FieldSpec) -> ChainMap2:
+    """The socle generator of Hom(K(i), K(i)[1]) = R/x^i: x^(i-1) times a
+    module generator.  Not null-homotopic; x times it is."""
+    return _socle(i, field)[2]
+
+
+@dataclass(frozen=True)
+class ARTriangle(Triangle):
+    """A triangle that carries its terms' decompositions (module
+    docstring): ``terms`` = ((multisets of N, M, E), (certificates of N,
+    M, N[1], M[1]))."""
+
+    terms: tuple
+
+
+def ar_triangle(i: int, field: FieldSpec) -> ARTriangle:
     """The AR-triangle K(i) -> E -> K(i) -> K(i)[1] with the socle
-    connecting map; E is the cone of (-h)[-1], rotated to strict shape."""
+    connecting map; E is the cone of (-h)[-1], rotated to strict shape.
+    N = M = K(i) is the complex of ``socle_map``'s certificate, which the
+    triangle carries with that of K(i)[1]; E is decomposed here."""
     if i < 1:
         raise ValueError("ar_triangle needs i >= 1")
-    n = k_complex(i, field)
-    h = socle_map(i, field)
+    cn, cn1, h = _socle(i, field)
+    n = cn.complex
     e, u, v = cone(shift_map(negate_map(h)))
-    return Triangle(n=n, e=e, m=n, f=u, g=v, h=h)
+    ms = IndecompMultiset.from_labels([label(i)])
+    return ARTriangle(n=n, e=e, m=n, f=u, g=v, h=h,
+                      terms=((ms, ms, decompose(e).multiset),
+                             (cn, cn, cn1, cn1)))
 
 
 def shift_triangle(t: Triangle) -> Triangle:
     """Image of a triangle under the shift functor (all maps negated so
-    the result is again exact)."""
-    return Triangle(
-        n=shift(t.n), e=shift(t.e), m=shift(t.m),
-        f=negate_map(shift_map(t.f)),
-        g=negate_map(shift_map(t.g)),
-        h=negate_map(shift_map(t.h)),
-    )
+    the result is again exact).  An ``ARTriangle``'s image carries the
+    shifted terms: [1] flips every label's shift class, as the Serre
+    functor does on labels, and X[1][1] = X, so the certificates (cn, cm,
+    cn1, cm1) of (N, M, N[1], M[1]) serve (N[1], M[1], N, M)."""
+    parts = dict(n=shift(t.n), e=shift(t.e), m=shift(t.m),
+                 f=negate_map(shift_map(t.f)),
+                 g=negate_map(shift_map(t.g)),
+                 h=negate_map(shift_map(t.h)))
+    if not isinstance(t, ARTriangle):
+        return Triangle(**parts)
+    multisets, (cn, cm, cn1, cm1) = t.terms
+    return ARTriangle(**parts, terms=(
+        tuple(serre_functor(ms) for ms in multisets), (cn1, cm1, cn, cm)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +208,6 @@ def _family(bound: int) -> List[IndecompLabel]:
     labs = [label(j, False) for j in range(1, bound + 1)]
     labs += [label(j, True) for j in range(1, bound + 1)]
     return labs
-
-
-def _multisets(t: Triangle) -> tuple:
-    """Decompositions of a triangle's terms: the multisets of N, M and E,
-    and the block-sum certificates of N, M, N[1] and M[1].  N and M are
-    the same K(i) in an AR-triangle, and then N's are reused."""
-    dn = decompose(t.n)
-    dm = dn if t.m == t.n else decompose(t.m)
-    cn = decomposition_certificate(dn)
-    cm = cn if dm is dn else decomposition_certificate(dm)
-    cn1 = cn.shifted()
-    cm1 = cn1 if cm is cn else cm.shifted()
-    return ((dn.multiset, dm.multiset, decompose(t.e).multiset),
-            (cn, cm, cn1, cm1))
-
-
-def _shifted_terms(terms: tuple) -> tuple:
-    """The terms of ``shift_triangle(t)`` from the terms of t: [1] flips
-    every label's shift class, as the Serre functor does on labels, and
-    X[1][1] = X, so the certificates (cn, cm, cn1, cm1) of (N, M, N[1],
-    M[1]) serve (N[1], M[1], N, M) in that order."""
-    multisets, (cn, cm, cn1, cm1) = terms
-    return (tuple(serre_functor(ms) for ms in multisets),
-            (cn1, cm1, cn, cm))
 
 
 def _ar3_candidates(right: bool, family: list, end_labels: tuple):
@@ -268,13 +274,15 @@ def _kills(t: Triangle, conn: ChainMap2, right: bool, batch: list,
     return is_null_homotopic(compose(f, conn), (null_end, cb)) is not None
 
 
-def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
+def _verify_ar(t: ARTriangle, bound: int, side: str) -> ARReport:
     """(AR1) endpoints indecomposable, (AR2) the connecting map c is not
     null-homotopic, (AR3) c kills every non-isomorphism between an
     endpoint and D, D running over K(j), K(j)[1] for j <= bound.
-    ``terms`` are the multisets and certificates of ``_multisets``; each
-    D is a model block sum with the identity certificate, so every Hom
-    and null-homotopy here is read off labels and valuations.
+    AR1 and the middle term read the multisets that ``t`` carries, and
+    every Hom and null-homotopy here reads its certificates, built where
+    the terms were built (``ar_triangle``, ``shift_triangle``), or the
+    identity certificate of a model block sum D, so nothing is
+    decomposed and each answer is read off labels and valuations.
 
     AR3 reads its candidates off the ``models`` table in the label
     coordinates of the endpoint's certificate (:func:`_ar3_candidates`),
@@ -285,7 +293,7 @@ def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
     candidate, so the counterexample is the first failing (label,
     generator index) in family order, as a test of each candidate in
     turn would name it."""
-    (n_ms, m_ms, middle), (cn, cm, cn1, cm1) = terms
+    (n_ms, m_ms, middle), (cn, cm, cn1, cm1) = t.terms
     ax1 = n_ms.is_singleton() and m_ms.is_singleton()
     right = side == "right"
     # [1] is an involution, so -h[-1] = -h[1]: M[-1] -> N
@@ -307,22 +315,21 @@ def _verify_ar(t: Triangle, bound: int, side: str, terms: tuple) -> ARReport:
                     tuple(family), counterexample)
 
 
-def verify_right_ar(t: Triangle, bound: int) -> ARReport:
+def verify_right_ar(t: ARTriangle, bound: int) -> ARReport:
     """Right axioms: h t null-homotopic for every non-isomorphism t: D -> M."""
-    return _verify_ar(t, bound, "right", _multisets(t))
+    return _verify_ar(t, bound, "right")
 
 
-def verify_left_ar(t: Triangle, bound: int) -> ARReport:
+def verify_left_ar(t: ARTriangle, bound: int) -> ARReport:
     """Left axioms: s w null-homotopic for every non-isomorphism s: N -> D."""
-    return _verify_ar(t, bound, "left", _multisets(t))
+    return _verify_ar(t, bound, "left")
 
 
-def verify_ar(t: Triangle, bound: int) -> tuple:
-    """(right report, left report), decomposing N, M and E once for both;
-    AR3 reads its candidates in label coordinates (``_verify_ar``)."""
-    ms = _multisets(t)
-    return (_verify_ar(t, bound, "right", ms),
-            _verify_ar(t, bound, "left", ms))
+def verify_ar(t: ARTriangle, bound: int) -> tuple:
+    """(right report, left report), both reading the terms and
+    certificates that ``t`` carries, so neither side decomposes; AR3
+    reads its candidates in label coordinates (``_verify_ar``)."""
+    return _verify_ar(t, bound, "right"), _verify_ar(t, bound, "left")
 
 
 def serre_length_check(x: TwoPeriodicComplex, y: TwoPeriodicComplex) -> bool:
@@ -372,23 +379,22 @@ def build_quiver(bound: int, field: FieldSpec) -> QuiverResult:
     """AR-triangles for K(i), i <= bound, and their shift images; every
     triangle is verified (axioms 1-3, bound i + 3) and edges are read off
     the middle terms: an arrow Z -> M with multiplicity the number of
-    copies of Z in the middle of the verified triangle ending at M.  Only
-    the triangle ending at K(i) is decomposed; its shift image reads the
-    same decompositions through ``_shifted_terms``.  Each triangle is
-    checked as by ``verify_right_ar``: its AR3 candidates are read in
-    label coordinates, with no Hom module and no certificate per test
-    object built."""
+    copies of Z in the middle of the verified triangle ending at M.  Each
+    triangle carries its terms: ``ar_triangle`` decomposes only E of the
+    triangle ending at K(i), and ``shift_triangle`` carries its terms
+    over to the shift image, since the shift is a triangle
+    autoequivalence.  Each triangle is checked as by ``verify_right_ar``:
+    its AR3 candidates are read in label coordinates, with no Hom module
+    and no certificate per test object built."""
     if bound < 2:
         raise ValueError("quiver bound must be >= 2")
     reports = []
     edges = []
     for i in range(1, bound + 1):
         t = ar_triangle(i, field)
-        terms = _multisets(t)
-        for tri, tri_terms, target in (
-                (t, terms, label(i, False)),
-                (shift_triangle(t), _shifted_terms(terms), label(i, True))):
-            rep = _verify_ar(tri, i + 3, "right", tri_terms)
+        for tri, target in ((t, label(i, False)),
+                            (shift_triangle(t), label(i, True))):
+            rep = _verify_ar(tri, i + 3, "right")
             reports.append(rep)
             for lab, mult in rep.middle.items:
                 if lab.j <= bound:

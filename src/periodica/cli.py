@@ -45,7 +45,7 @@ from .fields import FieldSpec
 from .minimal import reduce
 from .selftest import run_selftest
 from .smith import SubquotientModule
-from .strictify import strictify, window_chain_map
+from .strictify import _strictified
 
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -216,10 +216,9 @@ def cmd_homotopic(args) -> int:
 def cmd_strictify(args) -> int:
     _in_range(args, "window", 0, MAX_WINDOW)
     q = serialize.parse_quasi_doc(_load_json(args.data), _field(args))
-    x = strictify(q)
+    x, fs = _strictified(q, args.window)
     doc = {"complex": serialize.complex_to_doc(x)}
     if args.window:
-        fs = window_chain_map(q, radius=args.window)
         doc["window"] = {str(n): serialize.matrix_to_grid(m)
                          for n, m in sorted(fs.items())}
     _emit(doc, args.format)
@@ -229,10 +228,10 @@ def cmd_strictify(args) -> int:
 def cmd_ar_triangle(args) -> int:
     _in_range(args, "i", 1, MAX_I)
     t = ar_triangle(args.i, _field(args))
-    dec = decompose(t.e)
+    (_, _, middle), _ = t.terms
     doc = serialize.triangle_to_doc(t)
-    doc["middle"] = serialize.multiset_to_list(dec.multiset)
-    _emit(doc, args.format, lambda d: f"middle = {dec.multiset}")
+    doc["middle"] = serialize.multiset_to_list(middle)
+    _emit(doc, args.format, lambda d: f"middle = {middle}")
     return OK
 
 

@@ -151,7 +151,8 @@ class FieldSpec:
                 return q_canon(Fraction(token))
             return int(token) % self.p
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad coefficient {token!r} over {self.label}") from None
+            raise ParseError(f"bad coefficient {token[:20]!r} over "
+                             f"{self.label}") from None
 
     def format_scalar(self, a: Scalar) -> str:
         return str(a)

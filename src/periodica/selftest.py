@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional, Tuple
 
-from .artheory import ar_triangle, serre_length_check, verify_right_ar
-from .classify import assemble, decompose, finite_length_cohomology, k_complex
+from .artheory import (ar_triangle, serre_length_check, socle_map,
+                       verify_right_ar)
+from .classify import (assemble, decompose, decomposition_certificate,
+                       finite_length_cohomology, k_complex)
 from .complexes import (
     delta_iso,
     dual,
@@ -117,7 +119,16 @@ def _suite_ar(rng: Random, rounds: int) -> Optional[str]:
     for _ in range(max(1, rounds // 4)):
         for field in _fields():
             i = rng.randint(1, 4)
-            rep = verify_right_ar(ar_triangle(i, field), bound=i + 2)
+            t = ar_triangle(i, field)
+            # the verifiers read the terms t carries, and decompose
+            # nothing: they are those of decomposing N = M and E
+            dn, de = decompose(t.n), decompose(t.e)
+            c = decomposition_certificate(dn)
+            if t.h != socle_map(i, field) or t.terms != (
+                    (dn.multiset, dn.multiset, de.multiset),
+                    (c, c, c.shifted(), c.shifted())):
+                return f"i={i}: carried terms"
+            rep = verify_right_ar(t, bound=i + 2)
             if not rep.passed:
                 return f"i={i}"
             j = rng.randint(1, 4)

@@ -81,12 +81,8 @@ def _validated_periods(q: QuasiPeriodicData):
 
 
 def strictify(q: QuasiPeriodicData) -> TwoPeriodicComplex:
-    """The 2-periodic complex with d1 = alpha1 and d0 = alpha0 phi0^-1,
-    built without the constructor's check: :func:`_validated_periods`
-    has proved both composites zero."""
-    _, inv = _validated_periods(q)
-    return _unchecked(TwoPeriodicComplex, q.field, q.r0, q.r1,
-                      q.alpha0 @ inv[0], q.alpha1)
+    """The 2-periodic complex with d1 = alpha1 and d0 = alpha0 phi0^-1."""
+    return _strictified(q, 0)[0]
 
 
 def window_chain_map(q: QuasiPeriodicData, radius: int = 10) -> Dict[int, RMatrix]:
@@ -95,16 +91,28 @@ def window_chain_map(q: QuasiPeriodicData, radius: int = 10) -> Dict[int, RMatri
     position (one extra f below the window supports the boundary check);
     that identity is the verification.  Every f_n is invertible over R
     by construction, a product of phi0, phi1 and the inverses that
-    :func:`_validated_periods` proved, so no f_n is tested again.
+    :func:`_validated_periods` proved, so no f_n is tested again."""
+    if radius < 1:
+        raise ValueError("window radius must be >= 1")
+    return _strictified(q, radius)[1]
+
+
+def _strictified(q: QuasiPeriodicData, radius: int) -> tuple:
+    """(X, f): the strictified complex X of :func:`strictify` and the
+    comparison maps f of :func:`window_chain_map` (none for radius 0),
+    from one :func:`_validated_periods` call.  X is built without the
+    constructor's check: the validation has proved both composites zero.
 
     One recursion each way builds f and the ambient differentials:
     upward f_n = phi(n-2) f_(n-2) and alpha^m = phi(m-1) alpha^(m-2)
     phi(m-2)^-1, downward f_n = phi(n)^-1 f_(n+2) and
     alpha^m = phi(m+1)^-1 alpha^(m+2) phi(m)."""
-    if radius < 1:
-        raise ValueError("window radius must be >= 1")
     phi, inv = _validated_periods(q)
-    strict = (q.alpha0 @ inv[0], q.alpha1)
+    x = _unchecked(TwoPeriodicComplex, q.field, q.r0, q.r1,
+                   q.alpha0 @ inv[0], q.alpha1)
+    if not radius:
+        return x, {}
+    strict = (x.d0, x.d1)
     f = {0: inv[0], 1: RMatrix.identity(q.field, q.r1),
          2: RMatrix.identity(q.field, q.r0)}
     alpha = {0: q.alpha0, 1: q.alpha1}
@@ -119,4 +127,4 @@ def window_chain_map(q: QuasiPeriodicData, radius: int = 10) -> Dict[int, RMatri
     for n in range(-radius, radius + 1):
         if alpha[n - 1] @ f[n - 1] != f[n] @ strict[(n - 1) % 2]:
             raise PeriodicaError(f"window chain-map identity fails at n = {n}")
-    return {n: f[n] for n in range(-radius, radius + 1)}
+    return x, {n: f[n] for n in range(-radius, radius + 1)}

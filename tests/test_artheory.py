@@ -13,10 +13,12 @@ from thelpers import (
     high_degree_complex,
     is_homotopy_iso,
     model_complex,
+    with_terms,
     zero_map,
 )
 
 from periodica import (
+    BlockSumCertificate,
     FieldSpec,
     Triangle,
     ar_triangle,
@@ -103,6 +105,39 @@ def test_ar_triangle_middles():
     assert decompose(ar_triangle(5, Q).e).multiset == ms((4, False), (6, False))
 
 
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_ar_triangle_carries_its_terms(label_):
+    # the terms ar_triangle and shift_triangle carry are those that
+    # decomposing the terms gives, also at i = 1, where E is K(2) plus a
+    # Type1 trivial summand.  The certificate of K(i)[1] is the shift of
+    # K(i)'s, as the verifiers built it when they decomposed (decomposing
+    # K(i)[1] itself gives the equally valid one with P = Q = -1); each
+    # passes the checked constructor.  N is the complex of socle_map's
+    # certificate, so h runs between the certificates' own complexes
+    field = FieldSpec.from_label(label_)
+    for i in range(1, 41):
+        t = ar_triangle(i, field)
+        assert t.n is t.m is t.terms[1][0].complex is t.h.src
+        assert t.h.dst is t.terms[1][2].complex
+        c = decomposition_certificate(decompose(k_complex(i, field)))
+        for tri, expected in ((t, (c, c, c.shifted(), c.shifted())),
+                              (shift_triangle(t),
+                               (c.shifted(), c.shifted(), c, c))):
+            multisets, certs = tri.terms
+            assert multisets == tuple(
+                decompose(x).multiset for x in (tri.n, tri.m, tri.e))
+            assert certs == expected
+            for cert, x in zip(certs, (tri.n, tri.m, shift(tri.n),
+                                       shift(tri.m))):
+                assert cert.complex == x
+                assert cert.labels == \
+                    decomposition_certificate(decompose(x)).labels
+                assert cert == BlockSumCertificate(
+                    cert.labels, cert.to_blocks, cert.from_blocks,
+                    cert.contraction)
+    assert decompose(ar_triangle(1, field).e).split.type1 == 1
+
+
 def test_ar_triangle_is_exact():
     # the triangle is literally the rotation of the strict cone triangle
     # on (-h)[-1], the exact triangle with connecting map h
@@ -142,7 +177,7 @@ def test_rar3_fails_for_non_socle_connecting_map():
     # replace h by a full generator of Hom(K(3), K(3)[1]): axiom 3 must fail
     t = ar_triangle(3, Q)
     g = hom_module(t.m, shift(t.n)).generators[0]
-    mutated = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=g)
+    mutated = with_terms(Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=g))
     rep = verify_right_ar(mutated, bound=3)
     assert not rep.axioms[2]  # axiom 3
     assert rep.counterexample is not None
@@ -180,7 +215,7 @@ def test_batched_ar3_matches_per_generator_loop(label_, i, data):
     t = ar_triangle(i, field)
     g = hom_module(t.m, shift(t.n)).generators[0]
     h = scale_map(g, x_power(field, k) * parse_element(field, unit))
-    t = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=h)
+    t = with_terms(Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=h))
     for rep in (verify_right_ar(t, bound), verify_left_ar(t, bound)):
         expected = oracles.ar3_counterexample(t, bound, rep.side)
         assert rep.counterexample == expected
@@ -210,14 +245,16 @@ def test_ar3_batches_are_bounded(monkeypatch):
 
 def test_rar2_fails_for_zero_connecting_map():
     t = ar_triangle(2, Q)
-    mutated = Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g,
-                       h=zero_map(t.m, shift(t.n)))
+    mutated = with_terms(Triangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g,
+                                  h=zero_map(t.m, shift(t.n))))
     rep = verify_right_ar(mutated, bound=3)
     assert not rep.axioms[1]  # axiom 2
 
 
 def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
-    # N = M = K(2) and E = K(1) + K(3): two decompositions serve both sides
+    # N = M = K(2) carries the certificate socle_map builds, so only
+    # E = K(1) + K(3) is decomposed, once, by ar_triangle; the verifiers
+    # read the carried terms and decompose nothing
     from periodica.cli import main
 
     calls = []
@@ -229,11 +266,14 @@ def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
 
     monkeypatch.setattr(artheory, "decompose", counting)
     assert main(["ar-verify", "--i", "2", "--format", "json"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert '"passed": true' in capsys.readouterr().out
+    t = ar_triangle(2, Q)
     calls.clear()
-    verify_right_ar(ar_triangle(2, Q), bound=5)
-    assert len(calls) == 2
+    verify_right_ar(t, bound=5)
+    assert len(calls) == 0
+    assert main(["ar-triangle", "--i", "2", "--format", "json"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bound", [2, 4])
@@ -247,9 +287,7 @@ def test_verify_ar_builds_no_hom_module(bound, monkeypatch):
     triangles = []
     for i in range(1, bound + 1):
         t = ar_triangle(i, Q)
-        terms = artheory._multisets(t)
-        triangles += [(t, terms),
-                      (shift_triangle(t), artheory._shifted_terms(terms))]
+        triangles += [t, shift_triangle(t)]
 
     def refused(*args):
         raise AssertionError("hom_module called")
@@ -265,11 +303,11 @@ def test_verify_ar_builds_no_hom_module(bound, monkeypatch):
     monkeypatch.setattr(complexes, "hom_module", refused)
     monkeypatch.setattr(artheory, "model_certificate", counting)
     n = artheory._AR3_BATCH
-    for t, terms in triangles:
+    for t in triangles:
         for b in (bound, 8 * bound):
             for side in ("right", "left"):
                 calls.clear()
-                assert artheory._verify_ar(t, b, side, terms).passed
+                assert artheory._verify_ar(t, b, side).passed
                 assert [len(c) for c in calls] == [
                     min(n, 2 * b - s) for s in range(0, 2 * b, n)]
                 assert [lab for c in calls for lab in c] == \
@@ -328,8 +366,9 @@ def test_label_coordinate_batch_is_the_hom_generators(label_):
 
 @pytest.mark.parametrize("bound", [2, 4])
 def test_build_quiver_decomposes_each_triangle_once(bound, monkeypatch):
-    # N = M = K(i) and E of the triangle ending at K(i), i <= bound: two
-    # decompositions each, and the shifted triangle derives its terms
+    # only E of the triangle ending at K(i), i <= bound, is decomposed:
+    # N = M = K(i) carries socle_map's certificate, and the shifted
+    # triangle carries the shifted terms
 
     calls = []
     real = artheory.decompose
@@ -340,21 +379,19 @@ def test_build_quiver_decomposes_each_triangle_once(bound, monkeypatch):
 
     monkeypatch.setattr(artheory, "decompose", counting)
     assert build_quiver(bound, Q).verified
-    assert len(calls) == 2 * bound
+    assert len(calls) == bound
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_build_quiver_derives_shifted_terms(label_):
-    # the shift image's terms from the unshifted triangle's decompositions
+    # the terms shift_triangle carries over from the unshifted triangle
     # agree with decomposing the shifted triangle afresh
 
     field = FieldSpec.from_label(label_)
     reports = build_quiver(5, field).reports
     for i in range(1, 6):
-        t = ar_triangle(i, field)
-        s = shift_triangle(t)
-        derived = artheory._shifted_terms(artheory._multisets(t))
-        fresh = artheory._multisets(s)
+        s = shift_triangle(ar_triangle(i, field))
+        derived, fresh = s.terms, with_terms(s).terms
         assert derived[0] == fresh[0]
         terms = (s.n, s.m, shift(s.n), shift(s.m))
         for c_derived, c_fresh, term in zip(derived[1], fresh[1], terms):

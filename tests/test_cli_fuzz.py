@@ -201,6 +201,20 @@ def test_unreadable_documents_are_input_errors(argv, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("label_", ["Q", "Fp:101"])
+def test_bad_coefficient_error_is_bounded(label_):
+    # a 5,000-digit coefficient is more than int() converts: the error
+    # names the entry and the token's first 20 characters, not all of it
+    doc = {"field": label_, "r0": 1, "r1": 1, "d0": [["0"]],
+           "d1": [["1" * 5000 + "*x"]]}
+    code, out, err, _ = _run(["validate", "a.json", "--field", label_],
+                             {"a.json": doc})
+    assert (code, out) == (2, "")
+    assert err == (f"error: $.d1[0][0]: bad coefficient {'1' * 20!r} "
+                   f"over {label_}\n")
+    assert len(err.encode()) < 200
+
+
 # runs the CLI as a child and reports its peak RSS in KB, as CI does
 PEAK = ("import json, resource, subprocess, sys\n"
         "r = subprocess.run([sys.executable, '-m', 'periodica.cli',"

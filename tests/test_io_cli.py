@@ -177,6 +177,19 @@ def test_cli_argument_above_its_limit(argv, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["ar-triangle", "ar-verify"])
+@pytest.mark.parametrize("label_, prefix", [("Q", "q"), ("Fp:101", "f101")])
+def test_golden_ar_i1_json(command, label_, prefix, capsys):
+    # i = 1, where E = K(2) has a Type1 trivial summand besides: the
+    # goldens' provenance is in golden/README.md
+    from periodica.cli import main
+
+    assert main([command, "--i", "1", "--field", label_,
+                 "--format", "json"]) == 0
+    golden = Path(__file__).parent / "golden" / f"{prefix}.{command}-i1.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_cli_ar_verify_default_bound(capsys):
     from periodica.cli import main
 

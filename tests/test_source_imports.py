@@ -43,7 +43,7 @@ UNCHECKED_CALLERS = {
 } | {("classify.py", "model_certificate"), ("classify.py", "_classify"),
      ("classify.py", "_moved_certificate"),
      ("minimal.py", "trivial_complex"), ("minimal.py", "_split"),
-     ("strictify.py", "strictify")}
+     ("strictify.py", "_strictified")}
 
 
 def _imported(tree: ast.Module) -> dict:

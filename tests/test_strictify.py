@@ -1,5 +1,7 @@
 """Strictification of quasi-periodic data and the window comparison maps."""
 
+import importlib
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -191,3 +193,22 @@ def test_quasi_periodic_data_rejects_a_foreign_field():
     with pytest.raises(FieldMismatchError):
         QuasiPeriodicData(f3, 1, 1, alpha0=mat(Q, 1, 1, [["0"]]),
                           alpha1=mat(Q, 1, 1, [["x"]]), phi0=one, phi1=one)
+
+
+def test_strictify_window_validates_once(monkeypatch, capsys):
+    # the CLI builds the complex and the window from one validation: the
+    # two invert Smith forms and both composites are computed once
+    from periodica.cli import main
+
+    strictify_module = importlib.import_module("periodica.strictify")
+
+    golden = Path(__file__).parent / "golden"
+    calls = []
+    real = strictify_module._validated_periods
+    monkeypatch.setattr(strictify_module, "_validated_periods",
+                        lambda q: calls.append(q) or real(q))
+    assert main(["strictify", str(golden / "q_quasi.json"),
+                 "--window", "6", "--format", "json"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == \
+        (golden / "q_quasi.strictify-window6.json").read_text()

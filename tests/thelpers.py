@@ -3,6 +3,7 @@
 from random import Random
 
 from periodica import (
+    ARTriangle,
     ChainMap2,
     IndecompMultiset,
     RMatrix,
@@ -13,7 +14,7 @@ from periodica import (
     reduce,
     x_power,
 )
-from periodica.classify import label
+from periodica.classify import decompose, decomposition_certificate, label
 from periodica.localring import elem
 from periodica.minimal import TrivialType, trivial_complex
 from periodica.rand import conjugate_complex, random_scalar
@@ -188,3 +189,14 @@ def high_degree_complex(seed, field, n=6, degree=50):
             else:
                 d0, d1 = d0 @ e_inv, e @ d1
     return TwoPeriodicComplex(field, n, n, d0, d1)
+
+
+def with_terms(t) -> ARTriangle:
+    """t with the terms an AR verifier reads, found by decomposing N, M
+    and E: ((multisets of N, M, E), (certificates of N, M, N[1], M[1])).
+    For triangles that ``ar_triangle`` did not build, such as mutants."""
+    dn, dm, de = decompose(t.n), decompose(t.m), decompose(t.e)
+    cn, cm = decomposition_certificate(dn), decomposition_certificate(dm)
+    return ARTriangle(n=t.n, e=t.e, m=t.m, f=t.f, g=t.g, h=t.h, terms=(
+        (dn.multiset, dm.multiset, de.multiset),
+        (cn, cm, cn.shifted(), cm.shifted())))
