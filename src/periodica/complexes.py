@@ -112,9 +112,10 @@ MAX_HOM_ENTRIES = 1 << 20
 class TwoPeriodicComplex:
     """Ranks (r0, r1) and differentials d0: F0->F1, d1: F1->F0 with
     d1 d0 = 0 and d0 d1 = 0.  The constructor checks both composites a
-    row at a time without forming them (``matrix.product_first_nonzero``)
-    and names the first nonzero entry; complexes derived from complexes
-    skip it (module docstring)."""
+    row at a time without forming them (``matrix.product_first_nonzero``,
+    on the product kernel that ``@`` runs, each cell reduced once) and
+    names the first nonzero entry; complexes derived from complexes skip
+    it (module docstring)."""
 
     field: FieldSpec
     r0: int

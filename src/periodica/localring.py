@@ -249,6 +249,8 @@ def _strip_outer_parens(s: str) -> str:
 
 
 def _split_fraction(s: str) -> tuple[str, str | None]:
+    if "/(" not in s:  # a polynomial; no need to scan
+        return s, None
     depth = 0
     for i, ch in enumerate(s):
         if ch == "(":

@@ -14,22 +14,43 @@ differential, a Hom generator or a homotopy in the label coordinates of
 ((row, col), entry) cells, so no module but this one computes where a
 cell sits in the row-major ``entries``.
 
+There is one product loop, :func:`_product_rows`, and both ``@`` and
+the d^2 = 0 check (:func:`product_first_nonzero`) run it.  It sums one
+row of the product at a time over the nonzero entries of a and the
+nonzero entries of each row of b, which it lists once per call.  Zeros
+are tested by their numerator, ``e.num``: a canonical zero is the one
+with an empty numerator, and the test makes no Python-level call.
+
+Each cell is reduced once (Henrici's rule, which ``localring`` follows
+for one sum, carried over to a dot product).  A cell with one term is
+that term's ``e * f``.  A cell with several sends its polynomial terms
+(both denominators 1) to :func:`poly.sum_of_products`, which sums their
+products over the field's integers and reduces each coefficient once;
+the terms with a denominator are summed in ``LocalElem`` arithmetic, and
+the two partial sums meet in one ``+``.  Canonical elements are unique,
+so this is the entry of the term-by-term sum, whatever the grouping.
+
 A product with a zero operand (no nonzero entry) or an identity operand
 (square, ones on the diagonal, zeros elsewhere, however its entries were
 built) does no element arithmetic: it is the zero matrix, or the other
 operand itself, which is safe to share since matrices are immutable.
+Negation and scaling keep a zero entry as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
+from . import poly
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import FieldSpec
 from .localring import LocalElem, one, zero
 
 Grid = list
+
+_num = attrgetter("num")
 
 
 @dataclass(frozen=True)
@@ -109,7 +130,7 @@ class RMatrix:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return not any(map(_num, self.entries))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -123,6 +144,12 @@ class RMatrix:
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
 
+    def _check_product(self, other: "RMatrix") -> None:
+        self._check(other)
+        if self.cols != other.rows:
+            raise DimensionMismatchError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+
     def __add__(self, other: "RMatrix") -> "RMatrix":
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -135,41 +162,27 @@ class RMatrix:
 
     def __neg__(self) -> "RMatrix":
         return RMatrix(self.field, self.rows, self.cols,
-                       tuple(-e for e in self.entries))
+                       tuple([-e if e.num else e for e in self.entries]))
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
-        self._check(other)
-        if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        z = zero(self.field)
+        self._check_product(other)
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
-        if not any(a) or not any(b):
-            return RMatrix(self.field, n, m, (z,) * (n * m))
+        if not any(map(_num, a)) or not any(map(_num, b)):
+            return RMatrix.zeros(self.field, n, m)
         o = one(self.field)
         if n == k and _is_identity(a, k, o):
             return other
         if k == m and _is_identity(b, k, o):
             return self
-        out = [z] * (n * m)
-        for i in range(n):
-            arow = i * k
-            orow = i * m
-            for t in range(k):
-                e = a[arow + t]
-                if not e:
-                    continue
-                brow = t * m
-                for j in range(m):
-                    f = b[brow + j]
-                    if f:
-                        out[orow + j] = out[orow + j] + e * f
+        out = [zero(self.field)] * (n * m)
+        for i, row in _product_rows(self, other):
+            out[i * m:(i + 1) * m] = row
         return RMatrix(self.field, n, m, tuple(out))
 
     def scale(self, c: LocalElem) -> "RMatrix":
         return RMatrix(self.field, self.rows, self.cols,
-                       tuple(c * e for e in self.entries))
+                       tuple([c * e if e.num else e for e in self.entries]))
 
     def transpose(self) -> "RMatrix":
         return RMatrix.build(self.field, self.cols, self.rows,
@@ -185,36 +198,75 @@ class RMatrix:
                              lambda i, j: col.at(j * rows + i, 0))
 
 
-def product_first_nonzero(a: RMatrix, b: RMatrix) -> tuple | None:
-    """(i, j) of the first nonzero entry of a @ b in row-major order, or
-    None when a @ b = 0, without forming a @ b: one row of the product
-    is summed at a time over the nonzero entries of a and b, and the
-    search stops at the first nonzero row.  A lopsided product (an
-    n x 1 by 1 x n one) takes memory linear in its operands."""
-    a._check(b)
-    if a.cols != b.rows:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    z = zero(a.field)
+def _product_rows(a: RMatrix, b: RMatrix):
+    """(i, row i of a @ b) for each row i that receives a term, one row
+    at a time (module docstring).  The nonzero (j, entry) of row t of b
+    are listed when a first needs them and dropped with the call."""
+    field = a.field
+    z = zero(field)
     k, m = a.cols, b.cols
+    A, B = a.entries, b.entries
     nz_rows = {}  # t -> the nonzero (j, entry) of row t of b
     for i in range(a.rows):
-        acc = None
-        for t, e in enumerate(a.entries[i * k:(i + 1) * k]):
-            if not e:
+        acc = None  # acc[j]: the (e, f) terms of cell (i, j), or None
+        for t, e in enumerate(A[i * k:(i + 1) * k]):
+            if not e.num:
                 continue
             nz = nz_rows.get(t)
             if nz is None:
                 nz = nz_rows[t] = [(j, f) for j, f in
-                                   enumerate(b.entries[t * m:(t + 1) * m]) if f]
+                                   enumerate(B[t * m:(t + 1) * m]) if f.num]
             if nz and acc is None:
-                acc = [z] * m
+                acc = [None] * m
             for j, f in nz:
-                acc[j] = acc[j] + e * f
+                terms = acc[j]
+                if terms is None:
+                    acc[j] = [(e, f)]
+                else:
+                    terms.append((e, f))
         if acc is not None:
-            for j, c in enumerate(acc):
-                if c:
-                    return (i, j)
+            row = [z] * m
+            for j, terms in enumerate(acc):
+                if terms is not None:
+                    if len(terms) == 1:
+                        e, f = terms[0]
+                        row[j] = e * f
+                    else:
+                        row[j] = _cell(field, z, terms)
+            yield i, row
+
+
+def _cell(field: FieldSpec, z: LocalElem, terms: list) -> LocalElem:
+    """The sum of e * f over two or more ``terms`` (e, f): the products
+    of polynomials summed by :func:`poly.sum_of_products`, the others in
+    ``LocalElem`` arithmetic, and the two sums added once."""
+    polys, rest = [], None
+    for e, f in terms:
+        if len(e.den) == 1 and len(f.den) == 1:
+            polys.append((e.num, f.num))
+        else:
+            rest = e * f if rest is None else rest + e * f
+    s = z
+    if polys:
+        num = poly.sum_of_products(field, polys)
+        if num:
+            s = LocalElem(field, num, z.den)
+    if rest is None:
+        return s
+    return rest + s if s.num else rest
+
+
+def product_first_nonzero(a: RMatrix, b: RMatrix) -> tuple | None:
+    """(i, j) of the first nonzero entry of a @ b in row-major order, or
+    None when a @ b = 0, without forming a @ b: the rows of the product
+    come from :func:`_product_rows` one at a time, and the search stops
+    at the first nonzero row.  A lopsided product (an n x 1 by 1 x n
+    one) takes memory linear in its operands."""
+    a._check_product(b)
+    for i, row in _product_rows(a, b):
+        for j, c in enumerate(row):
+            if c.num:
+                return (i, j)
     return None
 
 
@@ -222,7 +274,7 @@ def _is_identity(entries: tuple, n: int, o: LocalElem) -> bool:
     """Whether the n x n ``entries`` are one (``o`` or an equal copy) on
     the diagonal and zero elsewhere."""
     return (all(e is o or e == o for e in entries[::n + 1])
-            and sum(map(bool, entries)) == n)
+            and sum(map(bool, map(_num, entries))) == n)
 
 
 def block(field: FieldSpec, grid: Sequence[Sequence[RMatrix]]) -> RMatrix:

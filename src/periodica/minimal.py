@@ -112,7 +112,7 @@ def _assert_split(grid, lo: int, hi: int) -> None:
     differential's pivots there split off, both composites being zero."""
     for i, row in enumerate(grid):
         for j in range(len(row)) if lo <= i < hi else range(lo, hi):
-            if row[j]:
+            if row[j].num:
                 raise PeriodicaError(
                     "differential does not respect the split at "
                     f"({i}, {j}): {format_element(row[j])}")

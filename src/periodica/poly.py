@@ -42,6 +42,13 @@ it (the division of :func:`exact_quotient`), and builds a ``Fraction``
 only for an output coefficient that is not integral.  Over F_p it runs
 Euclid and the checked division on ints and inverts the new den(0) once.
 
+:func:`sum_of_products` is the kernel of a matrix product's cell
+(``matrix._product_rows``): the sum of several products f * g,
+accumulated unreduced and reduced once per output coefficient, as one
+product is.  Over F_p it sums Python ints and reduces mod p at the end;
+over Q it sums integer numerators over one common denominator, the lcm
+of the pairs' denominators, and never adds two ``Fraction`` values.
+
 ``scale`` multiplies by one field element through ``FieldSpec.mul``, the
 scalar API.  Result tuples are built from lists, not generator
 expressions: ``tuple(genexpr)`` keeps a generator frame per call and
@@ -119,14 +126,19 @@ def neg(field: FieldSpec, f: Poly) -> Poly:
     return tuple([-c for c in f])
 
 
-def _convolve(f: Sequence[int], g: Sequence[int]) -> list:
-    """Integer coefficients of f * g, unreduced."""
-    out = [0] * (len(f) + len(g) - 1)
+def _convolve_into(out: list, f: Sequence[int], g: Sequence[int]) -> None:
+    """Add the integer coefficients of f * g to ``out``, unreduced."""
     terms = [(j, b) for j, b in enumerate(g) if b]
     for i, a in enumerate(f):
         if a:
             for j, b in terms:
                 out[i + j] += a * b
+
+
+def _convolve(f: Sequence[int], g: Sequence[int]) -> list:
+    """Integer coefficients of f * g, unreduced."""
+    out = [0] * (len(f) + len(g) - 1)
+    _convolve_into(out, f, g)
     return out
 
 
@@ -171,6 +183,29 @@ def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     fn, fd = _over_common_den(f)
     gn, gd = _over_common_den(g)
     return _over(_convolve(fn, gn), fd * gd)
+
+
+def sum_of_products(field: FieldSpec, pairs: Sequence[tuple]) -> Poly:
+    """The sum of f * g over the (f, g) in ``pairs``, each output
+    coefficient reduced once: over F_p the products are summed as Python
+    ints and reduced mod p at the end; over Q each pair is written over
+    the product of its two lcm denominators, and the integer numerators
+    are summed over the lcm D of those products and divided by D once."""
+    out = [0] * (max([len(f) + len(g) for f, g in pairs], default=1) - 1)
+    p = field.p
+    if p:
+        for f, g in pairs:
+            _convolve_into(out, f, g)
+        return _trimmed([c % p for c in out])
+    cleared = []
+    for f, g in pairs:
+        fn, fd = _over_common_den(f)
+        gn, gd = _over_common_den(g)
+        cleared.append((fn, gn, fd * gd))
+    d = lcm(*[e for _, _, e in cleared])
+    for fn, gn, e in cleared:
+        _convolve_into(out, fn if e == d else [c * (d // e) for c in fn], gn)
+    return _over(_trimmed(out), d)
 
 
 def scale(field: FieldSpec, f: Poly, c: Scalar) -> Poly:

@@ -91,11 +91,11 @@ def _scale(rows, cols, i: int, unit, inv) -> None:
     for g in rows:
         row = g[i]
         for t, e in enumerate(row):
-            if e:
+            if e.num:
                 row[t] = unit * e
     for g in cols:
         for row in g:
-            if row[i]:
+            if row[i].num:
                 row[i] = inv * row[i]
 
 
@@ -106,7 +106,7 @@ def _add(rows, cols, a: int, b: int, lam) -> None:
     for g in rows:
         ra = g[a]
         for c, e in enumerate(g[b]):
-            if e:
+            if e.num:
                 ra[c] = ra[c] + lam * e
 
 
@@ -119,7 +119,7 @@ def _add_batch(rows, cols, steps) -> None:
         for a, b, lam in steps:
             nz = src.get(b)
             if nz is None:
-                nz = src[b] = [(c, e) for c, e in enumerate(g[b]) if e]
+                nz = src[b] = [(c, e) for c, e in enumerate(g[b]) if e.num]
             ra = g[a]
             for c, e in nz:
                 ra[c] = ra[c] + lam * e
@@ -128,7 +128,7 @@ def _add_batch(rows, cols, steps) -> None:
         for a, b, lam in steps:
             nz = src.get(a)
             if nz is None:
-                nz = src[a] = [(row, row[a]) for row in g if row[a]]
+                nz = src[a] = [(row, row[a]) for row in g if row[a].num]
             nlam = -lam
             for row, e in nz:
                 row[b] = row[b] + nlam * e
@@ -270,7 +270,7 @@ def _first_min(row, start: int, ncols: int):
     best = None
     for j in range(start, ncols):
         e = row[j]
-        if e:
+        if e.num:
             v = e.valuation
             key = (v, pivot_cost(e, v))
             if best is None or key < best[:2]:
@@ -315,12 +315,12 @@ def smith_sweep(work, rows: TrackedBasis, cols: TrackedBasis,
         # pivot is now exactly x^pv; eliminate its column, then its row.
         # Only rows with a nonzero in column t or pj change below row t.
         touched = [i for i in range(t + 1, nrows)
-                   if work[i][t] or work[i][pj]]
+                   if work[i][t].num or work[i][pj].num]
         rows.add_batch([(i, t, -x_shift(work[i][t], -pv))
-                        for i in touched if work[i][t]])
+                        for i in touched if work[i][t].num])
         wt = work[t]
         cols.add_batch([(t, j, x_shift(wt[j], -pv))
-                        for j in range(t + 1, ncols) if wt[j]])
+                        for j in range(t + 1, ncols) if wt[j].num])
         for i in touched:
             cache[i] = _first_min(work[i], t + 1, ncols)
         exps.append(pv)

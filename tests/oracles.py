@@ -15,7 +15,9 @@ held to the Kronecker/block formula (``kron``), and strictification to
 the ambient differentials conjugated one period at a time
 (``ambient_differential``).  Invertibility is read off a Smith form
 (``is_invertible``) for maps the package builds invertible by
-construction and does not test.
+construction and does not test.  A matrix product is held to the sum of
+its terms one ``LocalElem`` addition at a time (``matmul_reference``),
+where ``@`` groups a cell's polynomial terms and reduces them once.
 """
 
 from itertools import combinations
@@ -201,6 +203,17 @@ def kron(a: RMatrix, b: RMatrix) -> RMatrix:
                     if e and f:
                         out[(i1 * b.rows + i2) * cols + j1 * b.cols + j2] = e * f
     return RMatrix(a.field, rows, cols, tuple(out))
+
+
+def matmul_reference(a: RMatrix, b: RMatrix) -> RMatrix:
+    """a @ b entry by entry: each cell the sum, from zero, of all its
+    terms a_it * b_tj, zeros included, one ``LocalElem`` addition at a
+    time and with no shortcut for zero or identity operands."""
+    assert a.field == b.field and a.cols == b.rows, "product shape"
+    z = zero(a.field)
+    return RMatrix(a.field, a.rows, b.cols, tuple(
+        sum((a.at(i, t) * b.at(t, j) for t in range(a.cols)), z)
+        for i in range(a.rows) for j in range(b.cols)))
 
 
 def ambient_differential(q, n: int) -> RMatrix:

@@ -23,9 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodica import FieldSpec, SizeLimitError
+from periodica import (FieldSpec, ParseError, RMatrix, SizeLimitError,
+                       TwoPeriodicComplex, parse_element)
 from periodica.cli import main
-from periodica.serialize import MAX_MATRIX_COEFFICIENTS, parse_matrix
+from periodica.localring import zero
+from periodica.serialize import (MAX_MATRIX_COEFFICIENTS, parse_complex_doc,
+                                 parse_matrix)
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 ENTRIES = st.sampled_from(
@@ -253,3 +256,30 @@ def test_parse_budget_counts_coefficients_of_positive_degree(label_):
     assert parse_matrix(field, [at], 1, 107, "$.m").rows == 1
     with pytest.raises(SizeLimitError, match=r"^\$\.m\[0\]\[106\]: "):
         parse_matrix(field, [row + [f"x^{rest + 1}/(1 + x)"]], 1, 107, "$.m")
+
+
+@pytest.mark.parametrize("label_", FIELDS)
+def test_zero_cells_parse_to_the_complex_of_their_elements(label_):
+    # a cell "0" is zero without the grammar; every other spelling of
+    # zero goes through it, and the complex is the one the cells'
+    # elements make
+    field = FieldSpec.from_label(label_)
+    spellings = ["0", " 0", "+0", "-0", "0*x", "0/(1)"]
+    d0 = [["x" if i == j else spellings[(i + j) % 6] for j in range(6)]
+          for i in range(6)]
+    d1 = [[spellings[(i * j) % 6] for j in range(6)] for i in range(6)]
+    doc = {"field": label_, "r0": 6, "r1": 6, "d0": d0, "d1": d1}
+    want = TwoPeriodicComplex(field, 6, 6, *(
+        RMatrix(field, 6, 6, tuple(parse_element(field, c)
+                                   for row in grid for c in row))
+        for grid in (d0, d1)))
+    assert parse_complex_doc(doc) == want
+    for cell in spellings:
+        assert parse_element(field, cell) == zero(field)
+
+
+@pytest.mark.parametrize("cell", [0, 0.0, None, False, [], ["0"]])
+def test_a_cell_that_is_not_a_string_is_a_parse_error(cell):
+    with pytest.raises(ParseError,
+                       match=r"^\$\.d0\[1\]\[0\]: entry must be a string$"):
+        parse_matrix(FieldSpec(0), [["0"], [cell]], 2, 1, "$.d0")

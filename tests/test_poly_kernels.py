@@ -222,6 +222,31 @@ def test_kernels_match_generic_loops(case):
     assert_same(field, poly.gcd(field, f, g), ref_gcd(field, f, g))
 
 
+@st.composite
+def product_pairs(draw):
+    """A field and up to five pairs of polynomials; half the time the
+    second half of the pairs cancels the first: (f, -g) after (f, g)."""
+    field = draw(st.sampled_from(FIELDS))
+    pairs = draw(st.lists(st.tuples(polys(field), polys(field)), max_size=5))
+    if draw(st.booleans()):
+        pairs += [(f, ref_neg(field, g)) for f, g in pairs]
+    return field, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_pairs())
+@example((Q, []))
+@example((Q, [((Fraction(1, 2),), (Fraction(2, 3), Fraction(1))),
+              ((Fraction(1, 3),), (Fraction(-1, 1), Fraction(-1, 2)))]))
+@example((F3, [((1, 2), (1, 1)), ((2, 1), (2, 2)), ((), (1,))]))
+def test_sum_of_products_is_the_sum_of_the_products(case):
+    field, pairs = canon(case)
+    want = ()
+    for f, g in pairs:
+        want = poly.add(field, want, poly.mul(field, f, g))
+    assert_same(field, poly.sum_of_products(field, pairs), want)
+
+
 DIVISION_FIELDS = (Q, F3, FIELDS[3])
 
 
