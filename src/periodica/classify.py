@@ -10,7 +10,9 @@ the sweep of the remaining even differential then splits off the Type2
 summands and the shifted ones.  ``reduce``'s minimal model is the block
 sum of these labels, and its checked pair (``back`` a chain map, p q = I
 in each degree) carries X to that block sum plus the trivial complexes
-and back.  The minimal model's certificate
+and back.  That pair is the split's one proof: it also proves the labels,
+and the minimal model is minimal by construction (``minimal``
+docstring).  The minimal model's certificate
 (``DecomposeResult.certificate``, a ``complexes.BlockSumCertificate``)
 is then its identity.  A minimal X, which ``reduce`` returns as it is,
 is labelled by the same sweeps (``minimal._split``), and their checked

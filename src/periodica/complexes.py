@@ -29,18 +29,19 @@ Where invariants are checked: constructors check, derived values skip.
 The constructors of ``TwoPeriodicComplex`` (d1 d0 = 0 and d0 d1 = 0),
 ``ChainMap2`` (both commuting squares) and ``BlockSumCertificate`` check
 their data, and every value built from raw matrices goes through them:
-parsed input, ``cone``, conjugated complexes, one map of
-the Smith basis pair of ``minimal._split``, the Smith-route Hom
-generators and ``delta_iso``.  A value that exact algebra makes valid
-when its inputs are is built by ``_unchecked``, without the check: a
-complex derived from complexes (shift, dual, sums, Hom and tensor
-complexes, model sums, trivial complexes) or from quasi-periodic data
-whose composites ``strictify`` checked, a map derived from chain maps
-(identities, composites, negatives, multiples and shifts, the inverse of
-a checked isomorphism, the closed-form Hom generators Q_Y g P_X) and a
-certificate derived from checked maps.  ``UNCHECKED_CALLERS`` in
-``tests/test_source_imports.py`` is the one list of the helpers that do
-so, and the lint there holds the package to it.
+parsed input, ``cone``, conjugated complexes, one map of the Smith basis
+pair of ``minimal._split`` (with p q = I the split's one proof, which no
+later check repeats), the Smith-route Hom generators and ``delta_iso``.
+A value that exact algebra makes valid when its inputs are is built by
+``_unchecked``, without the check: a complex derived from complexes
+(shift, dual, sums, Hom and tensor complexes, model sums, trivial
+complexes) or from quasi-periodic data whose composites ``strictify``
+checked, a map derived from chain maps (identities, composites,
+negatives, multiples and shifts, the inverse of a checked isomorphism,
+the closed-form Hom generators Q_Y g P_X) and a certificate derived from
+checked maps.  ``UNCHECKED_CALLERS`` in ``tests/test_source_imports.py``
+is the one list of the helpers that do so, and the lint there holds the
+package to it.
 
 Model block sums live in label coordinates in ``models``: the degree
 index of each label, the differentials of a block sum and one entry per
@@ -402,13 +403,13 @@ def _hom_differential(x: TwoPeriodicComplex, a: RMatrix, d: RMatrix,
     # m x m block (s, c); entry (c, s) of d1_X (xr0 x xr1) along that of
     # the k x k block (s, c)
     for t, e in enumerate(x.d0.entries):
-        if e:
+        if e.num:
             c, s = divmod(t, xr0)
             e = -e if negate else e
             for i in range(m):
                 out[(s * m + i) * cols + left + c * m + i] = e
     for t, e in enumerate(x.d1.entries):
-        if e:
+        if e.num:
             c, s = divmod(t, xr1)
             e = -e if negate else e
             for i in range(k):

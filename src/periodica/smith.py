@@ -416,7 +416,7 @@ def homology_invariants(a: RMatrix, b: RMatrix) -> tuple:
     n = a.cols
     kdim = n - r
     bk = s.v_inv_times(b)
-    if any(bk.entries[:r * b.cols]):
+    if any(e.num for e in bk.entries[:r * b.cols]):
         i, j = product_first_nonzero(a, b)
         raise CompositeNotZeroError(f"composite is nonzero at ({i}, {j})")
     m = bk.submatrix(r, n, 0, b.cols)

@@ -43,11 +43,16 @@ from periodica.classify import (
     finite_length_cohomology,
     label,
 )
-from periodica.errors import PeriodicaError
-from periodica.localring import parse_element, zero
-from periodica.minimal import _assert_split, reduce
+from periodica.errors import InvalidChainMapError, PeriodicaError
+from periodica.localring import format_element
+from periodica.minimal import _split, is_minimal, reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
-from periodica.smith import homology_invariants, smith_normal_form
+from periodica.smith import (
+    TrackedBasis,
+    _add,
+    homology_invariants,
+    smith_normal_form,
+)
 
 Q = FieldSpec.rationals()
 
@@ -252,29 +257,6 @@ def test_is_homotopy_iso_between_different_objects():
     assert all(not is_homotopy_iso(g) for g in gens)
 
 
-# the shared split check of reduce and the classification, on a grid of
-# d0 (F0 of rank 3 to F1 of rank 4) and of d1 (the reverse), split at
-# [1, 2): an entry in row 1 or column 1 is named, one outside passes
-@pytest.mark.parametrize("planted", [
-    ((rows, cols), at, named)
-    for rows, cols in ((4, 3), (3, 4))
-    for at, named in (((1, cols - 1), True), ((rows - 1, 1), True),
-                      ((0, 0), False), ((rows - 1, cols - 1), False))])
-def test_assert_split_names_the_entry(planted):
-    (rows, cols), (i, j), named = planted
-    grid = [[zero(Q)] * cols for _ in range(rows)]
-    _assert_split(grid, 1, 2)
-    grid[i][j] = parse_element(Q, "x^2/(1 + x)")
-    if not named:
-        _assert_split(grid, 1, 2)
-        return
-    with pytest.raises(PeriodicaError) as exc:
-        _assert_split(grid, 1, 2)
-    assert str(exc.value) == (
-        f"differential does not respect the split at ({i}, {j}): "
-        "x^2/(1 + x)")
-
-
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
     # decompose builds and checks one pair of bases: reduce's for a
@@ -294,6 +276,48 @@ def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
                 decompose(x)
         assert str(exc.value) == \
             "split certificates do not compose to identity"
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_split_rejects_a_log_without_an_add_step(label_, monkeypatch):
+    # the split's one proof is back's check plus p q = I.  Replaying the
+    # F1 basis log without its first add step gives a p and q that are
+    # still mutually inverse, so only back's check can reject them, and
+    # it names the first entry where p1 d0 and d0_B p0 differ.  Seed 10
+    # draws 2*K(1)[1] with one trivial summand of each type (reduce's
+    # split), seed 24 the minimal K(2) + K(1)[1] (the classification's
+    # own split)
+    field = FieldSpec.from_label(label_)
+    real = TrackedBasis.matrices
+    for seed, trivials in ((10, 2), (24, 0)):
+        x, _, _ = random_finite_length_instance(
+            Random(seed), field, max_labels=2, max_j=2,
+            max_trivials=trivials)
+        assert is_minimal(x) == (trivials == 0)
+        blocksum = _split(x).back.dst
+        replayed = []
+
+        def without_an_add(self):
+            if len(replayed) == 1:  # the F1 basis, whose log is read second
+                k = next(k for k, step in enumerate(self.steps)
+                         if step[0] is _add)
+                self.steps = self.steps[:k] + self.steps[k + 1:]
+            replayed.append(real(self))
+            return replayed[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TrackedBasis, "matrices", without_an_add)
+            with pytest.raises(InvalidChainMapError) as exc:
+                decompose(x)
+        (p0, q0), (p1, q1) = replayed
+        assert p0 @ q0 == RMatrix.identity(field, x.r0)
+        assert p1 @ q1 == RMatrix.identity(field, x.r1)
+        lhs, rhs = p1 @ x.d0, blocksum.d0 @ p0
+        i, j = next((i, j) for i in range(x.r1) for j in range(x.r0)
+                    if lhs.at(i, j) != rhs.at(i, j))
+        assert str(exc.value) == (
+            f"f1 d0 != d0 f0 at ({i}, {j}): {format_element(lhs.at(i, j))}"
+            f" != {format_element(rhs.at(i, j))}")
 
 
 def test_decompose_rejects_non_complex():
