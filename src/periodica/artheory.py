@@ -165,21 +165,17 @@ def ar_triangle(i: int, field: FieldSpec) -> ARTriangle:
                              (cn, cn, cn1, cn1)))
 
 
-def shift_triangle(t: Triangle) -> Triangle:
-    """Image of a triangle under the shift functor (all maps negated so
-    the result is again exact).  An ``ARTriangle``'s image carries the
-    shifted terms: [1] flips every label's shift class, as the Serre
-    functor does on labels, and X[1][1] = X, so the certificates (cn, cm,
-    cn1, cm1) of (N, M, N[1], M[1]) serve (N[1], M[1], N, M)."""
-    parts = dict(n=shift(t.n), e=shift(t.e), m=shift(t.m),
-                 f=negate_map(shift_map(t.f)),
-                 g=negate_map(shift_map(t.g)),
-                 h=negate_map(shift_map(t.h)))
-    if not isinstance(t, ARTriangle):
-        return Triangle(**parts)
+def shift_triangle(t: ARTriangle) -> ARTriangle:
+    """Image of an AR-triangle under the shift functor (all maps negated
+    so the result is again exact), with the shifted terms: [1] flips every
+    label's shift class, as the Serre functor does on labels, and
+    X[1][1] = X, so the certificates (cn, cm, cn1, cm1) of (N, M, N[1],
+    M[1]) serve (N[1], M[1], N, M)."""
     multisets, (cn, cm, cn1, cm1) = t.terms
-    return ARTriangle(**parts, terms=(
-        tuple(serre_functor(ms) for ms in multisets), (cn1, cm1, cn, cm)))
+    return ARTriangle(shift(t.n), shift(t.e), shift(t.m),
+                      *(negate_map(shift_map(u)) for u in (t.f, t.g, t.h)),
+                      terms=(tuple(serre_functor(ms) for ms in multisets),
+                             (cn1, cm1, cn, cm)))
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,6 @@ class ChainMap2:
         _require_equal(self.f1 @ self.src.d0, self.dst.d0 @ self.f0, "f1 d0 != d0 f0")
         _require_equal(self.f0 @ self.src.d1, self.dst.d1 @ self.f1, "f0 d1 != d1 f1")
 
-    def is_zero(self) -> bool:
-        return self.f0.is_zero() and self.f1.is_zero()
-
 
 def _require_equal(lhs: RMatrix, rhs: RMatrix, square: str) -> None:
     """Raise InvalidChainMapError at the first entry where the two

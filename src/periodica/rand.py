@@ -49,7 +49,7 @@ def random_invertible(rng: Random, field: FieldSpec, n: int,
             lam = random_element(rng, field, max_val)
             if not lam:
                 continue
-            basis.add(i, j, lam)
+            basis.add_batch([(i, j, lam)])
         elif kind == 1 and n >= 2:
             i, j = rng.sample(range(n), 2)
             basis.swap(i, j)

@@ -3,8 +3,8 @@ elimination engine that Smith forms, minimal models and decompositions
 share.
 
 The engine is :class:`TrackedBasis`: a basis change G of a free module
-R^n, applied one elementary step at a time (swap two basis vectors,
-scale one by a unit, add a multiple of one to another).  Grids attached
+R^n, applied one step at a time: swap two basis vectors, scale one by
+a unit, or add multiples of some to others in one batch.  Grids attached
 as ``rows`` have the module as codomain and become G m; grids attached
 as ``cols`` have it as domain and become m G^-1.  Its pivot policies
 are the Smith sweep (:func:`smith_sweep`), which gives Smith forms and,
@@ -15,6 +15,8 @@ its trivial summands and labels the rest K(j), K(j)[1], R and R[1]
 q = G^-1 of its bases.
 
 The basis logs its steps and applies them only to the attached grids.
+Each kind of step has one kernel (:func:`_swap`, :func:`_scale`,
+:func:`_add_batch`), which applies it live and replays it from the log.
 There is one replay of a log, :func:`_apply`, and it runs on the operand
 a transform multiplies: G m runs the steps forward on the rows of m,
 G^-1 m runs their inverses backward.  p and q
@@ -52,9 +54,9 @@ A pivot step changes only the rows with a nonzero in the pivot column
 or in the column swapped with it, so only those are rescanned; a large
 sparse matrix (a Hom complex) is not rescanned whole at every pivot.
 The clearing of a column (row) is one :meth:`TrackedBasis.add_batch`:
-it reads the shared pivot row (column) once per grid and logs the same
-``add`` steps, in the same order, as one ``add`` per entry would, so
-the replay and every transform and certificate are unchanged.
+it reads the shared pivot row (column) once per grid and is logged as
+one entry, which :func:`_apply` replays with the same kernel, forward
+as it was applied and backward with every multiplier negated.
 
 With the transforms and their exact inverses at hand, solving linear
 systems, inverting matrices and presenting subquotients (kernel mod
@@ -64,7 +66,6 @@ matrix arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -99,21 +100,14 @@ def _scale(rows, cols, i: int, unit, inv) -> None:
                 row[i] = inv * row[i]
 
 
-def _add(rows, cols, a: int, b: int, lam) -> None:
-    """Row a += lam row b: the log's tag for an add step, and its replay
-    by :func:`_apply`, which attaches no ``cols``.  A basis applies its
-    adds to its grids through :func:`_add_batch`."""
-    for g in rows:
-        ra = g[a]
-        for c, e in enumerate(g[b]):
-            if e.num:
-                ra[c] = ra[c] + lam * e
-
-
 def _add_batch(rows, cols, steps) -> None:
-    """The add steps (a, b, lam) in order, when no a of one is the b of
-    another.  No source row (column) is then written, so each is read
-    once per grid, however many steps share it."""
+    """G <- (I + N) G for N the sum of lam e_ab over the add steps
+    (a, b, lam): row a += lam row b, column b -= lam column a.  No a is
+    the b of another step, so e_ab e_cd = 0 for any two of them and
+    N^2 = 0: I + N is the product of the steps' I + lam e_ab in any
+    order, and its inverse is I - N, the batch with every lam negated.
+    No source row (column) is written, so each is read once per grid,
+    however many steps share it."""
     for g in rows:
         src = {}
         for a, b, lam in steps:
@@ -138,7 +132,7 @@ def _apply(field: FieldSpec, steps, m: RMatrix, inverse: bool) -> RMatrix:
     """G m (``inverse`` false) or G^-1 m for the basis change G of a step
     log.  G m runs the steps forward on the rows of m.  G^-1 m runs the
     inverted steps (a swap; a scale by ``inv`` instead of ``unit``; an
-    add of -lam) in reverse order."""
+    add batch with every lam negated) in reverse order."""
     grid = m.to_grid()
     rows = [grid]
     if not inverse:
@@ -149,9 +143,8 @@ def _apply(field: FieldSpec, steps, m: RMatrix, inverse: bool) -> RMatrix:
             if step is _scale:
                 i, unit, inv = args
                 _scale(rows, (), i, inv, unit)
-            elif step is _add:
-                a, b, lam = args
-                _add(rows, (), a, b, -lam)
+            elif step is _add_batch:
+                _add_batch(rows, (), [(a, b, -lam) for a, b, lam in args[0]])
             else:
                 _swap(rows, (), *args)
     return RMatrix.from_grid(field, m.rows, m.cols, grid)
@@ -182,16 +175,14 @@ class TrackedBasis:
         self.steps.append((_scale, i, unit, inv))
         _scale(self._rows, self._cols, i, unit, inv)
 
-    def add(self, a: int, b: int, lam) -> None:
-        """G <- (I + lam e_ab) G: row a += lam row b; column b -= lam column a."""
-        self.add_batch([(a, b, lam)])
-
     def add_batch(self, steps) -> None:
-        """``add(a, b, lam)`` for each step in order, logged as such; no a
-        may be the b of another step, as in the column (row) clearing of
-        one pivot."""
-        self.steps += [(_add, *step) for step in steps]
-        _add_batch(self._rows, self._cols, steps)
+        """G <- (I + N) G for the add steps (a, b, lam) of ``steps``
+        (:func:`_add_batch`), logged as one entry; no a may be the b of
+        another step, as in the column (row) clearing of one pivot.  An
+        empty batch logs nothing."""
+        if steps:
+            self.steps.append((_add_batch, steps))
+            _add_batch(self._rows, self._cols, steps)
 
     def matrices(self) -> tuple:
         """(G, G^-1) as matrices."""
@@ -381,15 +372,6 @@ class SubquotientModule:
 
     factors: tuple
     free_rank: int
-
-    def length(self):
-        """k-length; math.inf when a free summand is present."""
-        if self.free_rank:
-            return math.inf
-        return sum(self.factors)
-
-    def is_zero(self) -> bool:
-        return not self.factors and self.free_rank == 0
 
 
 def homology_invariants(a: RMatrix, b: RMatrix) -> tuple:

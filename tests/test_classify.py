@@ -49,7 +49,7 @@ from periodica.minimal import _split, is_minimal, reduce
 from periodica.rand import conjugate_complex, random_finite_length_instance
 from periodica.smith import (
     TrackedBasis,
-    _add,
+    _add_batch,
     homology_invariants,
     smith_normal_form,
 )
@@ -61,9 +61,10 @@ def test_k_complex_basics():
     k1 = k_complex(1, Q)
     assert k1.d1 == mat(Q, 1, 1, [["x"]]) and k1.d0.is_zero()
     h0, h1 = cohomology(k_complex(3, Q))
-    assert h0.factors == (3,) and h1.is_zero()
+    assert h0.factors == (3,) and (h1.factors, h1.free_rank) == ((), 0)
     h0s, h1s = cohomology(shift(k_complex(3, Q)))
-    assert h0s.is_zero() and h1s.factors == (3,)
+    assert (h0s.factors, h0s.free_rank) == ((), 0)
+    assert h1s.factors == (3,)
     with pytest.raises(ValueError):
         k_complex(0, Q)
 
@@ -128,7 +129,8 @@ def test_decompose_cohomology_consistency(rng):
     for _ in range(10):
         x, ms, _ = random_finite_length_instance(rng, Q)
         h0, h1 = cohomology(x)
-        assert (h0.length(), h1.length()) == _lengths(ms)
+        assert (h0.free_rank, h1.free_rank) == (0, 0)
+        assert (sum(h0.factors), sum(h1.factors)) == _lengths(ms)
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
@@ -143,8 +145,9 @@ def test_cohomology_lengths_are_smith_exponent_sums(label_, seed):
                                             max_j=4, max_trivials=2)
     s0, s1 = smith_normal_form(x.d0), smith_normal_form(x.d1)
     h0, h1 = cohomology(x)
-    assert sum(s1.exponents) == h0.length()
-    assert sum(s0.exponents) == h1.length()
+    assert (h0.free_rank, h1.free_rank) == (0, 0)
+    assert sum(s1.exponents) == sum(h0.factors)
+    assert sum(s0.exponents) == sum(h1.factors)
     assert s0.rank + s1.rank == x.r0
 
 
@@ -281,12 +284,12 @@ def test_decompose_rejects_scaled_inverse_certificate(label_, monkeypatch):
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_split_rejects_a_log_without_an_add_step(label_, monkeypatch):
     # the split's one proof is back's check plus p q = I.  Replaying the
-    # F1 basis log without its first add step gives a p and q that are
-    # still mutually inverse, so only back's check can reject them, and
-    # it names the first entry where p1 d0 and d0_B p0 differ.  Seed 10
-    # draws 2*K(1)[1] with one trivial summand of each type (reduce's
-    # split), seed 24 the minimal K(2) + K(1)[1] (the classification's
-    # own split)
+    # F1 basis log without the first step of its first add batch gives a
+    # p and q that are still mutually inverse, so only back's check can
+    # reject them, and it names the first entry where p1 d0 and d0_B p0
+    # differ.  Seed 10 draws 2*K(1)[1] with one trivial summand of each
+    # type (reduce's split), seed 24 the minimal K(2) + K(1)[1] (the
+    # classification's own split)
     field = FieldSpec.from_label(label_)
     real = TrackedBasis.matrices
     for seed, trivials in ((10, 2), (24, 0)):
@@ -299,9 +302,11 @@ def test_split_rejects_a_log_without_an_add_step(label_, monkeypatch):
 
         def without_an_add(self):
             if len(replayed) == 1:  # the F1 basis, whose log is read second
-                k = next(k for k, step in enumerate(self.steps)
-                         if step[0] is _add)
-                self.steps = self.steps[:k] + self.steps[k + 1:]
+                k, batch = next((k, entry[1])
+                                for k, entry in enumerate(self.steps)
+                                if entry[0] is _add_batch)
+                self.steps = [*self.steps[:k], (_add_batch, batch[1:]),
+                              *self.steps[k + 1:]]
             replayed.append(real(self))
             return replayed[-1]
 

@@ -1,26 +1,28 @@
 """The tracked basis behind every elimination, and golden certificates.
 
-Random swap/scale/add sequences must keep p and q mutually inverse and
-act on attached grids exactly as the product of the explicit elementary
-matrices does.  The Smith sweep must take the pivots and log the steps
-of the dense reference sweep, which pivots on the simplest unit among
-the minimal-valuation entries, and reach the exponents of the sweep
-that pivots on the first of them; a constant unit beside 1 + x keeps
-every Smith transform and ``reduce`` certificate free of denominators.
-The Smith transforms, replayed from the step log only when read, must
-equal the same elementary products taken along the sweep; their
-products with an operand, applied from the log, must equal the products
-with the built transforms; and ``solve_over_ring`` and
+Random sequences of swaps, scales and add batches (one row added to
+several, or several rows added to one, as a pivot's clearing makes
+them) must keep p and q mutually inverse and act on attached grids
+exactly as the product of the explicit elementary matrices does; an
+empty batch logs nothing.  The Smith sweep must take the pivots and log
+the steps of the dense reference sweep, which pivots on the simplest
+unit among the minimal-valuation entries, and reach the exponents of
+the sweep that pivots on the first of them; a constant unit beside
+1 + x keeps every Smith transform and ``reduce`` certificate free of
+denominators.  The Smith transforms, replayed from the step log only
+when read, must equal the same elementary products taken along the
+sweep; their products with an operand, applied from the log, must equal
+the products with the built transforms; and ``solve_over_ring`` and
 ``homology_invariants`` (which returns lifted generators beside the
 module) must build no n x n transform, and ``cohomology``, which reads
 only Smith exponents, must apply none at all.  The golden files under
 ``golden/`` hold the CLI JSON of ``reduce``, ``decompose`` and ``hom``
 (their provenance is in ``golden/README.md``), of ``tensor`` and
 ``strictify --window 6`` from before the tensor product was written
-through the Hom-complex writer, and the text and JSON of
-``cohomology`` from before it read Smith exponents only; the output
-must stay byte for byte the same, and the certificates in them must
-check on their own terms.
+through the Hom-complex writer, and the text and JSON of ``cohomology``
+from before it read Smith exponents only; the output must stay byte for
+byte the same, and the certificates in them must check on their own
+terms.
 """
 
 import json
@@ -112,19 +114,30 @@ def test_tracked_basis_matches_elementary_products(label, seed):
     basis = TrackedBasis(field, n, rows=row_grids, cols=col_grids)
     g = g_inv = RMatrix.identity(field, n)
     for _ in range(rng.randint(0, 12)):
-        kind = rng.choice(["swap", "scale", "add"] if n > 1 else ["scale"])
+        kind = rng.choice(["swap", "scale", "add from", "add into"])
         i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        c = None
         if kind == "swap":
             basis.swap(i, j)
+            steps = [("swap", i, j, None)]
         elif kind == "scale":
             c = random_unit(rng, field)
             basis.scale(i, c)
+            steps = [("scale", i, i, c)]
         else:
-            c = random_element(rng, field, max_val=2)
-            basis.add(i, j, c)
-        e, e_inv = _elementary(field, n, kind, i, j, c)
-        g, g_inv = e @ g, g_inv @ e_inv
+            # row i added to several rows, as in a column clearing, or
+            # several rows added to row i, as in a row clearing
+            others = rng.sample([k for k in range(n) if k != i],
+                                rng.randint(0, n - 1))
+            batch = [((k, i) if kind == "add from" else (i, k))
+                     + (random_element(rng, field, max_val=2),)
+                     for k in others]
+            logged = len(basis.steps)
+            basis.add_batch(batch)
+            assert len(basis.steps) == logged + bool(batch)  # [] logs nothing
+            steps = [("add", *step) for step in batch]
+        for step in steps:
+            e, e_inv = _elementary(field, n, *step)
+            g, g_inv = e @ g, g_inv @ e_inv
     p, q = basis.matrices()
     eye = RMatrix.identity(field, n)
     assert p @ q == eye and q @ p == eye
@@ -198,12 +211,12 @@ def test_lazy_smith_transforms_match_eager_reference(label, seed, kind,
 
 def _dense_smith_sweep(work, rows, cols, start=0, simplest=True):
     """The dense sweep, as the reference: a row-major scan of the whole
-    remaining submatrix for each pivot, and one ``add`` per cleared
-    entry.  The pivot is the first entry of least valuation and, with
-    ``simplest``, of least unit part among those (numerator coefficients
-    from x^v up plus denominator coefficients); without it, the first
-    entry of least valuation, the rule before pivots were chosen by
-    their unit part, kept as an oracle for the exponents."""
+    remaining submatrix for each pivot, and an add batch of one step per
+    cleared entry.  The pivot is the first entry of least valuation and,
+    with ``simplest``, of least unit part among those (numerator
+    coefficients from x^v up plus denominator coefficients); without it,
+    the first entry of least valuation, the rule before pivots were
+    chosen by their unit part, kept as an oracle for the exponents."""
     nrows, ncols = rows.n, cols.n
     exps = []
     for t in range(start, min(nrows, ncols)):
@@ -227,12 +240,19 @@ def _dense_smith_sweep(work, rows, cols, start=0, simplest=True):
             rows.scale(t, inverse(unit))
         for i in range(t + 1, nrows):
             if work[i][t]:
-                rows.add(i, t, -x_shift(work[i][t], -pv))
+                rows.add_batch([(i, t, -x_shift(work[i][t], -pv))])
         for j in range(t + 1, ncols):
             if work[t][j]:
-                cols.add(t, j, x_shift(work[t][j], -pv))
+                cols.add_batch([(t, j, x_shift(work[t][j], -pv))])
         exps.append(pv)
     return exps
+
+
+def _single_steps(log):
+    """A step log with each add batch spelled out as batches of one."""
+    return [entry for step, *args in log
+            for entry in ([(step, [add]) for add in args[0]]
+                          if step is smith._add_batch else [(step, *args)])]
 
 
 def _row_major_smith_sweep(work, rows, cols, start=0):
@@ -258,7 +278,8 @@ def _sweep_input(rng, field, kind, rows, cols):
 def test_sweep_matches_dense_reference(label, seed, kind, rows, cols, start):
     # decompose's two sweeps: ``work`` from ``start`` on, then the grid
     # attached crosswise from where the first stopped; D, the exponents,
-    # the crosswise grid and both step logs entry for entry
+    # the crosswise grid and both step logs step for step, the sweep's
+    # add batches against the reference's batches of one
     field = FieldSpec.from_label(label)
     rng = Random(seed)
     a = _sweep_input(rng, field, kind, rows, cols)
@@ -271,7 +292,8 @@ def test_sweep_matches_dense_reference(label, seed, kind, rows, cols, start):
         right = TrackedBasis(field, cols, rows=[other], cols=[work])
         first = sweep(work, left, right, start)
         second = sweep(other, right, left, start + len(first))
-        runs.append((first, second, work, other, left.steps, right.steps))
+        runs.append((first, second, work, other, _single_steps(left.steps),
+                     _single_steps(right.steps)))
     assert runs[0] == runs[1]
 
 

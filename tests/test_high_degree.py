@@ -6,7 +6,9 @@ The closed-form generators are built without a check; here every one is
 re-checked through the ``ChainMap2`` constructor, and the certified Hom
 is pinned to make no such check.  The CLI runs ``serre-check`` and
 ``homotopic`` on a degree-50 document within a timeout that only a hang
-exceeds.
+exceeds.  A degree-200 document made non-minimal and conjugated is
+decomposed, so that both sweeps and the replay of their logs run on
+entries of high degree.
 """
 
 import json
@@ -17,13 +19,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodica import (
+    BlockSumCertificate,
     ChainMap2,
     FieldSpec,
     decompose,
     decomposition_certificate,
+    direct_sum,
     hom_module,
 )
-from periodica.rand import random_finite_length_instance
+from periodica.minimal import TrivialType, trivial_complex
+from periodica.rand import conjugate_complex, random_finite_length_instance
 from periodica.serialize import complex_to_doc
 
 from test_io_cli import run_cli
@@ -90,3 +95,21 @@ def test_cli_on_a_degree_50_document(tmp_path):
     r = run_cli("homotopic", "f.json", cwd=tmp_path, timeout=60)
     assert (r.returncode, r.stdout, r.stderr) == (
         0, "null-homotopic (witness attached)\n", "")
+
+
+def test_decompose_a_conjugated_non_minimal_document():
+    # f_deg200 of the high-degree set plus one trivial summand of each
+    # type, conjugated (a 14 KB document): reduce's two sweeps split off
+    # both trivials from entries of high degree, and the certificate moved
+    # to X passes the checked constructor
+    field = FieldSpec.from_label("Fp:101")
+    x, _, _ = conjugate_complex(Random(5), direct_sum(
+        high_degree_complex(1, field, 6, 200),
+        trivial_complex(TrivialType.TYPE1, 1, field),
+        trivial_complex(TrivialType.TYPE2, 1, field)), max_val=2)
+    dec = decompose(x)
+    assert str(dec.multiset) == "2*K(1) + 2*K(2) + 2*K(1)[1]"
+    assert (dec.split.type1, dec.split.type2) == (1, 1)
+    c = decomposition_certificate(dec)
+    assert BlockSumCertificate(c.labels, c.to_blocks, c.from_blocks,
+                               c.contraction) == c
