@@ -9,6 +9,13 @@ element is the order of vanishing of its numerator at x = 0; every
 nonzero element factors as unit * x^valuation, and the units are exactly
 the elements of valuation 0.
 
+An element is an immutable ``(field, num, den)`` tuple (a
+``typing.NamedTuple``): equality and hash go by value, and a field takes
+part in both, so equal polynomials over different fields are different
+elements.  Combining an element with anything but an element of the
+same field raises TypeError (``3 * e`` repeats no tuple) or
+FieldMismatchError.
+
 Arithmetic relies on its operands being canonical and returns canonical
 results without the full gcd of the result's numerator and denominator
 (Henrici, "A subroutine for computations with rational numbers", J. ACM 3,
@@ -31,16 +38,19 @@ Text grammar (shared by every file format): polynomials are written
 "c0 + c1*x + c2*x^2" with coefficients "p/q" over Q or integers over F_p
 and exponents at most MAX_EXPONENT; an element is a polynomial, optionally
 followed by a parenthesized denominator "/(den)" with den(0) != 0.
-Whitespace is ignored.
+Whitespace is ignored.  :func:`parse_poly` returns a trimmed polynomial,
+and over den = 1 it is canonical as it stands, so :func:`parse_element`
+builds the element directly and runs :func:`elem` only on a fraction.
+A document's cells that are exactly "0" never reach the grammar: that
+one zero shortcut lives in :func:`serialize.parse_matrix`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import poly
 from .errors import (
@@ -61,8 +71,7 @@ INFINITE = math.inf
 MAX_EXPONENT = 10_000
 
 
-@dataclass(frozen=True)
-class LocalElem:
+class LocalElem(NamedTuple):
     """Canonical fraction in k[x]_(x).  Construct via :func:`elem`."""
 
     field: FieldSpec
@@ -70,7 +79,12 @@ class LocalElem:
     den: Poly
 
     def _check(self, other: "LocalElem") -> None:
-        if self.field is not other.field and self.field != other.field:
+        try:
+            same = self.field is other.field or self.field == other.field
+        except AttributeError:  # not an element; a tuple's + and * do not apply
+            raise TypeError(f"a ring element does not combine with "
+                            f"{type(other).__name__}") from None
+        if not same:
             raise FieldMismatchError(
                 f"mixed fields {self.field.label} and {other.field.label}"
             )
@@ -124,6 +138,10 @@ class LocalElem:
         den = d if len(b) == 1 else b if len(d) == 1 else poly.mul(K, b, d)
         return LocalElem(K, poly.mul(K, a, c), den)
 
+    def __rmul__(self, other):
+        # int * tuple would repeat the tuple
+        return NotImplemented
+
     def __truediv__(self, other: "LocalElem") -> "LocalElem":
         """Exact division inside R; raises NotDivisibleError otherwise."""
         self._check(other)
@@ -166,7 +184,7 @@ def _is_monomial(f: Poly) -> bool:
     return not any(f[:-1])
 
 
-# One shared zero and one per field: LocalElem is frozen, and the
+# One shared zero and one per field: LocalElem is immutable, and the
 # caches hold one entry per field in use.
 @lru_cache(maxsize=None)
 def zero(field: FieldSpec) -> LocalElem:
@@ -223,11 +241,13 @@ def unit_part(e: LocalElem) -> LocalElem:
 # Text grammar
 
 
+_TERMS_RE = re.compile(r"[+-]?[^+-]+")
 _TERM_RE = re.compile(
     r"^([+-])?"
     r"(\d+(?:/\d+)?)?"
     r"(?:\*?(x)(?:\^(\d+))?)?$"
 )
+_EXPONENT_WIDTH = len(str(MAX_EXPONENT))
 
 
 def _strip_outer_parens(s: str) -> str:
@@ -263,38 +283,46 @@ def _split_fraction(s: str) -> tuple[str, str | None]:
 
 
 def _exponent(token: str) -> int:
-    # digit count first: int() refuses tokens over 4300 digits
-    if len(token.lstrip("0")) > len(str(MAX_EXPONENT)) or int(token) > MAX_EXPONENT:
-        raise ParseError(f"exponent {token[:20]} exceeds the limit {MAX_EXPONENT}")
-    return int(token)
+    # digit count first: int() refuses tokens over 4300 digits, leading
+    # zeros included
+    digits = token if len(token) <= _EXPONENT_WIDTH else token.lstrip("0")
+    if len(digits) <= _EXPONENT_WIDTH:
+        k = int(digits or "0")
+        if k <= MAX_EXPONENT:
+            return k
+    raise ParseError(f"exponent {token[:20]} exceeds the limit {MAX_EXPONENT}")
 
 
 def parse_poly(field: FieldSpec, text: str) -> Poly:
-    """Parse "c0 + c1*x + c2*x^2" (whitespace already removed)."""
+    """Parse "c0 + c1*x + c2*x^2" (whitespace already removed); the
+    result is trimmed."""
     s = _strip_outer_parens(text)
     if not s:
         raise ParseError("empty polynomial")
     if "(" in s or ")" in s:
         raise ParseError(f"unexpected parentheses in polynomial {text!r}")
-    terms = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(terms) != s:
+    terms = _TERMS_RE.findall(s)
+    if "".join(terms) != s:  # so there is at least one term
         raise ParseError(f"malformed polynomial {text!r}")
     coeffs: dict[int, Scalar] = {}
     for term in terms:
         m = _TERM_RE.match(term)
-        if not m or (m.group(2) is None and m.group(3) is None):
+        if m is None:
             raise ParseError(f"bad term {term!r} in polynomial {text!r}")
         sign, coeff_tok, xpart, exp_tok = m.groups()
-        if coeff_tok is None:
+        if coeff_tok is not None:
+            c = field.parse_scalar(coeff_tok)
+        elif xpart is not None:
             c = field.one
         else:
-            c = field.parse_scalar(coeff_tok)
+            raise ParseError(f"bad term {term!r} in polynomial {text!r}")
         if sign == "-":
             c = field.neg(c)
         d = 0 if xpart is None else (1 if exp_tok is None else _exponent(exp_tok))
-        coeffs[d] = field.add(coeffs.get(d, field.zero), c)
-    if not coeffs:
-        raise ParseError(f"empty polynomial {text!r}")
+        if d in coeffs:
+            coeffs[d] = field.add(coeffs[d], c)
+        else:
+            coeffs[d] = c
     out = [field.zero] * (max(coeffs) + 1)
     for d, c in coeffs.items():
         out[d] = c
@@ -303,15 +331,14 @@ def parse_poly(field: FieldSpec, text: str) -> Poly:
 
 def parse_element(field: FieldSpec, text: str) -> LocalElem:
     """Parse an element of R from the shared text grammar."""
-    if text == "0":  # most entries of a document; the grammar gives zero
-        return zero(field)
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ParseError("empty ring element")
     num_part, den_part = _split_fraction(s)
     num = parse_poly(field, num_part)
-    if den_part is None:
-        return elem(field, num)
+    if den_part is None:  # trimmed num over den = 1: canonical already
+        z = zero(field)
+        return LocalElem(field, num, z.den) if num else z
     den = parse_poly(field, den_part)
     if poly.eval0(field, den) == field.zero:
         raise ParseError(f"denominator vanishes at x = 0 in {text!r}")

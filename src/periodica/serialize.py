@@ -28,7 +28,7 @@ from .complexes import (
 from .errors import (NotAComplexError, ParseError, PeriodicaError,
                      SizeLimitError, ValidationError)
 from .fields import FieldSpec
-from .localring import format_element, parse_element
+from .localring import format_element, parse_element, zero
 from .matrix import RMatrix
 from .minimal import SplitResult
 from .smith import SubquotientModule
@@ -55,10 +55,16 @@ def parse_matrix(field: FieldSpec, doc, rows: int, cols: int,
         raise ParseError(f"{path}: expected {rows} rows")
     ents = []
     budget = MAX_MATRIX_COEFFICIENTS
+    # Most cells of a document are "0".  Each is the field's shared zero,
+    # as the grammar would give it, without a call, and costs no budget.
+    z = zero(field)
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{path}[{i}]: expected {cols} entries")
         for j, cell in enumerate(row):
+            if cell == "0":
+                ents.append(z)
+                continue
             if not isinstance(cell, str):
                 raise ParseError(f"{path}[{i}][{j}]: entry must be a string")
             try:

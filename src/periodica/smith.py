@@ -106,23 +106,24 @@ def _add_batch(rows, cols, steps) -> None:
     the b of another step, so e_ab e_cd = 0 for any two of them and
     N^2 = 0: I + N is the product of the steps' I + lam e_ab in any
     order, and its inverse is I - N, the batch with every lam negated.
-    No source row (column) is written, so each is read once per grid,
-    however many steps share it."""
+    No source row (column) is written, so consecutive steps that share
+    one read its nonzeros once per grid: a clearing's shared pivot row
+    (column) is read once, and distinct sources cost no lookup."""
     for g in rows:
-        src = {}
+        last = None
         for a, b, lam in steps:
-            nz = src.get(b)
-            if nz is None:
-                nz = src[b] = [(c, e) for c, e in enumerate(g[b]) if e.num]
+            if b != last:
+                last = b
+                nz = [(c, e) for c, e in enumerate(g[b]) if e.num]
             ra = g[a]
             for c, e in nz:
                 ra[c] = ra[c] + lam * e
     for g in cols:
-        src = {}
+        last = None
         for a, b, lam in steps:
-            nz = src.get(a)
-            if nz is None:
-                nz = src[a] = [(row, row[a]) for row in g if row[a].num]
+            if a != last:
+                last = a
+                nz = [(row, row[a]) for row in g if row[a].num]
             nlam = -lam
             for row, e in nz:
                 row[b] = row[b] + nlam * e

@@ -18,8 +18,12 @@ the ambient differentials conjugated one period at a time
 construction and does not test.  A matrix product is held to the sum of
 its terms one ``LocalElem`` addition at a time (``matmul_reference``),
 where ``@`` groups a cell's polynomial terms and reduces them once.
+The text grammar is held to the element parser as it was before cells
+landed as canonical elements (``parse_element_reference``): every
+element through ``elem``, and every coefficient through ``field.add``.
 """
 
+import re
 from itertools import combinations
 
 from periodica import (
@@ -35,9 +39,14 @@ from periodica import (
     smith_normal_form,
     solve_over_ring,
 )
+from periodica import ParseError, poly
 from periodica.classify import IndecompMultiset, assemble, decompose, label
-from periodica.localring import one, x_power, zero
+from periodica.fields import FieldSpec, Scalar
+from periodica.localring import (MAX_EXPONENT, _TERM_RE, LocalElem,
+                                 _split_fraction, _strip_outer_parens, elem,
+                                 one, x_power, zero)
 from periodica.matrix import vstack
+from periodica.poly import Poly
 
 
 def _rows(a: RMatrix) -> list:
@@ -230,3 +239,62 @@ def ambient_differential(q, n: int) -> RMatrix:
         a = inv[(i - 1) % 2] @ a @ phi[i % 2]
         i -= 2
     return a
+
+
+# -- the text grammar, as parsed before cells landed as canonical elements ----
+
+
+def _exponent_reference(token: str) -> int:
+    # digit count first: int() refuses tokens over 4300 digits
+    if len(token.lstrip("0")) > len(str(MAX_EXPONENT)) or int(token) > MAX_EXPONENT:
+        raise ParseError(f"exponent {token[:20]} exceeds the limit {MAX_EXPONENT}")
+    return int(token)
+
+
+def parse_poly_reference(field: FieldSpec, text: str) -> Poly:
+    """Parse "c0 + c1*x + c2*x^2" (whitespace already removed)."""
+    s = _strip_outer_parens(text)
+    if not s:
+        raise ParseError("empty polynomial")
+    if "(" in s or ")" in s:
+        raise ParseError(f"unexpected parentheses in polynomial {text!r}")
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ParseError(f"malformed polynomial {text!r}")
+    coeffs: dict[int, Scalar] = {}
+    for term in terms:
+        m = _TERM_RE.match(term)
+        if not m or (m.group(2) is None and m.group(3) is None):
+            raise ParseError(f"bad term {term!r} in polynomial {text!r}")
+        sign, coeff_tok, xpart, exp_tok = m.groups()
+        if coeff_tok is None:
+            c = field.one
+        else:
+            c = field.parse_scalar(coeff_tok)
+        if sign == "-":
+            c = field.neg(c)
+        d = 0 if xpart is None else (1 if exp_tok is None else _exponent_reference(exp_tok))
+        coeffs[d] = field.add(coeffs.get(d, field.zero), c)
+    if not coeffs:
+        raise ParseError(f"empty polynomial {text!r}")
+    out = [field.zero] * (max(coeffs) + 1)
+    for d, c in coeffs.items():
+        out[d] = c
+    return poly.trim(field, out)
+
+
+def parse_element_reference(field: FieldSpec, text: str) -> LocalElem:
+    """Parse an element of R from the shared text grammar."""
+    if text == "0":  # most entries of a document; the grammar gives zero
+        return zero(field)
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ParseError("empty ring element")
+    num_part, den_part = _split_fraction(s)
+    num = parse_poly_reference(field, num_part)
+    if den_part is None:
+        return elem(field, num)
+    den = parse_poly_reference(field, den_part)
+    if poly.eval0(field, den) == field.zero:
+        raise ParseError(f"denominator vanishes at x = 0 in {text!r}")
+    return elem(field, num, den)

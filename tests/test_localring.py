@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_element_reference
 from test_poly_kernels import canon
 
 from periodica import (
@@ -23,7 +24,7 @@ from periodica import (
     x_shift,
     zero,
 )
-from periodica import localring, poly
+from periodica import localring, poly, serialize
 from periodica.fields import MAX_CHARACTERISTIC, _is_prime
 
 Q = FieldSpec.rationals()
@@ -113,17 +114,24 @@ def test_parse_rejects_garbage():
 
 @pytest.mark.parametrize("label", ["Q", "Fp:101"])
 def test_parse_zero_spellings(label, monkeypatch):
-    # the literal "0" is zero without the grammar; every other spelling
-    # of zero, and every malformed one, is parsed as before
+    # a document cell "0" is the shared zero without a parse_element call;
+    # parse_element runs the grammar on every spelling of zero, "0" too,
+    # and still gives the shared zero; malformed spellings fail as before
     field = FieldSpec.from_label(label)
-    calls = []
-    real = localring.parse_poly
+    cells, polys = [], []
+    real_element, real_poly = serialize.parse_element, localring.parse_poly
+    monkeypatch.setattr(serialize, "parse_element",
+                        lambda f, t: cells.append(t) or real_element(f, t))
     monkeypatch.setattr(localring, "parse_poly",
-                        lambda f, t: calls.append(t) or real(f, t))
-    assert parse_element(field, "0") is zero(field) and calls == []
+                        lambda f, t: polys.append(t) or real_poly(f, t))
+    m = serialize.parse_matrix(field, [["0", " 0 "], ["x", "0"]], 2, 2, "$.m")
+    assert m.entries[0] is m.entries[3] is zero(field)
+    assert cells == [" 0 ", "x"] and polys == ["0", "x"]
+    polys.clear()
+    assert parse_element(field, "0") is zero(field) and polys == ["0"]
     for text in (" 0 ", "00", "-0", "+0", "0*x", "0x", "0/(1 + x)", "0\n"):
         assert parse_element(field, text) == zero(field)
-    assert len(calls) == 9  # one each, two for the fraction
+    assert len(polys) == 10  # one each, two for the fraction
     for text, message in (
             ("0+", "malformed polynomial '0+'"),
             ("0^2", "bad term '0^2' in polynomial '0^2'"),
@@ -133,6 +141,62 @@ def test_parse_zero_spellings(label, monkeypatch):
         with pytest.raises(ParseError) as err:
             parse_element(field, text)
         assert str(err.value) == message
+
+
+def test_element_is_an_immutable_value():
+    f3 = FieldSpec.prime_field(3)
+    e = q("1 + x")
+    with pytest.raises(AttributeError):
+        e.num = (1,)
+    for product in (lambda: 3 * e, lambda: e * 3, lambda: e + 3,
+                    lambda: e * (1,)):
+        with pytest.raises(TypeError):
+            product()
+    same = elem(Q, (1, 1))
+    assert same is not e and same == e and hash(same) == hash(e)
+    other = parse_element(f3, "1 + x")
+    assert (other.num, other.den) == (e.num, e.den) and other != e
+    assert len({e, same, other}) == 2
+
+
+# -- the grammar against the parser it replaced --------------------------------
+
+PARITY_FIELDS = (Q, FieldSpec.prime_field(3), FieldSpec.prime_field(101))
+GRAMMAR_CHARS = "0123456789x^*+-/() \t\n\u00a0\u2003\x1c"
+GRAMMAR_TOKENS = ("x", "x^", "x^2", "*x", "1", "2", "10", "3/4", "-", "+",
+                  "/(", "(", ")", "0", " ", "\u00a0", "\u2003", "\x1c",
+                  "x^0002", "x^10000", "x^10001")
+PINNED = ("x^10000", "x^10001", "x^0002", "7" * 5000 + "*x",
+          "x^" + "1" * 5000, "0")
+
+
+def _outcome(parse, field, text):
+    """An element with the type of each coefficient, or the message."""
+    try:
+        e = parse(field, text)
+    except ParseError as exc:
+        return str(exc)
+    return e, [type(c) for c in e.num + e.den]
+
+
+def _assert_parity(field, text):
+    assert (_outcome(parse_element, field, text)
+            == _outcome(parse_element_reference, field, text))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(PARITY_FIELDS),
+       st.one_of(st.text(alphabet=GRAMMAR_CHARS, max_size=16),
+                 st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=8)
+                 .map("".join)))
+def test_parser_matches_reference(field, text):
+    _assert_parity(field, text)
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=lambda f: f.label)
+@pytest.mark.parametrize("text", PINNED, ids=lambda t: t[:12])
+def test_parser_matches_reference_on_pinned_tokens(field, text):
+    _assert_parity(field, text)
 
 
 def _strip_outer_parens_reference(s):
@@ -179,6 +243,9 @@ def test_parse_deep_parentheses_linear():
 def test_parse_exponent_limit():
     assert parse_element(Q, "x^10000").valuation == 10000
     assert parse_element(Q, "x^0002") == parse_element(Q, "x^2")
+    # int() counts leading zeros against its 4300-digit limit
+    assert parse_element(Q, "x^" + "0" * 5000 + "2") == parse_element(Q, "x^2")
+    assert parse_element(Q, "x^" + "0" * 5000) == one(Q)
 
 
 def test_prime_field_coefficients():
