@@ -25,8 +25,12 @@ once where its terms are built: ``ar_triangle`` returns an
 certificates of N, M, N[1] and M[1].  N = M = K(i) is the model block
 sum of one label, so its certificate is the identity one that
 ``socle_map`` builds for its Hom, N is that certificate's own complex,
-and N[1]'s certificate is its shift; only E, the cone, is decomposed,
-once.  ``shift_triangle`` carries the terms over with no decomposition:
+and N[1]'s certificate is its shift.  E, the cone, has finite-length
+cohomology, so by the classification (``classify``) it is homotopy
+equivalent to the sum of K(j) over the factors R/x^j of its H0 and of
+K(j)[1] over those of its H1: E's labels are read off its cohomology,
+two Smith forms, and no check reads a certificate of E.
+``shift_triangle`` carries the terms over with no decomposition:
 the shift is a triangle autoequivalence, so the terms of the shifted
 triangle are the same multisets with every label's shift class
 flipped, and since X[1][1] = X on the nose the certificates of N[1],
@@ -88,6 +92,7 @@ from .complexes import (
     ChainMap2,
     Triangle,
     TwoPeriodicComplex,
+    cohomology,
     compose,
     cone,
     hom_module,
@@ -142,9 +147,9 @@ def socle_map(i: int, field: FieldSpec) -> ChainMap2:
 
 @dataclass(frozen=True)
 class ARTriangle(Triangle):
-    """A triangle that carries its terms' decompositions (module
-    docstring): ``terms`` = ((multisets of N, M, E), (certificates of N,
-    M, N[1], M[1]))."""
+    """A triangle that carries its terms (module docstring): ``terms`` =
+    ((multisets of N, M, E), (certificates of N, M, N[1], M[1])); E's
+    multiset is read off its cohomology and E carries no certificate."""
 
     terms: tuple
 
@@ -153,16 +158,21 @@ def ar_triangle(i: int, field: FieldSpec) -> ARTriangle:
     """The AR-triangle K(i) -> E -> K(i) -> K(i)[1] with the socle
     connecting map; E is the cone of (-h)[-1], rotated to strict shape.
     N = M = K(i) is the complex of ``socle_map``'s certificate, which the
-    triangle carries with that of K(i)[1]; E is decomposed here."""
+    triangle carries with that of K(i)[1]; E's labels are read off its
+    cohomology (module docstring)."""
     if i < 1:
         raise ValueError("ar_triangle needs i >= 1")
     cn, cn1, h = _socle(i, field)
     n = cn.complex
     e, u, v = cone(shift_map(negate_map(h)))
+    h0, h1 = cohomology(e)
+    if h0.free_rank or h1.free_rank:
+        raise NotFiniteLengthError("complex does not have finite-length cohomology")
     ms = IndecompMultiset.from_labels([label(i)])
+    middle = IndecompMultiset.from_labels(
+        [label(j) for j in h0.factors] + [label(j, True) for j in h1.factors])
     return ARTriangle(n=n, e=e, m=n, f=u, g=v, h=h,
-                      terms=((ms, ms, decompose(e).multiset),
-                             (cn, cn, cn1, cn1)))
+                      terms=((ms, ms, middle), (cn, cn, cn1, cn1)))
 
 
 def shift_triangle(t: ARTriangle) -> ARTriangle:
@@ -376,12 +386,12 @@ def build_quiver(bound: int, field: FieldSpec) -> QuiverResult:
     triangle is verified (axioms 1-3, bound i + 3) and edges are read off
     the middle terms: an arrow Z -> M with multiplicity the number of
     copies of Z in the middle of the verified triangle ending at M.  Each
-    triangle carries its terms: ``ar_triangle`` decomposes only E of the
-    triangle ending at K(i), and ``shift_triangle`` carries its terms
-    over to the shift image, since the shift is a triangle
-    autoequivalence.  Each triangle is checked as by ``verify_right_ar``:
-    its AR3 candidates are read in label coordinates, with no Hom module
-    and no certificate per test object built."""
+    triangle carries its terms: ``ar_triangle`` reads E's labels off its
+    cohomology, and ``shift_triangle`` carries its terms over to the
+    shift image, since the shift is a triangle autoequivalence.  Each
+    triangle is checked as by ``verify_right_ar``: its AR3 candidates are
+    read in label coordinates, with no Hom module and no certificate per
+    test object built."""
     if bound < 2:
         raise ValueError("quiver bound must be >= 2")
     reports = []

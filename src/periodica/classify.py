@@ -45,14 +45,9 @@ construction.
 
 The input is a complex by construction (``TwoPeriodicComplex`` checks
 d^2 = 0).  The two sweeps give the ranks of the minimal differentials,
-so they also decide finite length.
-
-The closing cross-check compares ``complexes.cohomology`` of the input X
-with the multiset: H0 must be the sum of R/x^j over the unshifted labels
-K(j) and H1 the same over the shifted ones, with no free part.
-``cohomology`` reads both off the Smith exponents of X's differentials
-(its docstring gives the saturation argument), so the check reads no
-Smith transform.
+so they also decide finite length.  No cohomology comparison follows: a
+strict isomorphism keeps cohomology, and a block sum's is read off its
+labels, so one would test ``complexes.cohomology``, not the split.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ from .complexes import (
     cohomology,
     identity_map,
 )
-from .errors import NotFiniteLengthError, PeriodicaError
+from .errors import NotFiniteLengthError
 from .fields import FieldSpec
 from .minimal import SplitResult, _split, reduce
 
@@ -191,10 +186,6 @@ def _classify(x: TwoPeriodicComplex) -> tuple:
                              None)
 
 
-def _sorted_j(labels: tuple, shifted: bool) -> tuple:
-    return tuple(sorted([j for j, s in labels if s == shifted]))
-
-
 def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
     if x.r0 != x.r1:
         raise NotFiniteLengthError("complex does not have finite-length cohomology")
@@ -203,13 +194,6 @@ def decompose(x: TwoPeriodicComplex) -> DecomposeResult:
         raise NotFiniteLengthError("complex does not have finite-length cohomology")
     ms = IndecompMultiset.from_labels(
         IndecompLabel(shifted, j) for j, shifted in certificate.labels)
-
-    # cohomology cross-check on the input, from the exponents alone
-    h0, h1 = cohomology(x)
-    if (h0.free_rank or h1.free_rank
-            or h0.factors != _sorted_j(certificate.labels, False)
-            or h1.factors != _sorted_j(certificate.labels, True)):
-        raise PeriodicaError("cohomology lengths disagree with the multiset")
     return DecomposeResult(ms, split, certificate)
 
 

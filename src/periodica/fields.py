@@ -94,12 +94,13 @@ class FieldSpec:
             try:
                 p = int(label[3:])
             except ValueError:
-                raise ParseError(f"bad field label {label!r}") from None
+                raise ParseError(f"bad field label {label[:20]!r}") from None
             try:
                 return FieldSpec(p)
             except ValueError as exc:
                 raise ParseError(str(exc)) from None
-        raise ParseError(f"bad field label {label!r}; expected 'Q' or 'Fp:<p>'")
+        shown = repr(label[:20]) if isinstance(label, str) else repr(label)[:20]
+        raise ParseError(f"bad field label {shown}; expected 'Q' or 'Fp:<p>'")
 
     @property
     def is_rationals(self) -> bool:

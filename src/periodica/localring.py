@@ -300,22 +300,19 @@ def parse_poly(field: FieldSpec, text: str) -> Poly:
     if not s:
         raise ParseError("empty polynomial")
     if "(" in s or ")" in s:
-        raise ParseError(f"unexpected parentheses in polynomial {text!r}")
+        raise ParseError(f"unexpected parentheses in polynomial {text[:20]!r}")
     terms = _TERMS_RE.findall(s)
     if "".join(terms) != s:  # so there is at least one term
-        raise ParseError(f"malformed polynomial {text!r}")
+        raise ParseError(f"malformed polynomial {text[:20]!r}")
     coeffs: dict[int, Scalar] = {}
     for term in terms:
         m = _TERM_RE.match(term)
         if m is None:
-            raise ParseError(f"bad term {term!r} in polynomial {text!r}")
+            raise ParseError(f"bad term {term[:20]!r} in polynomial {text[:20]!r}")
         sign, coeff_tok, xpart, exp_tok = m.groups()
-        if coeff_tok is not None:
-            c = field.parse_scalar(coeff_tok)
-        elif xpart is not None:
-            c = field.one
-        else:
-            raise ParseError(f"bad term {term!r} in polynomial {text!r}")
+        # a term holds a character other than a sign, so a match has a
+        # coefficient or an x
+        c = field.one if coeff_tok is None else field.parse_scalar(coeff_tok)
         if sign == "-":
             c = field.neg(c)
         d = 0 if xpart is None else (1 if exp_tok is None else _exponent(exp_tok))
@@ -341,7 +338,7 @@ def parse_element(field: FieldSpec, text: str) -> LocalElem:
         return LocalElem(field, num, z.den) if num else z
     den = parse_poly(field, den_part)
     if poly.eval0(field, den) == field.zero:
-        raise ParseError(f"denominator vanishes at x = 0 in {text!r}")
+        raise ParseError(f"denominator vanishes at x = 0 in {text[:20]!r}")
     return elem(field, num, den)
 
 

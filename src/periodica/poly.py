@@ -11,13 +11,15 @@ for that field on plain values, so the inner loops make no per-coefficient
 - over Q, a coefficient is an ``int`` when it is integral and a
   ``Fraction`` with denominator > 1 otherwise (``fields.q_canon``), and
   every kernel returns coefficients of that form.  A product with a
-  constant or a monomial only scales or shifts, and turns an integral
-  scaled coefficient into an ``int``; a product of two monomials, over
-  either field, multiplies only their lead coefficients, so x^j costs no
-  arithmetic per degree; a general product convolves the integer
-  numerators over the product of the two lcm denominators d and emits
-  c // d where d divides c and ``Fraction(c, d)`` only where it does
-  not.  The gcd is the primitive pseudo-remainder sequence in Z[x]
+  constant or a monomial only scales or shifts: an ``int`` constant
+  multiplies each coefficient and turns an integral product into an
+  ``int``, and a ``Fraction`` constant scales the integer numerators
+  over one denominator, as a general product does; a product of two
+  monomials, over either field, multiplies only their lead
+  coefficients, so x^j costs no arithmetic per degree; a general
+  product convolves the integer numerators over the product of the two
+  lcm denominators d and emits c // d where d divides c and
+  ``Fraction(c, d)`` only where it does not.  The gcd is the primitive pseudo-remainder sequence in Z[x]
   (Knuth, TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971): clear
   denominators, take primitive parts, remove the content after each
   pseudo-remainder, and make the last nonzero one monic.  The monic gcd
@@ -157,6 +159,16 @@ def _over(nums: Sequence[int], d: int) -> Poly:
     return tuple([n // d if n % d == 0 else Fraction(n, d) for n in nums])
 
 
+def _q_scaled(c: Scalar, g: Poly) -> Poly:
+    """c * g over Q, c != 0: an ``int`` c multiplies each coefficient;
+    a ``Fraction`` c scales the integer numerators of g over one
+    denominator, as a general product does."""
+    if type(c) is int:
+        return tuple([q_canon(c * b) for b in g])
+    gn, gd = _over_common_den(g)
+    return _over([c.numerator * b for b in gn], c.denominator * gd)
+
+
 def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -174,12 +186,11 @@ def mul(field: FieldSpec, f: Poly, g: Poly) -> Poly:
             return f[:-1] + g[:-1] + (d % p if p else q_canon(d),)
         if p:
             return f[:-1] + tuple([c * b % p for b in g])
-        return f[:-1] + tuple([q_canon(c * b) for b in g])
+        return f[:-1] + _q_scaled(c, g)
     if p:
         return tuple([c % p for c in _convolve(f, g)])
     if not any(g[:-1]):
-        c = g[-1]
-        return g[:-1] + tuple([q_canon(a * c) for a in f])
+        return g[:-1] + _q_scaled(g[-1], f)
     fn, fd = _over_common_den(f)
     gn, gd = _over_common_den(g)
     return _over(_convolve(fn, gn), fd * gd)

@@ -18,9 +18,13 @@ the ambient differentials conjugated one period at a time
 construction and does not test.  A matrix product is held to the sum of
 its terms one ``LocalElem`` addition at a time (``matmul_reference``),
 where ``@`` groups a cell's polynomial terms and reduces them once.
-The text grammar is held to the element parser as it was before cells
+The Q scale shortcut of ``poly.mul`` is held to one product per
+coefficient (``q_scaled_reference``).  The text grammar is held to the element parser as it was before cells
 landed as canonical elements (``parse_element_reference``): every
-element through ``elem``, and every coefficient through ``field.add``.
+element through ``elem``, and every coefficient through ``field.add``;
+its error messages echo at most the first 20 characters of a text, as
+the package's do, so a message for a text of 20 characters or fewer is
+the one of that parser.
 """
 
 import re
@@ -41,7 +45,7 @@ from periodica import (
 )
 from periodica import ParseError, poly
 from periodica.classify import IndecompMultiset, assemble, decompose, label
-from periodica.fields import FieldSpec, Scalar
+from periodica.fields import FieldSpec, Scalar, q_canon
 from periodica.localring import (MAX_EXPONENT, _TERM_RE, LocalElem,
                                  _split_fraction, _strip_outer_parens, elem,
                                  one, x_power, zero)
@@ -241,6 +245,16 @@ def ambient_differential(q, n: int) -> RMatrix:
     return a
 
 
+# -- the Q scale shortcut of poly.mul, as it multiplied before it ran on
+# integer numerators ------------------------------------------------------
+
+
+def q_scaled_reference(c: Scalar, g: Poly) -> Poly:
+    """c * g over Q, c != 0: one ``Fraction`` or ``int`` product per
+    coefficient, each made canonical."""
+    return tuple([q_canon(c * b) for b in g])
+
+
 # -- the text grammar, as parsed before cells landed as canonical elements ----
 
 
@@ -257,15 +271,15 @@ def parse_poly_reference(field: FieldSpec, text: str) -> Poly:
     if not s:
         raise ParseError("empty polynomial")
     if "(" in s or ")" in s:
-        raise ParseError(f"unexpected parentheses in polynomial {text!r}")
+        raise ParseError(f"unexpected parentheses in polynomial {text[:20]!r}")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
-        raise ParseError(f"malformed polynomial {text!r}")
+        raise ParseError(f"malformed polynomial {text[:20]!r}")
     coeffs: dict[int, Scalar] = {}
     for term in terms:
         m = _TERM_RE.match(term)
         if not m or (m.group(2) is None and m.group(3) is None):
-            raise ParseError(f"bad term {term!r} in polynomial {text!r}")
+            raise ParseError(f"bad term {term[:20]!r} in polynomial {text[:20]!r}")
         sign, coeff_tok, xpart, exp_tok = m.groups()
         if coeff_tok is None:
             c = field.one
@@ -296,5 +310,5 @@ def parse_element_reference(field: FieldSpec, text: str) -> LocalElem:
         return elem(field, num)
     den = parse_poly_reference(field, den_part)
     if poly.eval0(field, den) == field.zero:
-        raise ParseError(f"denominator vanishes at x = 0 in {text!r}")
+        raise ParseError(f"denominator vanishes at x = 0 in {text[:20]!r}")
     return elem(field, num, den)

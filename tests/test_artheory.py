@@ -108,10 +108,11 @@ def test_ar_triangle_middles():
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_ar_triangle_carries_its_terms(label_):
     # the terms ar_triangle and shift_triangle carry are those that
-    # decomposing the terms gives, also at i = 1, where E is K(2) plus a
-    # Type1 trivial summand.  The certificate of K(i)[1] is the shift of
-    # K(i)'s, as the verifiers built it when they decomposed (decomposing
-    # K(i)[1] itself gives the equally valid one with P = Q = -1); each
+    # decomposing the terms gives, E's multiset (read off its cohomology)
+    # included, also at i = 1, where E is K(2) plus a Type1 trivial
+    # summand.  The certificate of K(i)[1] is the shift of K(i)'s, as
+    # the verifiers built it when they decomposed (decomposing K(i)[1]
+    # itself gives the equally valid one with P = Q = -1); each
     # passes the checked constructor.  N is the complex of socle_map's
     # certificate, so h runs between the certificates' own complexes
     field = FieldSpec.from_label(label_)
@@ -251,29 +252,53 @@ def test_rar2_fails_for_zero_connecting_map():
     assert not rep.axioms[1]  # axiom 2
 
 
-def test_ar_verify_decomposes_each_complex_once(monkeypatch, capsys):
-    # N = M = K(2) carries the certificate socle_map builds, so only
-    # E = K(1) + K(3) is decomposed, once, by ar_triangle; the verifiers
-    # read the carried terms and decompose nothing
-    from periodica.cli import main
+def _refuse_decompose(monkeypatch):
+    """Make every decompose reachable from the AR layer and the CLI fail."""
+    import periodica.classify as classify
+    import periodica.cli as cli
+
+    def refused(x):
+        raise AssertionError("decompose called")
+
+    for module in (artheory, classify, cli):
+        monkeypatch.setattr(module, "decompose", refused)
+
+
+def _count_smith(monkeypatch) -> list:
+    """The inputs of every smith_normal_form call from here on."""
+    import periodica.smith as smith
 
     calls = []
-    real = artheory.decompose
+    real = smith.smith_normal_form
 
-    def counting(x):
-        calls.append(x)
-        return real(x)
+    def counting(a):
+        calls.append(a)
+        return real(a)
 
-    monkeypatch.setattr(artheory, "decompose", counting)
-    assert main(["ar-verify", "--i", "2", "--format", "json"]) == 0
-    assert len(calls) == 1
-    assert '"passed": true' in capsys.readouterr().out
+    for module in (smith, complexes):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls
+
+
+def test_ar_layer_decomposes_nothing(monkeypatch, capsys):
+    # N = M = K(2) carries the certificate socle_map builds, and E's
+    # labels are read off its cohomology: two Smith forms, of E's d0 and
+    # d1, in ar_triangle and none elsewhere; the verifiers and the CLI
+    # read the carried terms
+    from periodica.cli import main
+
+    _refuse_decompose(monkeypatch)
+    smiths = _count_smith(monkeypatch)
     t = ar_triangle(2, Q)
-    calls.clear()
-    verify_right_ar(t, bound=5)
-    assert len(calls) == 0
+    assert smiths == [t.e.d0, t.e.d1]
+    smiths.clear()
+    assert verify_right_ar(t, bound=5).passed
+    assert all(r.passed for r in verify_ar(shift_triangle(t), bound=5))
+    assert smiths == []
+    assert main(["ar-verify", "--i", "2", "--format", "json"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
     assert main(["ar-triangle", "--i", "2", "--format", "json"]) == 0
-    assert len(calls) == 1
+    assert len(smiths) == 4
 
 
 @pytest.mark.parametrize("bound", [2, 4])
@@ -365,21 +390,15 @@ def test_label_coordinate_batch_is_the_hom_generators(label_):
 
 
 @pytest.mark.parametrize("bound", [2, 4])
-def test_build_quiver_decomposes_each_triangle_once(bound, monkeypatch):
-    # only E of the triangle ending at K(i), i <= bound, is decomposed:
-    # N = M = K(i) carries socle_map's certificate, and the shifted
+def test_build_quiver_decomposes_nothing(bound, monkeypatch):
+    # no complex is decomposed: N = M = K(i) carries socle_map's
+    # certificate, E's labels are read off its cohomology (two Smith
+    # forms per triangle ending at K(i), i <= bound), and the shifted
     # triangle carries the shifted terms
-
-    calls = []
-    real = artheory.decompose
-
-    def counting(x):
-        calls.append(x)
-        return real(x)
-
-    monkeypatch.setattr(artheory, "decompose", counting)
+    _refuse_decompose(monkeypatch)
+    smiths = _count_smith(monkeypatch)
     assert build_quiver(bound, Q).verified
-    assert len(calls) == bound
+    assert len(smiths) == 2 * bound
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])

@@ -4,12 +4,12 @@ test helper ``thelpers.is_homotopy_iso`` (transport to the minimal
 models, then invertibility in both degrees)."""
 
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_smith_sympy import sympy_exponents, to_sympy
 from thelpers import (
     is_homotopy_iso,
     mat,
@@ -35,9 +35,9 @@ from periodica import (
     trivial_complex,
     x_power,
 )
-from periodica import complexes
 from periodica.classify import (
     IndecompMultiset,
+    _block_sum_certificate,
     assemble,
     decompose,
     finite_length_cohomology,
@@ -137,7 +137,7 @@ def test_decompose_cohomology_consistency(rng):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cohomology_lengths_are_smith_exponent_sums(label_, seed):
-    # the reading of decompose's cross-check: for finite-length X,
+    # the reading of cohomology: for finite-length X,
     # length H0 = sum of the exponents of d1, length H1 = that of d0,
     # and the ranks of d0 and d1 add up to r0
     field = FieldSpec.from_label(label_)
@@ -179,35 +179,58 @@ def test_cohomology_matches_homology_invariants(label_, seed, source, r0,
     assert h1 == homology_invariants(x.d1, x.d0)[0]
 
 
-@pytest.mark.parametrize("label_", ["Q", "Fp:101"])
-@pytest.mark.parametrize("target, corrupt", [
-    ("d1", lambda e: (e[0] + 1,) + e[1:]),  # H0 length off by one
-    ("d0", lambda e: (e[0] + 1,) + e[1:]),  # H1 length off by one
-    ("d0", lambda e: e + (0,)),             # ranks add up to r0 + 1
-    ("d1", lambda e: e[1:]),                # drops a 0: ranks add to r0 - 1
-    ("d1", lambda e: e[:-2] + (1, 2)),      # H0 R/x + R/x^2: same length
-])
-def test_decompose_rejects_corrupted_exponents(label_, target, corrupt,
-                                               monkeypatch):
+def _split_labels(labels: tuple, shifted: bool) -> tuple:
+    """(sorted j of the labels K(j) (or K(j)[1] when shifted), number of
+    free labels R (or R[1])): the factors and free rank of H0 (or H1) of
+    the block sum of ``labels``."""
+    return (tuple(sorted(j for j, s in labels if s == shifted and j)),
+            sum(1 for j, s in labels if s == shifted and not j))
+
+
+def _sympy_exponents(field, a) -> tuple:
+    """The x-adic valuations of sympy's nonzero invariant factors of the
+    polynomial matrix a."""
+    assert all(len(e.den) == 1 for e in a.entries)  # polynomial entries
+    if not (a.rows and a.cols):
+        return ()
+    return sympy_exponents(field, to_sympy(field, a.to_grid(), a.rows, a.cols))
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free0=st.integers(0, 2),
+       free1=st.integers(0, 2))
+def test_labels_agree_with_cohomology_and_sympy(label_, seed, free0, free1):
+    # decompose's labels are proved by the split alone; here they meet
+    # cohomology (the Smith exponents of X's differentials) and sympy's
+    # invariant factors of d0 and d1, which share no code with either.
+    # free0 copies of R and free1 of R[1] give free labels, and r0 != r1
+    # when free0 != free1
     field = FieldSpec.from_label(label_)
-    # K(3) + K(2)[1] + K(3)[1] and two trivial summands, conjugated:
-    # exponents (2, 3) for d0 and (0, 0, 3) for d1
-    x, ms, _ = random_finite_length_instance(Random(11), field, max_labels=3,
-                                             max_j=3, max_trivials=2)
-    assert _lengths(ms) == (3, 5)
-    real = complexes.smith_normal_form
-
-    def corrupted(a):
-        s = real(a)
-        if a is not getattr(x, target):
-            return s
-        exps = corrupt(s.exponents)
-        return SimpleNamespace(exponents=exps, rank=len(exps))
-
-    monkeypatch.setattr(complexes, "smith_normal_form", corrupted)
-    with pytest.raises(PeriodicaError) as exc:
-        decompose(x)
-    assert str(exc.value) == "cohomology lengths disagree with the multiset"
+    rng = Random(seed)
+    x, _, _ = random_finite_length_instance(rng, field, max_labels=3,
+                                            max_j=4, max_trivials=2)
+    if free0 or free1:
+        free = TwoPeriodicComplex(field, free0, free1,
+                                  RMatrix.zeros(field, free1, free0),
+                                  RMatrix.zeros(field, free0, free1))
+        x = conjugate_complex(rng, direct_sum(x, free), max_val=2)[0]
+    labels = _block_sum_certificate(x).labels
+    h0, h1 = cohomology(x)
+    assert (h0.factors, h0.free_rank) == _split_labels(labels, False)
+    assert (h1.factors, h1.free_rank) == _split_labels(labels, True)
+    e0, e1 = _sympy_exponents(field, x.d0), _sympy_exponents(field, x.d1)
+    rank = len(e0) + len(e1)
+    assert (tuple(sorted(e for e in e1 if e)), x.r0 - rank) == \
+        _split_labels(labels, False)
+    assert (tuple(sorted(e for e in e0 if e)), x.r1 - rank) == \
+        _split_labels(labels, True)
+    if free0 or free1:
+        with pytest.raises(NotFiniteLengthError):
+            decompose(x)
+    else:
+        assert decompose(x).multiset == IndecompMultiset.from_labels(
+            label(j, s) for j, s in labels)
 
 
 def test_lemma_stable_equal_minimal_ranks(rng):

@@ -218,6 +218,35 @@ def test_bad_coefficient_error_is_bounded(label_):
     assert len(err.encode()) < 200
 
 
+LONG = "7" * 5000
+VANISHING = "1/(" + "x+" * 2500 + "x)"
+
+
+@pytest.mark.parametrize("field_value, cell, message", [
+    ("Q", "(x)+" + LONG,
+     f"$.d1[0][0]: unexpected parentheses in polynomial {'(x)+' + '7' * 16!r}"),
+    ("Q", LONG + "+", f"$.d1[0][0]: malformed polynomial {'7' * 20!r}"),
+    ("Q", LONG + "y",
+     f"$.d1[0][0]: bad term {'7' * 20!r} in polynomial {'7' * 20!r}"),
+    ("Q", VANISHING,
+     f"$.d1[0][0]: denominator vanishes at x = 0 in {VANISHING[:20]!r}"),
+    ("Fp:" + "a" * 5000, "1", f"bad field label {'Fp:' + 'a' * 17!r}"),
+    ("R" * 5000, "1",
+     f"bad field label {'R' * 20!r}; expected 'Q' or 'Fp:<p>'"),
+    ([0] * 5000, "1",
+     f"bad field label {repr([0] * 7)[:20]}; expected 'Q' or 'Fp:<p>'"),
+], ids=["parentheses", "malformed", "bad-term", "denominator", "fp-label",
+        "label", "label-list"])
+def test_parse_error_echo_is_bounded(field_value, cell, message):
+    # each parse error echoes at most the first 20 characters of the
+    # text it names, as a bad coefficient does
+    doc = {"field": field_value, "r0": 1, "r1": 1, "d0": [["0"]],
+           "d1": [[cell]]}
+    code, out, err, _ = _run(["validate", "a.json"], {"a.json": doc})
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 200
+
+
 # runs the CLI as a child and reports its peak RSS in KB, as CI does
 PEAK = ("import json, resource, subprocess, sys\n"
         "r = subprocess.run([sys.executable, '-m', 'periodica.cli',"

@@ -25,6 +25,7 @@ from test_poly_kernels import (
     ref_neg,
     ref_scale,
 )
+from oracles import q_scaled_reference
 from thelpers import random_complex
 
 from periodica import FieldSpec, elem, inverse, reduce, x_shift
@@ -68,6 +69,25 @@ def assert_form(got, want=None):
         assert is_canonical(Q, c), got
     if want is not None:
         assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero(), st.integers(0, 3), polys())
+@example(Fraction(1, 3), 0, (3, 6, Fraction(3, 2)))
+@example(Fraction(-2, 3), 2, (Fraction(3, 2), Fraction(1, 2)))
+@example(3, 1, (Fraction(1, 3), Fraction(2, 3), 5))
+def test_scale_shortcut_matches_reference(c, k, g):
+    # the constant or monomial operand c x^k of mul, on either side,
+    # against one canonical product per coefficient: the same values
+    # and the same coefficient types
+    scaled = q_scaled_reference(c, g)
+    shifted = (0,) * k + scaled if g else ()
+    m = (0,) * k + (c,)
+    for got, want in ((poly._q_scaled(c, g), scaled),
+                      (poly.mul(Q, m, g), shifted),
+                      (poly.mul(Q, g, m), shifted)):
+        assert got == want
+        assert [type(a) for a in got] == [type(a) for a in want]
 
 
 def ref_lowest(num, den):
