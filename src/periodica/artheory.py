@@ -35,6 +35,13 @@ the shift is a triangle autoequivalence, so the terms of the shifted
 triangle are the same multisets with every label's shift class
 flipped, and since X[1][1] = X on the nose the certificates of N[1],
 M[1], N[1][1] and M[1][1] are those of N[1], M[1], N and M.  The
+shifted triangle's ends N[1] and M[1] are the complexes of the carried
+certificates of N[1] and M[1], so only E is shifted, and every shifted
+map (the rotated socle map of ``ar_triangle``, the maps of
+``shift_triangle`` and the left connecting map -h[1] of the verifiers)
+runs between complexes the triangle carries (``complexes.shift_map``).
+Each certificate check of a Hom or null test then finds the
+certificate's own complex, with no comparison by value.  The
 verifiers and ``build_quiver`` read the carried terms and decompose
 nothing.  The Serre image F(X) is a model block sum with the identity
 certificate.
@@ -164,7 +171,8 @@ def ar_triangle(i: int, field: FieldSpec) -> ARTriangle:
         raise ValueError("ar_triangle needs i >= 1")
     cn, cn1, h = _socle(i, field)
     n = cn.complex
-    e, u, v = cone(shift_map(negate_map(h)))
+    # (-h)[-1] = (-h)[1]: M[1] -> N[1][1] = N, between carried complexes
+    e, u, v = cone(negate_map(shift_map(h, cn1.complex, n)))
     h0, h1 = cohomology(e)
     if h0.free_rank or h1.free_rank:
         raise NotFiniteLengthError("complex does not have finite-length cohomology")
@@ -180,10 +188,13 @@ def shift_triangle(t: ARTriangle) -> ARTriangle:
     so the result is again exact), with the shifted terms: [1] flips every
     label's shift class, as the Serre functor does on labels, and
     X[1][1] = X, so the certificates (cn, cm, cn1, cm1) of (N, M, N[1],
-    M[1]) serve (N[1], M[1], N, M)."""
+    M[1]) serve (N[1], M[1], N, M).  N[1] and M[1] are the complexes of
+    cn1 and cm1, and N[1][1] = N that of cn, so only E is shifted."""
     multisets, (cn, cm, cn1, cm1) = t.terms
-    return ARTriangle(shift(t.n), shift(t.e), shift(t.m),
-                      *(negate_map(shift_map(u)) for u in (t.f, t.g, t.h)),
+    sn, se, sm = cn1.complex, shift(t.e), cm1.complex
+    return ARTriangle(sn, se, sm,
+                      *(negate_map(shift_map(u, sx, sy)) for u, sx, sy in (
+                          (t.f, sn, se), (t.g, se, sm), (t.h, sm, cn.complex))),
                       terms=(tuple(serre_functor(ms) for ms in multisets),
                              (cn1, cm1, cn, cm)))
 
@@ -302,8 +313,9 @@ def _verify_ar(t: ARTriangle, bound: int, side: str) -> ARReport:
     (n_ms, m_ms, middle), (cn, cm, cn1, cm1) = t.terms
     ax1 = n_ms.is_singleton() and m_ms.is_singleton()
     right = side == "right"
-    # [1] is an involution, so -h[-1] = -h[1]: M[-1] -> N
-    conn = t.h if right else negate_map(shift_map(t.h))
+    # [1] is an involution, so -h[-1] = -h[1]: M[1] -> N[1][1] = N, the
+    # complexes of the carried cm1 and cn
+    conn = t.h if right else negate_map(shift_map(t.h, cm1.complex, cn.complex))
     ax2 = is_null_homotopic(conn, (cm, cn1) if right else (cm1, cn)) is None
     family = _family(bound)
     end_cert, null_end = (cm, cn1) if right else (cn, cm1)

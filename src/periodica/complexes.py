@@ -39,9 +39,13 @@ complexes) or from quasi-periodic data whose composites ``strictify``
 checked, a map derived from chain maps (identities, composites,
 negatives, multiples and shifts, the inverse of a checked isomorphism,
 the closed-form Hom generators Q_Y g P_X) and a certificate derived from
-checked maps.  ``UNCHECKED_CALLERS`` in ``tests/test_source_imports.py``
-is the one list of the helpers that do so, and the lint there holds the
-package to it.
+checked maps.  A shifted map f[1] runs between the shifted ends that its
+caller passes to ``shift_map``, which neither rebuilds them nor compares
+them with shift(X) and shift(Y), and checks only their ranks: the AR
+layer passes the complexes its certificates carry, so each shifted
+complex is built once.  ``UNCHECKED_CALLERS`` in
+``tests/test_source_imports.py`` is the one list of the helpers that do
+so, and the lint there holds the package to it.
 
 Model block sums live in label coordinates in ``models``: the degree
 index of each label, the differentials of a block sum and one entry per
@@ -288,12 +292,16 @@ class BlockSumCertificate:
 
     def shifted(self) -> "BlockSumCertificate":
         """The certificate of X[1]: labels flipped, P[1], Q[1] and the
-        contraction (-h1, -h0)."""
+        contraction (-h1, -h0).  X and B are shifted once each, and once
+        in all when X is B (a model block sum's identity certificate)."""
         h = self.contraction
-        sx = shift(self.complex)
+        x, b = self.complex, self.to_blocks.dst
+        sx = shift(x)
+        sb = sx if b is x else shift(b)
         return _unchecked(
             BlockSumCertificate, tuple((j, not s) for j, s in self.labels),
-            shift_map(self.to_blocks), shift_map(self.from_blocks),
+            shift_map(self.to_blocks, sx, sb),
+            shift_map(self.from_blocks, sb, sx),
             None if h is None else Homotopy2(sx, sx, -h.s1, -h.s0))
 
 
@@ -333,9 +341,15 @@ def scale_map(f: ChainMap2, c: LocalElem) -> ChainMap2:
     return _unchecked(ChainMap2, f.src, f.dst, f.f0.scale(c), f.f1.scale(c))
 
 
-def shift_map(f: ChainMap2) -> ChainMap2:
-    """f[1]: X[1] -> Y[1]; components swap because degrees do."""
-    return _unchecked(ChainMap2, shift(f.src), shift(f.dst), f.f1, f.f0)
+def shift_map(f: ChainMap2, sx: TwoPeriodicComplex,
+              sy: TwoPeriodicComplex) -> ChainMap2:
+    """f[1]: X[1] -> Y[1] between ``sx`` = X[1] and ``sy`` = Y[1], the
+    shifted ends that the caller holds; components swap because degrees
+    do.  The ends are not rebuilt or compared with shift(X) and shift(Y)
+    (module docstring); only their ranks are checked."""
+    if (sx.r0, sx.r1, sy.r0, sy.r1) != (f.src.r1, f.src.r0, f.dst.r1, f.dst.r0):
+        raise DimensionMismatchError("shifted ends do not have the swapped ranks")
+    return _unchecked(ChainMap2, sx, sy, f.f1, f.f0)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ A product with a zero operand (no nonzero entry) or an identity operand
 (square, ones on the diagonal, zeros elsewhere, however its entries were
 built) does no element arithmetic: it is the zero matrix, or the other
 operand itself, which is safe to share since matrices are immutable.
+An n x n operand is recognised as the identity by two counts that run
+in C, ``tuple.count``: its diagonal holds n ones and all its entries
+hold n^2 - n zeros.  A count compares by identity first and then by
+value, so equal copies of one and zero count too, and since one is not
+zero the n^2 - n zeros are exactly the off-diagonal entries.
 Negation and scaling keep a zero entry as it is.
 """
 
@@ -170,12 +175,12 @@ class RMatrix:
         a, b = self.entries, other.entries
         if not any(map(_num, a)) or not any(map(_num, b)):
             return RMatrix.zeros(self.field, n, m)
-        o = one(self.field)
-        if n == k and _is_identity(a, k, o):
+        o, z = one(self.field), zero(self.field)
+        if n == k and _is_identity(a, k, o, z):
             return other
-        if k == m and _is_identity(b, k, o):
+        if k == m and _is_identity(b, k, o, z):
             return self
-        out = [zero(self.field)] * (n * m)
+        out = [z] * (n * m)
         for i, row in _product_rows(self, other):
             out[i * m:(i + 1) * m] = row
         return RMatrix(self.field, n, m, tuple(out))
@@ -270,11 +275,10 @@ def product_first_nonzero(a: RMatrix, b: RMatrix) -> tuple | None:
     return None
 
 
-def _is_identity(entries: tuple, n: int, o: LocalElem) -> bool:
-    """Whether the n x n ``entries`` are one (``o`` or an equal copy) on
-    the diagonal and zero elsewhere."""
-    return (all(e is o or e == o for e in entries[::n + 1])
-            and sum(map(bool, map(_num, entries))) == n)
+def _is_identity(entries: tuple, n: int, o: LocalElem, z: LocalElem) -> bool:
+    """Whether the n x n ``entries`` are one (``o``) on the diagonal and
+    zero (``z``) elsewhere, by two counts (module docstring)."""
+    return entries[::n + 1].count(o) == n and entries.count(z) == n * n - n
 
 
 def block(field: FieldSpec, grid: Sequence[Sequence[RMatrix]]) -> RMatrix:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional, Tuple
 
-from .artheory import (ar_triangle, serre_length_check, socle_map,
-                       verify_right_ar)
+from .artheory import (ar_triangle, serre_length_check, shift_triangle,
+                       socle_map, verify_right_ar)
 from .classify import (assemble, decompose, decomposition_certificate,
                        finite_length_cohomology, k_complex)
 from .complexes import (
@@ -23,7 +23,9 @@ from .complexes import (
     dual,
     identity_map,
     is_null_homotopic,
+    negate_map,
     shift,
+    shift_map,
 )
 from .fields import FieldSpec
 from .matrix import RMatrix
@@ -128,6 +130,14 @@ def _suite_ar(rng: Random, rounds: int) -> Optional[str]:
                     (dn.multiset, dn.multiset, de.multiset),
                     (c, c, c.shifted(), c.shifted())):
                 return f"i={i}: carried terms"
+            # shift_triangle takes N[1] and M[1] from the carried
+            # certificates: its triangle is the one shift builds afresh
+            s = shift_triangle(t)
+            if (s.n, s.e, s.m, s.f, s.g, s.h) != (
+                    shift(t.n), shift(t.e), shift(t.m),
+                    *(negate_map(shift_map(u, shift(u.src), shift(u.dst)))
+                      for u in (t.f, t.g, t.h))):
+                return f"i={i}: shifted triangle"
             rep = verify_right_ar(t, bound=i + 2)
             if not rep.passed:
                 return f"i={i}"

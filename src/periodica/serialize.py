@@ -95,7 +95,10 @@ def complex_to_doc(x: TwoPeriodicComplex) -> dict:
 def _field_of(doc: dict, expect: Optional[FieldSpec]) -> FieldSpec:
     if "field" not in doc:
         raise ParseError("$.field: missing")
-    field = FieldSpec.from_label(doc["field"])
+    try:
+        field = FieldSpec.from_label(doc["field"])
+    except ParseError as exc:
+        raise ParseError(f"$.field: {exc}") from None
     if expect is not None and field != expect:
         raise ParseError(
             f"$.field: document field {field.label} does not match {expect.label}")

@@ -24,7 +24,9 @@ landed as canonical elements (``parse_element_reference``): every
 element through ``elem``, and every coefficient through ``field.add``;
 its error messages echo at most the first 20 characters of a text, as
 the package's do, so a message for a text of 20 characters or fewer is
-the one of that parser.
+the one of that parser.  A map is shifted between freshly shifted ends
+(``shifted_map``), where the package passes ``shift_map`` the shifted
+ends that it already holds.
 """
 
 import re
@@ -39,6 +41,7 @@ from periodica import (
     invert,
     negate_map,
     scale_map,
+    shift,
     shift_map,
     smith_normal_form,
     solve_over_ring,
@@ -176,6 +179,11 @@ def smith_null_homotopy(f):
         RMatrix.unvec(x.field, sol.submatrix(n0, sol.rows, 0, 1), y.r0, x.r1))
 
 
+def shifted_map(f):
+    """f[1]: shift(f.src) -> shift(f.dst), both ends built afresh."""
+    return shift_map(f, shift(f.src), shift(f.dst))
+
+
 def ar3_counterexample(t, bound: int, side: str):
     """The first (label, generator index) in family order, K(1..bound)
     then K(1..bound)[1], whose AR3 candidate the connecting map does not
@@ -185,7 +193,7 @@ def ar3_counterexample(t, bound: int, side: str):
     own by ``smith_null_homotopy``: the per-generator loop that
     ``artheory`` replaced by batched tests."""
     right = side == "right"
-    conn = t.h if right else negate_map(shift_map(t.h))
+    conn = t.h if right else negate_map(shifted_map(t.h))
     end = t.m if right else t.n
     end_ms = decompose(end).multiset
     x = x_power(end.field, 1)

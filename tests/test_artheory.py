@@ -34,7 +34,6 @@ from periodica import (
     serre_functor,
     serre_length_check,
     shift,
-    shift_map,
     shift_triangle,
     socle_map,
     verify_ar,
@@ -145,7 +144,7 @@ def test_ar_triangle_is_exact():
     for label_ in ("Q", "Fp:3", "Fp:101"):
         for i in range(1, 6):
             t = ar_triangle(i, FieldSpec.from_label(label_))
-            assert cone(shift_map(negate_map(t.h))) == (t.e, t.f, t.g)
+            assert cone(oracles.shifted_map(negate_map(t.h))) == (t.e, t.f, t.g)
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3"])
@@ -280,6 +279,58 @@ def _count_smith(monkeypatch) -> list:
     return calls
 
 
+def _count_shifts(monkeypatch) -> list:
+    """The input of every ``shift`` call from here on."""
+    calls = []
+    real = complexes.shift
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    for module in (complexes, artheory):
+        monkeypatch.setattr(module, "shift", counting)
+    return calls
+
+
+def _count_certificate_checks(monkeypatch) -> list:
+    """For every end that ``_check_certificates`` checks from here on,
+    whether the end is its certificate's own complex object."""
+    calls = []
+    real = complexes._check_certificates
+
+    def counting(cx, cy, x, y):
+        calls.extend((cx.complex is x, cy.complex is y))
+        return real(cx, cy, x, y)
+
+    monkeypatch.setattr(complexes, "_check_certificates", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
+def test_ar_layer_shifts_each_complex_once(label_, monkeypatch):
+    # ar_triangle shifts K(i) once for the certificate of K(i)[1] (X is
+    # B there), the cone shifts its source M[1] and the Triangle check
+    # shifts N; shift_triangle takes N[1] and M[1] from the carried
+    # certificates, so it shifts E and, in its Triangle check, N[1].  The
+    # verifiers shift nothing, and every certificate check on both sides
+    # finds the certificate's own complex, so none compares by value
+    field = FieldSpec.from_label(label_)
+    shifts = _count_shifts(monkeypatch)
+    checks = _count_certificate_checks(monkeypatch)
+    for i in range(1, 6):
+        shifts.clear()
+        t = ar_triangle(i, field)
+        s = shift_triangle(t)
+        n1 = t.terms[1][2].complex
+        assert s.n is n1 and s.m is t.terms[1][3].complex
+        assert list(map(id, shifts)) == list(map(id, (t.n, n1, t.n, t.e, n1)))
+        for tri in (t, s):
+            assert all(r.passed for r in verify_ar(tri, bound=i + 3))
+        assert len(shifts) == 5
+    assert checks and all(checks)
+
+
 def test_ar_layer_decomposes_nothing(monkeypatch, capsys):
     # N = M = K(2) carries the certificate socle_map builds, and E's
     # labels are read off its cohomology: two Smith forms, of E's d0 and
@@ -394,22 +445,34 @@ def test_build_quiver_decomposes_nothing(bound, monkeypatch):
     # no complex is decomposed: N = M = K(i) carries socle_map's
     # certificate, E's labels are read off its cohomology (two Smith
     # forms per triangle ending at K(i), i <= bound), and the shifted
-    # triangle carries the shifted terms
+    # triangle carries the shifted terms: five shifts per triangle ending
+    # at K(i) and its shift image, and no certificate check by value
+    # (test_ar_layer_shifts_each_complex_once)
     _refuse_decompose(monkeypatch)
     smiths = _count_smith(monkeypatch)
+    shifts = _count_shifts(monkeypatch)
+    checks = _count_certificate_checks(monkeypatch)
     assert build_quiver(bound, Q).verified
     assert len(smiths) == 2 * bound
+    assert len(shifts) == 5 * bound
+    assert checks and all(checks)
 
 
 @pytest.mark.parametrize("label_", ["Q", "Fp:3", "Fp:101"])
 def test_build_quiver_derives_shifted_terms(label_):
     # the terms shift_triangle carries over from the unshifted triangle
-    # agree with decomposing the shifted triangle afresh
+    # agree with decomposing the shifted triangle afresh, and its ends and
+    # maps, N[1] and M[1] taken from the carried certificates, are those
+    # that shift builds afresh, each map negated
 
     field = FieldSpec.from_label(label_)
     reports = build_quiver(5, field).reports
     for i in range(1, 6):
-        s = shift_triangle(ar_triangle(i, field))
+        t = ar_triangle(i, field)
+        s = shift_triangle(t)
+        assert (s.n, s.e, s.m, s.f, s.g, s.h) == (
+            shift(t.n), shift(t.e), shift(t.m),
+            *(negate_map(oracles.shifted_map(u)) for u in (t.f, t.g, t.h)))
         derived, fresh = s.terms, with_terms(s).terms
         assert derived[0] == fresh[0]
         terms = (s.n, s.m, shift(s.n), shift(s.m))

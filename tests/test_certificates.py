@@ -38,7 +38,6 @@ from periodica import (
     scale_map,
     serre_length_check,
     shift,
-    shift_map,
     socle_map,
     x_power,
 )
@@ -52,7 +51,7 @@ from periodica.rand import (
     random_multiset,
 )
 
-from oracles import smith_null_homotopy
+from oracles import shifted_map, smith_null_homotopy
 from thelpers import add_maps, mat, random_complex, zero_map
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
@@ -200,9 +199,9 @@ def test_derived_maps_and_certificates_pass_the_checked_constructors(
         _random_map(rng, y, y)
     c = random_element(rng, field, 2)
     for h in (identity_map(x), zero_map(x, y), compose(e, f),
-              add_maps(f, g), negate_map(f), scale_map(f, c), shift_map(f),
-              shift_map(compose(e, negate_map(g))), compose(
-                  shift_map(e), shift_map(add_maps(f, scale_map(g, c))))):
+              add_maps(f, g), negate_map(f), scale_map(f, c), shifted_map(f),
+              shifted_map(compose(e, negate_map(g))), compose(
+                  shifted_map(e), shifted_map(add_maps(f, scale_map(g, c))))):
         assert _rechecked_map(h) == h
     z, _ = _instance(sc, field)
     dec = decompose(z)

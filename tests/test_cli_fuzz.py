@@ -230,11 +230,12 @@ VANISHING = "1/(" + "x+" * 2500 + "x)"
      f"$.d1[0][0]: bad term {'7' * 20!r} in polynomial {'7' * 20!r}"),
     ("Q", VANISHING,
      f"$.d1[0][0]: denominator vanishes at x = 0 in {VANISHING[:20]!r}"),
-    ("Fp:" + "a" * 5000, "1", f"bad field label {'Fp:' + 'a' * 17!r}"),
+    ("Fp:" + "a" * 5000, "1",
+     f"$.field: bad field label {'Fp:' + 'a' * 17!r}"),
     ("R" * 5000, "1",
-     f"bad field label {'R' * 20!r}; expected 'Q' or 'Fp:<p>'"),
+     f"$.field: bad field label {'R' * 20!r}; expected 'Q' or 'Fp:<p>'"),
     ([0] * 5000, "1",
-     f"bad field label {repr([0] * 7)[:20]}; expected 'Q' or 'Fp:<p>'"),
+     f"$.field: bad field label {repr([0] * 7)[:20]}; expected 'Q' or 'Fp:<p>'"),
 ], ids=["parentheses", "malformed", "bad-term", "denominator", "fp-label",
         "label", "label-list"])
 def test_parse_error_echo_is_bounded(field_value, cell, message):
@@ -245,6 +246,16 @@ def test_parse_error_echo_is_bounded(field_value, cell, message):
     code, out, err, _ = _run(["validate", "a.json"], {"a.json": doc})
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err.encode()) < 200
+
+
+def test_bad_field_label_names_where_it_came_from():
+    # the same bad label in a document and after --field gives two
+    # different error lines: the document's names its entry
+    expected = "bad field label 'R'; expected 'Q' or 'Fp:<p>'\n"
+    doc_err = _run(["validate", "a.json"], {"a.json": dict(K1, field="R")})
+    flag_err = _run(["validate", "a.json", "--field", "R"], {"a.json": K1})
+    assert doc_err[:3] == (2, "", "error: $.field: " + expected)
+    assert flag_err[:3] == (2, "", "error: " + expected)
 
 
 # runs the CLI as a child and reports its peak RSS in KB, as CI does

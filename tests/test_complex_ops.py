@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import is_invertible, kron
+from oracles import is_invertible, kron, shifted_map
 from thelpers import (
     first_nonzero,
     mat,
@@ -25,6 +25,7 @@ from thelpers import (
 
 from periodica import (
     ChainMap2,
+    DimensionMismatchError,
     FieldMismatchError,
     FieldSpec,
     InvalidChainMapError,
@@ -659,11 +660,28 @@ def test_hom_module_free_part():
 
 def test_shift_map_involution():
     f = identity_map(K(2))
-    assert shift_map(shift_map(f)) == f
+    assert shifted_map(shifted_map(f)) == f
+    sx = shift(f.src)
+    assert shift_map(shift_map(f, sx, sx), f.src, f.dst) == f
 
 
 def test_shift_map_components_swap():
     from periodica import socle_map
     w = socle_map(2, Q)
-    sw = shift_map(w)
+    sw = shifted_map(w)
     assert sw.f0 == w.f1 and sw.f1 == w.f0
+
+
+def test_shift_map_takes_the_callers_ends():
+    # f[1] runs between the shifted ends the caller passes, as they are;
+    # only their ranks are checked
+    x = direct_sum(K(1), shift(K(2)), _zeros(1, 0))
+    y = direct_sum(K(3), _zeros(0, 2))
+    f = zero_map(x, y)
+    sx, sy = shift(x), shift(y)
+    g = shift_map(f, sx, sy)
+    assert g.src is sx and g.dst is sy
+    assert g == shifted_map(f)
+    for ends in ((x, sy), (sx, y), (sy, sx)):
+        with pytest.raises(DimensionMismatchError, match="swapped ranks"):
+            shift_map(f, *ends)

@@ -7,7 +7,9 @@ elements are unique, so every cell must equal ``oracles.matmul_reference``,
 which adds the terms one at a time from zero, and carry Q coefficients of
 the same types (an ``int`` when integral).  A sympy product over QQ(x),
 built from the coefficient tuples alone, checks one Q product with no
-shared code.
+shared code.  The two counts that recognise an identity operand
+(``matrix._is_identity``) are held to comparing with
+``RMatrix.identity``.
 """
 
 import random
@@ -23,8 +25,8 @@ from thelpers import first_nonzero
 
 from periodica import FieldSpec, RMatrix
 from periodica.fields import q_canon
-from periodica.localring import elem, zero
-from periodica.matrix import product_first_nonzero
+from periodica.localring import LocalElem, elem, one, zero
+from periodica.matrix import _is_identity, product_first_nonzero
 
 FIELDS = ["Q", "Fp:3", "Fp:101"]
 
@@ -110,6 +112,58 @@ def test_product_matches_the_term_by_term_sum(label, seed, shape, zero_bias,
     want = matmul_reference(a, b)
     assert_same_cells(a @ b, want)
     assert product_first_nonzero(a, b) == first_nonzero(want)
+
+
+def _identity_candidate(rng, field, n, kind):
+    """An n x n matrix of ``kind``: ones and zeros that are equal copies
+    of the shared ones ("copies"), the identity with a zero on the
+    diagonal or a unit off it, or random entries."""
+    o, z = one(field), zero(field)
+    if kind == "random":
+        return random_matrix(rng, field, n, n, rng.choice((0.0, 0.5, 0.9)))
+    if kind == "copies":  # each cell the shared element or an equal copy
+        def cell(i, j):
+            e = o if i == j else z
+            return e if rng.random() < 0.5 else LocalElem(field, e.num, e.den)
+        return RMatrix.build(field, n, n, cell)
+    ents = list(RMatrix.identity(field, n).entries)
+    if kind == "zero on the diagonal" and n:
+        ents[rng.randrange(n) * (n + 1)] = z
+    elif kind == "off-diagonal unit" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        ents[i * n + j] = elem(field, [rng.choice((1, 2))])
+    return RMatrix(field, n, n, tuple(ents))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.sampled_from(FIELDS), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(0, 6),
+       kind=st.sampled_from(["identity", "copies", "zero on the diagonal",
+                             "off-diagonal unit", "random"]))
+@example(label="Q", seed=0, n=0, kind="identity")
+@example(label="Fp:3", seed=1, n=4, kind="copies")
+@example(label="Fp:101", seed=2, n=3, kind="zero on the diagonal")
+@example(label="Q", seed=3, n=2, kind="off-diagonal unit")
+def test_identity_is_recognised_by_its_counts(label, seed, n, kind):
+    # two counts of the shared one and zero, equal copies counted too,
+    # decide exactly what comparing with the identity matrix decides, and
+    # @ returns the other operand itself exactly when they say so
+    field = FieldSpec.from_label(label)
+    rng = random.Random(seed)
+    m = _identity_candidate(rng, field, n, kind)
+    is_identity = _is_identity(m.entries, n, one(field), zero(field))
+    assert is_identity == (m == RMatrix.identity(field, n))
+    if kind == "copies":
+        assert is_identity
+    if n:
+        x = elem(field, [0, field.one])
+        b = RMatrix.build(field, n, n + 1, lambda i, j: (
+            x if (i, j) == (0, 0) else random_elem(rng, field, 0.5)))
+        c = RMatrix.build(field, n + 1, n, lambda i, j: (
+            x if (i, j) == (0, 0) else random_elem(rng, field, 0.5)))
+        assert ((m @ b) is b) == ((c @ m) is c) == is_identity
+        assert_same_cells(m @ b, matmul_reference(m, b))
+        assert_same_cells(c @ m, matmul_reference(c, m))
 
 
 def test_cancelled_cells_are_the_shared_zero():
